@@ -11,12 +11,14 @@ plain floats, so round-trips are bit-exact):
 * report:    schema "v1", see REPORT_SCHEMA.
 
 Exit codes: 0 distinguishable / success, 1 indistinguishable (proved) or
-verification failure, 2 unknown, 3 input error.
+verification failure, 2 unknown, 3 input error (a bad file, or a usage error
+such as a missing argument or an out-of-range option).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -31,7 +33,7 @@ from .ensemble import (
     make_ensemble,
     random_ensemble,
 )
-from .errors import LoccdistError, ParseError, WrongDimensions
+from .errors import LoccdistError, ParseError
 from .protocol import (
     Leaf,
     Node,
@@ -40,7 +42,7 @@ from .protocol import (
     format_path,
     verify_protocol,
 )
-from .search import SearchConfig, search_protocol
+from .search import PROVED_NO, UNKNOWN, YES, SearchConfig, search_protocol
 from .states import DEFAULT_TOL, BipartiteState, make_state, schmidt_decompose
 
 SCHEMA_VERSION = "v1"
@@ -253,15 +255,45 @@ def _fail_input(command, config, fmt, started, exc):
     sys.exit(EXIT_INPUT_ERROR)
 
 
+def _positive_finite(ctx, param, value):
+    if not (math.isfinite(value) and value > 0):
+        raise click.BadParameter(f"{value} is not a finite number > 0.")
+    return value
+
+
 _format_option = click.option("--format", "fmt", type=click.Choice(["text", "json"]),
                               default="text", show_default=True,
                               help="Report format.")
 _tolerance_option = click.option("--tolerance", type=float, default=DEFAULT_TOL,
-                                 show_default=True,
+                                 show_default=True, callback=_positive_finite,
                                  help="Numerical tolerance for every check in this run.")
+_max_depth_option = click.option("--max-depth", type=click.IntRange(min=1), default=6,
+                                 show_default=True,
+                                 help="Rounds of measurement per search branch.")
+_beam_option = click.option("--beam", type=click.IntRange(min=1), default=64,
+                            show_default=True,
+                            help="Candidate measurements per party and search node.")
 
 
-@click.group()
+def _usage_error_exits_3(call, *args, **kwargs):
+    try:
+        return call(*args, **kwargs)
+    except click.UsageError as exc:
+        exc.exit_code = EXIT_INPUT_ERROR
+        raise
+
+
+class _Group(click.Group):
+    """Command group whose click usage errors exit 3, the input-error code."""
+
+    def make_context(self, *args, **kwargs):
+        return _usage_error_exits_3(super().make_context, *args, **kwargs)
+
+    def invoke(self, ctx):
+        return _usage_error_exits_3(super().invoke, ctx)
+
+
+@click.group(cls=_Group)
 def main():
     """Decide, certify, or refute local distinguishability of finite
     ensembles of orthogonal bipartite pure states."""
@@ -291,76 +323,74 @@ def cmd_schmidt(ensemble_path, fmt, tolerance):
     sys.exit(0)
 
 
+#: decision verdict -> (report verdict, exit code)
+_VERDICTS = {
+    YES: ("distinguishable", EXIT_DISTINGUISHABLE),
+    PROVED_NO: ("indistinguishable", EXIT_INDISTINGUISHABLE),
+    UNKNOWN: ("unknown", EXIT_UNKNOWN),
+}
+
+
+def _decide(command, config, fmt, started, mode):
+    """The decision behind ``check --mode MODE`` and ``search`` (mode "full").
+
+    Loads ``config["ensemble"]`` and decides it.  Returns the report verdict,
+    the exit code, the diagnostics and the protocol found (or None).  The
+    diagnostics hold the Schmidt data, then the mode's own keys: "warnings"
+    (classify2x2), "nodes_explored" and "search_depth" (full), and "reason"
+    for a proof of impossibility.  An input error is reported and exits 3.
+    """
+    tol = config["tolerance"]
+    cfg = SearchConfig(max_depth=config["max_depth"], tolerance=tol,
+                       beam_limit=config["beam"])
+    try:
+        ens = load_ensemble(config["ensemble"], tol=tol)
+        if mode == "classify2x2":
+            cls = classify_2x2(ens, cfg, tol=tol)
+    except LoccdistError as exc:
+        _fail_input(command, config, fmt, started, exc)
+    extra, protocol = {}, None
+    if mode == "necessary":
+        rep = schmidt_sum_check(ens)
+        verdict = PROVED_NO if rep.violates else UNKNOWN
+    elif mode == "classify2x2":
+        rep, protocol = cls.schmidt_report, cls.protocol
+        verdict = YES if cls.distinguishable else PROVED_NO
+        if cls.warnings:
+            extra["warnings"] = list(cls.warnings)
+        if cls.reason:
+            extra["reason"] = cls.reason
+    else:
+        outcome = search_protocol(ens, cfg)
+        rep, protocol, verdict = outcome.schmidt_report, outcome.protocol, outcome.verdict
+        extra["nodes_explored"] = outcome.nodes_explored
+        extra["search_depth"] = outcome.max_depth
+        if verdict == PROVED_NO:
+            extra["reason"] = (f"Schmidt ranks sum to {rep.total} > "
+                               f"capacity {rep.capacity}")
+    diagnostics = {"schmidt_numbers": list(rep.schmidt_numbers),
+                   "schmidt_sum": rep.total, "capacity": rep.capacity, **extra}
+    return (*_VERDICTS[verdict], diagnostics, protocol)
+
+
 @main.command("check")
 @click.argument("ensemble_path", type=click.Path())
 @click.option("--mode", type=click.Choice(["necessary", "classify2x2", "full"]),
               default="full", show_default=True)
-@click.option("--max-depth", type=int, default=6, show_default=True)
-@click.option("--strategy", type=click.Choice(["standard", "cross-operator",
-                                               "zero-diagonal", "exhaustive-2d"]),
-              default="cross-operator", show_default=True)
-@click.option("--beam", type=int, default=64, show_default=True)
+@_max_depth_option
+@_beam_option
 @_format_option
 @_tolerance_option
-def cmd_check(ensemble_path, mode, max_depth, strategy, beam, fmt, tolerance):
+def cmd_check(ensemble_path, mode, max_depth, beam, fmt, tolerance):
     """Decide distinguishability of an ensemble file."""
     started = time.perf_counter()
     config = {"ensemble": str(ensemble_path), "mode": mode,
-              "max_depth": max_depth, "strategy": strategy, "beam": beam,
-              "tolerance": tolerance}
-    try:
-        ens = load_ensemble(ensemble_path, tol=tolerance)
-    except LoccdistError as exc:
-        _fail_input("check", config, fmt, started, exc)
-
-    diagnostics: dict = {}
-    try:
-        if mode == "necessary":
-            report = schmidt_sum_check(ens)
-            diagnostics["schmidt_numbers"] = list(report.schmidt_numbers)
-            diagnostics["schmidt_sum"] = report.total
-            diagnostics["capacity"] = report.capacity
-            if report.violates:
-                verdict, code = "indistinguishable", EXIT_INDISTINGUISHABLE
-            else:
-                verdict, code = "unknown", EXIT_UNKNOWN
-        elif mode == "classify2x2":
-            cfg = SearchConfig(max_depth=max_depth, candidate_strategy=strategy,
-                               tolerance=tolerance, beam_limit=beam)
-            cls = classify_2x2(ens, cfg, tol=tolerance)
-            diagnostics["schmidt_numbers"] = list(cls.schmidt_report.schmidt_numbers)
-            diagnostics["schmidt_sum"] = cls.schmidt_report.total
-            diagnostics["capacity"] = cls.schmidt_report.capacity
-            if cls.warnings:
-                diagnostics["warnings"] = list(cls.warnings)
-            if cls.distinguishable:
-                diagnostics["protocol"] = protocol_to_dict(cls.protocol)
-                verdict, code = "distinguishable", EXIT_DISTINGUISHABLE
-            else:
-                diagnostics["reason"] = cls.reason
-                verdict, code = "indistinguishable", EXIT_INDISTINGUISHABLE
-        else:  # full
-            cfg = SearchConfig(max_depth=max_depth, candidate_strategy=strategy,
-                               tolerance=tolerance, beam_limit=beam)
-            outcome = search_protocol(ens, cfg)
-            rep = outcome.schmidt_report
-            diagnostics["schmidt_numbers"] = list(rep.schmidt_numbers)
-            diagnostics["schmidt_sum"] = rep.total
-            diagnostics["capacity"] = rep.capacity
-            diagnostics["nodes_explored"] = outcome.nodes_explored
-            if outcome.verdict == "yes":
-                diagnostics["protocol"] = protocol_to_dict(outcome.protocol)
-                verdict, code = "distinguishable", EXIT_DISTINGUISHABLE
-            elif outcome.verdict == "proved-no":
-                diagnostics["reason"] = (f"Schmidt ranks sum to {rep.total} > "
-                                         f"capacity {rep.capacity}")
-                verdict, code = "indistinguishable", EXIT_INDISTINGUISHABLE
-            else:
-                diagnostics["search_depth"] = outcome.max_depth
-                verdict, code = "unknown", EXIT_UNKNOWN
-    except WrongDimensions as exc:
-        _fail_input("check", config, fmt, started, exc)
-
+              "max_depth": max_depth, "beam": beam, "tolerance": tolerance}
+    verdict, code, diagnostics, protocol = _decide("check", config, fmt, started, mode)
+    if code != EXIT_UNKNOWN:  # the depth limit matters only when it ran out
+        diagnostics.pop("search_depth", None)
+    if protocol is not None:
+        diagnostics["protocol"] = protocol_to_dict(protocol)
     _emit(_build_report("check", verdict, code, config, diagnostics, started), fmt)
     sys.exit(code)
 
@@ -399,47 +429,25 @@ def cmd_verify(ensemble_path, protocol_path, fmt, tolerance):
 
 @main.command("search")
 @click.argument("ensemble_path", type=click.Path())
-@click.option("--max-depth", type=int, default=6, show_default=True)
-@click.option("--strategy", type=click.Choice(["standard", "cross-operator",
-                                               "zero-diagonal", "exhaustive-2d"]),
-              default="cross-operator", show_default=True)
-@click.option("--beam", type=int, default=64, show_default=True)
+@_max_depth_option
+@_beam_option
 @click.option("--output", type=click.Path(), default=None,
               help="Protocol file to write on success "
                    "[default: <ensemble>.protocol.json].")
 @_format_option
 @_tolerance_option
-def cmd_search(ensemble_path, max_depth, strategy, beam, output, fmt, tolerance):
+def cmd_search(ensemble_path, max_depth, beam, output, fmt, tolerance):
     """Search for a discrimination protocol; write it on success."""
     started = time.perf_counter()
     config = {"ensemble": str(ensemble_path), "max_depth": max_depth,
-              "strategy": strategy, "beam": beam, "tolerance": tolerance}
-    try:
-        ens = load_ensemble(ensemble_path, tol=tolerance)
-        cfg = SearchConfig(max_depth=max_depth, candidate_strategy=strategy,
-                           tolerance=tolerance, beam_limit=beam)
-    except (LoccdistError, ValueError) as exc:
-        _fail_input("search", config, fmt, started, exc)
-    outcome = search_protocol(ens, cfg)
-    rep = outcome.schmidt_report
-    diagnostics = {
-        "schmidt_sum": rep.total,
-        "capacity": rep.capacity,
-        "nodes_explored": outcome.nodes_explored,
-        "search_depth": outcome.max_depth,
-    }
-    if outcome.verdict == "yes":
+              "beam": beam, "tolerance": tolerance}
+    verdict, code, diagnostics, protocol = _decide("search", config, fmt, started, "full")
+    del diagnostics["schmidt_numbers"]
+    if protocol is not None:
         out_path = Path(output) if output else Path(str(ensemble_path)).with_suffix(
             ".protocol.json")
-        write_json(out_path, protocol_to_dict(outcome.protocol))
+        write_json(out_path, protocol_to_dict(protocol))
         diagnostics["protocol_path"] = str(out_path)
-        verdict, code = "distinguishable", EXIT_DISTINGUISHABLE
-    elif outcome.verdict == "proved-no":
-        diagnostics["reason"] = (f"Schmidt ranks sum to {rep.total} > capacity "
-                                 f"{rep.capacity}")
-        verdict, code = "indistinguishable", EXIT_INDISTINGUISHABLE
-    else:
-        verdict, code = "unknown", EXIT_UNKNOWN
     _emit(_build_report("search", verdict, code, config, diagnostics, started), fmt)
     sys.exit(code)
 

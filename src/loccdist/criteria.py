@@ -29,7 +29,6 @@ from .protocol import (
     BOB,
     Leaf,
     Node,
-    ProjectiveMeasurement,
     ProtocolTree,
     VerificationReport,
     verify_protocol,
@@ -38,6 +37,7 @@ from .search import (
     YES,
     SearchConfig,
     SearchOutcome,
+    _rank_one,
     search_protocol,
     surviving_states,
 )
@@ -239,10 +239,12 @@ def certificate_check(e: Ensemble, cert: Certificate,
 class Classification:
     """Two-qubit classification verdict.
 
-    Distinguishable verdicts always carry a protocol that passed
-    ``verify_protocol``; ``warnings`` lists states whose smallest singular
-    value sits near the rank cutoff (their product/entangled call is
-    numerically borderline).
+    The verdict rests on the classification rule alone.  A distinguishable
+    verdict carries a protocol that passed ``verify_protocol`` when the
+    construction or the bounded search finds one, and None when the search
+    runs out; ``warnings`` lists states whose smallest singular value sits
+    near the rank cutoff (their product/entangled call is numerically
+    borderline).
     """
 
     distinguishable: bool
@@ -266,10 +268,6 @@ def _borderline_warnings(e: Ensemble) -> tuple[str, ...]:
 
 def _perp2(v: np.ndarray) -> np.ndarray:
     return np.array([-np.conj(v[1]), np.conj(v[0])])
-
-
-def _rank1_meas(party, v0, v1) -> ProjectiveMeasurement:
-    return ProjectiveMeasurement(party, (v0.reshape(-1, 1), v1.reshape(-1, 1)))
 
 
 def _three_state_protocol(e: Ensemble, decomps, tol) -> ProtocolTree | None:
@@ -318,11 +316,11 @@ def _three_state_protocol(e: Ensemble, decomps, tol) -> ProtocolTree | None:
             continue
         rider_label = next(lbl for lbl in sub.labels if lbl != owner_label)
         anchor = other_axis[owner_idx]
-        meas2 = _rank1_meas(other_party, anchor, _perp2(anchor))
+        meas2 = _rank_one(other_party, np.column_stack([anchor, _perp2(anchor)]))
         children.append(Node(meas2, (Leaf(owner_label), Leaf(rider_label))))
 
     i, j = pair
-    meas1 = _rank1_meas(party, axis[i], axis[j])
+    meas1 = _rank_one(party, np.column_stack([axis[i], axis[j]]))
     return Node(meas1, tuple(children))
 
 
@@ -332,8 +330,9 @@ def classify_2x2(e: Ensemble, cfg: SearchConfig | None = None,
 
     One or two states are always distinguishable; three are distinguishable
     iff at most one is entangled; four iff all four are product states.
-    Distinguishable verdicts return a verified protocol (constructed for the
-    three-state case, found by search otherwise).
+    Distinguishable verdicts return a verified protocol when one is found
+    (constructed for the three-state case, searched for under ``cfg``
+    otherwise), else None.
     """
     if e.dims != (2, 2):
         raise WrongDimensions(f"classify_2x2 needs a 2x2 ensemble, got "
@@ -362,10 +361,5 @@ def classify_2x2(e: Ensemble, cfg: SearchConfig | None = None,
         if protocol is not None and not verify_protocol(protocol, e, tol=tol).ok:
             protocol = None  # fall back to search on numerical trouble
     if protocol is None:
-        outcome = search_protocol(e, cfg)
-        if outcome.verdict != YES:  # pragma: no cover - rule guarantees success
-            raise RuntimeError(
-                f"internal error: classification says distinguishable but the "
-                f"search returned {outcome.verdict} on {e!r}")
-        protocol = outcome.protocol
+        protocol = search_protocol(e, cfg).protocol
     return Classification(True, protocol, None, warnings, report)

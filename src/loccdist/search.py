@@ -1,12 +1,14 @@
 """Bounded synthesis of projective discrimination protocols.
 
-Depth-first search over heuristically generated candidate measurements.  A
-candidate is admitted only if every outcome keeps the surviving states
-pairwise orthogonal (the per-outcome diagonal of every cross operator must
-vanish), which is necessary for reliable discrimination to remain possible.
-The search is sound -- every returned protocol is re-verified -- but
-incomplete: an exhausted search yields Unknown, never a claim of
-impossibility.
+Depth-first search in which, at every node, Alice and then Bob try the
+candidate measurements of one fixed generator (``candidate_bases``): the
+computational basis and its support blocks, then bases in which every cross
+operator has zero diagonal.  A candidate is admitted only if every outcome
+keeps the surviving states pairwise orthogonal (the per-outcome diagonal of
+every cross operator must vanish), which is necessary for reliable
+discrimination to remain possible.  The search is sound -- every returned
+protocol is re-verified -- but incomplete: an exhausted search yields
+Unknown, never a claim of impossibility.
 """
 
 from __future__ import annotations
@@ -24,13 +26,10 @@ from .protocol import (
     Node,
     ProjectiveMeasurement,
     ProtocolTree,
+    _cols,
     verify_protocol,
 )
-from .states import DEFAULT_TOL, make_state
-
-STRATEGIES = ("standard", "cross-operator", "zero-diagonal", "exhaustive-2d",
-              "user-supplied")
-PARTY_ORDERS = ("free", "alternate", "alice-first", "bob-first")
+from .states import DEFAULT_TOL, RANK_CUTOFF, make_state
 
 YES = "yes"
 PROVED_NO = "proved-no"
@@ -41,38 +40,22 @@ _DUST = 1e-12
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Tuning knobs for the protocol search.
+    """Bounds of the protocol search.
 
-    ``candidate_strategy`` picks the measurement generator tier; tiers are
-    cumulative (every strategy includes the "standard" computational-basis
-    and support-block candidates, "exhaustive-2d" additionally includes the
-    cross-operator constructions and a Bloch-sphere grid for qubit parties).
-    ``party_order`` constrains who measures: "free" tries Alice then Bob at
-    every node, "alternate" forces consecutive rounds onto different parties,
-    "alice-first"/"bob-first" fix the first round only.
+    ``max_depth`` caps the rounds of measurement on any branch,
+    ``tolerance`` is used by every numerical check, and ``beam_limit`` caps
+    the candidates one party tries at one node.
     """
 
     max_depth: int = 6
-    candidate_strategy: str = "cross-operator"
     tolerance: float = DEFAULT_TOL
-    party_order: str = "free"
     beam_limit: int = 64
-    bloch_grid_step: float = np.pi / 12
-    user_candidates: tuple = ()
 
     def __post_init__(self):
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
         if self.beam_limit < 1:
             raise ValueError("beam_limit must be >= 1")
-        if self.candidate_strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.candidate_strategy!r}")
-        if self.party_order not in PARTY_ORDERS:
-            raise ValueError(f"unknown party order {self.party_order!r}")
-        if self.bloch_grid_step <= 0:
-            raise ValueError("bloch_grid_step must be positive")
-        if self.candidate_strategy == "user-supplied" and not self.user_candidates:
-            raise ValueError("user-supplied strategy needs user_candidates")
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,16 +136,8 @@ def _support_blocks(e: Ensemble, party: str, tol: float) -> list[list[int]]:
     return sorted(blocks, key=lambda b: b[0])
 
 
-def _basis_columns(dim, indices):
-    out = np.zeros((dim, len(indices)), dtype=np.complex128)
-    for c, i in enumerate(indices):
-        out[i, c] = 1.0
-    return out
-
-
 def _computational(party, dim) -> ProjectiveMeasurement:
-    return ProjectiveMeasurement(
-        party, tuple(_basis_columns(dim, [i]) for i in range(dim)))
+    return ProjectiveMeasurement(party, tuple(_cols(dim, i) for i in range(dim)))
 
 
 def _rank_one(party, basis_matrix) -> ProjectiveMeasurement:
@@ -284,67 +259,39 @@ def _dedupe_sort_trim(tiers, beam_limit):
 def candidate_bases(e: Ensemble, party: str, cfg: SearchConfig | None = None):
     """Deterministic, duplicate-free candidate measurements for one party.
 
-    Tier 0 (all strategies): the computational basis and, when the states'
-    local supports split the basis indices into nontrivial components, the
-    corresponding block-coarsened measurement.  Higher tiers derive bases
-    from the cross operators: eigenbases of their Hermitian and
-    anti-Hermitian parts ("cross-operator"), zero-diagonal bases built by
-    pairing opposite-sign eigenvalues ("zero-diagonal"; realised exactly for
-    qubit parties by the Bloch-plane solver), and a fixed Bloch-sphere grid
-    ("exhaustive-2d").  The list is truncated at ``beam_limit``.
+    Two fixed tiers, in this order.  The standard tier is the computational
+    basis and, when the states' local supports split the basis indices into
+    nontrivial components, the block-coarsened measurement onto those
+    components.  The zero-diagonal tier holds bases in which cross operators
+    have vanishing diagonal: for a qubit party every exact solution for all
+    cross operators at once (the Bloch-plane solver), otherwise one basis per
+    Hermitian or anti-Hermitian part of each cross operator, built by pairing
+    opposite-sign eigenvalues.  Each tier is sorted by projector key,
+    duplicates are dropped, and the list is truncated at ``beam_limit``.
     """
     cfg = cfg or SearchConfig()
     d = _local_dim(e, party)
     tol = cfg.tolerance
-    strategy = cfg.candidate_strategy
-
-    if strategy == "user-supplied":
-        tier = [m for m in cfg.user_candidates if m.party == party]
-        return _dedupe_sort_trim([tier], cfg.beam_limit)
 
     standard = [_computational(party, d)]
     blocks = _support_blocks(e, party, tol)
     if len(blocks) >= 2 and any(len(b) > 1 for b in blocks):
         standard.append(ProjectiveMeasurement(
-            party, tuple(_basis_columns(d, b) for b in blocks)))
+            party, tuple(_cols(d, *b) for b in blocks)))
 
-    eig_tier: list[ProjectiveMeasurement] = []
-    zero_tier: list[ProjectiveMeasurement] = []
-    grid_tier: list[ProjectiveMeasurement] = []
+    sides = [op.side(party) for op in cross_operators(e)]
+    sides = [m for m in sides if np.abs(m).max() > _DUST]
+    if d == 2:
+        bases = _qubit_plane_bases(sides, tol)
+    else:
+        parts = [h for m in sides
+                 for h in ((m + m.conj().T) / 2, (m - m.conj().T) / 2j)
+                 if np.abs(h).max() > _DUST]
+        bases = [b for b in (_zero_diagonal_basis(h, tol) for h in parts)
+                 if b is not None]
+    zero_tier = [_rank_one(party, _canonical_phase(b)) for b in bases]
 
-    if strategy != "standard":
-        sides = [op.side(party) for op in cross_operators(e)]
-        sides = [m for m in sides if np.abs(m).max() > _DUST]
-        parts = []
-        for m in sides:
-            for h in ((m + m.conj().T) / 2, (m - m.conj().T) / 2j):
-                if np.abs(h).max() > _DUST:
-                    parts.append(h)
-        if strategy in ("cross-operator", "exhaustive-2d"):
-            for h in parts:
-                _, vecs = np.linalg.eigh(h)
-                eig_tier.append(_rank_one(party, _canonical_phase(vecs)))
-        if d == 2:
-            zero_tier.extend(_rank_one(party, _canonical_phase(b))
-                             for b in _qubit_plane_bases(sides, tol))
-        else:
-            for h in parts:
-                basis = _zero_diagonal_basis(h, tol)
-                if basis is not None:
-                    zero_tier.append(_rank_one(party, _canonical_phase(basis)))
-        if strategy == "exhaustive-2d" and d == 2:
-            step = cfg.bloch_grid_step
-            thetas = np.arange(0.0, np.pi / 2 + step / 2, step)
-            phis = np.arange(0.0, 2 * np.pi - step / 2, step)
-            for theta in thetas:
-                for phi in phis:
-                    n = np.array([np.sin(theta) * np.cos(phi),
-                                  np.sin(theta) * np.sin(phi),
-                                  np.cos(theta)])
-                    grid_tier.append(_rank_one(party, _bloch_basis(n)))
-
-    return _dedupe_sort_trim([standard, eig_tier, zero_tier, grid_tier],
-                             cfg.beam_limit)
+    return _dedupe_sort_trim([standard, zero_tier], cfg.beam_limit)
 
 
 def surviving_states(e: Ensemble, party: str, projector,
@@ -391,24 +338,11 @@ class SearchOutcome:
     nodes_explored: int
 
 
-def _parties_for(cfg: SearchConfig, last_party, depth):
-    order = cfg.party_order
-    if order == "alice-first":
-        return (ALICE,) if depth == 0 else (ALICE, BOB)
-    if order == "bob-first":
-        return (BOB,) if depth == 0 else (ALICE, BOB)
-    if order == "alternate":
-        if last_party is None:
-            return (ALICE, BOB)
-        return (BOB,) if last_party == ALICE else (ALICE,)
-    return (ALICE, BOB)
-
-
-def _matrix_rank(mat, rel_cutoff=1e-9):
+def _matrix_rank(mat):
     sig = np.linalg.svd(mat, compute_uv=False)
     if sig[0] <= _DUST:
         return 0
-    return int(np.count_nonzero(sig > rel_cutoff * sig[0]))
+    return int(np.count_nonzero(sig > RANK_CUTOFF * sig[0]))
 
 
 def _single_state_tree(e: Ensemble) -> ProtocolTree:
@@ -439,13 +373,13 @@ def search_protocol(e: Ensemble, cfg: SearchConfig | None = None) -> SearchOutco
     depth_limit = min(cfg.max_depth, 2 * (e.dim_a + e.dim_b))
     stats = {"nodes": 0}
 
-    def dfs(sub: Ensemble, depth: int, last_party) -> ProtocolTree | None:
+    def dfs(sub: Ensemble, depth: int) -> ProtocolTree | None:
         stats["nodes"] += 1
         if depth >= depth_limit:
             return None
         ranks = {s.name: _matrix_rank(s.amplitudes) for s in sub.states}
         full = frozenset(sub.labels)
-        for party in _parties_for(cfg, last_party, depth):
+        for party in (ALICE, BOB):
             for meas in candidate_bases(sub, party, cfg):
                 if not valid_measurement(sub, meas, tol):
                     continue
@@ -479,7 +413,7 @@ def search_protocol(e: Ensemble, cfg: SearchConfig | None = None) -> SearchOutco
                     elif c.m == 1:
                         children.append(Leaf(c.states[0].name))
                     else:
-                        subtree = dfs(c, depth + 1, party)
+                        subtree = dfs(c, depth + 1)
                         if subtree is None:
                             failed = True
                             break
@@ -492,7 +426,7 @@ def search_protocol(e: Ensemble, cfg: SearchConfig | None = None) -> SearchOutco
     if e.m == 1:
         tree = _single_state_tree(e)
     else:
-        tree = dfs(e, 0, None)
+        tree = dfs(e, 0)
     if tree is None:
         return SearchOutcome(UNKNOWN, None, report, depth_limit, stats["nodes"])
     verification = verify_protocol(tree, e, tol=tol)

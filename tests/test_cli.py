@@ -4,6 +4,8 @@ import jsonschema
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given
+from hypothesis import strategies as st
 
 import loccdist as L
 from loccdist.cli import (
@@ -290,3 +292,55 @@ def test_reports_validate_against_published_schema(bell2_file):
                  ["search", bell2_file, "--output", str(bell2_file) + ".p.json"]):
         result = run_cli(args + ["--format", "json"])
         jsonschema.validate(report_of(result), REPORT_SCHEMA)
+
+
+# ---------------------------------------------------------------------------
+# exit contract: 0-3 on every argument list, 3 for every input error
+
+
+_NUMBERS = {"--max-depth": ("1", "6"), "--beam": ("1", "64"),
+            "--tolerance": ("1e-9", "1e-6")}
+_BAD_NUMBERS = ("0", "-1", "nan", "inf", "abc")
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("contract")
+    for name in ("bell2", "bell3", "six4x4"):
+        write_json(root / f"{name}.json", ensemble_to_dict(L.canned_example(name)))
+    (root / "garbled.json").write_text("{not json")
+    return root
+
+
+@st.composite
+def cli_calls(draw, root):
+    """A check/search argument list and whether it holds an input error."""
+    command = draw(st.sampled_from(["check", "search"]))
+    target = draw(st.sampled_from(["bell2", "bell3", "six4x4"])
+                  | st.sampled_from(["garbled", "missing", "directory", None]))
+    args, bad = [command], target not in ("bell2", "bell3", "six4x4")
+    if target == "directory":
+        args.append(str(root))
+    elif target is not None:
+        args.append(str(root / f"{target}.json"))
+    if command == "check":
+        mode = draw(st.sampled_from([None, "necessary", "classify2x2", "full", "bogus"]))
+        if mode is not None:
+            args += ["--mode", mode]
+        bad |= mode == "bogus" or (mode == "classify2x2" and target == "six4x4")
+    for option, good in _NUMBERS.items():
+        value = draw(st.none() | st.sampled_from(good) | st.sampled_from(_BAD_NUMBERS))
+        if value is not None:
+            args += [option, value]
+            bad |= value in _BAD_NUMBERS
+    return args + ["--format", "json"], bad
+
+
+@given(data=st.data())
+def test_cli_exit_contract(contract_dir, data):
+    args, bad = data.draw(cli_calls(contract_dir))
+    result = run_cli(args)
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert result.exit_code in (0, 1, 2, 3)
+    assert (result.exit_code == 3) == bad

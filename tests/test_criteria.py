@@ -254,6 +254,21 @@ def test_classify_m1_and_m2():
     assert cls2.distinguishable and verify_protocol(cls2.protocol, pair).ok
 
 
+def test_classify_keeps_rule_verdict_when_search_runs_out():
+    # both cross operators of |a0 b0>, |a1 b1> vanish, so the bounded search
+    # finds no protocol; the pair is still distinguishable by the rule
+    rng = np.random.default_rng(3)
+    ua, ub = haar_unitary(2, rng), haar_unitary(2, rng)
+    pair = make_ensemble([product_state(2, 2, ua[:, k], ub[:, k], name=f"p{k}")
+                          for k in range(2)])
+    cls = classify_2x2(pair)
+    assert cls.distinguishable and cls.reason is None
+    assert cls.protocol is None or verify_protocol(cls.protocol, pair).ok
+    bell2 = L.canned_example("bell2")
+    bounded = classify_2x2(bell2, L.SearchConfig(beam_limit=1))
+    assert bounded.distinguishable and bounded.protocol is None
+
+
 def test_classify_four_product_states():
     e = L.random_ensemble(2, 2, 4, seed=77, kind="product-basis")
     cls = classify_2x2(e)

@@ -91,12 +91,12 @@ def _contains_basis(measurements, party, vectors):
 
 
 def test_candidates_bell2_cross_operator_include_x_basis(bell2):
-    cands = candidate_bases(bell2, ALICE, SearchConfig(candidate_strategy="cross-operator"))
+    cands = candidate_bases(bell2, ALICE)
     assert _contains_basis(cands, ALICE, [PLUS, MINUS])
 
 
 def test_candidates_six4x4_standard_include_block(six4x4):
-    cands = candidate_bases(six4x4, ALICE, SearchConfig(candidate_strategy="standard"))
+    cands = candidate_bases(six4x4, ALICE)
     keys = [tuple(p.shape[1] for p in m.projectors) for m in cands]
     assert (2, 2) in keys  # the {span(0,1), span(2,3)} coarsening
     block = next(m for m in cands if tuple(p.shape[1] for p in m.projectors) == (2, 2))
@@ -111,9 +111,8 @@ def test_candidates_beam_limit_truncates(bell2):
 
 
 def test_candidates_deterministic_and_duplicate_free(six4x4):
-    cfg = SearchConfig(candidate_strategy="exhaustive-2d")
-    a = candidate_bases(six4x4, ALICE, cfg)
-    b = candidate_bases(six4x4, ALICE, cfg)
+    a = candidate_bases(six4x4, ALICE)
+    b = candidate_bases(six4x4, ALICE)
     assert len(a) == len(b)
     for ma, mb in zip(a, b):
         for qa, qb in zip(ma.projectors, mb.projectors):
@@ -125,23 +124,11 @@ def test_candidates_deterministic_and_duplicate_free(six4x4):
         keys.add(key)
 
 
-def test_candidates_user_supplied(bell2):
-    x = ProjectiveMeasurement(ALICE, (col(PLUS), col(MINUS)))
-    y = ProjectiveMeasurement(BOB, (col(PLUS), col(MINUS)))
-    cfg = SearchConfig(candidate_strategy="user-supplied", user_candidates=(x, y))
-    assert candidate_bases(bell2, ALICE, cfg) == [x]
-    assert candidate_bases(bell2, BOB, cfg) == [y]
-
-
 def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(max_depth=0)
     with pytest.raises(ValueError):
         SearchConfig(beam_limit=0)
-    with pytest.raises(ValueError):
-        SearchConfig(candidate_strategy="bogus")
-    with pytest.raises(ValueError):
-        SearchConfig(candidate_strategy="user-supplied")
 
 
 # ---------------------------------------------------------------------------
@@ -226,13 +213,6 @@ def test_search_deterministic(six4x4):
         protocol_to_dict(b.protocol))
 
 
-def test_search_party_orders(bell2):
-    for order in ("free", "alternate", "alice-first", "bob-first"):
-        out = search_protocol(bell2, SearchConfig(party_order=order))
-        assert out.verdict == YES
-        assert verify_protocol(out.protocol, bell2).ok
-
-
 def test_search_never_contradicts_schmidt_sum():
     for seed in range(60):
         kind = "product-basis" if seed % 2 else "haar-orthogonal"
@@ -243,17 +223,16 @@ def test_search_never_contradicts_schmidt_sum():
             assert verify_protocol(out.protocol, e).ok
 
 
-def test_exhaustive_2d_agrees_with_classification():
-    cfg = SearchConfig(candidate_strategy="exhaustive-2d")
+def test_search_agrees_with_2x2_classification():
     for name in ("bell2", "bell3", "bell4"):
         e = L.canned_example(name)
-        out = search_protocol(e, cfg)
-        cls = classify_2x2(e, cfg)
+        out = search_protocol(e)
+        cls = classify_2x2(e)
         assert (out.verdict == YES) == cls.distinguishable
     for seed in range(200):
         kind = "product-basis" if seed % 2 else "haar-orthogonal"
         e = random_ensemble(2, 2, 2 + seed % 3, seed=7000 + seed, kind=kind)
-        out = search_protocol(e, cfg)
-        cls = classify_2x2(e, cfg)
+        out = search_protocol(e)
+        cls = classify_2x2(e)
         assert out.verdict in (YES, PROVED_NO)
         assert (out.verdict == YES) == cls.distinguishable
