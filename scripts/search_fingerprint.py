@@ -1,0 +1,77 @@
+#!/usr/bin/env python3
+"""Print one fingerprint line per search instance, to compare two versions.
+
+Each line is ``name verdict nodes_explored depth_limit sha256``, where the
+hash covers ``json.dumps(protocol_to_dict(protocol))`` (``-`` when no
+protocol is found).  Running this script on two checkouts and diffing the
+outputs shows every instance whose verdict, search effort or protocol bytes
+changed.  Every instance comes from loccdist's own seeded generators:
+
+- the canned examples;
+- ``six4x4`` and ``domino9`` under seeded local rotations ``U_A (x) U_B``;
+- the 200 seeded two-qubit ensembles of the search-vs-classification test;
+- seeded product-basis and Haar ensembles from 2x2 to 5x5;
+- product pairs ``|a0 b0>, |a1 b1>`` orthogonal on both sides.
+
+Usage: PYTHONPATH=src python3 scripts/search_fingerprint.py > fingerprint.txt
+"""
+
+import hashlib
+import json
+
+import numpy as np
+
+import loccdist as L
+from loccdist.cli import protocol_to_dict
+
+
+def rotated(e, seed):
+    rng = np.random.default_rng(seed)
+    ua, ub = L.haar_unitary(e.dim_a, rng), L.haar_unitary(e.dim_b, rng)
+    return L.make_ensemble([L.apply_local_unitary(s, ua, ub) for s in e.states])
+
+
+def orthogonal_product_pair(dim_a, dim_b, seed):
+    rng = np.random.default_rng(seed)
+    ua, ub = L.haar_unitary(dim_a, rng), L.haar_unitary(dim_b, rng)
+    return L.make_ensemble([L.product_state(dim_a, dim_b, ua[:, k], ub[:, k], name=f"p{k}")
+                            for k in range(2)])
+
+
+def instances():
+    for name in L.CANNED_EXAMPLES:
+        yield name, L.canned_example(name)
+    for name in ("six4x4", "domino9"):
+        for seed in range(5):
+            yield f"{name}-rot{seed}", rotated(L.canned_example(name), seed)
+    for seed in range(200):
+        kind = "product-basis" if seed % 2 else "haar-orthogonal"
+        m = 2 + seed % 3
+        yield f"sweep2x2-{seed}", L.random_ensemble(2, 2, m, seed=7000 + seed, kind=kind)
+    for dim_a in range(2, 6):
+        for dim_b in range(dim_a, 6):
+            for kind in L.ensemble.RANDOM_KINDS:
+                sizes = {2, 3, min(dim_a, dim_b) + 1}
+                if kind == "product-basis":
+                    sizes.add(dim_a * dim_b)
+                for m in sorted(sizes):
+                    for seed in range(3):
+                        e = L.random_ensemble(dim_a, dim_b, m, seed=seed, kind=kind)
+                        yield f"{kind}-{dim_a}x{dim_b}-m{m}-s{seed}", e
+    for dim_a, dim_b in ((2, 2), (2, 3), (3, 3)):
+        for seed in range(5):
+            yield f"orthpair-{dim_a}x{dim_b}-s{seed}", orthogonal_product_pair(dim_a, dim_b, seed)
+
+
+def main():
+    for name, e in instances():
+        out = L.search_protocol(e)
+        digest = "-"
+        if out.protocol is not None:
+            text = json.dumps(protocol_to_dict(out.protocol))
+            digest = hashlib.sha256(text.encode()).hexdigest()
+        print(name, out.verdict, out.nodes_explored, out.max_depth, digest)
+
+
+if __name__ == "__main__":
+    main()

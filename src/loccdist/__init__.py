@@ -55,7 +55,6 @@ from .protocol import (
     ALICE,
     BOB,
     BranchOperator,
-    GpovmElement,
     Leaf,
     Node,
     OutcomeRecord,
@@ -70,7 +69,6 @@ from .protocol import (
     verify_protocol,
 )
 from .search import (
-    CrossOperator,
     SearchConfig,
     SearchOutcome,
     candidate_bases,

@@ -29,15 +29,16 @@ from .protocol import (
     BOB,
     Leaf,
     Node,
+    ProjectiveMeasurement,
     ProtocolTree,
     VerificationReport,
+    _col,
     verify_protocol,
 )
 from .search import (
     YES,
     SearchConfig,
     SearchOutcome,
-    _rank_one,
     search_protocol,
     surviving_states,
 )
@@ -316,11 +317,11 @@ def _three_state_protocol(e: Ensemble, decomps, tol) -> ProtocolTree | None:
             continue
         rider_label = next(lbl for lbl in sub.labels if lbl != owner_label)
         anchor = other_axis[owner_idx]
-        meas2 = _rank_one(other_party, np.column_stack([anchor, _perp2(anchor)]))
+        meas2 = ProjectiveMeasurement(other_party, (_col(anchor), _col(_perp2(anchor))))
         children.append(Node(meas2, (Leaf(owner_label), Leaf(rider_label))))
 
     i, j = pair
-    meas1 = _rank_one(party, np.column_stack([axis[i], axis[j]]))
+    meas1 = ProjectiveMeasurement(party, (_col(axis[i]), _col(axis[j])))
     return Node(meas1, tuple(children))
 
 

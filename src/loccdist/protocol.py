@@ -160,25 +160,6 @@ class BranchOperator:
         return True
 
 
-@dataclass(frozen=True, eq=False)
-class GpovmElement:
-    """Positive branch element, stored factored as (op_a^+ op_a, op_b^+ op_b)."""
-
-    factor_a: np.ndarray
-    factor_b: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "factor_a", _frozen(self.factor_a))
-        object.__setattr__(self, "factor_b", _frozen(self.factor_b))
-
-    @classmethod
-    def from_branch(cls, branch: BranchOperator) -> "GpovmElement":
-        return cls(branch.op_a.conj().T @ branch.op_a, branch.op_b.conj().T @ branch.op_b)
-
-    def joint(self) -> np.ndarray:
-        return np.kron(self.factor_a, self.factor_b)
-
-
 def _check_node_dims(meas: ProjectiveMeasurement, dims) -> None:
     expected = dims[0] if meas.party == ALICE else dims[1]
     if meas.local_dim != expected:
@@ -211,7 +192,10 @@ def enumerate_branches(tree: ProtocolTree, dims) -> list[BranchOperator]:
 
 
 def completeness_check(branches) -> float:
-    """Max-magnitude entry of (sum of branch elements - identity)."""
+    """Max-magnitude entry of (sum of branch elements - identity).
+
+    The element of a branch is ``kron(op_a^+ op_a, op_b^+ op_b)``.
+    """
     branches = list(branches)
     if not branches:
         raise MalformedTree("no branches to check")
@@ -219,7 +203,7 @@ def completeness_check(branches) -> float:
     db = branches[0].op_b.shape[0]
     total = np.zeros((da * db, da * db), dtype=np.complex128)
     for b in branches:
-        total += GpovmElement.from_branch(b).joint()
+        total += np.kron(b.op_a.conj().T @ b.op_a, b.op_b.conj().T @ b.op_b)
     return float(np.abs(total - np.eye(da * db)).max())
 
 

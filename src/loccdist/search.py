@@ -1,19 +1,20 @@
 """Bounded synthesis of projective discrimination protocols.
 
 Depth-first search in which, at every node, Alice and then Bob try the
-candidate measurements of one fixed generator (``candidate_bases``): the
-computational basis and its support blocks, then bases in which every cross
-operator has zero diagonal.  A candidate is admitted only if every outcome
-keeps the surviving states pairwise orthogonal (the per-outcome diagonal of
-every cross operator must vanish), which is necessary for reliable
-discrimination to remain possible.  The search is sound -- every returned
-protocol is re-verified -- but incomplete: an exhausted search yields
-Unknown, never a claim of impossibility.
+candidate measurements of one fixed generator (``candidate_bases``).  A
+candidate is admitted only if every outcome keeps the surviving states
+pairwise orthogonal (the per-outcome diagonal of every cross operator must
+vanish), which is necessary for reliable discrimination to remain possible.
+Each node computes both parties' cross-operator stacks once; candidates are
+tuples of column blocks, and only the one that enters the tree becomes a
+``ProjectiveMeasurement``.  The search is sound -- every returned protocol
+is re-verified -- but incomplete: an exhausted search yields Unknown.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .protocol import (
     _cols,
     verify_protocol,
 )
-from .states import DEFAULT_TOL, RANK_CUTOFF, make_state
+from .states import DEFAULT_TOL, RANK_CUTOFF, make_state, schmidt_decompose
 
 YES = "yes"
 PROVED_NO = "proved-no"
@@ -58,57 +59,47 @@ class SearchConfig:
             raise ValueError("beam_limit must be >= 1")
 
 
-@dataclass(frozen=True, eq=False)
-class CrossOperator:
-    """Pairwise operators whose outcome diagonals must vanish.
+def _local_dim(e: Ensemble, party: str) -> int:
+    return e.dim_a if party == ALICE else e.dim_b
 
-    For states with amplitude matrices ``C_j``, ``C_l`` the Alice-side matrix
-    is ``C_l @ C_j^+`` and the Bob-side matrix is ``C_l^T @ conj(C_j)``, so
-    that ``<Psi_j|(P (x) I)|Psi_l> = trace(P @ alice_side)`` and
+
+def cross_operators(e: Ensemble, party: str) -> np.ndarray:
+    """One party's side of every pairwise cross operator, stacked as ``(P, d, d)``.
+
+    Entry ``p`` belongs to the p-th pair ``j < l`` in ``itertools.combinations``
+    order.  For states with amplitude matrices ``C_j``, ``C_l`` the Alice side
+    is ``C_l @ C_j^+`` and the Bob side is ``C_l^T @ conj(C_j)``, so that
+    ``<Psi_j|(P (x) I)|Psi_l> = trace(P @ alice_side)`` and
     ``<Psi_j|(I (x) P)|Psi_l> = trace(P @ bob_side)``.  The trace of either
-    side is the plain overlap, hence zero for ensemble members.
+    side is the plain overlap, hence zero for ensemble members.  A single
+    state has no pairs: the result then has shape ``(0, d, d)``.
     """
-
-    j: int
-    l: int
-    alice_side: np.ndarray
-    bob_side: np.ndarray
-
-    @classmethod
-    def from_states(cls, j, l, cj, cl):
-        return cls(j, l, cl @ cj.conj().T, cl.T @ cj.conj())
-
-    def side(self, party: str) -> np.ndarray:
-        return self.alice_side if party == ALICE else self.bob_side
+    amps = [s.amplitudes for s in e.states]
+    if party == ALICE:
+        sides = [cl @ cj.conj().T for cj, cl in combinations(amps, 2)]
+    else:
+        sides = [cl.T @ cj.conj() for cj, cl in combinations(amps, 2)]
+    d = _local_dim(e, party)
+    return np.array(sides, dtype=np.complex128).reshape(len(sides), d, d)
 
 
-def cross_operators(e: Ensemble) -> list[CrossOperator]:
-    ops = []
-    for j in range(e.m):
-        for l in range(j + 1, e.m):
-            ops.append(CrossOperator.from_states(
-                j, l, e.states[j].amplitudes, e.states[l].amplitudes))
-    return ops
+def _admissible(sides: np.ndarray, blocks, tol: float) -> bool:
+    """Whether every outcome block zeroes the diagonal of every cross operator."""
+    for q in blocks:
+        p = q @ q.conj().T
+        if np.any(np.abs(np.einsum("ij,pji->p", p, sides)) > tol):
+            return False
+    return True
 
 
 def valid_measurement(e: Ensemble, meas: ProjectiveMeasurement,
                       tol: float = DEFAULT_TOL) -> bool:
     """Whether every outcome preserves pairwise orthogonality of survivors."""
-    expected = e.dim_a if meas.party == ALICE else e.dim_b
+    expected = _local_dim(e, meas.party)
     if meas.local_dim != expected:
         raise DimensionMismatch(
             f"measurement on dim {meas.local_dim}, ensemble side has dim {expected}")
-    ops = cross_operators(e)
-    for q in meas.projectors:
-        p = q @ q.conj().T
-        for op in ops:
-            if abs(np.einsum("ij,ji->", p, op.side(meas.party))) > tol:
-                return False
-    return True
-
-
-def _local_dim(e: Ensemble, party: str) -> int:
-    return e.dim_a if party == ALICE else e.dim_b
+    return _admissible(cross_operators(e, meas.party), meas.projectors, tol)
 
 
 def _support_blocks(e: Ensemble, party: str, tol: float) -> list[list[int]]:
@@ -134,15 +125,6 @@ def _support_blocks(e: Ensemble, party: str, tol: float) -> list[list[int]]:
             stack.extend(j for j in range(d) if adj[i, j] and j not in seen)
         blocks.append(sorted(comp))
     return sorted(blocks, key=lambda b: b[0])
-
-
-def _computational(party, dim) -> ProjectiveMeasurement:
-    return ProjectiveMeasurement(party, tuple(_cols(dim, i) for i in range(dim)))
-
-
-def _rank_one(party, basis_matrix) -> ProjectiveMeasurement:
-    cols = [basis_matrix[:, k].reshape(-1, 1) for k in range(basis_matrix.shape[1])]
-    return ProjectiveMeasurement(party, tuple(cols))
 
 
 def _pauli_vector(m: np.ndarray) -> np.ndarray:
@@ -224,74 +206,102 @@ def _zero_diagonal_basis(h: np.ndarray, tol) -> np.ndarray | None:
     return np.column_stack(done)
 
 
-def _canonical_phase(basis: np.ndarray) -> np.ndarray:
-    out = basis.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        pivot = col[np.argmax(np.abs(col))]
-        if abs(pivot) > _DUST:
-            out[:, k] = col * (abs(pivot) / pivot)
-    return out
+def _phased_columns(basis: np.ndarray) -> tuple[np.ndarray, ...]:
+    """One-column blocks of ``basis``, each phased so its largest entry is positive."""
+    blocks = []
+    for k in range(basis.shape[1]):
+        col = basis[:, [k]]
+        pivot = col[np.argmax(np.abs(col)), 0]
+        blocks.append(col * (abs(pivot) / pivot) if abs(pivot) > _DUST else col)
+    return tuple(blocks)
 
 
-def _measurement_key(meas: ProjectiveMeasurement):
+def _schmidt_completion(e: Ensemble, party: str, tol: float) -> np.ndarray:
+    """Orthonormal completion of a maximal mutually orthogonal set of the
+    party's Schmidt vectors (taken greedily; the rows of ``alice_vectors`` and
+    ``bob_vectors`` are kets, so neither side is conjugated)."""
+    chosen = []
+    for s in e.states:
+        dec = schmidt_decompose(s)
+        for v in (dec.alice_vectors if party == ALICE else dec.bob_vectors):
+            if all(abs(np.vdot(u, v)) <= tol for u in chosen):
+                chosen.append(v)
+    q, _ = np.linalg.qr(np.column_stack(chosen + [np.eye(_local_dim(e, party))]))
+    return q
+
+
+def _measurement_key(blocks):
     keys = []
-    for q in meas.projectors:
+    for q in blocks:
         p = q @ q.conj().T
         # adding 0.0 folds negative zeros so equal projectors share a key
-        keys.append((np.round(p.astype(np.complex128), 6) + 0.0).tobytes())
+        keys.append((np.round(p, 6) + 0.0).tobytes())
     return tuple(sorted(keys))
 
 
-def _dedupe_sort_trim(tiers, beam_limit):
+def _candidates(e: Ensemble, party: str, sides: np.ndarray, other: np.ndarray,
+                cfg: SearchConfig):
+    """``candidate_bases`` as tuples of column blocks, given both parties'
+    cross operators (``sides`` for the acting party, ``other`` for the other)."""
+    d = _local_dim(e, party)
+    tol = cfg.tolerance
+
+    standard = [tuple(_cols(d, i) for i in range(d))]
+    blocks = _support_blocks(e, party, tol)
+    if len(blocks) >= 2 and any(len(b) > 1 for b in blocks):
+        standard.append(tuple(_cols(d, *b) for b in blocks))
+
+    live = sides[np.abs(sides).max(axis=(1, 2)) > _DUST]
+    if d == 2:
+        bases = _qubit_plane_bases(live, tol)
+    else:
+        parts = [h for m in live
+                 for h in ((m + m.conj().T) / 2, (m - m.conj().T) / 2j)
+                 if np.abs(h).max() > _DUST]
+        bases = [b for b in (_zero_diagonal_basis(h, tol) for h in parts)
+                 if b is not None]
+    tiers = [standard, [_phased_columns(b) for b in bases]]
+    if len(live) == 0 and np.abs(other).max(initial=0.0) <= _DUST:
+        # every basis is admissible, and the party's Schmidt vectors of
+        # different states are orthogonal, so their completion identifies
+        # every state in one round
+        tiers.append([_phased_columns(_schmidt_completion(e, party, tol))])
+
     out, seen = [], set()
     for tier in tiers:
-        tier = sorted(tier, key=_measurement_key)
-        for meas in tier:
-            key = _measurement_key(meas)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(meas)
-    return out[:beam_limit]
+        for key, cand in sorted(((_measurement_key(c), c) for c in tier),
+                                key=lambda kc: kc[0]):
+            if key not in seen:
+                seen.add(key)
+                out.append(cand)
+    return out[:cfg.beam_limit]
 
 
 def candidate_bases(e: Ensemble, party: str, cfg: SearchConfig | None = None):
     """Deterministic, duplicate-free candidate measurements for one party.
 
-    Two fixed tiers, in this order.  The standard tier is the computational
-    basis and, when the states' local supports split the basis indices into
-    nontrivial components, the block-coarsened measurement onto those
-    components.  The zero-diagonal tier holds bases in which cross operators
-    have vanishing diagonal: for a qubit party every exact solution for all
-    cross operators at once (the Bloch-plane solver), otherwise one basis per
-    Hermitian or anti-Hermitian part of each cross operator, built by pairing
-    opposite-sign eigenvalues.  Each tier is sorted by projector key,
-    duplicates are dropped, and the list is truncated at ``beam_limit``.
+    Up to three fixed tiers, in this order.  The standard tier is the
+    computational basis and, when the states' local supports split the basis
+    indices into nontrivial components, the block-coarsened measurement onto
+    those components.  The zero-diagonal tier holds bases in which the
+    party's cross operators (``cross_operators``) have vanishing diagonal:
+    for a qubit party every exact solution for all cross operators at once
+    (the Bloch-plane solver), otherwise one basis per Hermitian or
+    anti-Hermitian part of each cross operator, built by pairing
+    opposite-sign eigenvalues.  The fallback tier is offered only when every
+    cross operator of both parties vanishes, as for two product states
+    orthogonal on both sides: the orthonormal completion of a maximal
+    mutually orthogonal set of the party's Schmidt vectors.  Every basis is
+    then admissible, and this one identifies every state in one round.  Each
+    tier is sorted by projector key, duplicates are dropped, and the list is
+    truncated at ``beam_limit``.  The search runs the same generator on the
+    cross operators it computes once per node.
     """
     cfg = cfg or SearchConfig()
-    d = _local_dim(e, party)
-    tol = cfg.tolerance
-
-    standard = [_computational(party, d)]
-    blocks = _support_blocks(e, party, tol)
-    if len(blocks) >= 2 and any(len(b) > 1 for b in blocks):
-        standard.append(ProjectiveMeasurement(
-            party, tuple(_cols(d, *b) for b in blocks)))
-
-    sides = [op.side(party) for op in cross_operators(e)]
-    sides = [m for m in sides if np.abs(m).max() > _DUST]
-    if d == 2:
-        bases = _qubit_plane_bases(sides, tol)
-    else:
-        parts = [h for m in sides
-                 for h in ((m + m.conj().T) / 2, (m - m.conj().T) / 2j)
-                 if np.abs(h).max() > _DUST]
-        bases = [b for b in (_zero_diagonal_basis(h, tol) for h in parts)
-                 if b is not None]
-    zero_tier = [_rank_one(party, _canonical_phase(b)) for b in bases]
-
-    return _dedupe_sort_trim([standard, zero_tier], cfg.beam_limit)
+    sides = {p: cross_operators(e, p) for p in (ALICE, BOB)}
+    other = BOB if party == ALICE else ALICE
+    return [ProjectiveMeasurement(party, blocks)
+            for blocks in _candidates(e, party, sides[party], sides[other], cfg)]
 
 
 def surviving_states(e: Ensemble, party: str, projector,
@@ -379,13 +389,14 @@ def search_protocol(e: Ensemble, cfg: SearchConfig | None = None) -> SearchOutco
             return None
         ranks = {s.name: _matrix_rank(s.amplitudes) for s in sub.states}
         full = frozenset(sub.labels)
-        for party in (ALICE, BOB):
-            for meas in candidate_bases(sub, party, cfg):
-                if not valid_measurement(sub, meas, tol):
+        sides = {p: cross_operators(sub, p) for p in (ALICE, BOB)}
+        for party, other in ((ALICE, BOB), (BOB, ALICE)):
+            for blocks in _candidates(sub, party, sides[party], sides[other], cfg):
+                if not _admissible(sides[party], blocks, tol):
                     continue
                 children_ens = []
                 usable = True
-                for q in meas.projectors:
+                for q in blocks:
                     try:
                         children_ens.append(surviving_states(sub, party, q, tol))
                     except EmptyOutcome:
@@ -420,7 +431,7 @@ def search_protocol(e: Ensemble, cfg: SearchConfig | None = None) -> SearchOutco
                         children.append(subtree)
                 if failed:
                     continue
-                return Node(meas, tuple(children))
+                return Node(ProjectiveMeasurement(party, blocks), tuple(children))
         return None
 
     if e.m == 1:

@@ -255,15 +255,16 @@ def test_classify_m1_and_m2():
 
 
 def test_classify_keeps_rule_verdict_when_search_runs_out():
-    # both cross operators of |a0 b0>, |a1 b1> vanish, so the bounded search
-    # finds no protocol; the pair is still distinguishable by the rule
+    # both cross operators of |a0 b0>, |a1 b1> vanish; the search still finds
+    # a protocol, through a basis of Schmidt vectors
     rng = np.random.default_rng(3)
     ua, ub = haar_unitary(2, rng), haar_unitary(2, rng)
     pair = make_ensemble([product_state(2, 2, ua[:, k], ub[:, k], name=f"p{k}")
                           for k in range(2)])
     cls = classify_2x2(pair)
     assert cls.distinguishable and cls.reason is None
-    assert cls.protocol is None or verify_protocol(cls.protocol, pair).ok
+    assert cls.protocol is not None and verify_protocol(cls.protocol, pair).ok
+    # a search cut to one candidate finds nothing; the rule's verdict stays
     bell2 = L.canned_example("bell2")
     bounded = classify_2x2(bell2, L.SearchConfig(beam_limit=1))
     assert bounded.distinguishable and bounded.protocol is None

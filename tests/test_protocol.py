@@ -7,7 +7,6 @@ from loccdist import (
     ALICE,
     BOB,
     DimensionMismatch,
-    GpovmElement,
     Leaf,
     MalformedTree,
     Node,
@@ -119,7 +118,8 @@ def test_enumerate_branches_depth2_zz():
         # independent oracle: the joint element is the diagonal unit at 2a + y
         expected = np.zeros((4, 4))
         expected[2 * a + y, 2 * a + y] = 1.0
-        assert np.allclose(GpovmElement.from_branch(b).joint(), expected, atol=1e-15)
+        joint = np.kron(b.op_a.conj().T @ b.op_a, b.op_b.conj().T @ b.op_b)
+        assert np.allclose(joint, expected, atol=1e-15)
 
 
 def test_completeness_of_wellformed_trees():

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -13,6 +14,8 @@ from loccdist import (
     candidate_bases,
     classify_2x2,
     cross_operators,
+    make_ensemble,
+    product_state,
     random_ensemble,
     search_protocol,
     surviving_states,
@@ -20,6 +23,7 @@ from loccdist import (
     verify_protocol,
 )
 from loccdist.cli import protocol_to_dict
+from loccdist.ensemble import haar_unitary
 from loccdist.search import PROVED_NO, UNKNOWN, YES
 
 S2 = 1.0 / np.sqrt(2.0)
@@ -43,10 +47,45 @@ def cols(dim, *idx):
 
 
 def test_cross_operator_bell2_is_half_pauli_z(bell2):
-    (op,) = cross_operators(bell2)
-    assert np.allclose(op.alice_side, [[0.5, 0], [0, -0.5]], atol=1e-12)
-    assert abs(np.trace(op.alice_side)) <= 1e-12
-    assert abs(np.trace(op.bob_side)) <= 1e-12
+    alice, bob = cross_operators(bell2, ALICE), cross_operators(bell2, BOB)
+    assert alice.shape == bob.shape == (1, 2, 2)
+    assert np.allclose(alice[0], [[0.5, 0], [0, -0.5]], atol=1e-12)
+    assert abs(np.trace(alice[0])) <= 1e-12
+    assert abs(np.trace(bob[0])) <= 1e-12
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 3)])
+def test_cross_operators_stack_every_pair_in_order(dims):
+    dim_a, dim_b = dims
+    rng = np.random.default_rng(11)
+    for seed, kind in enumerate(("haar-orthogonal", "product-basis")):
+        e = random_ensemble(dim_a, dim_b, 4, seed=seed, kind=kind)
+        alice, bob = cross_operators(e, ALICE), cross_operators(e, BOB)
+        pairs = list(itertools.combinations(range(e.m), 2))
+        assert alice.shape == (len(pairs), dim_a, dim_a)
+        assert bob.shape == (len(pairs), dim_b, dim_b)
+        pa = rng.standard_normal((dim_a, dim_a)) + 1j * rng.standard_normal((dim_a, dim_a))
+        pb = rng.standard_normal((dim_b, dim_b)) + 1j * rng.standard_normal((dim_b, dim_b))
+        for p, (j, l) in enumerate(pairs):
+            cj, cl = e.states[j].amplitudes, e.states[l].amplitudes
+            assert np.allclose(alice[p], cl @ cj.conj().T, atol=1e-15)
+            assert np.allclose(bob[p], cl.T @ cj.conj(), atol=1e-15)
+            assert abs(np.trace(alice[p])) <= 1e-12
+            assert abs(np.trace(bob[p])) <= 1e-12
+            # defining property on the joint space: <j|(P (x) I)|l> = tr(P A_p)
+            vj, vl = cj.reshape(-1), cl.reshape(-1)
+            joint_a = np.vdot(vj, np.kron(pa, np.eye(dim_b)) @ vl)
+            joint_b = np.vdot(vj, np.kron(np.eye(dim_a), pb) @ vl)
+            assert joint_a == pytest.approx(np.trace(pa @ alice[p]), abs=1e-12)
+            assert joint_b == pytest.approx(np.trace(pb @ bob[p]), abs=1e-12)
+
+
+def test_cross_operators_single_state_is_empty_stack():
+    e = make_ensemble([L.make_state(2, 3, np.ones((2, 3)), name="only")])
+    assert cross_operators(e, ALICE).shape == (0, 2, 2)
+    assert cross_operators(e, BOB).shape == (0, 3, 3)
+    assert valid_measurement(e, ProjectiveMeasurement(ALICE, (cols(2, 0), cols(2, 1))))
+    assert valid_measurement(e, ProjectiveMeasurement(BOB, (np.eye(3),)))
 
 
 def test_valid_measurement_bell2_z_vs_x(bell2):
@@ -103,6 +142,23 @@ def test_candidates_six4x4_standard_include_block(six4x4):
     mats = block.projector_matrices()
     assert np.allclose(sorted(np.trace(p).real for p in mats), [2, 2])
     assert np.allclose(mats[0] + mats[1], np.eye(4), atol=1e-12)
+
+
+def test_search_solves_product_pair_orthogonal_on_both_sides():
+    # |a0 b0>, |a1 b1>: every cross operator vanishes on both sides, so only
+    # a basis of Schmidt vectors makes progress; two orthogonal states are
+    # always distinguishable (Walgate et al., PRL 85, 4972 (2000))
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        ua, ub = haar_unitary(2, rng), haar_unitary(2, rng)
+        pair = make_ensemble([product_state(2, 2, ua[:, k], ub[:, k], name=f"p{k}")
+                              for k in range(2)])
+        assert np.abs(cross_operators(pair, ALICE)).max() <= 1e-12
+        assert np.abs(cross_operators(pair, BOB)).max() <= 1e-12
+        assert _contains_basis(candidate_bases(pair, BOB), BOB, [ub[:, 0], ub[:, 1]])
+        out = search_protocol(pair)
+        assert out.verdict == YES
+        assert verify_protocol(out.protocol, pair).ok
 
 
 def test_candidates_beam_limit_truncates(bell2):
