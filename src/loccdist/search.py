@@ -6,7 +6,8 @@ candidate is admitted only if every outcome keeps the surviving states
 pairwise orthogonal (the per-outcome diagonal of every cross operator must
 vanish), which is necessary for reliable discrimination to remain possible.
 Each node computes both parties' cross-operator stacks once; candidates are
-tuples of column blocks, and only the one that enters the tree becomes a
+tuples of column blocks, generated tier by tier only as far as the search
+asks, and only the one that enters the tree becomes a
 ``ProjectiveMeasurement``.  The search is sound -- every returned protocol
 is re-verified -- but incomplete: an exhausted search yields Unknown.
 """
@@ -171,15 +172,15 @@ def _qubit_plane_bases(side_mats, tol) -> list[np.ndarray]:
     return [_bloch_basis(vt[k]) for k in range(rank, 3)]
 
 
-def _zero_diagonal_basis(h: np.ndarray, tol) -> np.ndarray | None:
-    """Basis with vanishing diagonal for a traceless Hermitian matrix.
+def _zero_diagonal_basis(evals, evecs, tol) -> np.ndarray | None:
+    """Basis with vanishing diagonal for a traceless Hermitian matrix, given
+    its eigendecomposition ``(evals, evecs)``.
 
     Works in the eigenbasis, repeatedly rotating a positive-diagonal vector
     against a negative-diagonal one by the angle that zeroes one of the two;
     cross terms between the active vectors stay zero throughout, so each
     rotation retires at least one vector.
     """
-    evals, evecs = np.linalg.eigh(h)
     scale = float(np.abs(evals).max())
     if scale <= tol:
         return None
@@ -230,51 +231,61 @@ def _schmidt_completion(e: Ensemble, party: str, tol: float) -> np.ndarray:
     return q
 
 
-def _measurement_key(blocks):
-    keys = []
-    for q in blocks:
-        p = q @ q.conj().T
-        # adding 0.0 folds negative zeros so equal projectors share a key
-        keys.append((np.round(p, 6) + 0.0).tobytes())
-    return tuple(sorted(keys))
+def _measurement_keys(cands) -> list[tuple[bytes, ...]]:
+    """Dedupe key of every candidate: its sorted, rounded outcome projectors.
+
+    All projectors of ``cands`` are rounded in one call; adding 0.0 folds
+    negative zeros so equal projectors share a key.
+    """
+    ends = np.cumsum([0] + [len(c) for c in cands])
+    projs = np.round(np.array([q @ q.conj().T for c in cands for q in c]), 6) + 0.0
+    return [tuple(sorted(p.tobytes() for p in projs[a:b])) for a, b in zip(ends, ends[1:])]
 
 
 def _candidates(e: Ensemble, party: str, sides: np.ndarray, other: np.ndarray,
                 cfg: SearchConfig):
     """``candidate_bases`` as tuples of column blocks, given both parties'
-    cross operators (``sides`` for the acting party, ``other`` for the other)."""
+    cross operators (``sides`` for the acting party, ``other`` for the other).
+    Lazy: a tier is built only when the caller asks past the one before it."""
     d = _local_dim(e, party)
     tol = cfg.tolerance
-
-    standard = [tuple(_cols(d, i) for i in range(d))]
-    blocks = _support_blocks(e, party, tol)
-    if len(blocks) >= 2 and any(len(b) > 1 for b in blocks):
-        standard.append(tuple(_cols(d, *b) for b in blocks))
-
     live = sides[np.abs(sides).max(axis=(1, 2)) > _DUST]
-    if d == 2:
-        bases = _qubit_plane_bases(live, tol)
-    else:
-        parts = [h for m in live
-                 for h in ((m + m.conj().T) / 2, (m - m.conj().T) / 2j)
-                 if np.abs(h).max() > _DUST]
-        bases = [b for b in (_zero_diagonal_basis(h, tol) for h in parts)
-                 if b is not None]
-    tiers = [standard, [_phased_columns(b) for b in bases]]
-    if len(live) == 0 and np.abs(other).max(initial=0.0) <= _DUST:
+
+    def standard():
+        cands = [tuple(_cols(d, i) for i in range(d))]
+        blocks = _support_blocks(e, party, tol)
+        if len(blocks) >= 2 and any(len(b) > 1 for b in blocks):
+            cands.append(tuple(_cols(d, *b) for b in blocks))
+        return cands
+
+    def zero_diagonal():
+        if d == 2:
+            bases = _qubit_plane_bases(live, tol)
+        else:
+            adj = live.conj().transpose(0, 2, 1)
+            parts = np.stack([(live + adj) / 2, (live - adj) / 2j], axis=1).reshape(-1, d, d)
+            evals, evecs = np.linalg.eigh(parts[np.abs(parts).max(axis=(1, 2)) > _DUST])
+            bases = [b for b in (_zero_diagonal_basis(w, v, tol) for w, v in zip(evals, evecs))
+                     if b is not None]
+        return [_phased_columns(b) for b in bases]
+
+    def schmidt():
+        if len(live) or np.abs(other).max(initial=0.0) > _DUST:
+            return []
         # every basis is admissible, and the party's Schmidt vectors of
         # different states are orthogonal, so their completion identifies
         # every state in one round
-        tiers.append([_phased_columns(_schmidt_completion(e, party, tol))])
+        return [_phased_columns(_schmidt_completion(e, party, tol))]
 
-    out, seen = [], set()
-    for tier in tiers:
-        for key, cand in sorted(((_measurement_key(c), c) for c in tier),
-                                key=lambda kc: kc[0]):
+    seen = set()
+    for tier in (standard, zero_diagonal, schmidt):
+        cands = tier()
+        for key, cand in sorted(zip(_measurement_keys(cands), cands), key=lambda kc: kc[0]):
             if key not in seen:
                 seen.add(key)
-                out.append(cand)
-    return out[:cfg.beam_limit]
+                yield cand
+                if len(seen) == cfg.beam_limit:
+                    return
 
 
 def candidate_bases(e: Ensemble, party: str, cfg: SearchConfig | None = None):
@@ -295,7 +306,9 @@ def candidate_bases(e: Ensemble, party: str, cfg: SearchConfig | None = None):
     then admissible, and this one identifies every state in one round.  Each
     tier is sorted by projector key, duplicates are dropped, and the list is
     truncated at ``beam_limit``.  The search runs the same generator on the
-    cross operators it computes once per node.
+    cross operators it computes once per node, lazily: a tier is built only
+    when the search asks past the end of the one before it, so the order is
+    the same as this list's.
     """
     cfg = cfg or SearchConfig()
     sides = {p: cross_operators(e, p) for p in (ALICE, BOB)}
