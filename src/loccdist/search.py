@@ -270,11 +270,11 @@ def _candidates(e: Ensemble, party: str, sides: np.ndarray, other: np.ndarray,
         return [_phased_columns(b) for b in bases]
 
     def schmidt():
-        if len(live) or np.abs(other).max(initial=0.0) > _DUST:
+        if np.abs(other).max(initial=0.0) > _DUST:
             return []
-        # every basis is admissible, and the party's Schmidt vectors of
-        # different states are orthogonal, so their completion identifies
-        # every state in one round
+        # the other party's cross operators all vanish, so this party's local
+        # supports, and its Schmidt vectors of different states, are pairwise
+        # orthogonal: their completion identifies every state in one round
         return [_phased_columns(_schmidt_completion(e, party, tol))]
 
     seen = set()
@@ -300,12 +300,12 @@ def candidate_bases(e: Ensemble, party: str, cfg: SearchConfig | None = None):
     (the Bloch-plane solver), otherwise one basis per Hermitian or
     anti-Hermitian part of each cross operator, built by pairing
     opposite-sign eigenvalues.  The fallback tier is offered only when every
-    cross operator of both parties vanishes, as for two product states
-    orthogonal on both sides: the orthonormal completion of a maximal
-    mutually orthogonal set of the party's Schmidt vectors.  Every basis is
-    then admissible, and this one identifies every state in one round.  Each
-    tier is sorted by projector key, duplicates are dropped, and the list is
-    truncated at ``beam_limit``.  The search runs the same generator on the
+    cross operator of the *other* party vanishes, that is, when this party's
+    local supports of different states are pairwise orthogonal: the
+    orthonormal completion of a maximal mutually orthogonal set of the
+    party's Schmidt vectors, which then identifies every state in one round.
+    Each tier is sorted by projector key, duplicates are dropped, and the list
+    is truncated at ``beam_limit``.  The search runs the same generator on the
     cross operators it computes once per node, lazily: a tier is built only
     when the search asks past the end of the one before it, so the order is
     the same as this list's.

@@ -161,6 +161,20 @@ def test_search_solves_product_pair_orthogonal_on_both_sides():
         assert verify_protocol(out.protocol, pair).ok
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_search_solves_sets_with_orthogonal_local_supports(seed):
+    # when one party's cross operators all vanish, the other party's local
+    # supports are pairwise orthogonal and its Schmidt completion identifies
+    # every state; two orthogonal states are always distinguishable
+    # (Walgate et al., PRL 85, 4972 (2000))
+    for e in (random_ensemble(2, 3, 6, seed=seed, kind="product-basis"),
+              random_ensemble(3, 4, 4, seed=seed, kind="product-basis"),
+              random_ensemble(2, 4, 2, seed=seed)):
+        out = search_protocol(e)
+        assert out.verdict == YES
+        assert verify_protocol(out.protocol, e).ok
+
+
 def test_candidates_beam_limit_truncates(bell2):
     cands = candidate_bases(bell2, ALICE, SearchConfig(beam_limit=1))
     assert len(cands) == 1
