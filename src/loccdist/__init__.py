@@ -15,6 +15,7 @@ from .errors import (
     EmptyOutcome,
     LoccdistError,
     MalformedTree,
+    NonFinite,
     NotOrthogonal,
     NotUnitary,
     ParseError,

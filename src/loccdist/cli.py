@@ -91,10 +91,11 @@ def ensemble_to_dict(e) -> dict:
 
 
 def _parse_pair(entry, location):
+    # json reads NaN, Infinity and out-of-range literals such as 1e400
     if (not isinstance(entry, (list, tuple)) or len(entry) != 2
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                       for x in entry)):
-        raise ParseError("expected an [re, im] pair of numbers", location)
+                       and math.isfinite(x) for x in entry)):
+        raise ParseError("expected an [re, im] pair of finite numbers", location)
     return complex(entry[0], entry[1])
 
 

@@ -9,6 +9,10 @@ class ZeroState(LoccdistError):
     """A state was constructed from an all-zero amplitude matrix."""
 
 
+class NonFinite(LoccdistError):
+    """A number that must be finite is NaN or infinite."""
+
+
 class ShapeMismatch(LoccdistError):
     """Amplitude or operator shape differs from the declared dimensions."""
 

@@ -64,7 +64,7 @@ class ProjectiveMeasurement:
             if q.shape[0] != dim:
                 raise NotUnitary("all projectors must act on the same local space")
             dev = np.abs(q.conj().T @ q - np.eye(q.shape[1])).max()
-            if dev > self.tol:
+            if not dev <= self.tol:  # also fails on NaN
                 raise NotUnitary(
                     f"outcome {k}: projector columns not orthonormal (deviation {dev:.3g})"
                 )
@@ -72,7 +72,7 @@ class ProjectiveMeasurement:
         for i in range(len(blocks)):
             for j in range(i + 1, len(blocks)):
                 dev = np.abs(blocks[i].conj().T @ blocks[j]).max()
-                if dev > self.tol:
+                if not dev <= self.tol:
                     raise NotUnitary(
                         f"outcomes {i} and {j} are not orthogonal (overlap {dev:.3g})"
                     )
@@ -291,7 +291,7 @@ def verify_protocol(tree: ProtocolTree, e: Ensemble, tol: float = DEFAULT_TOL) -
     records = run_protocol(tree, e, tol=tol)
     deviation = completeness_check([r.branch for r in records])
     failures = []
-    if deviation > tol:
+    if not deviation <= tol:  # also fails on NaN
         failures.append(f"branch elements do not resolve the identity (deviation {deviation:.3g})")
 
     labels = e.labels
@@ -317,7 +317,7 @@ def verify_protocol(tree: ProtocolTree, e: Ensemble, tol: float = DEFAULT_TOL) -
                 f"leaf {where}: labeled {leaf_label!r} but also reached by {extra}"
             )
     for lbl, total in totals.items():
-        if abs(total - 1.0) > tol:
+        if not abs(total - 1.0) <= tol:
             failures.append(f"state {lbl!r} is identified with total probability {total:.12g}")
 
     return VerificationReport(

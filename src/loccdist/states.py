@@ -9,11 +9,12 @@ sends ``C`` to ``U @ C @ V.T``, an Alice-side projector ``P`` sends ``C`` to
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DecompositionFailure, NotUnitary, ShapeMismatch, ZeroState
+from .errors import DecompositionFailure, NonFinite, NotUnitary, ShapeMismatch, ZeroState
 
 #: default absolute tolerance for orthogonality / normalization checks
 DEFAULT_TOL = 1e-9
@@ -98,13 +99,16 @@ def make_state(dim_a, dim_b, amplitudes, name=None) -> BipartiteState:
     amplitudes of ``make_state(.., x)`` bit for bit, and a stored state reads
     back exactly.
 
-    Raises ``ZeroState`` for an all-zero matrix and ``ShapeMismatch`` when the
-    matrix does not have shape ``(dim_a, dim_b)``.
+    Raises ``ZeroState`` for an all-zero matrix, ``NonFinite`` when an entry
+    (or the norm) is NaN or infinite, and ``ShapeMismatch`` when the matrix
+    does not have shape ``(dim_a, dim_b)``.
     """
     mat = _complex_matrix(amplitudes)
     if mat.shape != (dim_a, dim_b):
         raise ShapeMismatch(f"amplitude shape {mat.shape} != declared ({dim_a}, {dim_b})")
     norm = float(np.linalg.norm(mat))
+    if not math.isfinite(norm):
+        raise NonFinite("amplitudes must be finite numbers with a finite norm")
     if norm < 1e-12:
         raise ZeroState("cannot normalize an all-zero amplitude matrix")
     if abs(norm - 1.0) <= unit_norm_slack(mat.size):

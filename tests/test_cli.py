@@ -196,6 +196,40 @@ def test_cmd_verify_nonorthonormal_projector_exits_3(bell2_file, tmp_path):
     assert report_of(result)["diagnostics"]["kind"] == "NotUnitary"
 
 
+def _write_non_finite(root):
+    """bell2 ensemble files with one NaN or Infinity amplitude, and the bell2-x
+    protocol with NaN in every projector entry (json reads and writes both)."""
+    for name, bad in (("nan", float("nan")), ("inf", float("inf"))):
+        payload = ensemble_to_dict(L.canned_example("bell2"))
+        payload["states"][0]["amplitudes"][0][0] = [bad, 0.0]
+        write_json(root / f"{name}.json", payload)
+    payload = protocol_to_dict(L.canned_protocol("bell2-x"))
+    for outcome in payload["outcomes"]:
+        outcome["projector_columns"] = [[[float("nan")] * 2 for _ in column]
+                                        for column in outcome["projector_columns"]]
+    write_json(root / "nan.protocol.json", payload)
+
+
+@pytest.mark.parametrize("args", [
+    ["check", "{root}/nan.json", "--mode", "full"],
+    ["check", "{root}/inf.json", "--mode", "necessary"],
+    ["check", "{root}/nan.json", "--mode", "classify2x2"],
+    ["search", "{root}/inf.json"],
+    ["schmidt", "{root}/nan.json"],
+    ["schmidt", "{root}/inf.json"],
+    ["verify", "{root}/bell2.json", "{root}/nan.protocol.json"],
+])
+def test_non_finite_numbers_in_files_exit_3(tmp_path, args):
+    _write_non_finite(tmp_path)
+    write_json(tmp_path / "bell2.json", ensemble_to_dict(L.canned_example("bell2")))
+    result = run_cli([a.format(root=tmp_path) for a in args] + ["--format", "json"])
+    assert result.exit_code == 3
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    rep = report_of(result)
+    assert rep["diagnostics"]["kind"] == "ParseError"
+    assert "finite" in rep["diagnostics"]["error"]
+
+
 def test_cmd_search_bell2(bell2_file, tmp_path):
     out = tmp_path / "found.protocol.json"
     result = run_cli(["search", bell2_file, "--output", out, "--format", "json"])
@@ -309,26 +343,35 @@ def contract_dir(tmp_path_factory):
     for name in ("bell2", "bell3", "six4x4"):
         write_json(root / f"{name}.json", ensemble_to_dict(L.canned_example(name)))
     (root / "garbled.json").write_text("{not json")
+    write_json(root / "bell2.protocol.json", protocol_to_dict(L.canned_protocol("bell2-x")))
+    _write_non_finite(root)
     return root
 
 
 @st.composite
 def cli_calls(draw, root):
-    """A check/search argument list and whether it holds an input error."""
-    command = draw(st.sampled_from(["check", "search"]))
+    """A check/search/verify argument list and whether it holds an input error."""
+    command = draw(st.sampled_from(["check", "search", "verify"]))
     target = draw(st.sampled_from(["bell2", "bell3", "six4x4"])
-                  | st.sampled_from(["garbled", "missing", "directory", None]))
+                  | st.sampled_from(["garbled", "nan", "inf", "missing", "directory", None]))
     args, bad = [command], target not in ("bell2", "bell3", "six4x4")
     if target == "directory":
         args.append(str(root))
     elif target is not None:
         args.append(str(root / f"{target}.json"))
+    if command == "verify":
+        protocol = draw(st.sampled_from(["bell2", "nan"]))
+        args.append(str(root / f"{protocol}.protocol.json"))
+        # the bell2-x protocol measures qubits, so it does not fit six4x4
+        bad |= protocol == "nan" or target == "six4x4"
     if command == "check":
         mode = draw(st.sampled_from([None, "necessary", "classify2x2", "full", "bogus"]))
         if mode is not None:
             args += ["--mode", mode]
         bad |= mode == "bogus" or (mode == "classify2x2" and target == "six4x4")
     for option, good in _NUMBERS.items():
+        if command == "verify" and option != "--tolerance":
+            continue
         value = draw(st.none() | st.sampled_from(good) | st.sampled_from(_BAD_NUMBERS))
         if value is not None:
             args += [option, value]

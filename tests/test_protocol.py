@@ -76,6 +76,14 @@ def test_measurement_rejects_incomplete_resolution():
         ProjectiveMeasurement(ALICE, (cols(3, 0, 1),))
 
 
+def test_measurement_rejects_nan_columns():
+    # every comparison with NaN is False, so "dev > tol" alone would pass
+    with pytest.raises(NotUnitary):
+        ProjectiveMeasurement(ALICE, (col([np.nan, np.nan]), col([np.nan, np.nan])))
+    with pytest.raises(NotUnitary):
+        ProjectiveMeasurement(ALICE, (col([1, 0]), col([np.nan, 1])))
+
+
 def test_node_child_count_must_match():
     with pytest.raises(MalformedTree):
         Node(z_basis(ALICE), (Leaf("a"),))

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import loccdist as L
 from loccdist import (
+    NonFinite,
     NotUnitary,
     ShapeMismatch,
     ZeroState,
@@ -37,6 +38,12 @@ def test_make_state_rejects_zero_and_bad_shape():
         make_state(2, 2, [[0, 0], [0, 0]])
     with pytest.raises(ShapeMismatch):
         make_state(2, 3, [[1, 0], [0, 1]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_make_state_rejects_non_finite_amplitudes(bad):
+    with pytest.raises(NonFinite):
+        make_state(2, 2, [[bad, 0], [0, 1]])
 
 
 def test_state_is_immutable():
