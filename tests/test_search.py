@@ -24,6 +24,7 @@ from loccdist import (
 )
 from loccdist.cli import protocol_to_dict
 from loccdist.ensemble import haar_unitary
+from loccdist import search as search_module
 from loccdist.search import PROVED_NO, UNKNOWN, YES
 
 S2 = 1.0 / np.sqrt(2.0)
@@ -178,6 +179,41 @@ def test_search_solves_sets_with_orthogonal_local_supports(seed):
 def test_candidates_beam_limit_truncates(bell2):
     cands = candidate_bases(bell2, ALICE, SearchConfig(beam_limit=1))
     assert len(cands) == 1
+
+
+def _prefix_cases():
+    for name in ("bell2", "six4x4", "domino9"):
+        yield name, L.canned_example(name)
+    yield "product-3x3", random_ensemble(3, 3, 9, seed=0, kind="product-basis")
+    yield "haar-pair-4x4", random_ensemble(4, 4, 2, seed=0)
+
+
+@pytest.mark.parametrize("party", [ALICE, BOB])
+def test_candidates_beam_limit_keeps_a_prefix_of_the_default_list(party):
+    # the tiers are built lazily; the seen set and the beam count carry
+    # across them, so every beam gives a prefix of the full list
+    for name, e in _prefix_cases():
+        full = candidate_bases(e, party)
+        for k in range(1, len(full) + 1):
+            cut = candidate_bases(e, party, SearchConfig(beam_limit=k))
+            assert len(cut) == k, (name, k)
+            for ma, mb in zip(cut, full):
+                assert ma.outcomes == mb.outcomes
+                assert all(np.array_equal(qa, qb)
+                           for qa, qb in zip(ma.projectors, mb.projectors)), (name, k)
+
+
+def test_candidates_build_a_tier_only_when_asked_past_the_one_before(bell2, monkeypatch):
+    calls = []
+    real = search_module._qubit_plane_bases
+    monkeypatch.setattr(search_module, "_qubit_plane_bases",
+                        lambda *args: calls.append(args) or real(*args))
+    sides = {p: cross_operators(bell2, p) for p in (ALICE, BOB)}
+    gen = search_module._candidates(bell2, ALICE, sides[ALICE], sides[BOB], SearchConfig())
+    next(gen)  # the computational basis, from the standard tier
+    assert calls == []
+    assert len(list(gen)) == 2  # the two zero-diagonal bases
+    assert len(calls) == 1
 
 
 def test_candidates_deterministic_and_duplicate_free(six4x4):
