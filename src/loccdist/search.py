@@ -249,7 +249,6 @@ def _candidates(e: Ensemble, party: str, sides: np.ndarray, other: np.ndarray,
     Lazy: a tier is built only when the caller asks past the one before it."""
     d = _local_dim(e, party)
     tol = cfg.tolerance
-    live = sides[np.abs(sides).max(axis=(1, 2)) > _DUST]
 
     def standard():
         cands = [tuple(_cols(d, i) for i in range(d))]
@@ -259,6 +258,7 @@ def _candidates(e: Ensemble, party: str, sides: np.ndarray, other: np.ndarray,
         return cands
 
     def zero_diagonal():
+        live = sides[np.abs(sides).max(axis=(1, 2)) > _DUST]
         if d == 2:
             bases = _qubit_plane_bases(live, tol)
         else:

@@ -22,9 +22,9 @@ from loccdist import (
     valid_measurement,
     verify_protocol,
 )
+from loccdist import search as search_module
 from loccdist.cli import protocol_to_dict
 from loccdist.ensemble import haar_unitary
-from loccdist import search as search_module
 from loccdist.search import PROVED_NO, UNKNOWN, YES
 
 S2 = 1.0 / np.sqrt(2.0)
