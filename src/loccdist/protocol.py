@@ -155,7 +155,8 @@ class BranchOperator:
     def is_projector(self, tol: float = DEFAULT_TOL) -> bool:
         """Whether both accumulated operators satisfy P @ P = P = P^dagger."""
         for op in (self.op_a, self.op_b):
-            if np.abs(op @ op - op).max() > tol or np.abs(op - op.conj().T).max() > tol:
+            # "not <=" so that a NaN entry fails
+            if not (np.abs(op @ op - op).max() <= tol and np.abs(op - op.conj().T).max() <= tol):
                 return False
         return True
 

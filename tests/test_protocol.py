@@ -84,6 +84,13 @@ def test_measurement_rejects_nan_columns():
         ProjectiveMeasurement(ALICE, (col([1, 0]), col([np.nan, 1])))
 
 
+def test_branch_operator_with_nan_is_not_a_projector():
+    nan = np.full((2, 2), np.nan)
+    assert not L.BranchOperator(nan, np.eye(2), None, ()).is_projector()
+    assert not L.BranchOperator(np.eye(2), nan, None, ()).is_projector()
+    assert L.BranchOperator(np.eye(2), np.eye(2), None, ()).is_projector()
+
+
 def test_node_child_count_must_match():
     with pytest.raises(MalformedTree):
         Node(z_basis(ALICE), (Leaf("a"),))
