@@ -15,7 +15,7 @@ is re-verified -- but incomplete: an exhausted search yields Unknown.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -234,12 +234,14 @@ def _schmidt_completion(e: Ensemble, party: str, tol: float) -> np.ndarray:
 def _measurement_keys(cands) -> list[tuple[bytes, ...]]:
     """Dedupe key of every candidate: its sorted, rounded outcome projectors.
 
-    All projectors of ``cands`` are rounded in one call; adding 0.0 folds
-    negative zeros so equal projectors share a key.
+    One rounding of the float64 view covers every projector of ``cands``;
+    adding 0.0 folds negative zeros so equal projectors share a key.
     """
-    ends = np.cumsum([0] + [len(c) for c in cands])
-    projs = np.round(np.array([q @ q.conj().T for c in cands for q in c]), 6) + 0.0
-    return [tuple(sorted(p.tobytes() for p in projs[a:b])) for a, b in zip(ends, ends[1:])]
+    if not cands:
+        return []
+    projs = np.array([q @ q.conj().T for c in cands for q in c]).view(np.float64)
+    rows = iter([p.tobytes() for p in projs.round(6) + 0.0])
+    return [tuple(sorted(islice(rows, len(c)))) for c in cands]
 
 
 def _candidates(e: Ensemble, party: str, sides: np.ndarray, other: np.ndarray,
