@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Sweep random two-qubit ensembles and tally the classification outcomes.
 
-Cross-checks every verdict against the Schmidt-sum necessary condition and
-re-verifies every emitted protocol.
+Cross-checks every verdict against the Schmidt-rank form of the two-qubit
+rule (one or two states: always distinguishable; three: at most one
+entangled; four: all product) and the Schmidt-sum necessary condition, and
+re-verifies every emitted protocol.  Run with ``PYTHONPATH=src``.
 """
 
 import argparse
@@ -25,6 +27,10 @@ def main():
         m = 2 + (i % 3)
         e = L.random_ensemble(2, 2, m, seed=args.seed + i, kind=kind)
         cls = L.classify_2x2(e)
+        # the Schmidt-rank form of the two-qubit rule, as a reference
+        entangled = sum(L.schmidt_number(s) > 1 for s in e.states)
+        rule = m <= 2 or (m == 3 and entangled <= 1) or (m == 4 and entangled == 0)
+        assert cls.distinguishable == rule, f"seed {args.seed + i}: verdict differs from the rule"
         if cls.distinguishable:
             assert L.verify_protocol(cls.protocol, e).ok
             assert not cls.schmidt_report.violates

@@ -347,7 +347,7 @@ def _decide(command, config, fmt, started, mode):
     try:
         ens = load_ensemble(config["ensemble"], tol=tol)
         if mode == "classify2x2":
-            cls = classify_2x2(ens, cfg, tol=tol)
+            cls = classify_2x2(ens, tol=tol)
     except LoccdistError as exc:
         _fail_input(command, config, fmt, started, exc)
     extra, protocol = {}, None

@@ -4,7 +4,8 @@ Three layers: a cheap necessary condition (the Schmidt ranks of a reliably
 distinguishable ensemble sum to at most the joint dimension), certificate
 checking (each state written as a superposition of its own share of a
 locally distinguishable orthogonal product-vector set), and the complete
-classification for two-qubit ensembles.
+classification for two-qubit ensembles by the search's qubit-plane solver
+on Alice's cross operators.
 """
 
 from __future__ import annotations
@@ -32,22 +33,21 @@ from .protocol import (
     ProjectiveMeasurement,
     ProtocolTree,
     VerificationReport,
-    _col,
     verify_protocol,
 )
 from .search import (
+    _DUST,
     YES,
     SearchConfig,
     SearchOutcome,
+    _phased_columns,
+    _qubit_plane_bases,
+    _schmidt_completion,
+    cross_operators,
     search_protocol,
     surviving_states,
 )
-from .states import (
-    DEFAULT_TOL,
-    RANK_CUTOFF,
-    product_state,
-    schmidt_decompose,
-)
+from .states import DEFAULT_TOL, RANK_CUTOFF, product_state, schmidt_number
 
 VIOLATES_NECESSARY = "violates-necessary"
 INCONCLUSIVE = "inconclusive"
@@ -74,7 +74,7 @@ class SchmidtSumReport:
 
 def schmidt_sum_check(e: Ensemble) -> SchmidtSumReport:
     """Necessary condition: sum of Schmidt ranks must not exceed dim_a*dim_b."""
-    numbers = tuple(schmidt_decompose(s).schmidt_number for s in e.states)
+    numbers = tuple(schmidt_number(s) for s in e.states)
     total = int(sum(numbers))
     capacity = e.dim_a * e.dim_b
     verdict = VIOLATES_NECESSARY if total > capacity else INCONCLUSIVE
@@ -240,12 +240,13 @@ def certificate_check(e: Ensemble, cert: Certificate,
 class Classification:
     """Two-qubit classification verdict.
 
-    The verdict rests on the classification rule alone.  A distinguishable
-    verdict carries a protocol that passed ``verify_protocol`` when the
-    construction or the bounded search finds one, and None when the search
-    runs out; ``warnings`` lists states whose smallest singular value sits
-    near the rank cutoff (their product/entangled call is numerically
-    borderline).
+    The verdict is the Walgate-Hardy rule: distinguishable exactly when some
+    basis of Alice's qubit keeps every pair of states orthogonal, so a
+    ``False`` verdict is a proof of impossibility.  A distinguishable verdict
+    carries the two-round protocol built from that basis when it passes
+    ``verify_protocol``, and None otherwise; ``warnings`` lists states whose
+    smallest singular value sits near the rank cutoff (their
+    product/entangled call is numerically borderline).
     """
 
     distinguishable: bool
@@ -267,100 +268,48 @@ def _borderline_warnings(e: Ensemble) -> tuple[str, ...]:
     return tuple(out)
 
 
-def _perp2(v: np.ndarray) -> np.ndarray:
-    return np.array([-np.conj(v[1]), np.conj(v[0])])
+def classify_2x2(e: Ensemble, *, tol: float = DEFAULT_TOL) -> Classification:
+    """Complete classification of two-qubit ensembles (Walgate & Hardy, PRL 89,
+    147901 (2002)).
 
-
-def _three_state_protocol(e: Ensemble, decomps, tol) -> ProtocolTree | None:
-    """Constructive protocol for three two-qubit states with <=1 entangled.
-
-    Pick a pair of product states whose factors on one side are orthogonal
-    (such a pair always exists); measuring that side in those two factors
-    leaves, per outcome, at most the owning product state plus the third
-    state's component, whose other-side factors are orthogonal by the
-    ensemble's orthogonality, so one more rank-one measurement finishes.
-    """
-    ranks = [d.schmidt_number for d in decomps]
-    products = [i for i, r in enumerate(ranks) if r == 1]
-    alice = {i: decomps[i].alice_vectors[0] for i in products}
-    bob = {i: decomps[i].bob_vectors[0] for i in products}
-
-    party = None
-    pair = None
-    for i, j in combinations(products, 2):
-        if abs(np.vdot(alice[i], alice[j])) <= tol:
-            party, pair = ALICE, (i, j)
-            break
-    if party is None:
-        for i, j in combinations(products, 2):
-            if abs(np.vdot(bob[i], bob[j])) <= tol:
-                party, pair = BOB, (i, j)
-                break
-    if party is None:
-        return None
-
-    axis = alice if party == ALICE else bob
-    other_axis = bob if party == ALICE else alice
-    other_party = BOB if party == ALICE else ALICE
-
-    children = []
-    for owner_idx in pair:
-        v = axis[owner_idx]
-        try:
-            sub = surviving_states(e, party, v, tol=tol)
-        except EmptyOutcome:  # pragma: no cover - the owner always survives
-            children.append(Leaf(None))
-            continue
-        owner_label = e.states[owner_idx].name
-        if sub.m == 1:
-            children.append(Leaf(sub.states[0].name))
-            continue
-        rider_label = next(lbl for lbl in sub.labels if lbl != owner_label)
-        anchor = other_axis[owner_idx]
-        meas2 = ProjectiveMeasurement(other_party, (_col(anchor), _col(_perp2(anchor))))
-        children.append(Node(meas2, (Leaf(owner_label), Leaf(rider_label))))
-
-    i, j = pair
-    meas1 = ProjectiveMeasurement(party, (_col(axis[i]), _col(axis[j])))
-    return Node(meas1, tuple(children))
-
-
-def classify_2x2(e: Ensemble, cfg: SearchConfig | None = None,
-                 tol: float = DEFAULT_TOL) -> Classification:
-    """Complete classification of two-qubit ensembles.
-
-    One or two states are always distinguishable; three are distinguishable
-    iff at most one is entangled; four iff all four are product states.
-    Distinguishable verdicts return a verified protocol when one is found
-    (constructed for the three-state case, searched for under ``cfg``
-    otherwise), else None.
+    The states are distinguishable iff Alice has a qubit basis in which every
+    cross operator (``cross_operators``) has zero diagonal; the Bloch-plane
+    solver of the search finds all such bases at once.  The protocol measures
+    Alice in the first one; each outcome leaves at most product survivors with
+    pairwise orthogonal Bob factors, which Bob separates in their completion.
     """
     if e.dims != (2, 2):
         raise WrongDimensions(f"classify_2x2 needs a 2x2 ensemble, got "
                               f"{e.dim_a}x{e.dim_b}")
     report = schmidt_sum_check(e)
     warnings = _borderline_warnings(e)
-    decomps = [schmidt_decompose(s) for s in e.states]
-    entangled = [s.name for s, d in zip(e.states, decomps) if d.schmidt_number > 1]
-
-    if e.m == 3 and len(entangled) > 1:
+    sides = cross_operators(e, ALICE)
+    live = sides[np.abs(sides).max(axis=(1, 2)) > _DUST]
+    # with no live cross operator every basis keeps the states orthogonal
+    bases = _qubit_plane_bases(live, tol) if len(live) else [np.eye(2)]
+    if not bases:
+        entangled = [s.name for s, n in zip(e.states, report.schmidt_numbers) if n > 1]
         return Classification(
             False, None,
-            f"three states are distinguishable only when at most one is "
-            f"entangled; found {len(entangled)} ({', '.join(entangled)})",
-            warnings, report)
-    if e.m == 4 and entangled:
-        return Classification(
-            False, None,
-            f"four states are distinguishable only when all are product "
-            f"states; entangled: {', '.join(entangled)}",
+            f"no basis of Alice's qubit keeps every pair of states orthogonal; "
+            f"entangled: {', '.join(entangled)}",
             warnings, report)
 
-    protocol = None
-    if e.m == 3:
-        protocol = _three_state_protocol(e, decomps, tol)
-        if protocol is not None and not verify_protocol(protocol, e, tol=tol).ok:
-            protocol = None  # fall back to search on numerical trouble
-    if protocol is None:
-        protocol = search_protocol(e, cfg).protocol
+    alice, children = _phased_columns(bases[0]), []
+    for q in alice:
+        try:
+            sub = surviving_states(e, ALICE, q, tol)
+        except EmptyOutcome:
+            children.append(Leaf(None))
+            continue
+        if sub.m == 1:
+            children.append(Leaf(sub.states[0].name))
+            continue
+        # two orthogonal survivors: one completion column each, in state order
+        bob = _phased_columns(_schmidt_completion(sub, BOB, tol))
+        children.append(Node(ProjectiveMeasurement(BOB, bob),
+                             tuple(Leaf(s.name) for s in sub.states)))
+    protocol = Node(ProjectiveMeasurement(ALICE, alice), tuple(children))
+    if not verify_protocol(protocol, e, tol=tol).ok:
+        protocol = None
     return Classification(True, protocol, None, warnings, report)

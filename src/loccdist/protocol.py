@@ -230,39 +230,25 @@ class OutcomeRecord:
 def run_protocol(tree: ProtocolTree, e: Ensemble, tol: float = DEFAULT_TOL):
     """Propagate every ensemble member through the tree.
 
-    Returns one OutcomeRecord per leaf in depth-first order; probabilities
-    below ``tol`` are floored to exactly zero.
+    Returns one OutcomeRecord per leaf in depth-first order; a state's
+    post-measurement matrix at a leaf is ``op_a @ C @ op_b.T`` of the leaf's
+    branch, and probabilities below ``tol`` are floored to exactly zero.
+    Raises ``DimensionMismatch`` when a measurement does not fit the ensemble.
     """
-    records: list[OutcomeRecord] = []
-
-    def walk(node, mats, op_a, op_b, path):
-        if isinstance(node, Leaf):
-            probs = np.array([float(np.linalg.norm(m) ** 2) for m in mats])
-            probs[probs <= tol] = 0.0
-            post = tuple(
-                make_state(e.dim_a, e.dim_b, m, name=s.name) if p > 0.0 else None
-                for m, p, s in zip(mats, probs, e.states)
-            )
-            records.append(OutcomeRecord(BranchOperator(op_a, op_b, node.identify, path),
-                                         probs, post))
-            return
-        meas = node.measurement
-        try:
-            _check_node_dims(meas, e.dims)
-        except MalformedTree as exc:
-            raise DimensionMismatch(str(exc)) from exc
-        for k, q in enumerate(meas.projectors):
-            p = q @ q.conj().T
-            if meas.party == ALICE:
-                walk(node.children[k], [p @ m for m in mats], p @ op_a, op_b,
-                     path + ((ALICE, k),))
-            else:
-                walk(node.children[k], [m @ p.T for m in mats], op_a, p @ op_b,
-                     path + ((BOB, k),))
-
-    eye_a = np.eye(e.dim_a, dtype=np.complex128)
-    eye_b = np.eye(e.dim_b, dtype=np.complex128)
-    walk(tree, [s.amplitudes for s in e.states], eye_a, eye_b, ())
+    try:
+        branches = enumerate_branches(tree, e.dims)
+    except MalformedTree as exc:
+        raise DimensionMismatch(str(exc)) from exc
+    records = []
+    for b in branches:
+        mats = [b.op_a @ s.amplitudes @ b.op_b.T for s in e.states]
+        probs = np.array([float(np.linalg.norm(m) ** 2) for m in mats])
+        probs[probs <= tol] = 0.0
+        post = tuple(
+            make_state(e.dim_a, e.dim_b, m, name=s.name) if p > 0.0 else None
+            for m, p, s in zip(mats, probs, e.states)
+        )
+        records.append(OutcomeRecord(b, probs, post))
     return records
 
 

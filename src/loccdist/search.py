@@ -31,7 +31,7 @@ from .protocol import (
     _cols,
     verify_protocol,
 )
-from .states import DEFAULT_TOL, RANK_CUTOFF, make_state, schmidt_decompose
+from .states import DEFAULT_TOL, make_state, schmidt_decompose, schmidt_number
 
 YES = "yes"
 PROVED_NO = "proved-no"
@@ -363,13 +363,6 @@ class SearchOutcome:
     nodes_explored: int
 
 
-def _matrix_rank(mat):
-    sig = np.linalg.svd(mat, compute_uv=False)
-    if sig[0] <= _DUST:
-        return 0
-    return int(np.count_nonzero(sig > RANK_CUTOFF * sig[0]))
-
-
 def _single_state_tree(e: Ensemble) -> ProtocolTree:
     eye = np.eye(e.dim_a, dtype=np.complex128)
     meas = ProjectiveMeasurement(ALICE, (eye,))
@@ -402,7 +395,7 @@ def search_protocol(e: Ensemble, cfg: SearchConfig | None = None) -> SearchOutco
         stats["nodes"] += 1
         if depth >= depth_limit:
             return None
-        ranks = {s.name: _matrix_rank(s.amplitudes) for s in sub.states}
+        ranks = {s.name: schmidt_number(s) for s in sub.states}
         full = frozenset(sub.labels)
         sides = {p: cross_operators(sub, p) for p in (ALICE, BOB)}
         for party, other in ((ALICE, BOB), (BOB, ALICE)):
@@ -426,7 +419,7 @@ def search_protocol(e: Ensemble, cfg: SearchConfig | None = None) -> SearchOutco
                     continue
                 survivor_sets = {frozenset(c.labels) for c in firing}
                 shrinks = any(
-                    _matrix_rank(s.amplitudes) < ranks[s.name]
+                    schmidt_number(s) < ranks[s.name]
                     for c in firing for s in c.states
                 )
                 if survivor_sets == {full} and not shrinks:

@@ -173,8 +173,10 @@ def schmidt_decompose(s: BipartiteState) -> SchmidtDecomposition:
 
 
 def schmidt_number(s: BipartiteState) -> int:
-    """Schmidt rank of the state (1 = product state)."""
-    return schmidt_decompose(s).schmidt_number
+    """Schmidt rank of the state (1 = product state): the count of singular
+    values ``schmidt_decompose`` keeps, computed without the local vectors."""
+    sig = np.linalg.svd(s.amplitudes, compute_uv=False)
+    return int(np.count_nonzero(sig > RANK_CUTOFF * sig[0]))
 
 
 def assert_unitary(u: np.ndarray, dim: int, tol: float = DEFAULT_TOL, what="matrix") -> np.ndarray:

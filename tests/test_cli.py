@@ -157,6 +157,19 @@ def test_cmd_check_classify2x2_two_entangled(tmp_path):
     assert report_of(result)["verdict"] == "indistinguishable"
 
 
+def test_cmd_check_classify2x2_ignores_search_bounds(bell2_file, tmp_path):
+    result = run_cli(["check", bell2_file, "--mode", "classify2x2", "--beam", 1,
+                      "--max-depth", 1, "--format", "json"])
+    assert result.exit_code == 0
+    rep = report_of(result)
+    assert rep["verdict"] == "distinguishable"
+    ppath = tmp_path / "bell2.protocol.json"
+    write_json(ppath, rep["diagnostics"]["protocol"])
+    verified = run_cli(["verify", bell2_file, ppath, "--format", "json"])
+    assert verified.exit_code == 0
+    assert report_of(verified)["verdict"] == "verified"
+
+
 def test_cmd_check_classify2x2_wrong_dims_exits_3(six4x4_pair):
     epath, _ = six4x4_pair
     result = run_cli(["check", epath, "--mode", "classify2x2", "--format", "json"])

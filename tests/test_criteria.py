@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -255,8 +260,8 @@ def test_classify_m1_and_m2():
 
 
 def test_classify_keeps_rule_verdict_when_search_runs_out():
-    # both cross operators of |a0 b0>, |a1 b1> vanish; the search still finds
-    # a protocol, through a basis of Schmidt vectors
+    # both cross operators of |a0 b0>, |a1 b1> vanish, so Alice may measure in
+    # any basis; Bob then separates the survivors by their Schmidt vectors
     rng = np.random.default_rng(3)
     ua, ub = haar_unitary(2, rng), haar_unitary(2, rng)
     pair = make_ensemble([product_state(2, 2, ua[:, k], ub[:, k], name=f"p{k}")
@@ -264,10 +269,64 @@ def test_classify_keeps_rule_verdict_when_search_runs_out():
     cls = classify_2x2(pair)
     assert cls.distinguishable and cls.reason is None
     assert cls.protocol is not None and verify_protocol(cls.protocol, pair).ok
-    # a search cut to one candidate finds nothing; the rule's verdict stays
-    bell2 = L.canned_example("bell2")
-    bounded = classify_2x2(bell2, L.SearchConfig(beam_limit=1))
-    assert bounded.distinguishable and bounded.protocol is None
+
+
+def _rule_2x2(states):
+    # the Schmidt-rank rule, recomputed from singular values
+    entangled = sum(int(np.linalg.svd(s.amplitudes, compute_uv=False)[1] > 1e-9)
+                    for s in states)
+    return len(states) <= 2 or (len(states) == 3 and entangled <= 1) or entangled == 0
+
+
+MIXED_2X2_SHAPES = {
+    "one entangled, two products": [
+        make_state(2, 2, [[S2, 0], [0, S2]], name="phi+"),
+        product_state(2, 2, [1, 0], [0, 1], name="p01"),
+        product_state(2, 2, [0, 1], [1, 0], name="p10"),
+    ],
+    "two entangled, one product": [
+        make_state(2, 2, [[S2, 0], [0, S2]], name="phi+"),
+        make_state(2, 2, [[S2, 0], [0, -S2]], name="phi-"),
+        product_state(2, 2, [1, 0], [0, 1], name="p01"),
+    ],
+    "product pair orthogonal on both sides": [
+        product_state(2, 2, [1, 0], [1, 0], name="p00"),
+        product_state(2, 2, [0, 1], [0, 1], name="p11"),
+    ],
+    "product pair sharing a factor": [
+        product_state(2, 2, [1, 0], [1, 0], name="p00"),
+        product_state(2, 2, [1, 0], [0, 1], name="p01"),
+    ],
+}
+
+
+@pytest.mark.parametrize("shape", sorted(MIXED_2X2_SHAPES))
+def test_classify_mixed_shapes_under_rotation_and_relabelling(shape):
+    base = MIXED_2X2_SHAPES[shape]
+    expected = _rule_2x2(base)
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        ua, ub = haar_unitary(2, rng), haar_unitary(2, rng)
+        rotated = [apply_local_unitary(s, ua, ub) for s in base]
+        for states in (rotated, [rotated[k] for k in rng.permutation(len(rotated))]):
+            e = make_ensemble(states)
+            cls = classify_2x2(e)
+            assert _rule_2x2(states) == expected
+            assert cls.distinguishable == expected, shape
+            if cls.distinguishable:
+                assert cls.protocol is not None and verify_protocol(cls.protocol, e).ok
+            else:
+                assert "entangled" in cls.reason
+
+
+def test_two_qubit_sweep_script_runs():
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    result = subprocess.run(
+        [sys.executable, str(root / "scripts" / "two_qubit_sweep.py"), "--count", "30"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("30 ensembles in ")
 
 
 def test_classify_four_product_states():
