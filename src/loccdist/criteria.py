@@ -19,6 +19,7 @@ from .ensemble import Ensemble, make_ensemble
 from .errors import (
     BadAssignment,
     EmptyOutcome,
+    NotOrthogonal,
     ProductSetNotDistinguishable,
     ReconstructionFailure,
     VectorsNotOrthogonal,
@@ -36,7 +37,6 @@ from .protocol import (
     verify_protocol,
 )
 from .search import (
-    _DUST,
     YES,
     SearchConfig,
     SearchOutcome,
@@ -241,8 +241,10 @@ class Classification:
     """Two-qubit classification verdict.
 
     The verdict is the Walgate-Hardy rule: distinguishable exactly when some
-    basis of Alice's qubit keeps every pair of states orthogonal, so a
-    ``False`` verdict is a proof of impossibility.  A distinguishable verdict
+    basis of Alice's qubit keeps every pair of states orthogonal.  Parts of a
+    cross operator of norm at most the tolerance are ignored, since they move
+    no diagonal entry past it; up to that tolerance a ``False`` verdict is a
+    proof of impossibility.  A distinguishable verdict
     carries the two-round protocol built from that basis when it passes
     ``verify_protocol``, and None otherwise; ``warnings`` lists states whose
     smallest singular value sits near the rank cutoff (their
@@ -283,10 +285,7 @@ def classify_2x2(e: Ensemble, *, tol: float = DEFAULT_TOL) -> Classification:
                               f"{e.dim_a}x{e.dim_b}")
     report = schmidt_sum_check(e)
     warnings = _borderline_warnings(e)
-    sides = cross_operators(e, ALICE)
-    live = sides[np.abs(sides).max(axis=(1, 2)) > _DUST]
-    # with no live cross operator every basis keeps the states orthogonal
-    bases = _qubit_plane_bases(live, tol) if len(live) else [np.eye(2)]
+    bases = _qubit_plane_bases(cross_operators(e, ALICE), tol)
     if not bases:
         entangled = [s.name for s, n in zip(e.states, report.schmidt_numbers) if n > 1]
         return Classification(
@@ -294,22 +293,29 @@ def classify_2x2(e: Ensemble, *, tol: float = DEFAULT_TOL) -> Classification:
             f"no basis of Alice's qubit keeps every pair of states orthogonal; "
             f"entangled: {', '.join(entangled)}",
             warnings, report)
+    return Classification(True, _two_round_protocol(e, bases[0], tol), None,
+                          warnings, report)
 
-    alice, children = _phased_columns(bases[0]), []
+
+def _two_round_protocol(e: Ensemble, basis: np.ndarray, tol: float) -> ProtocolTree | None:
+    """Alice measures in ``basis``; Bob separates each outcome's product
+    survivors in their Schmidt completion, one column per survivor in state
+    order.  None when an outcome's survivors overlap past ``tol`` or the tree
+    fails ``verify_protocol``."""
+    alice, children = _phased_columns(basis), []
     for q in alice:
         try:
             sub = surviving_states(e, ALICE, q, tol)
         except EmptyOutcome:
             children.append(Leaf(None))
             continue
+        except NotOrthogonal:
+            return None
         if sub.m == 1:
             children.append(Leaf(sub.states[0].name))
             continue
-        # two orthogonal survivors: one completion column each, in state order
         bob = _phased_columns(_schmidt_completion(sub, BOB, tol))
         children.append(Node(ProjectiveMeasurement(BOB, bob),
                              tuple(Leaf(s.name) for s in sub.states)))
     protocol = Node(ProjectiveMeasurement(ALICE, alice), tuple(children))
-    if not verify_protocol(protocol, e, tol=tol).ok:
-        protocol = None
-    return Classification(True, protocol, None, warnings, report)
+    return protocol if verify_protocol(protocol, e, tol=tol).ok else None

@@ -155,17 +155,20 @@ def _qubit_plane_bases(side_mats, tol) -> list[np.ndarray]:
     A basis vector with Bloch vector n has <w|M|w> = m . n for a traceless M
     with (complex) Pauli vector m, so the admissible n are the real unit
     vectors orthogonal to Re(m) and Im(m) of every pair: the null space of
-    the stacked constraint matrix.  One basis per null direction.
+    the stacked constraint matrix.  One basis per null direction.  A part of
+    norm at most ``tol`` moves no diagonal entry past ``tol`` and constrains
+    nothing; with no constraint left every basis works and the computational
+    one is returned, so ``[]`` means no basis exists.
     """
     rows = []
     for m in side_mats:
         pv = _pauli_vector(m)
         for part in (pv.real, pv.imag):
             norm = np.linalg.norm(part)
-            if norm > _DUST:
+            if norm > tol:
                 rows.append(part / norm)
     if not rows:
-        return []
+        return [np.eye(2, dtype=np.complex128)]
     a = np.array(rows)
     _, sig, vt = np.linalg.svd(a)
     rank = int(np.count_nonzero(sig > 1e-8))
@@ -260,10 +263,10 @@ def _candidates(e: Ensemble, party: str, sides: np.ndarray, other: np.ndarray,
         return cands
 
     def zero_diagonal():
-        live = sides[np.abs(sides).max(axis=(1, 2)) > _DUST]
         if d == 2:
-            bases = _qubit_plane_bases(live, tol)
+            bases = _qubit_plane_bases(sides, tol)
         else:
+            live = sides[np.abs(sides).max(axis=(1, 2)) > _DUST]
             adj = live.conj().transpose(0, 2, 1)
             parts = np.stack([(live + adj) / 2, (live - adj) / 2j], axis=1).reshape(-1, d, d)
             evals, evecs = np.linalg.eigh(parts[np.abs(parts).max(axis=(1, 2)) > _DUST])

@@ -319,6 +319,47 @@ def test_classify_mixed_shapes_under_rotation_and_relabelling(shape):
                 assert "entangled" in cls.reason
 
 
+def test_classify_pair_with_scalar_cross_operator():
+    # Alice's cross operator is 1e-11 * I: it constrains no basis, and two
+    # orthogonal states are always distinguishable
+    e = make_ensemble([make_state(2, 2, [[1, 0], [0, 1e-11]], name="a"),
+                       make_state(2, 2, [[1e-11, 0], [0, 1]], name="b")])
+    cls = classify_2x2(e)
+    assert cls.distinguishable
+    assert cls.protocol is not None and verify_protocol(cls.protocol, e).ok
+
+
+@pytest.mark.parametrize("t", [1e-12, 1e-11, 1e-10, 5e-10])
+def test_classify_ignores_cross_operators_below_tolerance(t):
+    # the first two states' cross operators are t-sized: below the tolerance
+    # they move no diagonal entry past it, so they must not forbid a basis
+    c, s = np.cos(t), np.sin(t)
+    mats = [[[c, 0], [0, s]], [[s, 0], [0, -c]], [[0, 1], [0, 0]], [[0, 0], [1, 0]]]
+    rng = np.random.default_rng(5)
+    for m in (3, 4):
+        base = [make_state(2, 2, x, name=f"s{k}") for k, x in enumerate(mats[:m])]
+        for _ in range(3):
+            e = make_ensemble(base)
+            cls = classify_2x2(e)
+            assert cls.distinguishable, (t, m)
+            assert cls.protocol is not None and verify_protocol(cls.protocol, e).ok
+            ua, ub = haar_unitary(2, rng), haar_unitary(2, rng)
+            base = [apply_local_unitary(x, ua, ub) for x in base]
+
+
+def test_classify_keeps_verdict_when_survivors_overlap(monkeypatch):
+    # |00> and |10> are orthogonal only on Alice's side: a Hadamard-basis
+    # outcome leaves two copies of one state, which is no ensemble
+    e = make_ensemble([product_state(2, 2, [1, 0], [1, 0], name="a"),
+                       product_state(2, 2, [0, 1], [1, 0], name="b")])
+    hadamard = np.column_stack([PLUS, MINUS]).astype(complex)
+    monkeypatch.setattr("loccdist.criteria._qubit_plane_bases",
+                        lambda sides, tol: [hadamard])
+    cls = classify_2x2(e)
+    assert cls.distinguishable
+    assert cls.protocol is None
+
+
 def test_two_qubit_sweep_script_runs():
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
