@@ -12,6 +12,7 @@ import collections
 import time
 
 import loccdist as L
+from loccdist.search import YES
 
 
 def main():
@@ -30,11 +31,11 @@ def main():
         # the Schmidt-rank form of the two-qubit rule, as a reference
         entangled = sum(L.schmidt_number(s) > 1 for s in e.states)
         rule = m <= 2 or (m == 3 and entangled <= 1) or (m == 4 and entangled == 0)
-        assert cls.distinguishable == rule, f"seed {args.seed + i}: verdict differs from the rule"
-        if cls.distinguishable:
+        assert (cls.verdict == YES) == rule, f"seed {args.seed + i}: verdict differs from the rule"
+        if cls.verdict == YES:
             assert L.verify_protocol(cls.protocol, e).ok
             assert not cls.schmidt_report.violates
-        tally[(kind, m, "distinguishable" if cls.distinguishable else "indistinguishable")] += 1
+        tally[(kind, m, "distinguishable" if cls.verdict == YES else "indistinguishable")] += 1
     elapsed = time.perf_counter() - started
 
     print(f"{args.count} ensembles in {elapsed:.2f}s")

@@ -81,8 +81,6 @@ from .search import (
 from .criteria import (
     Certificate,
     CertificateReport,
-    Classification,
-    ProductSetResult,
     SchmidtSumReport,
     certificate_check,
     classify_2x2,

@@ -11,8 +11,8 @@ plain floats, so round-trips are bit-exact):
 * report:    schema "v1", see REPORT_SCHEMA.
 
 Exit codes: 0 distinguishable / success, 1 indistinguishable (proved) or
-verification failure, 2 unknown, 3 input error (a bad file, or a usage error
-such as a missing argument or an out-of-range option).
+verification failure, 2 unknown, 3 input error (a bad or unwritable file, or a
+usage error such as a missing argument or an out-of-range option).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .protocol import (
     format_path,
     verify_protocol,
 )
-from .search import PROVED_NO, UNKNOWN, YES, SearchConfig, search_protocol
+from .search import PROVED_NO, UNKNOWN, YES, SearchConfig, SearchOutcome, search_protocol
 from .states import DEFAULT_TOL, BipartiteState, make_state, schmidt_decompose
 
 SCHEMA_VERSION = "v1"
@@ -200,6 +200,8 @@ def read_json(path):
         raise ParseError(str(exc), str(path)) from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", str(path)) from exc
+    except RecursionError as exc:
+        raise ParseError("nesting too deep", str(path)) from exc
 
 
 def write_json(path, payload) -> None:
@@ -215,45 +217,35 @@ def load_ensemble(path, tol: float = DEFAULT_TOL):
     return ens
 
 
-def load_protocol(path):
-    return protocol_from_dict(read_json(path))
-
-
 # ---------------------------------------------------------------------------
 # reports
 
-def _build_report(command, verdict, exit_code, config, diagnostics, started):
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "verdict": verdict,
-        "exit_code": exit_code,
-        "config": config,
-        "diagnostics": diagnostics,
-        "timing_ms": (time.perf_counter() - started) * 1000.0,
-    }
+def _run(command, config, fmt, body):
+    """Run one subcommand: time ``body()``, emit its report, exit with its code.
 
-
-def _emit(report, fmt):
+    ``body()`` returns the report verdict, the exit code and the diagnostics.
+    A ``LoccdistError`` or ``OSError`` it raises (a bad input file, an
+    unwritable output path) becomes the "error" report, which exits 3.
+    """
+    started = time.perf_counter()
+    try:
+        verdict, code, diagnostics = body()
+    except (LoccdistError, OSError) as exc:
+        verdict, code = "error", EXIT_INPUT_ERROR
+        diagnostics = {"error": str(exc), "kind": type(exc).__name__}
+    timing_ms = (time.perf_counter() - started) * 1000.0
     if fmt == "json":
-        click.echo(json.dumps(report, indent=1))
-        return
-    click.echo(f"command: {report['command']}")
-    click.echo(f"verdict: {report['verdict']}")
-    for key, value in report["diagnostics"].items():
-        if isinstance(value, (dict, list)):
-            click.echo(f"{key}: {json.dumps(value)}")
-        else:
-            click.echo(f"{key}: {value}")
-    click.echo(f"timing_ms: {report['timing_ms']:.3f}")
-
-
-def _fail_input(command, config, fmt, started, exc):
-    report = _build_report(command, "error", EXIT_INPUT_ERROR, config,
-                           {"error": str(exc), "kind": type(exc).__name__},
-                           started)
-    _emit(report, fmt)
-    sys.exit(EXIT_INPUT_ERROR)
+        click.echo(json.dumps({"schema_version": SCHEMA_VERSION, "command": command,
+                               "verdict": verdict, "exit_code": code, "config": config,
+                               "diagnostics": diagnostics, "timing_ms": timing_ms},
+                              indent=1))
+    else:
+        click.echo(f"command: {command}")
+        click.echo(f"verdict: {verdict}")
+        for key, value in diagnostics.items():
+            click.echo(f"{key}: {json.dumps(value) if isinstance(value, (dict, list)) else value}")
+        click.echo(f"timing_ms: {timing_ms:.3f}")
+    sys.exit(code)
 
 
 def _positive_finite(ctx, param, value):
@@ -306,22 +298,18 @@ def main():
 @_tolerance_option
 def cmd_schmidt(ensemble_path, fmt, tolerance):
     """Per-state Schmidt ranks and weights of an ensemble file."""
-    started = time.perf_counter()
     config = {"ensemble": str(ensemble_path), "tolerance": tolerance}
-    try:
+
+    def body():
         ens = load_ensemble(ensemble_path, tol=tolerance)
-    except LoccdistError as exc:
-        _fail_input("schmidt", config, fmt, started, exc)
-    rows = []
-    for s in ens.states:
-        dec = schmidt_decompose(s)
-        rows.append({"name": s.name, "schmidt_number": dec.schmidt_number,
-                     "weights": [float(w) for w in dec.weights]})
-    report = _build_report("schmidt", "ok", 0, config,
-                           {"dims": [ens.dim_a, ens.dim_b], "states": rows},
-                           started)
-    _emit(report, fmt)
-    sys.exit(0)
+        rows = []
+        for s in ens.states:
+            dec = schmidt_decompose(s)
+            rows.append({"name": s.name, "schmidt_number": dec.schmidt_number,
+                         "weights": [float(w) for w in dec.weights]})
+        return "ok", 0, {"dims": [ens.dim_a, ens.dim_b], "states": rows}
+
+    _run("schmidt", config, fmt, body)
 
 
 #: decision verdict -> (report verdict, exit code)
@@ -332,46 +320,36 @@ _VERDICTS = {
 }
 
 
-def _decide(command, config, fmt, started, mode):
+def _decide(config, mode):
     """The decision behind ``check --mode MODE`` and ``search`` (mode "full").
 
     Loads ``config["ensemble"]`` and decides it.  Returns the report verdict,
     the exit code, the diagnostics and the protocol found (or None).  The
-    diagnostics hold the Schmidt data, then the mode's own keys: "warnings"
-    (classify2x2), "nodes_explored" and "search_depth" (full), and "reason"
-    for a proof of impossibility.  An input error is reported and exits 3.
+    diagnostics hold the Schmidt data, then the outcome's "warnings", then
+    "nodes_explored" and "search_depth" (full mode only), then the "reason"
+    of a proof of impossibility.
     """
     tol = config["tolerance"]
-    cfg = SearchConfig(max_depth=config["max_depth"], tolerance=tol,
-                       beam_limit=config["beam"])
-    try:
-        ens = load_ensemble(config["ensemble"], tol=tol)
-        if mode == "classify2x2":
-            cls = classify_2x2(ens, tol=tol)
-    except LoccdistError as exc:
-        _fail_input(command, config, fmt, started, exc)
-    extra, protocol = {}, None
+    ens = load_ensemble(config["ensemble"], tol=tol)
     if mode == "necessary":
         rep = schmidt_sum_check(ens)
-        verdict = PROVED_NO if rep.violates else UNKNOWN
+        out = SearchOutcome(PROVED_NO if rep.violates else UNKNOWN, None, rep)
     elif mode == "classify2x2":
-        rep, protocol = cls.schmidt_report, cls.protocol
-        verdict = YES if cls.distinguishable else PROVED_NO
-        if cls.warnings:
-            extra["warnings"] = list(cls.warnings)
-        if cls.reason:
-            extra["reason"] = cls.reason
+        out = classify_2x2(ens, tol=tol)
     else:
-        outcome = search_protocol(ens, cfg)
-        rep, protocol, verdict = outcome.schmidt_report, outcome.protocol, outcome.verdict
-        extra["nodes_explored"] = outcome.nodes_explored
-        extra["search_depth"] = outcome.max_depth
-        if verdict == PROVED_NO:
-            extra["reason"] = (f"Schmidt ranks sum to {rep.total} > "
-                               f"capacity {rep.capacity}")
+        out = search_protocol(ens, SearchConfig(max_depth=config["max_depth"], tolerance=tol,
+                                                beam_limit=config["beam"]))
+    rep = out.schmidt_report
     diagnostics = {"schmidt_numbers": list(rep.schmidt_numbers),
-                   "schmidt_sum": rep.total, "capacity": rep.capacity, **extra}
-    return (*_VERDICTS[verdict], diagnostics, protocol)
+                   "schmidt_sum": rep.total, "capacity": rep.capacity}
+    if out.warnings:
+        diagnostics["warnings"] = list(out.warnings)
+    if mode == "full":
+        diagnostics["nodes_explored"] = out.nodes_explored
+        diagnostics["search_depth"] = out.max_depth
+    if out.reason:
+        diagnostics["reason"] = out.reason
+    return (*_VERDICTS[out.verdict], diagnostics, out.protocol)
 
 
 @main.command("check")
@@ -384,16 +362,18 @@ def _decide(command, config, fmt, started, mode):
 @_tolerance_option
 def cmd_check(ensemble_path, mode, max_depth, beam, fmt, tolerance):
     """Decide distinguishability of an ensemble file."""
-    started = time.perf_counter()
     config = {"ensemble": str(ensemble_path), "mode": mode,
               "max_depth": max_depth, "beam": beam, "tolerance": tolerance}
-    verdict, code, diagnostics, protocol = _decide("check", config, fmt, started, mode)
-    if code != EXIT_UNKNOWN:  # the depth limit matters only when it ran out
-        diagnostics.pop("search_depth", None)
-    if protocol is not None:
-        diagnostics["protocol"] = protocol_to_dict(protocol)
-    _emit(_build_report("check", verdict, code, config, diagnostics, started), fmt)
-    sys.exit(code)
+
+    def body():
+        verdict, code, diagnostics, protocol = _decide(config, mode)
+        if code != EXIT_UNKNOWN:  # the depth limit matters only when it ran out
+            diagnostics.pop("search_depth", None)
+        if protocol is not None:
+            diagnostics["protocol"] = protocol_to_dict(protocol)
+        return verdict, code, diagnostics
+
+    _run("check", config, fmt, body)
 
 
 @main.command("verify")
@@ -403,29 +383,23 @@ def cmd_check(ensemble_path, mode, max_depth, beam, fmt, tolerance):
 @_tolerance_option
 def cmd_verify(ensemble_path, protocol_path, fmt, tolerance):
     """Check a protocol file against an ensemble file."""
-    started = time.perf_counter()
     config = {"ensemble": str(ensemble_path), "protocol": str(protocol_path),
               "tolerance": tolerance}
-    try:
+
+    def body():
         ens = load_ensemble(ensemble_path, tol=tolerance)
-        tree = load_protocol(protocol_path)
+        tree = protocol_from_dict(read_json(protocol_path))
         report = verify_protocol(tree, ens, tol=tolerance)
-    except LoccdistError as exc:
-        _fail_input("verify", config, fmt, started, exc)
-    leaves = [
-        {"path": format_path(path), "identify": label, "probabilities": probs}
-        for path, label, probs in report.leaves
-    ]
-    diagnostics = {
-        "completeness_deviation": report.completeness_deviation,
-        "state_totals": report.state_totals,
-        "failures": list(report.failures),
-        "leaves": leaves,
-    }
-    verdict = "verified" if report.ok else "refuted"
-    code = 0 if report.ok else 1
-    _emit(_build_report("verify", verdict, code, config, diagnostics, started), fmt)
-    sys.exit(code)
+        diagnostics = {
+            "completeness_deviation": report.completeness_deviation,
+            "state_totals": report.state_totals,
+            "failures": list(report.failures),
+            "leaves": [{"path": format_path(path), "identify": label, "probabilities": probs}
+                       for path, label, probs in report.leaves],
+        }
+        return ("verified", 0, diagnostics) if report.ok else ("refuted", 1, diagnostics)
+
+    _run("verify", config, fmt, body)
 
 
 @main.command("search")
@@ -439,18 +413,20 @@ def cmd_verify(ensemble_path, protocol_path, fmt, tolerance):
 @_tolerance_option
 def cmd_search(ensemble_path, max_depth, beam, output, fmt, tolerance):
     """Search for a discrimination protocol; write it on success."""
-    started = time.perf_counter()
     config = {"ensemble": str(ensemble_path), "max_depth": max_depth,
               "beam": beam, "tolerance": tolerance}
-    verdict, code, diagnostics, protocol = _decide("search", config, fmt, started, "full")
-    del diagnostics["schmidt_numbers"]
-    if protocol is not None:
-        out_path = Path(output) if output else Path(str(ensemble_path)).with_suffix(
-            ".protocol.json")
-        write_json(out_path, protocol_to_dict(protocol))
-        diagnostics["protocol_path"] = str(out_path)
-    _emit(_build_report("search", verdict, code, config, diagnostics, started), fmt)
-    sys.exit(code)
+
+    def body():
+        verdict, code, diagnostics, protocol = _decide(config, "full")
+        del diagnostics["schmidt_numbers"]
+        if protocol is not None:
+            out_path = Path(output) if output else Path(str(ensemble_path)).with_suffix(
+                ".protocol.json")
+            write_json(out_path, protocol_to_dict(protocol))
+            diagnostics["protocol_path"] = str(out_path)
+        return verdict, code, diagnostics
+
+    _run("search", config, fmt, body)
 
 
 @main.command("example")
@@ -469,10 +445,10 @@ def cmd_example(name, output, seed, dims, count, fmt, tolerance):
     """Write a canned ensemble (bell4, bell3, bell2, six4x4, domino9) or a
     generated one (random-product, random-haar); canned protocols are written
     alongside where available."""
-    started = time.perf_counter()
     config = {"name": name, "seed": seed, "dims": dims, "count": count,
               "tolerance": tolerance}
-    try:
+
+    def body():
         if name in CANNED_EXAMPLES:
             ens = canned_example(name)
         elif name in ("random-product", "random-haar"):
@@ -486,20 +462,18 @@ def cmd_example(name, output, seed, dims, count, fmt, tolerance):
             raise LoccdistError(
                 f"unknown example {name!r}; known: {', '.join(CANNED_EXAMPLES)}, "
                 f"random-product, random-haar")
-    except LoccdistError as exc:
-        _fail_input("example", config, fmt, started, exc)
+        out_path = Path(output) if output else Path(f"{name}.json")
+        write_json(out_path, ensemble_to_dict(ens))
+        diagnostics = {"ensemble_path": str(out_path),
+                       "dims": [ens.dim_a, ens.dim_b], "m": ens.m}
+        protocol_name = {"six4x4": "six4x4", "bell2": "bell2-x"}.get(name)
+        if protocol_name:
+            proto_path = out_path.with_suffix(".protocol.json")
+            write_json(proto_path, protocol_to_dict(canned_protocol(protocol_name)))
+            diagnostics["protocol_path"] = str(proto_path)
+        return "written", 0, diagnostics
 
-    out_path = Path(output) if output else Path(f"{name}.json")
-    write_json(out_path, ensemble_to_dict(ens))
-    diagnostics = {"ensemble_path": str(out_path),
-                   "dims": [ens.dim_a, ens.dim_b], "m": ens.m}
-    protocol_name = {"six4x4": "six4x4", "bell2": "bell2-x"}.get(name)
-    if protocol_name:
-        proto_path = out_path.with_suffix(".protocol.json")
-        write_json(proto_path, protocol_to_dict(canned_protocol(protocol_name)))
-        diagnostics["protocol_path"] = str(proto_path)
-    _emit(_build_report("example", "written", 0, config, diagnostics, started), fmt)
-    sys.exit(0)
+    _run("example", config, fmt, body)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -5,7 +5,8 @@ distinguishable ensemble sum to at most the joint dimension), certificate
 checking (each state written as a superposition of its own share of a
 locally distinguishable orthogonal product-vector set), and the complete
 classification for two-qubit ensembles by the search's qubit-plane solver
-on Alice's cross operators.
+on Alice's cross operators.  The decisions return the search's own
+``SearchOutcome``.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .protocol import (
     verify_protocol,
 )
 from .search import (
+    PROVED_NO,
     YES,
     SearchConfig,
     SearchOutcome,
@@ -49,36 +51,28 @@ from .search import (
 )
 from .states import DEFAULT_TOL, RANK_CUTOFF, product_state, schmidt_number
 
-VIOLATES_NECESSARY = "violates-necessary"
-INCONCLUSIVE = "inconclusive"
-
-
 @dataclass(frozen=True)
 class SchmidtSumReport:
     """Schmidt ranks of the ensemble members against the joint capacity.
 
-    ``violates`` (verdict "violates-necessary") proves the ensemble cannot be
-    reliably distinguished by local measurements and classical communication;
-    the converse does not hold.
+    ``violates`` (the total exceeds the capacity) proves the ensemble cannot
+    be reliably distinguished by local measurements and classical
+    communication; the converse does not hold.
     """
 
     schmidt_numbers: tuple[int, ...]
     total: int
     capacity: int
-    verdict: str
 
     @property
     def violates(self) -> bool:
-        return self.verdict == VIOLATES_NECESSARY
+        return self.total > self.capacity
 
 
 def schmidt_sum_check(e: Ensemble) -> SchmidtSumReport:
     """Necessary condition: sum of Schmidt ranks must not exceed dim_a*dim_b."""
     numbers = tuple(schmidt_number(s) for s in e.states)
-    total = int(sum(numbers))
-    capacity = e.dim_a * e.dim_b
-    verdict = VIOLATES_NECESSARY if total > capacity else INCONCLUSIVE
-    return SchmidtSumReport(numbers, total, capacity, verdict)
+    return SchmidtSumReport(numbers, int(sum(numbers)), e.dim_a * e.dim_b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,29 +91,19 @@ class Certificate:
     coefficients: dict
 
 
-@dataclass(frozen=True, eq=False)
-class ProductSetResult:
-    """Outcome of deciding local distinguishability of a product-vector set."""
-
-    distinguishable: bool
-    protocol: ProtocolTree | None
-    search: SearchOutcome
-
-
 def product_set_distinguishable(vectors, dims, cfg: SearchConfig | None = None,
-                                tol: float = DEFAULT_TOL) -> ProductSetResult:
+                                tol: float = DEFAULT_TOL) -> SearchOutcome:
     """Search for a protocol identifying each product vector.
 
     ``vectors`` is a sequence of (alice, bob) pairs, pairwise orthogonal as
-    joint vectors (``NotOrthogonal`` otherwise).  A negative result only
-    means the bounded search was exhausted, not impossibility.
+    joint vectors (``NotOrthogonal`` otherwise).  The vector ``k`` is
+    labelled ``v<k>``.  An "unknown" verdict only means the bounded search
+    was exhausted, not impossibility.
     """
     dim_a, dim_b = dims
     states = [product_state(dim_a, dim_b, a, b, name=f"v{k}")
               for k, (a, b) in enumerate(vectors)]
-    ens = make_ensemble(states, tol=tol)
-    outcome = search_protocol(ens, cfg)
-    return ProductSetResult(outcome.verdict == YES, outcome.protocol, outcome)
+    return search_protocol(make_ensemble(states, tol=tol), cfg)
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,11 +197,11 @@ def certificate_check(e: Ensemble, cert: Certificate,
                 f"(error {err:.3g})")
 
     result = product_set_distinguishable(vecs, e.dims, cfg, tol=tol)
-    if not result.distinguishable:
+    if result.verdict != YES:
         raise ProductSetNotDistinguishable(
             f"no protocol found for the certificate's product set "
-            f"(search exhausted at depth {result.search.max_depth}, "
-            f"{result.search.nodes_explored} nodes)")
+            f"(search exhausted at depth {result.max_depth}, "
+            f"{result.nodes_explored} nodes)")
 
     owner = {f"v{idx}": label for idx, label in seen.items()}
     refined = _relabel_leaves(result.protocol, owner)
@@ -236,28 +220,6 @@ def certificate_check(e: Ensemble, cert: Certificate,
     )
 
 
-@dataclass(frozen=True, eq=False)
-class Classification:
-    """Two-qubit classification verdict.
-
-    The verdict is the Walgate-Hardy rule: distinguishable exactly when some
-    basis of Alice's qubit keeps every pair of states orthogonal.  Parts of a
-    cross operator of norm at most the tolerance are ignored, since they move
-    no diagonal entry past it; up to that tolerance a ``False`` verdict is a
-    proof of impossibility.  A distinguishable verdict
-    carries the two-round protocol built from that basis when it passes
-    ``verify_protocol``, and None otherwise; ``warnings`` lists states whose
-    smallest singular value sits near the rank cutoff (their
-    product/entangled call is numerically borderline).
-    """
-
-    distinguishable: bool
-    protocol: ProtocolTree | None
-    reason: str | None
-    warnings: tuple[str, ...]
-    schmidt_report: SchmidtSumReport
-
-
 def _borderline_warnings(e: Ensemble) -> tuple[str, ...]:
     out = []
     for s in e.states:
@@ -270,15 +232,21 @@ def _borderline_warnings(e: Ensemble) -> tuple[str, ...]:
     return tuple(out)
 
 
-def classify_2x2(e: Ensemble, *, tol: float = DEFAULT_TOL) -> Classification:
+def classify_2x2(e: Ensemble, *, tol: float = DEFAULT_TOL) -> SearchOutcome:
     """Complete classification of two-qubit ensembles (Walgate & Hardy, PRL 89,
     147901 (2002)).
 
-    The states are distinguishable iff Alice has a qubit basis in which every
-    cross operator (``cross_operators``) has zero diagonal; the Bloch-plane
-    solver of the search finds all such bases at once.  The protocol measures
-    Alice in the first one; each outcome leaves at most product survivors with
-    pairwise orthogonal Bob factors, which Bob separates in their completion.
+    The states are distinguishable ("yes") iff Alice has a qubit basis in
+    which every cross operator (``cross_operators``) has zero diagonal; the
+    Bloch-plane solver of the search finds all such bases at once.  Parts of
+    a cross operator of norm at most ``tol`` are ignored, since they move no
+    diagonal entry past it, so "proved-no" is a proof up to that tolerance;
+    its ``reason`` names the entangled states.  A "yes" carries the
+    two-round protocol from the first basis if it passes ``verify_protocol``,
+    else None: Alice measures in that basis, and Bob separates each
+    outcome's product survivors, whose Bob factors are pairwise orthogonal,
+    in their completion.  ``warnings`` lists states whose smallest singular
+    value sits near the rank cutoff (a borderline product/entangled call).
     """
     if e.dims != (2, 2):
         raise WrongDimensions(f"classify_2x2 needs a 2x2 ensemble, got "
@@ -288,13 +256,11 @@ def classify_2x2(e: Ensemble, *, tol: float = DEFAULT_TOL) -> Classification:
     bases = _qubit_plane_bases(cross_operators(e, ALICE), tol)
     if not bases:
         entangled = [s.name for s, n in zip(e.states, report.schmidt_numbers) if n > 1]
-        return Classification(
-            False, None,
+        return SearchOutcome(PROVED_NO, None, report, warnings=warnings, reason=(
             f"no basis of Alice's qubit keeps every pair of states orthogonal; "
-            f"entangled: {', '.join(entangled)}",
-            warnings, report)
-    return Classification(True, _two_round_protocol(e, bases[0], tol), None,
-                          warnings, report)
+            f"entangled: {', '.join(entangled)}"))
+    return SearchOutcome(YES, _two_round_protocol(e, bases[0], tol), report,
+                         warnings=warnings)
 
 
 def _two_round_protocol(e: Ensemble, basis: np.ndarray, tol: float) -> ProtocolTree | None:

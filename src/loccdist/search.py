@@ -352,18 +352,23 @@ def surviving_states(e: Ensemble, party: str, projector,
 
 @dataclass(frozen=True, eq=False)
 class SearchOutcome:
-    """Result of a protocol search.
+    """Result of every decision: search, ``classify_2x2``, product sets.
 
-    ``verdict`` is "yes" (verified protocol attached), "proved-no" (the
-    Schmidt-sum necessary condition fails; report attached), or "unknown"
-    (candidates exhausted at ``max_depth``).
+    ``verdict`` is "yes" (verified protocol attached), "proved-no" (``reason``
+    names the proof), or "unknown" (candidates exhausted at ``max_depth``;
+    depth and ``nodes_explored`` stay 0 when no search ran).  A
+    ``classify_2x2`` "yes" may carry ``protocol=None``: the rule decides, and
+    its protocol is attached only when it verifies.  ``warnings`` lists
+    numerically borderline states.
     """
 
     verdict: str
     protocol: ProtocolTree | None
     schmidt_report: object
-    max_depth: int
-    nodes_explored: int
+    max_depth: int = 0
+    nodes_explored: int = 0
+    reason: str | None = None
+    warnings: tuple[str, ...] = ()
 
 
 def _single_state_tree(e: Ensemble) -> ProtocolTree:
@@ -389,7 +394,8 @@ def search_protocol(e: Ensemble, cfg: SearchConfig | None = None) -> SearchOutco
     tol = cfg.tolerance
     report = schmidt_sum_check(e)
     if report.violates:
-        return SearchOutcome(PROVED_NO, None, report, 0, 0)
+        return SearchOutcome(PROVED_NO, None, report, reason=(
+            f"Schmidt ranks sum to {report.total} > capacity {report.capacity}"))
 
     depth_limit = min(cfg.max_depth, 2 * (e.dim_a + e.dim_b))
     stats = {"nodes": 0}

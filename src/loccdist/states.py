@@ -97,23 +97,28 @@ def make_state(dim_a, dim_b, amplitudes, name=None) -> BipartiteState:
     lands it inside that slack.  Hence
     ``make_state(.., make_state(.., x).amplitudes)`` reproduces the
     amplitudes of ``make_state(.., x)`` bit for bit, and a stored state reads
-    back exactly.
+    back exactly.  A matrix of finite entries whose norm overflows is first
+    divided by its largest real or imaginary part.
 
     Raises ``ZeroState`` for an all-zero matrix, ``NonFinite`` when an entry
-    (or the norm) is NaN or infinite, and ``ShapeMismatch`` when the matrix
-    does not have shape ``(dim_a, dim_b)``.
+    is NaN or infinite, and ``ShapeMismatch`` when the matrix does not have
+    shape ``(dim_a, dim_b)``.
     """
     mat = _complex_matrix(amplitudes)
     if mat.shape != (dim_a, dim_b):
         raise ShapeMismatch(f"amplitude shape {mat.shape} != declared ({dim_a}, {dim_b})")
-    norm = float(np.linalg.norm(mat))
+    norm, scale = float(np.linalg.norm(mat)), 1.0
+    if not math.isfinite(norm) and np.isfinite(mat).all():
+        scale = float(np.max(np.abs([mat.real, mat.imag])))
+        mat = mat / scale
+        norm = float(np.linalg.norm(mat))
     if not math.isfinite(norm):
-        raise NonFinite("amplitudes must be finite numbers with a finite norm")
+        raise NonFinite("amplitudes must be finite numbers")
     if norm < 1e-12:
         raise ZeroState("cannot normalize an all-zero amplitude matrix")
-    if abs(norm - 1.0) <= unit_norm_slack(mat.size):
+    if scale == 1.0 and abs(norm - 1.0) <= unit_norm_slack(mat.size):
         return BipartiteState(dim_a, dim_b, mat, name=name)
-    return BipartiteState(dim_a, dim_b, mat / norm, name=name, normalization=norm)
+    return BipartiteState(dim_a, dim_b, mat / norm, name=name, normalization=norm * scale)
 
 
 def product_state(dim_a, dim_b, alice_vector, bob_vector, name=None) -> BipartiteState:

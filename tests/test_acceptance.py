@@ -16,6 +16,7 @@ from treegen import random_tree
 
 import loccdist as L
 from loccdist.cli import ensemble_to_dict, main, protocol_to_dict, write_json
+from loccdist.search import YES
 from test_criteria import bell2_certificate, six4x4_certificate
 
 
@@ -118,7 +119,7 @@ def test_criterion_4_two_qubit_classification_suite():
 
         # (a) never contradicts the necessary condition
         if cls.schmidt_report.violates:
-            assert not cls.distinguishable
+            assert cls.verdict != YES
 
         # rule recomputed independently from Schmidt ranks
         ranks = [L.schmidt_number(s) for s in e.states]
@@ -129,15 +130,15 @@ def test_criterion_4_two_qubit_classification_suite():
             rule_says = entangled <= 1
         else:
             rule_says = entangled == 0
-        assert cls.distinguishable == rule_says
+        assert (cls.verdict == YES) == rule_says
 
         # (b) every distinguishable verdict carries a verifying tree
-        if cls.distinguishable:
+        if cls.verdict == YES:
             assert L.verify_protocol(cls.protocol, e).ok
 
         # (c) m=4 distinguishable exactly when all Schmidt numbers are 1
         if m == 4:
-            assert cls.distinguishable == all(r == 1 for r in ranks)
+            assert (cls.verdict == YES) == all(r == 1 for r in ranks)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"classification suite took {elapsed:.1f} s"
     done()

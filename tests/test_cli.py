@@ -334,6 +334,19 @@ def test_tolerance_flag_accepts_sloppy_ensembles(tmp_path):
     assert loose.exit_code == 0
 
 
+def test_unwritable_output_exits_3(bell2_file, tmp_path):
+    missing = tmp_path / "no-such-dir"
+    for args in (["search", bell2_file, "--output", missing / "p.json"],
+                 ["example", "bell2", "--output", missing / "x.json"]):
+        result = run_cli(args + ["--format", "json"])
+        assert result.exit_code == 3, args
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        rep = report_of(result)
+        assert rep["verdict"] == "error"
+        assert rep["diagnostics"]["kind"] == "FileNotFoundError"
+
+
 def test_reports_validate_against_published_schema(bell2_file):
     for args in (["schmidt", bell2_file], ["check", bell2_file, "--mode", "full"],
                  ["search", bell2_file, "--output", str(bell2_file) + ".p.json"]):
@@ -358,6 +371,14 @@ def contract_dir(tmp_path_factory):
     (root / "garbled.json").write_text("{not json")
     write_json(root / "bell2.protocol.json", protocol_to_dict(L.canned_protocol("bell2-x")))
     _write_non_finite(root)
+    # nested past the JSON reader's recursion limit: 2000 lists of amplitudes,
+    # and a chain of 3000 protocol nodes
+    deep = "[" * 2000 + "]" * 2000
+    (root / "nested.json").write_text(
+        '{"dims": [2, 2], "states": [{"name": "x", "amplitudes": ' + deep + "}]}")
+    node = '{"party": "A", "outcomes": [{"projector_columns": [[[1, 0]]], "child": '
+    (root / "nested.protocol.json").write_text(
+        node * 3000 + '{"fail": true}' + "}]}" * 3000)
     return root
 
 
@@ -366,17 +387,18 @@ def cli_calls(draw, root):
     """A check/search/verify argument list and whether it holds an input error."""
     command = draw(st.sampled_from(["check", "search", "verify"]))
     target = draw(st.sampled_from(["bell2", "bell3", "six4x4"])
-                  | st.sampled_from(["garbled", "nan", "inf", "missing", "directory", None]))
+                  | st.sampled_from(["garbled", "nan", "inf", "nested", "missing", "directory",
+                                     None]))
     args, bad = [command], target not in ("bell2", "bell3", "six4x4")
     if target == "directory":
         args.append(str(root))
     elif target is not None:
         args.append(str(root / f"{target}.json"))
     if command == "verify":
-        protocol = draw(st.sampled_from(["bell2", "nan"]))
+        protocol = draw(st.sampled_from(["bell2", "nan", "nested"]))
         args.append(str(root / f"{protocol}.protocol.json"))
         # the bell2-x protocol measures qubits, so it does not fit six4x4
-        bad |= protocol == "nan" or target == "six4x4"
+        bad |= protocol != "bell2" or target == "six4x4"
     if command == "check":
         mode = draw(st.sampled_from([None, "necessary", "classify2x2", "full", "bogus"]))
         if mode is not None:

@@ -26,8 +26,8 @@ from loccdist import (
     schmidt_sum_check,
     verify_protocol,
 )
-from loccdist.criteria import INCONCLUSIVE, VIOLATES_NECESSARY
 from loccdist.ensemble import haar_unitary
+from loccdist.search import YES
 
 S2 = 1.0 / np.sqrt(2.0)
 S3 = 1.0 / np.sqrt(3.0)
@@ -72,13 +72,13 @@ def test_schmidt_sum_bell3_violates(bell3):
     rep = schmidt_sum_check(bell3)
     assert rep.schmidt_numbers == (2, 2, 2)
     assert rep.total == 6 and rep.capacity == 4
-    assert rep.verdict == VIOLATES_NECESSARY and rep.violates
+    assert rep.violates
 
 
 def test_schmidt_sum_bell2_inconclusive(bell2):
     rep = schmidt_sum_check(bell2)
     assert rep.total == 4 and rep.capacity == 4
-    assert rep.verdict == INCONCLUSIVE
+    assert not rep.violates
 
 
 def test_schmidt_sum_four_rank3_states_in_3x3():
@@ -98,7 +98,7 @@ def test_schmidt_sum_invariant_under_local_unitaries_and_reordering(bell3):
     rng = np.random.default_rng(23)
     u, v = haar_unitary(2, rng), haar_unitary(2, rng)
     rotated = make_ensemble([apply_local_unitary(s, u, v) for s in bell3.states])
-    assert schmidt_sum_check(rotated).verdict == schmidt_sum_check(bell3).verdict
+    assert schmidt_sum_check(rotated).violates == schmidt_sum_check(bell3).violates
     reordered = make_ensemble(list(bell3.states[::-1]))
     assert schmidt_sum_check(reordered).total == schmidt_sum_check(bell3).total
 
@@ -190,13 +190,13 @@ def test_product_set_full_2x2_basis_yes():
     e2 = np.eye(2)
     vectors = [(e2[a], e2[b]) for a in range(2) for b in range(2)]
     res = product_set_distinguishable(vectors, (2, 2))
-    assert res.distinguishable
+    assert res.verdict == YES
     assert res.protocol.measurement.party == L.ALICE
 
 
 def test_product_set_six4x4_certificate_vectors_yes(six4x4):
     res = product_set_distinguishable(six4x4_certificate().product_vectors, (4, 4))
-    assert res.distinguishable
+    assert res.verdict == YES
 
 
 def test_product_set_domino9_no(domino9):
@@ -205,8 +205,8 @@ def test_product_set_domino9_no(domino9):
         dec = schmidt_decompose(s)
         vectors.append((dec.alice_vectors[0], dec.bob_vectors[0]))
     res = product_set_distinguishable(vectors, (3, 3))
-    assert not res.distinguishable
-    assert res.search.verdict == "unknown"
+    assert res.verdict != YES
+    assert res.verdict == "unknown"
 
 
 def test_product_set_rejects_nonorthogonal_vectors():
@@ -225,11 +225,11 @@ def test_classify_rejects_wrong_dimensions(six4x4):
 
 
 def test_classify_bell_ensembles(bell4):
-    assert not classify_2x2(bell4).distinguishable
+    assert classify_2x2(bell4).verdict != YES
     for drop in range(4):
         states = [s for k, s in enumerate(bell4.states) if k != drop]
         cls = classify_2x2(make_ensemble(states))
-        assert not cls.distinguishable
+        assert cls.verdict != YES
         assert cls.schmidt_report.violates
 
 
@@ -240,7 +240,7 @@ def test_classify_one_entangled_two_products():
         product_state(2, 2, [0, 1], [1, 0], name="p10"),
     ])
     cls = classify_2x2(e)
-    assert cls.distinguishable
+    assert cls.verdict == YES
     report = verify_protocol(cls.protocol, e)
     assert report.ok
     # the constructive protocol measures Alice in {|0>, |1>}, then Bob in Z
@@ -253,10 +253,10 @@ def test_classify_one_entangled_two_products():
 def test_classify_m1_and_m2():
     single = make_ensemble([L.bell_states()[0]])
     cls1 = classify_2x2(single)
-    assert cls1.distinguishable and verify_protocol(cls1.protocol, single).ok
+    assert cls1.verdict == YES and verify_protocol(cls1.protocol, single).ok
     pair = L.canned_example("bell2")
     cls2 = classify_2x2(pair)
-    assert cls2.distinguishable and verify_protocol(cls2.protocol, pair).ok
+    assert cls2.verdict == YES and verify_protocol(cls2.protocol, pair).ok
 
 
 def test_classify_keeps_rule_verdict_when_search_runs_out():
@@ -267,7 +267,7 @@ def test_classify_keeps_rule_verdict_when_search_runs_out():
     pair = make_ensemble([product_state(2, 2, ua[:, k], ub[:, k], name=f"p{k}")
                           for k in range(2)])
     cls = classify_2x2(pair)
-    assert cls.distinguishable and cls.reason is None
+    assert cls.verdict == YES and cls.reason is None
     assert cls.protocol is not None and verify_protocol(cls.protocol, pair).ok
 
 
@@ -312,8 +312,8 @@ def test_classify_mixed_shapes_under_rotation_and_relabelling(shape):
             e = make_ensemble(states)
             cls = classify_2x2(e)
             assert _rule_2x2(states) == expected
-            assert cls.distinguishable == expected, shape
-            if cls.distinguishable:
+            assert (cls.verdict == YES) == expected, shape
+            if cls.verdict == YES:
                 assert cls.protocol is not None and verify_protocol(cls.protocol, e).ok
             else:
                 assert "entangled" in cls.reason
@@ -325,7 +325,7 @@ def test_classify_pair_with_scalar_cross_operator():
     e = make_ensemble([make_state(2, 2, [[1, 0], [0, 1e-11]], name="a"),
                        make_state(2, 2, [[1e-11, 0], [0, 1]], name="b")])
     cls = classify_2x2(e)
-    assert cls.distinguishable
+    assert cls.verdict == YES
     assert cls.protocol is not None and verify_protocol(cls.protocol, e).ok
 
 
@@ -341,7 +341,7 @@ def test_classify_ignores_cross_operators_below_tolerance(t):
         for _ in range(3):
             e = make_ensemble(base)
             cls = classify_2x2(e)
-            assert cls.distinguishable, (t, m)
+            assert cls.verdict == YES, (t, m)
             assert cls.protocol is not None and verify_protocol(cls.protocol, e).ok
             ua, ub = haar_unitary(2, rng), haar_unitary(2, rng)
             base = [apply_local_unitary(x, ua, ub) for x in base]
@@ -356,7 +356,7 @@ def test_classify_keeps_verdict_when_survivors_overlap(monkeypatch):
     monkeypatch.setattr("loccdist.criteria._qubit_plane_bases",
                         lambda sides, tol: [hadamard])
     cls = classify_2x2(e)
-    assert cls.distinguishable
+    assert cls.verdict == YES
     assert cls.protocol is None
 
 
@@ -373,7 +373,7 @@ def test_two_qubit_sweep_script_runs():
 def test_classify_four_product_states():
     e = L.random_ensemble(2, 2, 4, seed=77, kind="product-basis")
     cls = classify_2x2(e)
-    assert cls.distinguishable
+    assert cls.verdict == YES
     assert verify_protocol(cls.protocol, e).ok
 
 
@@ -393,11 +393,11 @@ def test_classify_four_with_entangled_member():
     ]
     ok = make_ensemble(states)
     cls_ok = classify_2x2(ok)
-    assert cls_ok.distinguishable
+    assert cls_ok.verdict == YES
 
     bad = make_ensemble(entangled)
     cls_bad = classify_2x2(bad)
-    assert not cls_bad.distinguishable
+    assert cls_bad.verdict != YES
     assert "entangled" in cls_bad.reason
 
 
@@ -409,7 +409,7 @@ def test_classify_three_products_sharing_alice_ray():
         product_state(2, 2, [0, 1], [1, 1], name="c"),
     ])
     cls = classify_2x2(e)
-    assert cls.distinguishable
+    assert cls.verdict == YES
     assert verify_protocol(cls.protocol, e).ok
 
 
@@ -435,6 +435,6 @@ def test_classify_never_contradicts_schmidt_sum():
         e = L.random_ensemble(2, 2, 2 + seed % 3, seed=3000 + seed, kind=kind)
         cls = classify_2x2(e)
         if cls.schmidt_report.violates:
-            assert not cls.distinguishable
-        if cls.distinguishable:
+            assert cls.verdict != YES
+        if cls.verdict == YES:
             assert verify_protocol(cls.protocol, e).ok

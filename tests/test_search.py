@@ -279,6 +279,10 @@ def test_search_bell3_proved_no(bell3):
     assert out.schmidt_report.capacity == 4
 
 
+def test_search_proved_no_gives_its_reason(bell3):
+    assert search_protocol(bell3).reason == "Schmidt ranks sum to 6 > capacity 4"
+
+
 def test_search_bell2_finds_verified_protocol(bell2):
     out = search_protocol(bell2)
     assert out.verdict == YES
@@ -334,11 +338,11 @@ def test_search_agrees_with_2x2_classification():
         e = L.canned_example(name)
         out = search_protocol(e)
         cls = classify_2x2(e)
-        assert (out.verdict == YES) == cls.distinguishable
+        assert (out.verdict == YES) == (cls.verdict == YES)
     for seed in range(200):
         kind = "product-basis" if seed % 2 else "haar-orthogonal"
         e = random_ensemble(2, 2, 2 + seed % 3, seed=7000 + seed, kind=kind)
         out = search_protocol(e)
         cls = classify_2x2(e)
         assert out.verdict in (YES, PROVED_NO)
-        assert (out.verdict == YES) == cls.distinguishable
+        assert (out.verdict == YES) == (cls.verdict == YES)

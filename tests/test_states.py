@@ -46,6 +46,19 @@ def test_make_state_rejects_non_finite_amplitudes(bad):
         make_state(2, 2, [[bad, 0], [0, 1]])
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_make_state_scales_finite_entries_whose_norm_overflows():
+    # 1e200 squared overflows (numpy warns), yet every entry is finite
+    s = make_state(2, 2, [[1e200, 1e200], [0, 0]])
+    assert np.allclose(s.amplitudes, [[1 / np.sqrt(2), 1 / np.sqrt(2)], [0, 0]])
+    assert s.normalization == pytest.approx(np.sqrt(2) * 1e200)
+    again = make_state(2, 2, s.amplitudes)
+    assert np.array_equal(again.amplitudes, s.amplitudes)
+    assert again.normalization == 1.0
+    with pytest.raises(NonFinite):
+        make_state(2, 2, [[1e200, np.inf], [0, 0]])
+
+
 def test_state_is_immutable():
     s = make_state(2, 2, [[1, 0], [0, 1]])
     with pytest.raises(ValueError):
