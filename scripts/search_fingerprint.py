@@ -14,10 +14,18 @@ changed.  Every instance comes from loccdist's own seeded generators:
 - product pairs ``|a0 b0>, |a1 b1>`` orthogonal on both sides.
 
 Usage: PYTHONPATH=src python3 scripts/search_fingerprint.py > fingerprint.txt
+
+With ``--repeat N`` every instance is searched N more times and each line
+gets one more field: the median wall time of those searches in ms.  This
+gives per-instance search latency on two checkouts; without the flag the
+output is the same as before the flag existed.
 """
 
+import argparse
 import hashlib
 import json
+import statistics
+import time
 
 import numpy as np
 
@@ -63,14 +71,37 @@ def instances():
             yield f"orthpair-{dim_a}x{dim_b}-s{seed}", orthogonal_product_pair(dim_a, dim_b, seed)
 
 
+def positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return value
+
+
+def median_ms(e, repeat):
+    times = []
+    for _ in range(repeat):
+        start = time.perf_counter()
+        L.search_protocol(e)
+        times.append(time.perf_counter() - start)
+    return 1000.0 * statistics.median(times)
+
+
 def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--repeat", type=positive_int, metavar="N",
+                    help="append the median time in ms of N more searches per instance")
+    args = ap.parse_args()
     for name, e in instances():
         out = L.search_protocol(e)
         digest = "-"
         if out.protocol is not None:
             text = json.dumps(protocol_to_dict(out.protocol))
             digest = hashlib.sha256(text.encode()).hexdigest()
-        print(name, out.verdict, out.nodes_explored, out.max_depth, digest)
+        fields = [name, out.verdict, out.nodes_explored, out.max_depth, digest]
+        if args.repeat:
+            fields.append(f"{median_ms(e, args.repeat):.3f}")
+        print(*fields)
 
 
 if __name__ == "__main__":

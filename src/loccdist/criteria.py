@@ -49,7 +49,7 @@ from .search import (
     search_protocol,
     surviving_states,
 )
-from .states import DEFAULT_TOL, RANK_CUTOFF, product_state, schmidt_number
+from .states import DEFAULT_TOL, RANK_CUTOFF, product_state, schmidt_ranks
 
 @dataclass(frozen=True)
 class SchmidtSumReport:
@@ -71,7 +71,7 @@ class SchmidtSumReport:
 
 def schmidt_sum_check(e: Ensemble) -> SchmidtSumReport:
     """Necessary condition: sum of Schmidt ranks must not exceed dim_a*dim_b."""
-    numbers = tuple(schmidt_number(s) for s in e.states)
+    numbers = tuple(int(n) for n in schmidt_ranks(e.amplitudes))
     return SchmidtSumReport(numbers, int(sum(numbers)), e.dim_a * e.dim_b)
 
 
@@ -268,7 +268,7 @@ def _two_round_protocol(e: Ensemble, basis: np.ndarray, tol: float) -> ProtocolT
     survivors in their Schmidt completion, one column per survivor in state
     order.  None when an outcome's survivors overlap past ``tol`` or the tree
     fails ``verify_protocol``."""
-    alice, children = _phased_columns(basis), []
+    alice, children = tuple(_phased_columns(basis[np.newaxis])[0]), []
     for q in alice:
         try:
             sub = surviving_states(e, ALICE, q, tol)
@@ -280,7 +280,7 @@ def _two_round_protocol(e: Ensemble, basis: np.ndarray, tol: float) -> ProtocolT
         if sub.m == 1:
             children.append(Leaf(sub.states[0].name))
             continue
-        bob = _phased_columns(_schmidt_completion(sub, BOB, tol))
+        bob = tuple(_phased_columns(_schmidt_completion(sub.amplitudes, BOB, tol)[np.newaxis])[0])
         children.append(Node(ProjectiveMeasurement(BOB, bob),
                              tuple(Leaf(s.name) for s in sub.states)))
     protocol = Node(ProjectiveMeasurement(ALICE, alice), tuple(children))

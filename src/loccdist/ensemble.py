@@ -14,7 +14,7 @@ from .errors import (
     TooManyStates,
     UnknownExample,
 )
-from .states import DEFAULT_TOL, BipartiteState, inner_product, make_state
+from .states import DEFAULT_TOL, BipartiteState, make_state
 
 CANNED_EXAMPLES = ("bell4", "bell3", "bell2", "six4x4", "domino9")
 
@@ -45,6 +45,12 @@ class Ensemble:
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(s.name for s in self.states)
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """The states' amplitude matrices as one ``(m, dim_a, dim_b)`` stack (a copy)."""
+        return np.array([s.amplitudes for s in self.states],
+                        dtype=np.complex128).reshape(self.m, self.dim_a, self.dim_b)
 
     def state(self, label: str) -> BipartiteState:
         for s in self.states:
@@ -87,29 +93,32 @@ def make_ensemble(states, tol: float = DEFAULT_TOL) -> Ensemble:
                                normalization=s.normalization)
         named.append(s)
 
-    max_overlap = 0.0
-    for i in range(len(named)):
-        for j in range(i + 1, len(named)):
-            overlap = abs(inner_product(named[i], named[j]))
-            if overlap > max_overlap:
-                max_overlap = overlap
-            if overlap > tol:
-                raise NotOrthogonal(
-                    f"states {named[i].name!r} and {named[j].name!r} overlap "
-                    f"({overlap:.3g} > {tol:.3g})",
-                    pair=(named[i].name, named[j].name),
-                    overlap=overlap,
-                )
-    return Ensemble(dims[0], dims[1], tuple(named), max_overlap=max_overlap)
+    overlap = overlaps(np.array([s.amplitudes.reshape(-1) for s in named]))
+    bad = np.argwhere(np.triu(overlap > tol))
+    if len(bad):
+        i, j = bad[0]
+        raise NotOrthogonal(
+            f"states {named[i].name!r} and {named[j].name!r} overlap "
+            f"({overlap[i, j]:.3g} > {tol:.3g})",
+            pair=(named[i].name, named[j].name),
+            overlap=float(overlap[i, j]),
+        )
+    return Ensemble(dims[0], dims[1], tuple(named), max_overlap=float(overlap.max()))
+
+
+def overlaps(flat: np.ndarray) -> np.ndarray:
+    """``|<j|l>|`` for every pair of rows of a ``(..., m, n)`` stack of flattened
+    states, from one Gram product: an ``(..., m, m)`` stack with zero diagonal."""
+    g = np.abs(flat.conj() @ np.swapaxes(flat, -1, -2))
+    k = np.arange(flat.shape[-2])
+    g[..., k, k] = 0.0
+    return g
 
 
 def gram_matrix(e: Ensemble) -> np.ndarray:
     """Matrix of all pairwise inner products (identity for a valid ensemble)."""
-    g = np.empty((e.m, e.m), dtype=np.complex128)
-    for i, s in enumerate(e.states):
-        for j, t in enumerate(e.states):
-            g[i, j] = inner_product(s, t)
-    return g
+    flat = e.amplitudes.reshape(e.m, -1)
+    return flat.conj() @ flat.T
 
 
 def _mat(dim_a, dim_b, entries):

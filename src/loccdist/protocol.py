@@ -23,7 +23,7 @@ from .errors import (
     NotUnitary,
     UnknownProtocol,
 )
-from .states import DEFAULT_TOL, make_state, _frozen
+from .states import DEFAULT_TOL, _frozen, frobenius_norms, make_state
 
 ALICE = "A"
 BOB = "B"
@@ -227,6 +227,23 @@ class OutcomeRecord:
         object.__setattr__(self, "post_states", tuple(self.post_states))
 
 
+def _arrivals(tree: ProtocolTree, e: Ensemble, tol: float):
+    """``(branch, post-measurement stack, probabilities)`` per leaf, in
+    depth-first order: one ``op_a @ stack @ op_b.T`` per branch over the
+    ensemble's ``(m, dim_a, dim_b)`` amplitude stack; probabilities at or
+    below ``tol`` are floored to exactly zero."""
+    try:
+        branches = enumerate_branches(tree, e.dims)
+    except MalformedTree as exc:
+        raise DimensionMismatch(str(exc)) from exc
+    stack = e.amplitudes
+    for b in branches:
+        mats = b.op_a @ stack @ b.op_b.T
+        probs = np.float_power(frobenius_norms(mats), 2)  # pow, as norm ** 2 of one float
+        probs[probs <= tol] = 0.0
+        yield b, mats, probs
+
+
 def run_protocol(tree: ProtocolTree, e: Ensemble, tol: float = DEFAULT_TOL):
     """Propagate every ensemble member through the tree.
 
@@ -235,21 +252,10 @@ def run_protocol(tree: ProtocolTree, e: Ensemble, tol: float = DEFAULT_TOL):
     branch, and probabilities below ``tol`` are floored to exactly zero.
     Raises ``DimensionMismatch`` when a measurement does not fit the ensemble.
     """
-    try:
-        branches = enumerate_branches(tree, e.dims)
-    except MalformedTree as exc:
-        raise DimensionMismatch(str(exc)) from exc
-    records = []
-    for b in branches:
-        mats = [b.op_a @ s.amplitudes @ b.op_b.T for s in e.states]
-        probs = np.array([float(np.linalg.norm(m) ** 2) for m in mats])
-        probs[probs <= tol] = 0.0
-        post = tuple(
-            make_state(e.dim_a, e.dim_b, m, name=s.name) if p > 0.0 else None
-            for m, p, s in zip(mats, probs, e.states)
-        )
-        records.append(OutcomeRecord(b, probs, post))
-    return records
+    return [OutcomeRecord(b, probs, tuple(
+                make_state(e.dim_a, e.dim_b, m, name=s.name) if p > 0.0 else None
+                for m, p, s in zip(mats, probs, e.states)))
+            for b, mats, probs in _arrivals(tree, e, tol)]
 
 
 def format_path(path) -> str:
@@ -275,8 +281,8 @@ class VerificationReport:
 
 
 def verify_protocol(tree: ProtocolTree, e: Ensemble, tol: float = DEFAULT_TOL) -> VerificationReport:
-    records = run_protocol(tree, e, tol=tol)
-    deviation = completeness_check([r.branch for r in records])
+    arrivals = [(b, probs) for b, _, probs in _arrivals(tree, e, tol)]
+    deviation = completeness_check([b for b, _ in arrivals])
     failures = []
     if not deviation <= tol:  # also fails on NaN
         failures.append(f"branch elements do not resolve the identity (deviation {deviation:.3g})")
@@ -284,21 +290,21 @@ def verify_protocol(tree: ProtocolTree, e: Ensemble, tol: float = DEFAULT_TOL) -
     labels = e.labels
     totals = {lbl: 0.0 for lbl in labels}
     rows = []
-    for r in records:
-        probs = {lbl: float(p) for lbl, p in zip(labels, r.probabilities)}
-        arrivals = [lbl for lbl, p in probs.items() if p > tol]
-        leaf_label = r.branch.leaf_label
-        rows.append((r.branch.path, leaf_label, probs))
-        where = format_path(r.branch.path)
+    for branch, leaf_probs in arrivals:
+        probs = {lbl: float(p) for lbl, p in zip(labels, leaf_probs)}
+        reached = [lbl for lbl, p in probs.items() if p > tol]
+        leaf_label = branch.leaf_label
+        rows.append((branch.path, leaf_label, probs))
+        where = format_path(branch.path)
         if leaf_label is None:
-            if arrivals:
-                failures.append(f"leaf {where}: fail leaf reached by {arrivals}")
+            if reached:
+                failures.append(f"leaf {where}: fail leaf reached by {reached}")
             continue
         if leaf_label not in labels:
             failures.append(f"leaf {where}: unknown label {leaf_label!r}")
             continue
         totals[leaf_label] += probs[leaf_label]
-        extra = [lbl for lbl in arrivals if lbl != leaf_label]
+        extra = [lbl for lbl in reached if lbl != leaf_label]
         if extra:
             failures.append(
                 f"leaf {where}: labeled {leaf_label!r} but also reached by {extra}"

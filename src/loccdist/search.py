@@ -5,22 +5,31 @@ candidate measurements of one fixed generator (``candidate_bases``).  A
 candidate is admitted only if every outcome keeps the surviving states
 pairwise orthogonal (the per-outcome diagonal of every cross operator must
 vanish), which is necessary for reliable discrimination to remain possible.
-Each node computes both parties' cross-operator stacks once; candidates are
-tuples of column blocks, generated tier by tier only as far as the search
-asks, and only the one that enters the tree becomes a
-``ProjectiveMeasurement``.  The search is sound -- every returned protocol
-is re-verified -- but incomplete: an exhausted search yields Unknown.
+The search is sound -- every returned protocol is re-verified -- but
+incomplete: an exhausted search yields Unknown.
+
+Every node works array-at-a-time.  It holds its states as one
+``(m, dim_a, dim_b)`` amplitude stack with their labels and Schmidt ranks,
+and computes each party's cross operators for all pairs in one product.
+Candidates are generated tier by tier, only as far as the search asks; each
+tier is one stack of outcome projectors, which gives the dedupe keys and,
+for the candidates the beam lets through, admissibility in one product
+``vec(P) . vec(M^T)``.  An admitted candidate is applied to the whole stack
+at once: one reduction gives every survivor's mass, one Gram product per
+outcome checks that the survivors stay orthogonal, and one ``svd`` gives
+their Schmidt ranks, which the children inherit with their slice of the
+stack.  Only the candidate that enters the tree becomes a
+``ProjectiveMeasurement``; no node builds states or ensembles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
 
 import numpy as np
 
-from .ensemble import Ensemble, make_ensemble
-from .errors import DimensionMismatch, EmptyOutcome, NotOrthogonal
+from .ensemble import Ensemble, make_ensemble, overlaps
+from .errors import DimensionMismatch, EmptyOutcome
 from .protocol import (
     ALICE,
     BOB,
@@ -31,13 +40,21 @@ from .protocol import (
     _cols,
     verify_protocol,
 )
-from .states import DEFAULT_TOL, make_state, schmidt_decompose, schmidt_number
+from .states import (
+    DEFAULT_TOL,
+    RANK_CUTOFF,
+    BipartiteState,
+    frobenius_norms,
+    schmidt_ranks,
+    unit_norm_slack,
+)
 
 YES = "yes"
 PROVED_NO = "proved-no"
 UNKNOWN = "unknown"
 
 _DUST = 1e-12
+_PRODUCT_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -64,6 +81,15 @@ def _local_dim(e: Ensemble, party: str) -> int:
     return e.dim_a if party == ALICE else e.dim_b
 
 
+def _cross(stack: np.ndarray, party: str) -> np.ndarray:
+    # every pair j < l of an (m, dim_a, dim_b) amplitude stack in one product
+    k = np.arange(len(stack))
+    j, l = np.nonzero(k[:, np.newaxis] < k)
+    if party == ALICE:
+        return stack[l] @ stack[j].conj().transpose(0, 2, 1)
+    return stack[l].transpose(0, 2, 1) @ stack[j].conj()
+
+
 def cross_operators(e: Ensemble, party: str) -> np.ndarray:
     """One party's side of every pairwise cross operator, stacked as ``(P, d, d)``.
 
@@ -75,22 +101,20 @@ def cross_operators(e: Ensemble, party: str) -> np.ndarray:
     side is the plain overlap, hence zero for ensemble members.  A single
     state has no pairs: the result then has shape ``(0, d, d)``.
     """
-    amps = [s.amplitudes for s in e.states]
-    if party == ALICE:
-        sides = [cl @ cj.conj().T for cj, cl in combinations(amps, 2)]
-    else:
-        sides = [cl.T @ cj.conj() for cj, cl in combinations(amps, 2)]
-    d = _local_dim(e, party)
-    return np.array(sides, dtype=np.complex128).reshape(len(sides), d, d)
+    return _cross(e.amplitudes, party)
 
 
-def _admissible(sides: np.ndarray, blocks, tol: float) -> bool:
-    """Whether every outcome block zeroes the diagonal of every cross operator."""
-    for q in blocks:
-        p = q @ q.conj().T
-        if np.any(np.abs(np.einsum("ij,pji->p", p, sides)) > tol):
-            return False
-    return True
+def _admits(projs: np.ndarray, sides: np.ndarray, tol: float) -> np.ndarray:
+    """Per projector of a ``(n, d, d)`` stack: whether ``tr(P M)`` vanishes
+    within ``tol`` for every cross operator ``M``, from products
+    ``vec(P) . vec(M^T)`` taken ``_PRODUCT_ENTRIES`` at a time, which bounds
+    their memory however many pairs there are."""
+    d = projs.shape[-1]
+    flat = sides.transpose(0, 2, 1).reshape(-1, d * d).T
+    rows = projs.reshape(-1, d * d)
+    step = max(1, _PRODUCT_ENTRIES // max(1, flat.shape[1]))
+    return np.concatenate([(np.abs(rows[i:i + step] @ flat) <= tol).all(axis=1)
+                           for i in range(0, len(rows), step)])
 
 
 def valid_measurement(e: Ensemble, meas: ProjectiveMeasurement,
@@ -100,32 +124,21 @@ def valid_measurement(e: Ensemble, meas: ProjectiveMeasurement,
     if meas.local_dim != expected:
         raise DimensionMismatch(
             f"measurement on dim {meas.local_dim}, ensemble side has dim {expected}")
-    return _admissible(cross_operators(e, meas.party), meas.projectors, tol)
+    projs = np.array(meas.projector_matrices())
+    return bool(_admits(projs, cross_operators(e, meas.party), tol).all())
 
 
-def _support_blocks(e: Ensemble, party: str, tol: float) -> list[list[int]]:
-    """Connected components of the local basis indices coupled by any state."""
-    d = _local_dim(e, party)
-    adj = np.zeros((d, d), dtype=bool)
-    for s in e.states:
-        c = s.amplitudes
-        rho = c @ c.conj().T if party == ALICE else c.T @ c.conj()
-        adj |= np.abs(rho) > tol
-    blocks = []
-    seen = set()
-    for start in range(d):
-        if start in seen:
-            continue
-        stack, comp = [start], []
-        while stack:
-            i = stack.pop()
-            if i in seen:
-                continue
-            seen.add(i)
-            comp.append(i)
-            stack.extend(j for j in range(d) if adj[i, j] and j not in seen)
-        blocks.append(sorted(comp))
-    return sorted(blocks, key=lambda b: b[0])
+def _support_labels(stack: np.ndarray, party: str, tol: float) -> np.ndarray:
+    """Component of every local basis index in the graph of indices coupled
+    by any state's reduced density matrix, labelled by its least index."""
+    if party == ALICE:
+        rhos = stack @ stack.conj().transpose(0, 2, 1)
+    else:
+        rhos = stack.transpose(0, 2, 1) @ stack.conj()
+    reach = (np.abs(rhos) > tol).any(axis=0) | np.eye(rhos.shape[-1], dtype=bool)
+    for _ in range(rhos.shape[-1].bit_length()):
+        reach = reach @ reach
+    return reach.argmax(axis=1)
 
 
 def _pauli_vector(m: np.ndarray) -> np.ndarray:
@@ -175,122 +188,181 @@ def _qubit_plane_bases(side_mats, tol) -> list[np.ndarray]:
     return [_bloch_basis(vt[k]) for k in range(rank, 3)]
 
 
-def _zero_diagonal_basis(evals, evecs, tol) -> np.ndarray | None:
-    """Basis with vanishing diagonal for a traceless Hermitian matrix, given
-    its eigendecomposition ``(evals, evecs)``.
+def _zero_diagonal_bases(evals: np.ndarray, evecs: np.ndarray, tol: float) -> np.ndarray:
+    """Bases with vanishing diagonal for a stack of traceless Hermitian
+    matrices, given their eigendecompositions ``(evals, evecs)`` from ``eigh``.
 
-    Works in the eigenbasis, repeatedly rotating a positive-diagonal vector
-    against a negative-diagonal one by the angle that zeroes one of the two;
-    cross terms between the active vectors stay zero throughout, so each
-    rotation retires at least one vector.
+    Each matrix is worked in its eigenbasis.  Eigenvectors of zero eigenvalue
+    (at most ``1e-10`` times the largest magnitude) are kept as they are;
+    then, repeatedly, the first least and the last greatest active values
+    (ties in the order the vectors became active) are rotated by the angle
+    that zeroes the diagonal of one vector, which is retired, while the other
+    stays active with the sum of the two values.  Cross terms between active
+    vectors stay zero throughout, so each rotation retires one vector.  When
+    one active vector is left, or all active values share a sign up to the
+    cutoff, the active vectors are retired in value order.  Every matrix
+    advances by one step per pass.  Matrices whose largest eigenvalue
+    magnitude is at most ``tol`` are dropped.  Returns one basis per kept
+    matrix, ``(n, d, d)``, its columns in the order they retired.
     """
-    scale = float(np.abs(evals).max())
-    if scale <= tol:
-        return None
-    cut = 1e-10 * scale
-    done = []
-    active = [[float(evals[k]), evecs[:, k]] for k in range(len(evals))]
-    active, zeroed = [a for a in active if abs(a[0]) > cut], [a for a in active
-                                                              if abs(a[0]) <= cut]
-    done.extend(v for _, v in zeroed)
-    while active:
-        if len(active) == 1:
-            done.append(active[0][1])
+    keep = np.abs(evals).max(axis=1) > tol
+    n, d = evals[keep].shape
+    slots = 2 * d - 1
+    # slot k < d holds eigenvector k, and the residual of each rotation goes
+    # to a new slot, so slot order is the order of becoming active; a retired
+    # vector stays in its slot, and ``when`` orders the retired slots
+    vals = np.zeros((n, slots))
+    vecs = np.zeros((n, d, slots), dtype=np.complex128)
+    vals[:, :d], vecs[:, :, :d] = evals[keep], evecs[keep]
+    cut = 1e-10 * np.abs(vals).max(axis=1, initial=0.0)
+    alive = np.abs(vals) > cut[:, np.newaxis]
+    when = np.full((n, slots), np.inf)
+    when[:, :d][~alive[:, :d]] = -1.0
+    rows = np.arange(n)
+    for new in range(d, slots + 1):
+        # active slots first, by value, ties in slot order
+        order = np.argsort(np.where(alive, vals, np.inf), axis=1, kind="stable")
+        count = alive.sum(axis=1)
+        lo_k, hi_k = order[:, 0], order[rows, count - 1]
+        lo, hi = vals[rows, lo_k], vals[rows, hi_k]
+        # one active vector left, or all of one sign: retire them in value order
+        flush = (count == 1) | ((count > 1) & ((hi <= cut) | (lo >= -cut)))
+        if flush.any():
+            rank = np.empty_like(order)
+            rank[rows[:, np.newaxis], order] = np.arange(slots)
+            when = np.where(alive & flush[:, np.newaxis], new + rank / slots, when)
+            alive[flush] = False
+        r = ((count > 1) & ~flush).nonzero()[0]
+        if not len(r):
             break
-        active.sort(key=lambda a: a[0])
-        lo, hi = active[0], active[-1]
-        if hi[0] <= cut or lo[0] >= -cut:
-            done.extend(v for _, v in active)
-            break
-        theta = np.arctan(np.sqrt(hi[0] / -lo[0]))
-        c, s = np.cos(theta), np.sin(theta)
-        done.append(c * hi[1] + s * lo[1])
-        residual = [hi[0] + lo[0], -s * hi[1] + c * lo[1]]
-        active = active[1:-1] + [residual]
-    return np.column_stack(done)
+        lo, hi, lo_k, hi_k = lo[r], hi[r], lo_k[r], hi_k[r]
+        theta = np.arctan(np.sqrt(hi / -lo))
+        c, s = np.cos(theta)[:, np.newaxis], np.sin(theta)[:, np.newaxis]
+        v_hi, v_lo = vecs[r, :, hi_k], vecs[r, :, lo_k]
+        vecs[r, :, hi_k] = c * v_hi + s * v_lo
+        vecs[r, :, new] = -s * v_hi + c * v_lo
+        vals[r, new] = hi + lo
+        when[r, hi_k] = new
+        alive[r, new] = True
+        alive[r, lo_k] = alive[r, hi_k] = False
+    order = np.argsort(when, axis=1, kind="stable")[:, np.newaxis, :d]
+    return vecs[rows[:, np.newaxis, np.newaxis], np.arange(d)[:, np.newaxis], order]
 
 
-def _phased_columns(basis: np.ndarray) -> tuple[np.ndarray, ...]:
-    """One-column blocks of ``basis``, each phased so its largest entry is positive."""
-    blocks = []
-    for k in range(basis.shape[1]):
-        col = basis[:, [k]]
-        pivot = col[np.argmax(np.abs(col)), 0]
-        blocks.append(col * (abs(pivot) / pivot) if abs(pivot) > _DUST else col)
-    return tuple(blocks)
+def _phased_columns(bases: np.ndarray) -> np.ndarray:
+    """The columns of every basis of a ``(n, d, d)`` stack as one-column
+    blocks, ``(n, d, d, 1)`` with column k of basis i at ``[i, k]``, each
+    phased so that its largest entry is real and positive."""
+    n, d, _ = bases.shape
+    pivots = bases[np.arange(n)[:, np.newaxis], np.abs(bases).argmax(axis=1), np.arange(d)]
+    mags = np.hypot(pivots.real, pivots.imag)  # np.abs of a complex array rounds differently
+    big = mags > _DUST
+    phased = bases * np.where(big, mags / np.where(big, pivots, 1.0), 1.0)[:, np.newaxis, :]
+    return np.ascontiguousarray(phased.transpose(0, 2, 1))[..., np.newaxis]
 
 
-def _schmidt_completion(e: Ensemble, party: str, tol: float) -> np.ndarray:
+def _schmidt_completion(stack: np.ndarray, party: str, tol: float) -> np.ndarray:
     """Orthonormal completion of a maximal mutually orthogonal set of the
-    party's Schmidt vectors (taken greedily; the rows of ``alice_vectors`` and
-    ``bob_vectors`` are kets, so neither side is conjugated)."""
+    party's Schmidt vectors of an amplitude stack (taken greedily, state by
+    state; as in ``schmidt_decompose``, the vectors are kets, so neither side
+    is conjugated)."""
+    u, sig, vh = np.linalg.svd(stack)
+    ranks = np.count_nonzero(sig > RANK_CUTOFF * sig[:, :1], axis=1)
+    kets = u.transpose(0, 2, 1) if party == ALICE else vh
     chosen = []
-    for s in e.states:
-        dec = schmidt_decompose(s)
-        for v in (dec.alice_vectors if party == ALICE else dec.bob_vectors):
-            if all(abs(np.vdot(u, v)) <= tol for u in chosen):
+    for vecs, rank in zip(kets, ranks):
+        for v in vecs[:rank]:
+            if all(abs(np.vdot(w, v)) <= tol for w in chosen):
                 chosen.append(v)
-    q, _ = np.linalg.qr(np.column_stack(chosen + [np.eye(_local_dim(e, party))]))
+    q, _ = np.linalg.qr(np.column_stack(chosen + [np.eye(kets.shape[-1])]))
     return q
 
 
-def _measurement_keys(cands) -> list[tuple[bytes, ...]]:
-    """Dedupe key of every candidate: its sorted, rounded outcome projectors.
+def _keys(projs: np.ndarray, counts: list[int]) -> list[bytes]:
+    """Dedupe key of every candidate: its outcome projectors, rounded and
+    sorted, as one byte string (candidate i owns ``counts[i]`` consecutive
+    projectors of ``projs``).
 
-    One rounding of the float64 view covers every projector of ``cands``;
-    adding 0.0 folds negative zeros so equal projectors share a key.
+    One rounding of the float64 view covers the whole stack; adding 0.0 folds
+    negative zeros so equal projectors share a key.  Byte strings of equal
+    projector size compare as the tuples of their projectors would.
     """
-    if not cands:
-        return []
-    projs = np.array([q @ q.conj().T for c in cands for q in c]).view(np.float64)
-    rows = iter([p.tobytes() for p in projs.round(6) + 0.0])
-    return [tuple(sorted(islice(rows, len(c)))) for c in cands]
+    d = projs.shape[-1]
+    rounded = projs.view(np.float64).round(6) + 0.0
+    rows = rounded.reshape(len(projs), -1).view(f"V{16 * d * d}")[:, 0]
+    if len(set(counts)) == 1:
+        return [r.tobytes() for r in np.sort(rows.reshape(len(counts), -1), axis=1)]
+    return [np.sort(r).tobytes() for r in np.split(rows, np.cumsum(counts)[:-1])]
 
 
-def _candidates(e: Ensemble, party: str, sides: np.ndarray, other: np.ndarray,
+def _candidates(stack: np.ndarray, party: str, sides: np.ndarray, other: np.ndarray,
                 cfg: SearchConfig):
-    """``candidate_bases`` as tuples of column blocks, given both parties'
-    cross operators (``sides`` for the acting party, ``other`` for the other).
-    Lazy: a tier is built only when the caller asks past the one before it."""
-    d = _local_dim(e, party)
+    """``candidate_bases`` of an amplitude stack as ``(blocks, projectors,
+    admissible)`` triples, given both parties' cross operators (``sides`` for
+    the acting party, ``other`` for the other).  Lazy: a tier is built only
+    when the caller asks past the one before it.  Each tier is one stack of
+    outcome projectors, which gives the dedupe keys and, for the candidates
+    the beam lets through, admissibility in one product."""
+    d = stack.shape[1] if party == ALICE else stack.shape[2]
     tol = cfg.tolerance
 
+    def columns(bases):
+        cols = _phased_columns(bases)
+        projs = cols @ cols.conj().transpose(0, 1, 3, 2)
+        return list(cols), projs.reshape(-1, d, d)
+
     def standard():
-        cands = [tuple(_cols(d, i) for i in range(d))]
-        blocks = _support_blocks(e, party, tol)
-        if len(blocks) >= 2 and any(len(b) > 1 for b in blocks):
-            cands.append(tuple(_cols(d, *b) for b in blocks))
-        return cands
+        # one boolean row per outcome: the basis indices it projects onto
+        labels = _support_labels(stack, party, tol)
+        roots = np.flatnonzero(labels == np.arange(d))
+        groups = [np.eye(d, dtype=bool)]
+        if 2 <= len(roots) < d:
+            groups.append(labels == roots[:, np.newaxis])
+        cands = [tuple(_cols(d, *np.flatnonzero(row)) for row in g) for g in groups]
+        return cands, np.concatenate(groups)[:, np.newaxis, :] * np.eye(d, dtype=np.complex128)
 
     def zero_diagonal():
         if d == 2:
-            bases = _qubit_plane_bases(sides, tol)
-        else:
-            live = sides[np.abs(sides).max(axis=(1, 2)) > _DUST]
-            adj = live.conj().transpose(0, 2, 1)
-            parts = np.stack([(live + adj) / 2, (live - adj) / 2j], axis=1).reshape(-1, d, d)
-            evals, evecs = np.linalg.eigh(parts[np.abs(parts).max(axis=(1, 2)) > _DUST])
-            bases = [b for b in (_zero_diagonal_basis(w, v, tol) for w, v in zip(evals, evecs))
-                     if b is not None]
-        return [_phased_columns(b) for b in bases]
+            return columns(np.array(_qubit_plane_bases(sides, tol)).reshape(-1, 2, 2))
+        live = sides[np.abs(sides).max(axis=(1, 2)) > _DUST]
+        adj = live.conj().transpose(0, 2, 1)
+        parts = np.stack([(live + adj) / 2, (live - adj) / 2j], axis=1).reshape(-1, d, d)
+        evals, evecs = np.linalg.eigh(parts[np.abs(parts).max(axis=(1, 2)) > _DUST])
+        return columns(_zero_diagonal_bases(evals, evecs, tol))
 
     def schmidt():
         if np.abs(other).max(initial=0.0) > _DUST:
-            return []
+            return [], None
         # the other party's cross operators all vanish, so this party's local
         # supports, and its Schmidt vectors of different states, are pairwise
         # orthogonal: their completion identifies every state in one round
-        return [_phased_columns(_schmidt_completion(e, party, tol))]
+        return columns(_schmidt_completion(stack, party, tol)[np.newaxis])
 
     seen = set()
     for tier in (standard, zero_diagonal, schmidt):
-        cands = tier()
-        for key, cand in sorted(zip(_measurement_keys(cands), cands), key=lambda kc: kc[0]):
-            if key not in seen:
-                seen.add(key)
-                yield cand
-                if len(seen) == cfg.beam_limit:
-                    return
+        cands, projs = tier()
+        if not cands:
+            continue
+        counts = [len(c) for c in cands]
+        keys = _keys(projs, counts)
+        take = []
+        for i in sorted(range(len(cands)), key=keys.__getitem__):
+            if len(seen) == cfg.beam_limit:
+                break
+            if keys[i] not in seen:
+                seen.add(keys[i])
+                take.append(i)
+        if not take:
+            continue
+        starts = np.cumsum([0] + counts)
+        chunks = [projs[starts[i]:starts[i + 1]] for i in take]
+        # admissibility of the taken candidates only, from one stack of their projectors
+        ok = np.logical_and.reduceat(_admits(np.concatenate(chunks), sides, tol),
+                                     np.cumsum([0] + [len(c) for c in chunks[:-1]]))
+        for i, chunk, admissible in zip(take, chunks, ok):
+            yield tuple(cands[i]), chunk, bool(admissible)
+        if len(seen) == cfg.beam_limit:
+            return
 
 
 def candidate_bases(e: Ensemble, party: str, cfg: SearchConfig | None = None):
@@ -316,10 +388,34 @@ def candidate_bases(e: Ensemble, party: str, cfg: SearchConfig | None = None):
     the same as this list's.
     """
     cfg = cfg or SearchConfig()
-    sides = {p: cross_operators(e, p) for p in (ALICE, BOB)}
+    stack = e.amplitudes
+    sides = {p: _cross(stack, p) for p in (ALICE, BOB)}
     other = BOB if party == ALICE else ALICE
     return [ProjectiveMeasurement(party, blocks)
-            for blocks in _candidates(e, party, sides[party], sides[other], cfg)]
+            for blocks, _, _ in _candidates(stack, party, sides[party], sides[other], cfg)]
+
+
+def _project(stack: np.ndarray, party: str, projs: np.ndarray, tol: float):
+    """Every outcome of a ``(k, d, d)`` projector stack applied to a whole
+    ``(m, dim_a, dim_b)`` amplitude stack at once.
+
+    Returns ``(alive, states, scale)``: ``alive[k, j]`` says whether state j
+    keeps a squared norm above ``tol`` under projector k, ``states[k, j]`` is
+    its post-measurement matrix renormalized as ``make_state`` would (left
+    undivided within ``unit_norm_slack`` of unit norm) and zero where not
+    alive, and ``scale[k, j]`` is the divisor applied.
+    """
+    if party == ALICE:
+        mats = projs[:, np.newaxis] @ stack
+    else:
+        mats = stack @ projs.transpose(0, 2, 1)[:, np.newaxis]
+    norms = frobenius_norms(mats)
+    alive = np.float_power(norms, 2) > tol  # pow, as norm ** 2 of one float
+    slack = unit_norm_slack(stack.shape[1] * stack.shape[2])
+    scale = np.where(alive & (np.abs(norms - 1.0) > slack), norms, 1.0)
+    states = mats / scale[..., np.newaxis, np.newaxis]
+    states[~alive] = 0.0
+    return alive, states, scale
 
 
 def surviving_states(e: Ensemble, party: str, projector,
@@ -330,7 +426,8 @@ def surviving_states(e: Ensemble, party: str, projector,
     the acting party's local space.  States with post-measurement norm^2 at
     or below ``tol`` are dropped.  When the parent measurement preserved
     orthogonality the survivors form a valid ensemble; raises
-    ``EmptyOutcome`` when nothing survives.
+    ``EmptyOutcome`` when nothing survives and ``NotOrthogonal`` when two
+    survivors overlap by more than ``tol``.
     """
     q = np.asarray(projector, dtype=np.complex128)
     if q.ndim == 1:
@@ -339,12 +436,10 @@ def surviving_states(e: Ensemble, party: str, projector,
         raise DimensionMismatch(
             f"projector acts on dim {q.shape[0]}, party {party} has dim "
             f"{_local_dim(e, party)}")
-    p = q @ q.conj().T
-    survivors = []
-    for s in e.states:
-        mat = p @ s.amplitudes if party == ALICE else s.amplitudes @ p.T
-        if float(np.linalg.norm(mat) ** 2) > tol:
-            survivors.append(make_state(e.dim_a, e.dim_b, mat, name=s.name))
+    alive, states, scale = _project(e.amplitudes, party, (q @ q.conj().T)[np.newaxis], tol)
+    survivors = [BipartiteState(e.dim_a, e.dim_b, states[0, j], name=e.states[j].name,
+                                normalization=float(scale[0, j]))
+                 for j in np.flatnonzero(alive[0])]
     if not survivors:
         raise EmptyOutcome("no ensemble member survives this outcome")
     return make_ensemble(survivors, tol=tol)
@@ -400,61 +495,48 @@ def search_protocol(e: Ensemble, cfg: SearchConfig | None = None) -> SearchOutco
     depth_limit = min(cfg.max_depth, 2 * (e.dim_a + e.dim_b))
     stats = {"nodes": 0}
 
-    def dfs(sub: Ensemble, depth: int) -> ProtocolTree | None:
+    def dfs(stack: np.ndarray, labels: np.ndarray, ranks: np.ndarray,
+            depth: int) -> ProtocolTree | None:
+        # one node: the (m, dim_a, dim_b) amplitude stack of its states, their
+        # labels and their Schmidt ranks
         stats["nodes"] += 1
         if depth >= depth_limit:
             return None
-        ranks = {s.name: schmidt_number(s) for s in sub.states}
-        full = frozenset(sub.labels)
-        sides = {p: cross_operators(sub, p) for p in (ALICE, BOB)}
+        sides = {p: _cross(stack, p) for p in (ALICE, BOB)}
         for party, other in ((ALICE, BOB), (BOB, ALICE)):
-            for blocks in _candidates(sub, party, sides[party], sides[other], cfg):
-                if not _admissible(sides[party], blocks, tol):
+            for blocks, projs, admissible in _candidates(stack, party, sides[party],
+                                                         sides[other], cfg):
+                if not admissible:
                     continue
-                children_ens = []
-                usable = True
-                for q in blocks:
-                    try:
-                        children_ens.append(surviving_states(sub, party, q, tol))
-                    except EmptyOutcome:
-                        children_ens.append(None)
-                    except NotOrthogonal:
-                        usable = False
-                        break
-                if not usable:
+                alive, states, _ = _project(stack, party, projs, tol)
+                if overlaps(states.reshape(*alive.shape, -1)).max() > tol:
                     continue
-                firing = [c for c in children_ens if c is not None]
-                if len(firing) < 2:
+                sizes = alive.sum(axis=1)
+                if np.count_nonzero(sizes) < 2:
                     continue
-                survivor_sets = {frozenset(c.labels) for c in firing}
-                shrinks = any(
-                    schmidt_number(s) < ranks[s.name]
-                    for c in firing for s in c.states
-                )
-                if survivor_sets == {full} and not shrinks:
+                child_ranks = np.zeros(alive.shape, dtype=int)
+                child_ranks[alive] = schmidt_ranks(states[alive])
+                if alive[sizes > 0].all() and not (child_ranks < ranks)[alive].any():
                     continue
                 children = []
-                failed = False
-                for c in children_ens:
-                    if c is None:
-                        children.append(Leaf(None))
-                    elif c.m == 1:
-                        children.append(Leaf(c.states[0].name))
-                    else:
-                        subtree = dfs(c, depth + 1)
-                        if subtree is None:
-                            failed = True
-                            break
-                        children.append(subtree)
-                if failed:
-                    continue
-                return Node(ProjectiveMeasurement(party, blocks), tuple(children))
+                for k, row in enumerate(alive):
+                    idx = np.flatnonzero(row)
+                    if len(idx) < 2:
+                        children.append(Leaf(labels[idx[0]] if len(idx) else None))
+                        continue
+                    subtree = dfs(states[k, idx], labels[idx], child_ranks[k, idx], depth + 1)
+                    if subtree is None:
+                        break
+                    children.append(subtree)
+                else:
+                    return Node(ProjectiveMeasurement(party, blocks), tuple(children))
         return None
 
     if e.m == 1:
         tree = _single_state_tree(e)
     else:
-        tree = dfs(e, 0)
+        tree = dfs(e.amplitudes, np.array(e.labels, dtype=object),
+                   np.array(report.schmidt_numbers), 0)
     if tree is None:
         return SearchOutcome(UNKNOWN, None, report, depth_limit, stats["nodes"])
     verification = verify_protocol(tree, e, tol=tol)

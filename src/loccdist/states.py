@@ -107,7 +107,8 @@ def make_state(dim_a, dim_b, amplitudes, name=None) -> BipartiteState:
     mat = _complex_matrix(amplitudes)
     if mat.shape != (dim_a, dim_b):
         raise ShapeMismatch(f"amplitude shape {mat.shape} != declared ({dim_a}, {dim_b})")
-    norm, scale = float(np.linalg.norm(mat)), 1.0
+    with np.errstate(over="ignore"):  # finite entries whose norm overflows are rescaled below
+        norm, scale = float(np.linalg.norm(mat)), 1.0
     if not math.isfinite(norm) and np.isfinite(mat).all():
         scale = float(np.max(np.abs([mat.real, mat.imag])))
         mat = mat / scale
@@ -177,11 +178,27 @@ def schmidt_decompose(s: BipartiteState) -> SchmidtDecomposition:
     return SchmidtDecomposition(weights, u[:, :rank].T, vh[:rank, :])
 
 
+def schmidt_ranks(mats) -> np.ndarray:
+    """Schmidt rank of every amplitude matrix of a ``(..., dim_a, dim_b)``
+    stack, from one ``svd`` without local vectors: the count of singular
+    values ``schmidt_decompose`` keeps.  Need not be normalized."""
+    sig = np.linalg.svd(mats, compute_uv=False)
+    return np.count_nonzero(sig > RANK_CUTOFF * sig[..., :1], axis=-1)
+
+
 def schmidt_number(s: BipartiteState) -> int:
-    """Schmidt rank of the state (1 = product state): the count of singular
-    values ``schmidt_decompose`` keeps, computed without the local vectors."""
-    sig = np.linalg.svd(s.amplitudes, compute_uv=False)
-    return int(np.count_nonzero(sig > RANK_CUTOFF * sig[0]))
+    """Schmidt rank of the state (1 = product state)."""
+    return int(schmidt_ranks(s.amplitudes))
+
+
+def frobenius_norms(mats) -> np.ndarray:
+    """Frobenius norm of every matrix of a ``(..., a, b)`` stack, summed the
+    way ``np.linalg.norm`` sums one matrix (one inner product each for the
+    real and the imaginary parts), so that each equals it bit for bit."""
+    mats = np.asarray(mats)
+    flat = mats.reshape(*mats.shape[:-2], 1, -1)
+    re, im = flat.real, flat.imag
+    return np.sqrt(re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2))[..., 0, 0]
 
 
 def assert_unitary(u: np.ndarray, dim: int, tol: float = DEFAULT_TOL, what="matrix") -> np.ndarray:

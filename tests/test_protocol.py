@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from treegen import random_tree
@@ -288,3 +290,77 @@ def test_random_trees_complete_and_conserve_probability():
         records = run_protocol(tree, e)
         totals = sum(r.probabilities for r in records)
         assert np.abs(totals - 1.0).max() <= 1e-9
+
+
+def _reference_verification(tree, e, tol=1e-9):
+    """verify_protocol's checks written out from run_protocol's records, with
+    each probability recomputed state by state from the leaf's branch."""
+    records = run_protocol(tree, e, tol=tol)
+    failures, totals = [], {lbl: 0.0 for lbl in e.labels}
+    deviation = completeness_check([r.branch for r in records])
+    if not deviation <= tol:
+        failures.append(f"branch elements do not resolve the identity (deviation {deviation:.3g})")
+    for r in records:
+        b = r.branch
+        probs = np.array([np.linalg.norm(b.op_a @ s.amplitudes @ b.op_b.T) ** 2
+                          for s in e.states])
+        probs[probs <= tol] = 0.0
+        assert np.array_equal(probs, r.probabilities)
+        for post, p, s in zip(r.post_states, probs, e.states):
+            assert (post is None) == (p == 0.0)
+            if post is not None:
+                mat = b.op_a @ s.amplitudes @ b.op_b.T
+                assert np.allclose(post.amplitudes, mat / np.linalg.norm(mat), atol=1e-13)
+        reached = [lbl for lbl, p in zip(e.labels, probs) if p > tol]
+        where = L.protocol.format_path(b.path)
+        if b.leaf_label is None:
+            if reached:
+                failures.append(f"leaf {where}: fail leaf reached by {reached}")
+            continue
+        if b.leaf_label not in e.labels:
+            failures.append(f"leaf {where}: unknown label {b.leaf_label!r}")
+            continue
+        totals[b.leaf_label] += probs[e.labels.index(b.leaf_label)]
+        extra = [lbl for lbl in reached if lbl != b.leaf_label]
+        if extra:
+            failures.append(f"leaf {where}: labeled {b.leaf_label!r} but also reached by {extra}")
+    for lbl, total in totals.items():
+        if not abs(total - 1.0) <= tol:
+            failures.append(f"state {lbl!r} is identified with total probability {total:.12g}")
+    return failures, totals
+
+
+def _masked(text):
+    # numbers in failure messages are compared through the totals instead
+    return re.sub(r"-?\d+\.\d+(e[-+]\d+)?", "#", text)
+
+
+def test_verify_protocol_agrees_with_run_protocol_reference():
+    rng = np.random.default_rng(29)
+    # "a" reaches Alice's |1> outcome with probability 4e-10, which is floored
+    tiny = make_ensemble([make_state(2, 2, [[1, 0], [0, 2e-5]], name="a"),
+                          make_state(2, 2, [[2e-5, 0], [0, -1]], name="b")])
+    cases = [(canned_protocol("six4x4"), L.canned_example("six4x4")),
+             (canned_protocol("bell2-x"), L.canned_example("bell2")),
+             (alice_z_tree(["a", "b"]), tiny), (zz_tree([["a", None], [None, "b"]]), tiny)]
+    for k in range(60):
+        dims = [(2, 2), (2, 3), (3, 3), (3, 4)][k % 4]
+        kind = ("haar-orthogonal", "product-basis")[k % 2]
+        e = L.random_ensemble(dims[0], dims[1], min(4, dims[0] * dims[1]), seed=300 + k,
+                              kind=kind)
+        labels = list(e.labels) + ["stranger"] * (k % 5 == 0)
+        cases.append((random_tree(rng, dims, labels, depth=3, commuting=k % 3 == 0), e))
+        found = L.search_protocol(e).protocol
+        if found is not None:
+            cases.append((found, e))
+    oks = set()
+    for tree, e in cases:
+        report = verify_protocol(tree, e)
+        failures, totals = _reference_verification(tree, e)
+        assert report.ok == (not failures)
+        assert [_masked(f) for f in report.failures] == [_masked(f) for f in failures]
+        assert report.state_totals.keys() == totals.keys()
+        for lbl, total in totals.items():
+            assert report.state_totals[lbl] == pytest.approx(total, abs=1e-12)
+        oks.add(report.ok)
+    assert oks == {True, False}

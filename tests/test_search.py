@@ -209,7 +209,8 @@ def test_candidates_build_a_tier_only_when_asked_past_the_one_before(bell2, monk
     monkeypatch.setattr(search_module, "_qubit_plane_bases",
                         lambda *args: calls.append(args) or real(*args))
     sides = {p: cross_operators(bell2, p) for p in (ALICE, BOB)}
-    gen = search_module._candidates(bell2, ALICE, sides[ALICE], sides[BOB], SearchConfig())
+    gen = search_module._candidates(bell2.amplitudes, ALICE, sides[ALICE], sides[BOB],
+                                    SearchConfig())
     next(gen)  # the computational basis, from the standard tier
     assert calls == []
     assert len(list(gen)) == 2  # the two zero-diagonal bases
@@ -346,3 +347,113 @@ def test_search_agrees_with_2x2_classification():
         cls = classify_2x2(e)
         assert out.verdict in (YES, PROVED_NO)
         assert (out.verdict == YES) == (cls.verdict == YES)
+
+
+# ---------------------------------------------------------------------------
+# the batched node: survivors and zero-diagonal bases
+
+
+def _reference_survivors(e, party, q, tol=1e-9):
+    """One outcome's survivors state by state: project, keep a squared norm
+    above tol, normalize with make_state and validate with make_ensemble."""
+    p = q @ q.conj().T
+    states = []
+    for s in e.states:
+        mat = p @ s.amplitudes if party == ALICE else s.amplitudes @ p.T
+        if np.linalg.norm(mat) ** 2 > tol:
+            states.append(L.make_state(e.dim_a, e.dim_b, mat, name=s.name))
+    if not states:
+        raise EmptyOutcome("nothing survives")
+    return make_ensemble(states, tol=tol)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (EmptyOutcome, L.NotOrthogonal) as exc:
+        return type(exc)
+
+
+def _tiny_pair(eps=2e-5):
+    # projecting Alice onto |1> leaves "a" a squared norm of eps^2, in (tol/10, tol]
+    return make_ensemble([L.make_state(2, 2, [[1, 0], [0, eps]], name="a"),
+                          L.make_state(2, 2, [[eps, 0], [0, -1]], name="b")])
+
+
+def _survivor_cases():
+    yield _tiny_pair()
+    for name in L.CANNED_EXAMPLES:
+        yield L.canned_example(name)
+    for dims in ((2, 2), (2, 3), (3, 3), (3, 4), (4, 4)):
+        for kind in L.ensemble.RANDOM_KINDS:
+            for m in (2, 3, dims[0] * dims[1] if kind == "product-basis" else 4):
+                yield random_ensemble(dims[0], dims[1], m, seed=m, kind=kind)
+
+
+def test_batched_survivors_agree_with_surviving_states():
+    rng = np.random.default_rng(41)
+    kinds = set()
+    for e in _survivor_cases():
+        labels = np.array(e.labels, dtype=object)
+        for party in (ALICE, BOB):
+            d = e.dim_a if party == ALICE else e.dim_b
+            u = haar_unitary(d, rng)
+            measurements = candidate_bases(e, party)
+            measurements.append(ProjectiveMeasurement(party, tuple(u[:, [k]] for k in range(d))))
+            for meas in measurements:
+                projs = np.array(meas.projector_matrices())
+                alive, states, _ = search_module._project(e.amplitudes, party, projs, 1e-9)
+                gram = L.ensemble.overlaps(states.reshape(*alive.shape, -1))
+                for k, q in enumerate(meas.projectors):
+                    ref = _outcome(lambda: _reference_survivors(e, party, q))
+                    got = _outcome(lambda: surviving_states(e, party, q))
+                    if isinstance(ref, type):
+                        kinds.add(ref.__name__)
+                        assert got is ref
+                        if ref is EmptyOutcome:
+                            assert not alive[k].any()
+                        else:
+                            assert gram[k].max() > 1e-9
+                        continue
+                    kinds.add("ok")
+                    assert gram[k].max() <= 1e-9
+                    assert got.labels == ref.labels == tuple(labels[alive[k]])
+                    for a, b, c in zip(got.states, ref.states, states[k][alive[k]]):
+                        assert np.allclose(a.amplitudes, b.amplitudes, rtol=0, atol=1e-13)
+                        assert np.allclose(c, b.amplitudes, rtol=0, atol=1e-13)
+                        assert a.normalization == pytest.approx(b.normalization, rel=1e-13)
+    assert kinds == {"ok", "EmptyOutcome", "NotOrthogonal"}
+
+
+def _traceless_hermitian(rng, d, spectrum, scale):
+    u = haar_unitary(d, rng)
+    h = (u * (scale * np.asarray(spectrum, dtype=float))) @ u.conj().T
+    return (h + h.conj().T) / 2
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_zero_diagonal_bases_are_unitary_with_vanishing_diagonal(seed):
+    rng = np.random.default_rng(seed)
+    d = 3 + seed % 4
+    tol = 1e-9
+    mats, scales = [], []
+    for k in range(12):
+        # small integers with repeats and exact zeros, made traceless exactly
+        spectrum = list(rng.choice([-2.0, -1.0, 0.0, 0.0, 1.0, 3.0], size=d - 1))
+        spectrum.append(-sum(spectrum))
+        if k % 4 == 3:  # below tol: to be dropped
+            scale = tol / (2 * max(1.0, np.abs(spectrum).max()))
+        else:
+            scale = 10.0 ** rng.uniform(-8, 3)
+        mats.append(_traceless_hermitian(rng, d, spectrum, scale))
+        scales.append(scale * np.abs(spectrum).max())
+    evals, evecs = np.linalg.eigh(np.array(mats))
+    bases = search_module._zero_diagonal_bases(evals, evecs, tol)
+    kept = [(h, w, s) for h, w, s in zip(mats, evals, scales) if s > tol]
+    assert len(bases) == len(kept)
+    for basis, (h, w, scale) in zip(bases, kept):
+        assert np.abs(basis.conj().T @ basis - np.eye(d)).max() <= 1e-12
+        assert np.abs(np.diag(basis.conj().T @ h @ basis)).max() <= 1e-10 * scale
+        # eigenvectors of zero eigenvalue come first, as they are
+        zeros = np.count_nonzero(np.abs(w) <= 1e-10 * np.abs(w).max())
+        assert np.abs(h @ basis[:, :zeros]).max(initial=0.0) <= 1e-10 * scale
