@@ -93,17 +93,17 @@ def make_ensemble(states, tol: float = DEFAULT_TOL) -> Ensemble:
                                normalization=s.normalization)
         named.append(s)
 
-    overlap = overlaps(np.array([s.amplitudes.reshape(-1) for s in named]))
-    bad = np.argwhere(np.triu(overlap > tol))
-    if len(bad):
-        i, j = bad[0]
+    overlap = overlaps(np.array([s.amplitudes for s in named]).reshape(len(named), -1))
+    max_overlap = float(overlap.max())
+    if max_overlap > tol:
+        i, j = np.argwhere(np.triu(overlap > tol))[0]
         raise NotOrthogonal(
             f"states {named[i].name!r} and {named[j].name!r} overlap "
             f"({overlap[i, j]:.3g} > {tol:.3g})",
             pair=(named[i].name, named[j].name),
             overlap=float(overlap[i, j]),
         )
-    return Ensemble(dims[0], dims[1], tuple(named), max_overlap=float(overlap.max()))
+    return Ensemble(dims[0], dims[1], tuple(named), max_overlap=max_overlap)
 
 
 def overlaps(flat: np.ndarray) -> np.ndarray:

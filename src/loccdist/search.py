@@ -15,10 +15,10 @@ Candidates are generated tier by tier, only as far as the search asks; each
 tier is one stack of outcome projectors, which gives the dedupe keys and,
 for the candidates the beam lets through, admissibility in one product
 ``vec(P) . vec(M^T)``.  An admitted candidate is applied to the whole stack
-at once: one reduction gives every survivor's mass, one Gram product per
-outcome checks that the survivors stay orthogonal, and one ``svd`` gives
-their Schmidt ranks, which the children inherit with their slice of the
-stack.  Only the candidate that enters the tree becomes a
+at once: one batched norm gives every survivor's mass, one batched Gram
+product checks that each outcome's survivors stay orthogonal, and one
+``svd`` gives their Schmidt ranks, which the children inherit with their
+slice of the stack.  Only the candidate that enters the tree becomes a
 ``ProjectiveMeasurement``; no node builds states or ensembles.
 """
 
@@ -37,7 +37,6 @@ from .protocol import (
     Node,
     ProjectiveMeasurement,
     ProtocolTree,
-    _cols,
     verify_protocol,
 )
 from .states import (
@@ -318,8 +317,9 @@ def _candidates(stack: np.ndarray, party: str, sides: np.ndarray, other: np.ndar
         groups = [np.eye(d, dtype=bool)]
         if 2 <= len(roots) < d:
             groups.append(labels == roots[:, np.newaxis])
-        cands = [tuple(_cols(d, *np.flatnonzero(row)) for row in g) for g in groups]
-        return cands, np.concatenate(groups)[:, np.newaxis, :] * np.eye(d, dtype=np.complex128)
+        eye = np.eye(d, dtype=np.complex128)
+        cands = [tuple(eye[:, row] for row in g) for g in groups]
+        return cands, np.concatenate(groups)[:, np.newaxis, :] * eye
 
     def zero_diagonal():
         if d == 2:

@@ -457,3 +457,48 @@ def test_zero_diagonal_bases_are_unitary_with_vanishing_diagonal(seed):
         # eigenvectors of zero eigenvalue come first, as they are
         zeros = np.count_nonzero(np.abs(w) <= 1e-10 * np.abs(w).max())
         assert np.abs(h @ basis[:, :zeros]).max(initial=0.0) <= 1e-10 * scale
+
+
+def _zero_diagonal_basis_reference(evals, evecs, tol):
+    """The builder one matrix at a time: pair the most negative with the most
+    positive active value (a stable sort of the active list, a rotation's
+    residual appended at its end), retiring one vector per rotation."""
+    scale = float(np.abs(evals).max())
+    if scale <= tol:
+        return None
+    cut = 1e-10 * scale
+    active = [[float(w), evecs[:, k]] for k, w in enumerate(evals)]
+    done = [v for w, v in active if abs(w) <= cut]
+    active = [a for a in active if abs(a[0]) > cut]
+    while active:
+        if len(active) == 1:
+            done.append(active[0][1])
+            break
+        active.sort(key=lambda a: a[0])
+        lo, hi = active[0], active[-1]
+        if hi[0] <= cut or lo[0] >= -cut:
+            done.extend(v for _, v in active)
+            break
+        theta = np.arctan(np.sqrt(hi[0] / -lo[0]))
+        c, s = np.cos(theta), np.sin(theta)
+        done.append(c * hi[1] + s * lo[1])
+        active = active[1:-1] + [[hi[0] + lo[0], -s * hi[1] + c * lo[1]]]
+    return np.column_stack(done)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_zero_diagonal_bases_match_the_one_matrix_reference(seed):
+    rng = np.random.default_rng(1000 + seed)
+    d = 3 + seed % 4
+    mats = []
+    for k in range(10):
+        spectrum = list(rng.choice([-2.0, -1.0, 0.0, 1.0, 1.0, 3.0], size=d - 1))
+        spectrum.append(-sum(spectrum))
+        mats.append(_traceless_hermitian(rng, d, spectrum, 10.0 ** rng.uniform(-10, 2)))
+    evals, evecs = np.linalg.eigh(np.array(mats))
+    refs = [b for b in (_zero_diagonal_basis_reference(w, v, 1e-9)
+                        for w, v in zip(evals, evecs)) if b is not None]
+    bases = search_module._zero_diagonal_bases(evals, evecs, 1e-9)
+    assert len(bases) == len(refs)
+    for basis, ref in zip(bases, refs):
+        assert np.allclose(basis, ref, rtol=0, atol=1e-14)
