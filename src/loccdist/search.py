@@ -25,6 +25,7 @@ slice of the stack.  Only the candidate that enters the tree becomes a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -354,11 +355,11 @@ def _candidates(stack: np.ndarray, party: str, sides: np.ndarray, other: np.ndar
                 take.append(i)
         if not take:
             continue
-        starts = np.cumsum([0] + counts)
+        starts = list(accumulate(counts, initial=0))
         chunks = [projs[starts[i]:starts[i + 1]] for i in take]
         # admissibility of the taken candidates only, from one stack of their projectors
         ok = np.logical_and.reduceat(_admits(np.concatenate(chunks), sides, tol),
-                                     np.cumsum([0] + [len(c) for c in chunks[:-1]]))
+                                     list(accumulate((counts[i] for i in take[:-1]), initial=0)))
         for i, chunk, admissible in zip(take, chunks, ok):
             yield tuple(cands[i]), chunk, bool(admissible)
         if len(seen) == cfg.beam_limit:
@@ -514,10 +515,14 @@ def search_protocol(e: Ensemble, cfg: SearchConfig | None = None) -> SearchOutco
                 sizes = alive.sum(axis=1)
                 if np.count_nonzero(sizes) < 2:
                     continue
-                child_ranks = np.zeros(alive.shape, dtype=int)
-                child_ranks[alive] = schmidt_ranks(states[alive])
-                if alive[sizes > 0].all() and not (child_ranks < ranks)[alive].any():
-                    continue
+                # ranks are needed only for a child node, and for the progress
+                # test when every outcome keeps every state; one-state outcomes
+                # alone always make progress
+                if sizes.max() > 1:
+                    child_ranks = np.zeros(alive.shape, dtype=int)
+                    child_ranks[alive] = schmidt_ranks(states[alive])
+                    if alive[sizes > 0].all() and not (child_ranks < ranks)[alive].any():
+                        continue
                 children = []
                 for k, row in enumerate(alive):
                     idx = np.flatnonzero(row)
