@@ -219,20 +219,21 @@ def _zero_diagonal_bases(evals: np.ndarray, evecs: np.ndarray, tol: float) -> np
     when = np.full((n, slots), np.inf)
     when[:, :d][~alive[:, :d]] = -1.0
     rows = np.arange(n)
-    for new in range(d, slots + 1):
+    for new in range(d, slots):
         # active slots first, by value, ties in slot order
         order = np.argsort(np.where(alive, vals, np.inf), axis=1, kind="stable")
         count = alive.sum(axis=1)
         lo_k, hi_k = order[:, 0], order[rows, count - 1]
         lo, hi = vals[rows, lo_k], vals[rows, hi_k]
-        # one active vector left, or all of one sign: retire them in value order
-        flush = (count == 1) | ((count > 1) & ((hi <= cut) | (lo >= -cut)))
+        # all active values of one sign: retire them in value order
+        busy = count > 1
+        flush = busy & ((hi <= cut) | (lo >= -cut))
         if flush.any():
             rank = np.empty_like(order)
             rank[rows[:, np.newaxis], order] = np.arange(slots)
             when = np.where(alive & flush[:, np.newaxis], new + rank / slots, when)
             alive[flush] = False
-        r = ((count > 1) & ~flush).nonzero()[0]
+        r = (busy & ~flush).nonzero()[0]
         if not len(r):
             break
         lo, hi, lo_k, hi_k = lo[r], hi[r], lo_k[r], hi_k[r]
@@ -245,6 +246,9 @@ def _zero_diagonal_bases(evals: np.ndarray, evecs: np.ndarray, tol: float) -> np
         when[r, hi_k] = new
         alive[r, new] = True
         alive[r, lo_k] = alive[r, hi_k] = False
+        if (count[r] == 2).all():  # every row is down to one active vector
+            break
+    when[alive] = slots  # a row's last active vector retires last
     order = np.argsort(when, axis=1, kind="stable")[:, np.newaxis, :d]
     return vecs[rows[:, np.newaxis, np.newaxis], np.arange(d)[:, np.newaxis], order]
 
