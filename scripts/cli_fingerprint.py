@@ -16,37 +16,56 @@ The calls cover:
 - a garbled file, a missing file, and files nested too deeply for the JSON
   reader (an ensemble and a protocol);
 - ``example`` with the canned names and the ``random-*`` names;
-- ``--output`` paths in a directory that does not exist.
+- ``--output`` paths in a directory that does not exist;
+- ``verify`` of seeded random protocol trees that are not refinements
+  (from ``tests/treegen.py``), on the two-qubit ensembles, ``six4x4`` and a
+  3x3 ensemble, so a diff shows ``completeness_deviation``, the state totals
+  and every leaf probability down to the last bit.
 
 Usage: PYTHONPATH=src python3 scripts/cli_fingerprint.py > cli_fingerprint.txt
 """
 
 import hashlib
 import re
+import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from click.testing import CliRunner
 
 import loccdist as L
 from loccdist.cli import ensemble_to_dict, main, protocol_to_dict, write_json
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from treegen import random_tree  # noqa: E402
+
 CANNED = ("bell4", "bell3", "bell2", "six4x4", "domino9")
 TWO_QUBIT = tuple(f"q{i}" for i in range(6))
 PROTOCOLS = {"bell2": "bell2-x", "six4x4": "six4x4"}
+#: ensemble file and seed of each random protocol tree
+RANDOM_TREES = (("q0", 8000), ("q1", 8001), ("q2", 8002), ("q5", 8003),
+                ("six4x4", 8004), ("h33", 8005), ("h33", 8006))
 
 
 def write_inputs(root: Path) -> None:
-    for name in CANNED:
-        write_json(root / f"{name}.json", ensemble_to_dict(L.canned_example(name)))
+    ensembles = {name: L.canned_example(name) for name in CANNED}
+    for name, e in ensembles.items():
+        write_json(root / f"{name}.json", ensemble_to_dict(e))
     for name, proto in PROTOCOLS.items():
         write_json(root / f"{name}.canned.json", protocol_to_dict(L.canned_protocol(proto)))
     # the seeded mix of the search-vs-classification test: m = 2, 3, 4 states,
     # Haar-random and product bases
     for i, name in enumerate(TWO_QUBIT):
         kind = "product-basis" if i % 2 else "haar-orthogonal"
-        e = L.random_ensemble(2, 2, 2 + i % 3, seed=7000 + i, kind=kind)
-        write_json(root / f"{name}.json", ensemble_to_dict(e))
+        ensembles[name] = L.random_ensemble(2, 2, 2 + i % 3, seed=7000 + i, kind=kind)
+        write_json(root / f"{name}.json", ensemble_to_dict(ensembles[name]))
+    ensembles["h33"] = L.random_ensemble(3, 3, 4, seed=7100, kind="haar-orthogonal")
+    write_json(root / "h33.json", ensemble_to_dict(ensembles["h33"]))
+    for name, seed in RANDOM_TREES:
+        e = ensembles[name]
+        tree = random_tree(np.random.default_rng(seed), e.dims, e.labels, depth=3)
+        write_json(root / f"tree{seed}.protocol.json", protocol_to_dict(tree))
     (root / "garbled.json").write_text("{not json")
     deep = "[" * 2000 + "]" * 2000
     (root / "nested.json").write_text(
@@ -91,6 +110,8 @@ def calls(root: Path):
     yield ["example", "nosuch", "--output", str(root / "ex" / "x.json")]
     yield ["search", str(root / "bell2.json"), "--output", str(root / "no-dir" / "p.json")]
     yield ["example", "bell2", "--output", str(root / "no-dir" / "x.json")]
+    for name, seed in RANDOM_TREES:
+        yield ["verify", str(root / f"{name}.json"), str(root / f"tree{seed}.protocol.json")]
 
 
 def digests(root: Path) -> dict:

@@ -131,8 +131,9 @@ def ensemble_from_dict(data, tol: float = DEFAULT_TOL):
                 mat[r, c] = _parse_pair(entry, f"{loc}.amplitudes[{r}][{c}]")
         state = make_state(dims[0], dims[1], mat, name=name)
         if abs(state.normalization - 1.0) > tol:
-            notices.append(f"state {state.name or si}: input normalized "
-                           f"(norm was {state.normalization:.12g})")
+            norm = (f"norm was {state.normalization:.12g}"
+                    if math.isfinite(state.normalization) else "norm exceeds the float64 range")
+            notices.append(f"state {state.name or si}: input normalized ({norm})")
         states.append(state)
     return make_ensemble(states, tol=tol), notices
 

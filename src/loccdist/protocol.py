@@ -8,11 +8,23 @@ branch (fail).  Running a tree on an ensemble accumulates, per root-to-leaf
 branch, the ordered product of the projectors each party applied; the
 positive operator built from that product is the branch's measurement
 element, and the elements of all branches resolve the identity.
+
+The layer works on stacks.  A measurement holds its outcome projectors as
+one read-only ``(k, d, d)`` array, built when it is constructed.  One walk
+of the tree multiplies each node's stack into the operator its party has
+accumulated, which gives ``(L, dim_a, dim_a)`` and ``(L, dim_b, dim_b)``
+branch stacks for the ``L`` leaves in depth-first order.  The arrival of
+every state at every leaf, and the completeness sum of the branch
+elements, come from batched products over those stacks, taken
+``_LEAF_CHUNK`` leaves at a time so that memory does not grow with the
+tree.  Every product is the one a leaf-by-leaf computation would make, and
+the completeness terms are added in leaf order, so the results agree with
+it bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,6 +40,9 @@ from .states import DEFAULT_TOL, _frozen, frobenius_norms, make_state
 ALICE = "A"
 BOB = "B"
 PARTIES = (ALICE, BOB)
+
+#: leaves whose arrivals and completeness terms are formed in one product
+_LEAF_CHUNK = 64
 
 
 def _as_columns(block) -> np.ndarray:
@@ -46,11 +61,14 @@ class ProjectiveMeasurement:
     Each outcome subspace is given as a matrix of orthonormal columns; the
     subspaces must be mutually orthogonal and their column counts must sum to
     the local dimension, so the outcome projectors resolve the identity.
+    ``projector_stack`` holds the outcome projectors ``Q Q^+`` as one
+    read-only ``(outcomes, d, d)`` array, built once at construction.
     """
 
     party: str
     projectors: tuple[np.ndarray, ...]
     tol: float = DEFAULT_TOL
+    projector_stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.party not in PARTIES:
@@ -60,10 +78,12 @@ class ProjectiveMeasurement:
         blocks = tuple(_frozen(_as_columns(q)) for q in self.projectors)
         dim = blocks[0].shape[0]
         total = 0
+        adjoints = []
         for k, q in enumerate(blocks):
             if q.shape[0] != dim:
                 raise NotUnitary("all projectors must act on the same local space")
-            dev = np.abs(q.conj().T @ q - np.eye(q.shape[1])).max()
+            adjoints.append(q.conj().T)
+            dev = np.abs(adjoints[k] @ q - np.eye(q.shape[1])).max()
             if not dev <= self.tol:  # also fails on NaN
                 raise NotUnitary(
                     f"outcome {k}: projector columns not orthonormal (deviation {dev:.3g})"
@@ -71,7 +91,7 @@ class ProjectiveMeasurement:
             total += q.shape[1]
         for i in range(len(blocks)):
             for j in range(i + 1, len(blocks)):
-                dev = np.abs(blocks[i].conj().T @ blocks[j]).max()
+                dev = np.abs(adjoints[i] @ blocks[j]).max()
                 if not dev <= self.tol:
                     raise NotUnitary(
                         f"outcomes {i} and {j} are not orthogonal (overlap {dev:.3g})"
@@ -81,6 +101,11 @@ class ProjectiveMeasurement:
                 f"projector ranks sum to {total}, expected the local dimension {dim}"
             )
         object.__setattr__(self, "projectors", blocks)
+        stack = np.empty((len(blocks), dim, dim), dtype=np.complex128)
+        for q, adjoint, out in zip(blocks, adjoints, stack):
+            np.matmul(q, adjoint, out=out)
+        stack.setflags(write=False)
+        object.__setattr__(self, "projector_stack", stack)
 
     @property
     def local_dim(self) -> int:
@@ -91,7 +116,8 @@ class ProjectiveMeasurement:
         return len(self.projectors)
 
     def projector_matrices(self) -> list[np.ndarray]:
-        return [q @ q.conj().T for q in self.projectors]
+        """Fresh, writable copies of the outcome projectors."""
+        return list(self.projector_stack.copy())
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,26 +196,52 @@ def _check_node_dims(meas: ProjectiveMeasurement, dims) -> None:
         )
 
 
-def enumerate_branches(tree: ProtocolTree, dims) -> list[BranchOperator]:
-    """One BranchOperator per leaf, in depth-first path order."""
-    dim_a, dim_b = dims
-    out: list[BranchOperator] = []
+def _branch_stacks(tree: ProtocolTree, dims):
+    """Every leaf's accumulated operators as ``(L, dim_a, dim_a)`` and
+    ``(L, dim_b, dim_b)`` stacks, with the leaf labels and paths, in
+    depth-first order.  Each node multiplies its projector stack into the
+    operator its party has accumulated in one product, ``stack @ op``."""
+    leaves = []
 
     def walk(node, op_a, op_b, path):
         if isinstance(node, Leaf):
-            out.append(BranchOperator(op_a, op_b, node.identify, path))
+            leaves.append((op_a, op_b, node.identify, path))
             return
         meas = node.measurement
         _check_node_dims(meas, dims)
-        for k, q in enumerate(meas.projectors):
-            p = q @ q.conj().T
-            if meas.party == ALICE:
-                walk(node.children[k], p @ op_a, op_b, path + ((ALICE, k),))
-            else:
-                walk(node.children[k], op_a, p @ op_b, path + ((BOB, k),))
+        if meas.party == ALICE:
+            for k, (child, op) in enumerate(zip(node.children, meas.projector_stack @ op_a)):
+                walk(child, op, op_b, path + ((ALICE, k),))
+        else:
+            for k, (child, op) in enumerate(zip(node.children, meas.projector_stack @ op_b)):
+                walk(child, op_a, op, path + ((BOB, k),))
 
-    walk(tree, np.eye(dim_a, dtype=np.complex128), np.eye(dim_b, dtype=np.complex128), ())
-    return out
+    walk(tree, np.eye(dims[0], dtype=np.complex128), np.eye(dims[1], dtype=np.complex128), ())
+    ops_a, ops_b, labels, paths = zip(*leaves)
+    return np.stack(ops_a), np.stack(ops_b), list(labels), list(paths)
+
+
+def enumerate_branches(tree: ProtocolTree, dims) -> list[BranchOperator]:
+    """One BranchOperator per leaf, in depth-first path order."""
+    return [BranchOperator(*leaf) for leaf in zip(*_branch_stacks(tree, dims))]
+
+
+def _completeness_deviation(ops_a: np.ndarray, ops_b: np.ndarray) -> float:
+    """Max-magnitude entry of ``sum_l kron(A_l^+ A_l, B_l^+ B_l) - identity``
+    over ``(L, da, da)`` and ``(L, db, db)`` branch stacks.  The Gram
+    products and Kronecker products of ``_LEAF_CHUNK`` leaves come from one
+    batched product and one broadcast multiply, and the terms are summed one
+    leaf after the other from zero, as a running ``+=`` would."""
+    n = ops_a.shape[-1] * ops_b.shape[-1]
+    total = np.zeros((1, n, n), dtype=np.complex128)
+    for i in range(0, len(ops_a), _LEAF_CHUNK):
+        a, b = ops_a[i:i + _LEAF_CHUNK], ops_b[i:i + _LEAF_CHUNK]
+        gram_a = a.conj().transpose(0, 2, 1) @ a
+        gram_b = b.conj().transpose(0, 2, 1) @ b
+        krons = (gram_a[:, :, None, :, None] * gram_b[:, None, :, None, :]).reshape(-1, n, n)
+        # a reduction over the outer axis adds the rows in order
+        total = np.add.reduce(np.concatenate((total, krons)), axis=0, keepdims=True)
+    return float(np.abs(total[0] - np.eye(n)).max())
 
 
 def completeness_check(branches) -> float:
@@ -200,12 +252,8 @@ def completeness_check(branches) -> float:
     branches = list(branches)
     if not branches:
         raise MalformedTree("no branches to check")
-    da = branches[0].op_a.shape[0]
-    db = branches[0].op_b.shape[0]
-    total = np.zeros((da * db, da * db), dtype=np.complex128)
-    for b in branches:
-        total += np.kron(b.op_a.conj().T @ b.op_a, b.op_b.conj().T @ b.op_b)
-    return float(np.abs(total - np.eye(da * db)).max())
+    return _completeness_deviation(np.array([b.op_a for b in branches]),
+                                   np.array([b.op_b for b in branches]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,21 +275,27 @@ class OutcomeRecord:
         object.__setattr__(self, "post_states", tuple(self.post_states))
 
 
-def _arrivals(tree: ProtocolTree, e: Ensemble, tol: float):
-    """``(branch, post-measurement stack, probabilities)`` per leaf, in
-    depth-first order: one ``op_a @ stack @ op_b.T`` per branch over the
-    ensemble's ``(m, dim_a, dim_b)`` amplitude stack; probabilities at or
-    below ``tol`` are floored to exactly zero."""
+def _ensemble_branches(tree: ProtocolTree, e: Ensemble):
     try:
-        branches = enumerate_branches(tree, e.dims)
+        return _branch_stacks(tree, e.dims)
     except MalformedTree as exc:
         raise DimensionMismatch(str(exc)) from exc
+
+
+def _arrivals(ops_a: np.ndarray, ops_b: np.ndarray, e: Ensemble, tol: float):
+    """Per chunk of ``_LEAF_CHUNK`` leaves, in depth-first order: the
+    post-measurement stack ``(c, m, dim_a, dim_b)``, one product
+    ``(A_l @ C) @ B_l^T`` for every leaf and state, and the ``(c, m)``
+    probabilities from one batched norm; probabilities at or below ``tol``
+    are floored to exactly zero.  Chunks bound the memory whatever the leaf
+    count."""
     stack = e.amplitudes
-    for b in branches:
-        mats = b.op_a @ stack @ b.op_b.T
+    for i in range(0, len(ops_a), _LEAF_CHUNK):
+        mats = ((ops_a[i:i + _LEAF_CHUNK, None] @ stack)
+                @ ops_b[i:i + _LEAF_CHUNK, None].transpose(0, 1, 3, 2))
         probs = np.float_power(frobenius_norms(mats), 2)  # pow, as norm ** 2 of one float
         probs[probs <= tol] = 0.0
-        yield b, mats, probs
+        yield mats, probs
 
 
 def run_protocol(tree: ProtocolTree, e: Ensemble, tol: float = DEFAULT_TOL):
@@ -252,10 +306,13 @@ def run_protocol(tree: ProtocolTree, e: Ensemble, tol: float = DEFAULT_TOL):
     branch, and probabilities below ``tol`` are floored to exactly zero.
     Raises ``DimensionMismatch`` when a measurement does not fit the ensemble.
     """
-    return [OutcomeRecord(b, probs, tuple(
+    ops_a, ops_b, leaf_labels, paths = _ensemble_branches(tree, e)
+    leaves = zip(ops_a, ops_b, leaf_labels, paths)
+    return [OutcomeRecord(BranchOperator(*leaf), probs, tuple(
                 make_state(e.dim_a, e.dim_b, m, name=s.name) if p > 0.0 else None
-                for m, p, s in zip(mats, probs, e.states)))
-            for b, mats, probs in _arrivals(tree, e, tol)]
+                for m, p, s in zip(leaf_mats, probs, e.states)))
+            for mats, chunk_probs in _arrivals(ops_a, ops_b, e, tol)
+            for leaf_mats, probs, leaf in zip(mats, chunk_probs, leaves)]
 
 
 def format_path(path) -> str:
@@ -281,8 +338,9 @@ class VerificationReport:
 
 
 def verify_protocol(tree: ProtocolTree, e: Ensemble, tol: float = DEFAULT_TOL) -> VerificationReport:
-    arrivals = [(b, probs) for b, _, probs in _arrivals(tree, e, tol)]
-    deviation = completeness_check([b for b, _ in arrivals])
+    ops_a, ops_b, leaf_labels, paths = _ensemble_branches(tree, e)
+    arrivals = np.concatenate([probs for _, probs in _arrivals(ops_a, ops_b, e, tol)])
+    deviation = _completeness_deviation(ops_a, ops_b)
     failures = []
     if not deviation <= tol:  # also fails on NaN
         failures.append(f"branch elements do not resolve the identity (deviation {deviation:.3g})")
@@ -290,25 +348,20 @@ def verify_protocol(tree: ProtocolTree, e: Ensemble, tol: float = DEFAULT_TOL) -
     labels = e.labels
     totals = {lbl: 0.0 for lbl in labels}
     rows = []
-    for branch, leaf_probs in arrivals:
-        probs = {lbl: float(p) for lbl, p in zip(labels, leaf_probs)}
+    for path, leaf_label, leaf_probs in zip(paths, leaf_labels, arrivals.tolist()):
+        probs = dict(zip(labels, leaf_probs))
         reached = [lbl for lbl, p in probs.items() if p > tol]
-        leaf_label = branch.leaf_label
-        rows.append((branch.path, leaf_label, probs))
-        where = format_path(branch.path)
+        rows.append((path, leaf_label, probs))
         if leaf_label is None:
-            if reached:
-                failures.append(f"leaf {where}: fail leaf reached by {reached}")
-            continue
-        if leaf_label not in labels:
-            failures.append(f"leaf {where}: unknown label {leaf_label!r}")
-            continue
-        totals[leaf_label] += probs[leaf_label]
-        extra = [lbl for lbl in reached if lbl != leaf_label]
-        if extra:
-            failures.append(
-                f"leaf {where}: labeled {leaf_label!r} but also reached by {extra}"
-            )
+            problem = f"fail leaf reached by {reached}" if reached else None
+        elif leaf_label not in labels:
+            problem = f"unknown label {leaf_label!r}"
+        else:
+            totals[leaf_label] += probs[leaf_label]
+            extra = [lbl for lbl in reached if lbl != leaf_label]
+            problem = f"labeled {leaf_label!r} but also reached by {extra}" if extra else None
+        if problem:
+            failures.append(f"leaf {format_path(path)}: {problem}")
     for lbl, total in totals.items():
         if not abs(total - 1.0) <= tol:
             failures.append(f"state {lbl!r} is identified with total probability {total:.12g}")

@@ -124,8 +124,7 @@ def valid_measurement(e: Ensemble, meas: ProjectiveMeasurement,
     if meas.local_dim != expected:
         raise DimensionMismatch(
             f"measurement on dim {meas.local_dim}, ensemble side has dim {expected}")
-    projs = np.array(meas.projector_matrices())
-    return bool(_admits(projs, cross_operators(e, meas.party), tol).all())
+    return bool(_admits(meas.projector_stack, cross_operators(e, meas.party), tol).all())
 
 
 def _support_labels(stack: np.ndarray, party: str, tol: float) -> np.ndarray:
@@ -549,7 +548,7 @@ def search_protocol(e: Ensemble, cfg: SearchConfig | None = None) -> SearchOutco
     if tree is None:
         return SearchOutcome(UNKNOWN, None, report, depth_limit, stats["nodes"])
     verification = verify_protocol(tree, e, tol=tol)
-    if not verification.ok:  # pragma: no cover - soundness guard
+    if not verification.ok:  # soundness guard
         raise RuntimeError(
             "internal error: search returned a protocol that fails verification: "
             + "; ".join(verification.failures))

@@ -422,3 +422,20 @@ def test_cli_exit_contract(contract_dir, data):
     assert "Traceback" not in result.output
     assert result.exit_code in (0, 1, 2, 3)
     assert (result.exit_code == 3) == bad
+
+
+def test_notice_for_a_norm_beyond_float64(tmp_path):
+    # every entry is finite, but the Frobenius norm exceeds the float64 range
+    payload = {"dims": [2, 2], "states": [
+        {"name": "big", "amplitudes": [[[1.7e308, 1.7e308], [0, 0]], [[0, 0], [1e308, 0]]]},
+        {"name": "small", "amplitudes": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]}]}
+    path = tmp_path / "huge.json"
+    write_json(path, payload)
+    result = run_cli(["schmidt", path, "--format", "json"])
+    assert result.exit_code == 0
+    assert "notice: state big: input normalized (norm exceeds the float64 range)" in result.stderr
+    assert "inf" not in result.stderr
+    assert "notice: state small" not in result.stderr
+    # |1.7+1.7i|^2 = 5.78 and 1^2 = 1 after scaling by 1e308
+    weights = json.loads(result.stdout)["diagnostics"]["states"][0]["weights"]
+    assert weights == pytest.approx([5.78 / 6.78, 1 / 6.78], rel=1e-12)

@@ -364,3 +364,169 @@ def test_verify_protocol_agrees_with_run_protocol_reference():
             assert report.state_totals[lbl] == pytest.approx(total, abs=1e-12)
         oks.add(report.ok)
     assert oks == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# agreement with the per-leaf protocol layer
+#
+# The functions below are the per-leaf implementation the stacked protocol
+# layer replaced: one ``q @ q^+`` per visit, one ``op_a @ stack @ op_b.T``
+# and one ``np.kron`` per leaf.  The stacked layer must reproduce them bit
+# for bit.
+
+
+def _per_leaf_branches(tree, dims):
+    out = []
+
+    def walk(node, op_a, op_b, path):
+        if isinstance(node, Leaf):
+            out.append(L.BranchOperator(op_a, op_b, node.identify, path))
+            return
+        meas = node.measurement
+        L.protocol._check_node_dims(meas, dims)
+        for k, q in enumerate(meas.projectors):
+            p = q @ q.conj().T
+            if meas.party == ALICE:
+                walk(node.children[k], p @ op_a, op_b, path + ((ALICE, k),))
+            else:
+                walk(node.children[k], op_a, p @ op_b, path + ((BOB, k),))
+
+    walk(tree, np.eye(dims[0], dtype=complex), np.eye(dims[1], dtype=complex), ())
+    return out
+
+
+def _per_leaf_completeness(branches):
+    da, db = branches[0].op_a.shape[0], branches[0].op_b.shape[0]
+    total = np.zeros((da * db, da * db), dtype=complex)
+    for b in branches:
+        total += np.kron(b.op_a.conj().T @ b.op_a, b.op_b.conj().T @ b.op_b)
+    return float(np.abs(total - np.eye(da * db)).max())
+
+
+def _per_leaf_arrivals(tree, e, tol):
+    for b in _per_leaf_branches(tree, e.dims):
+        mats = b.op_a @ e.amplitudes @ b.op_b.T
+        probs = np.float_power(L.states.frobenius_norms(mats), 2)
+        probs[probs <= tol] = 0.0
+        yield b, mats, probs
+
+
+def _per_leaf_run(tree, e, tol):
+    return [(b, probs, [make_state(e.dim_a, e.dim_b, m, name=s.name) if p > 0.0 else None
+                        for m, p, s in zip(mats, probs, e.states)])
+            for b, mats, probs in _per_leaf_arrivals(tree, e, tol)]
+
+
+def _per_leaf_verify(tree, e, tol):
+    arrivals = [(b, probs) for b, _, probs in _per_leaf_arrivals(tree, e, tol)]
+    deviation = _per_leaf_completeness([b for b, _ in arrivals])
+    failures = []
+    if not deviation <= tol:
+        failures.append(f"branch elements do not resolve the identity (deviation {deviation:.3g})")
+    totals = {lbl: 0.0 for lbl in e.labels}
+    rows = []
+    for branch, leaf_probs in arrivals:
+        probs = {lbl: float(p) for lbl, p in zip(e.labels, leaf_probs)}
+        reached = [lbl for lbl, p in probs.items() if p > tol]
+        rows.append((branch.path, branch.leaf_label, probs))
+        where = L.protocol.format_path(branch.path)
+        if branch.leaf_label is None:
+            if reached:
+                failures.append(f"leaf {where}: fail leaf reached by {reached}")
+            continue
+        if branch.leaf_label not in e.labels:
+            failures.append(f"leaf {where}: unknown label {branch.leaf_label!r}")
+            continue
+        totals[branch.leaf_label] += probs[branch.leaf_label]
+        extra = [lbl for lbl in reached if lbl != branch.leaf_label]
+        if extra:
+            failures.append(f"leaf {where}: labeled {branch.leaf_label!r} "
+                            f"but also reached by {extra}")
+    for lbl, total in totals.items():
+        if not abs(total - 1.0) <= tol:
+            failures.append(f"state {lbl!r} is identified with total probability {total:.12g}")
+    return not failures, deviation, totals, tuple(rows), tuple(failures)
+
+
+def _full_tree(rng, dims, labels, depth):
+    # every node a rank-one Haar basis of alternating parties: dims[p] ** depth leaves
+    def build(level):
+        party = (ALICE, BOB)[level % 2]
+        u = L.ensemble.haar_unitary(dims[level % 2], rng)
+        meas = ProjectiveMeasurement(party, tuple(u[:, [i]] for i in range(u.shape[1])))
+        kids = tuple(build(level + 1) if level + 1 < depth
+                     else Leaf(labels[int(rng.integers(len(labels)))])
+                     for _ in range(u.shape[1]))
+        return Node(meas, kids)
+    return build(0)
+
+
+def _agreement_cases():
+    rng = np.random.default_rng(41)
+    tiny = make_ensemble([make_state(2, 2, [[1, 0], [0, 2e-5]], name="a"),
+                          make_state(2, 2, [[2e-5, 0], [0, -1]], name="b")])
+    six, bell2 = L.canned_example("six4x4"), L.canned_example("bell2")
+    cases = [(canned_protocol("six4x4"), six), (canned_protocol("bell2-x"), bell2),
+             (zz_tree([["A1", "A2"], ["A1", "A2"]]), bell2),
+             (alice_z_tree(["a", "b"]), tiny), (zz_tree([["a", None], [None, "b"]]), tiny),
+             (Leaf("psi1"), six), (Leaf(None), bell2)]
+    e33 = L.random_ensemble(3, 3, 4, seed=5, kind="haar-orthogonal")
+    big = _full_tree(rng, (3, 3), list(e33.labels) + [None], depth=4)
+    assert len(enumerate_branches(big, (3, 3))) > L.protocol._LEAF_CHUNK
+    cases.append((big, e33))
+    for k in range(200):
+        dims = [(2, 2), (2, 3), (3, 3), (3, 4), (4, 2)][k % 5]
+        kind = ("haar-orthogonal", "product-basis")[k % 2]
+        e = L.random_ensemble(dims[0], dims[1], min(4, dims[0] * dims[1]), seed=500 + k,
+                              kind=kind)
+        labels = list(e.labels) + ["stranger"] * (k % 4 == 0)
+        cases.append((random_tree(rng, dims, labels, depth=3 + k % 2,
+                                  commuting=k % 3 == 0), e))
+    return cases
+
+
+def test_stacked_protocol_layer_matches_per_leaf_reference():
+    oks = set()
+    for tree, e in _agreement_cases():
+        ref = _per_leaf_branches(tree, e.dims)
+        got = enumerate_branches(tree, e.dims)
+        assert [(b.leaf_label, b.path) for b in got] == [(b.leaf_label, b.path) for b in ref]
+        for b, r in zip(got, ref):
+            assert np.array_equal(b.op_a, r.op_a) and np.array_equal(b.op_b, r.op_b)
+        assert completeness_check(got) == _per_leaf_completeness(ref)
+
+        report = verify_protocol(tree, e)
+        ok, deviation, totals, rows, failures = _per_leaf_verify(tree, e, 1e-9)
+        assert report.ok == ok
+        assert report.completeness_deviation == deviation
+        assert report.state_totals == totals
+        assert report.leaves == rows
+        assert report.failures == failures
+        oks.add(ok)
+
+        records = run_protocol(tree, e)
+        reference = _per_leaf_run(tree, e, 1e-9)
+        assert len(records) == len(reference)
+        for rec, (b, probs, posts) in zip(records, reference):
+            assert rec.branch.path == b.path and rec.branch.leaf_label == b.leaf_label
+            assert np.array_equal(rec.probabilities, probs)
+            for post, ref_post in zip(rec.post_states, posts):
+                assert (post is None) == (ref_post is None)
+                if post is not None:
+                    assert post.name == ref_post.name
+                    assert np.array_equal(post.amplitudes, ref_post.amplitudes)
+    assert oks == {True, False}
+
+
+def test_projector_stack_is_cached_read_only_and_copied_out():
+    meas = canned_protocol("six4x4").measurement
+    stack = meas.projector_stack
+    assert stack.shape == (2, 4, 4) and not stack.flags.writeable
+    with pytest.raises(ValueError):
+        stack[0, 0, 0] = 5.0
+    mats = meas.projector_matrices()
+    assert all(np.array_equal(m, q @ q.conj().T) for m, q in zip(mats, meas.projectors))
+    mats[0][0, 0] = 5.0
+    assert stack[0, 0, 0] == 1.0
+    assert all(m.flags.writeable for m in meas.projector_matrices())
+    assert meas.projector_matrices()[0][0, 0] == 1.0

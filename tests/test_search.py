@@ -502,3 +502,12 @@ def test_zero_diagonal_bases_match_the_one_matrix_reference(seed):
     assert len(bases) == len(refs)
     for basis, ref in zip(bases, refs):
         assert np.allclose(basis, ref, rtol=0, atol=1e-14)
+
+
+def test_search_raises_when_its_protocol_fails_verification(monkeypatch, bell2):
+    def failing(tree, e, tol=L.DEFAULT_TOL):
+        return L.VerificationReport(False, 0.0, {}, (), ("injected failure",), tol)
+
+    monkeypatch.setattr(search_module, "verify_protocol", failing)
+    with pytest.raises(RuntimeError, match="fails verification: injected failure"):
+        search_protocol(bell2)
