@@ -1,0 +1,123 @@
+#!/usr/bin/env python3
+"""Time the search of two loccdist source trees against each other in one process.
+
+Both trees are imported into this process, each with the instances of
+``search_fingerprint.instances()`` built by its own code.  Every round runs
+each instance once on either tree, back to back, and the tree that goes
+first alternates from instance to instance and from round to round, so a
+slow phase of the machine hits both alike.  Separate benchmark processes
+swing by several percent between runs on a shared machine; in one process
+the two trees see the same phases.
+
+For every family of instances (the instance name without its seed or
+rotation number) the script prints the instance count, the sum over the
+family's instances of each one's minimum search time over the rounds, on
+the old and on the new tree, and the relative change of the new tree.  The
+last line is the total over all instances.  It exits 1 if any instance
+differs between the trees in verdict, nodes explored or depth limit, and
+lists those instances on stderr.
+
+Usage: python3 scripts/search_ab.py OLD_SRC NEW_SRC [--repeat N]
+
+where OLD_SRC and NEW_SRC are ``src`` directories, each holding a
+``loccdist`` package (for example ``src`` of two checkouts).  BLAS runs on
+one thread, as in ``perfbench``.
+"""
+
+import argparse
+import importlib
+import importlib.util
+import os
+import re
+import sys
+import time
+from collections import defaultdict
+from pathlib import Path
+
+# one BLAS thread, as in the benchmark, before any tree imports numpy
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+FINGERPRINT = Path(__file__).resolve().parent / "search_fingerprint.py"
+
+
+def load_tree(src: Path, tag: str):
+    """Import the loccdist package under ``src`` and the instances built by
+    it.  Returns ``(modules, search, instances)``; ``modules`` are the
+    package's entries of ``sys.modules``, which must be put back before a
+    search of this tree, since the search imports a module when called."""
+    for name in [n for n in sys.modules if n == "loccdist" or n.startswith("loccdist.")]:
+        del sys.modules[name]
+    sys.path.insert(0, str(src))
+    try:
+        package = importlib.import_module("loccdist")
+        spec = importlib.util.spec_from_file_location(f"search_fingerprint_{tag}", FINGERPRINT)
+        fingerprint = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(fingerprint)
+        instances = list(fingerprint.instances())
+    finally:
+        sys.path.remove(str(src))
+    if Path(package.__file__).resolve().parent != (src / "loccdist").resolve():
+        sys.exit(f"{src} holds no loccdist package")
+    modules = {n: m for n, m in sys.modules.items()
+               if n == "loccdist" or n.startswith("loccdist.")}
+    return modules, package.search_protocol, instances
+
+
+def family(name: str) -> str:
+    return re.sub(r"(-s|-rot|(?<=sweep2x2)-)\d+$", "", name)
+
+
+def positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return value
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("old_src", type=Path, metavar="OLD_SRC")
+    ap.add_argument("new_src", type=Path, metavar="NEW_SRC")
+    ap.add_argument("--repeat", type=positive_int, default=5, metavar="N",
+                    help="rounds over every instance (default 5)")
+    args = ap.parse_args()
+    trees = [load_tree(args.old_src, "old"), load_tree(args.new_src, "new")]
+    names = [name for name, _ in trees[0][2]]
+    if names != [name for name, _ in trees[1][2]]:
+        sys.exit("the two trees build different instance lists")
+
+    best = [[float("inf")] * len(names) for _ in trees]
+    results = [[None] * len(names) for _ in trees]
+    for r in range(args.repeat):
+        for i in range(len(names)):
+            first = (i + r) % 2
+            for side in (first, 1 - first):
+                modules, search, instances = trees[side]
+                sys.modules.update(modules)
+                start = time.perf_counter()
+                out = search(instances[i][1])
+                elapsed = time.perf_counter() - start
+                best[side][i] = min(best[side][i], elapsed)
+                results[side][i] = (out.verdict, out.nodes_explored, out.max_depth)
+
+    totals = defaultdict(lambda: [0, 0.0, 0.0])
+    for i, name in enumerate(names):
+        for key in (family(name), None):
+            row = totals[key]
+            row[0] += 1
+            row[1] += 1000.0 * best[0][i]
+            row[2] += 1000.0 * best[1][i]
+    totals["total"] = totals.pop(None)
+    print(f"{'family':<30} {'n':>4} {'old_ms':>10} {'new_ms':>10} {'change':>8}")
+    for key, (count, old, new) in totals.items():
+        print(f"{key:<30} {count:>4} {old:>10.3f} {new:>10.3f} {(new - old) / old:>+8.1%}")
+
+    differ = [(name, a, b) for name, a, b in zip(names, *results) if a != b]
+    for name, a, b in differ:
+        print(f"differs: {name}: old {a}, new {b}", file=sys.stderr)
+    sys.exit(1 if differ else 0)
+
+
+if __name__ == "__main__":
+    main()

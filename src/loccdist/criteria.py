@@ -42,6 +42,7 @@ from .search import (
     YES,
     SearchConfig,
     SearchOutcome,
+    _check_tolerance,
     _phased_columns,
     _qubit_plane_bases,
     _schmidt_completion,
@@ -247,7 +248,9 @@ def classify_2x2(e: Ensemble, *, tol: float = DEFAULT_TOL) -> SearchOutcome:
     outcome's product survivors, whose Bob factors are pairwise orthogonal,
     in their completion.  ``warnings`` lists states whose smallest singular
     value sits near the rank cutoff (a borderline product/entangled call).
+    ``tol`` must be finite and > 0 (``ValueError`` otherwise).
     """
+    _check_tolerance(tol)
     if e.dims != (2, 2):
         raise WrongDimensions(f"classify_2x2 needs a 2x2 ensemble, got "
                               f"{e.dim_a}x{e.dim_b}")

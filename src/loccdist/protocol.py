@@ -25,6 +25,7 @@ it bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -77,33 +78,35 @@ class ProjectiveMeasurement:
             raise NotUnitary("a measurement needs at least one outcome")
         blocks = tuple(_frozen(_as_columns(q)) for q in self.projectors)
         dim = blocks[0].shape[0]
-        total = 0
-        adjoints = []
-        for k, q in enumerate(blocks):
-            if q.shape[0] != dim:
+        # one Gram product of the columns of every block up to the first one
+        # on another space checks them all; block maxima name the first fault
+        fit = next((k for k, q in enumerate(blocks) if q.shape[0] != dim), len(blocks))
+        offsets = list(accumulate((q.shape[1] for q in blocks[:fit]), initial=0))
+        columns = np.concatenate(blocks[:fit], axis=1)
+        adjoint = columns.conj().T
+        with np.errstate(over="ignore", invalid="ignore"):  # huge entries give deviation inf
+            dev = np.abs(adjoint @ columns - np.eye(columns.shape[1]))
+        if not dev.max() <= self.tol or fit < len(blocks):  # "not <=" also fails on NaN
+            starts = offsets[:-1]
+            peak = np.maximum.reduceat(np.maximum.reduceat(dev, starts, axis=0), starts, axis=1)
+            for k in range(fit):
+                if not peak[k, k] <= self.tol:
+                    raise NotUnitary(f"outcome {k}: projector columns not orthonormal "
+                                     f"(deviation {peak[k, k]:.3g})")
+            if fit < len(blocks):
                 raise NotUnitary("all projectors must act on the same local space")
-            adjoints.append(q.conj().T)
-            dev = np.abs(adjoints[k] @ q - np.eye(q.shape[1])).max()
-            if not dev <= self.tol:  # also fails on NaN
-                raise NotUnitary(
-                    f"outcome {k}: projector columns not orthonormal (deviation {dev:.3g})"
-                )
-            total += q.shape[1]
-        for i in range(len(blocks)):
-            for j in range(i + 1, len(blocks)):
-                dev = np.abs(adjoints[i] @ blocks[j]).max()
-                if not dev <= self.tol:
+            for i, j in zip(*np.triu_indices(fit, 1)):
+                if not peak[i, j] <= self.tol:
                     raise NotUnitary(
-                        f"outcomes {i} and {j} are not orthogonal (overlap {dev:.3g})"
+                        f"outcomes {i} and {j} are not orthogonal (overlap {peak[i, j]:.3g})"
                     )
-        if total != dim:
-            raise NotUnitary(
-                f"projector ranks sum to {total}, expected the local dimension {dim}"
-            )
+        if columns.shape[1] != dim:
+            raise NotUnitary(f"projector ranks sum to {columns.shape[1]}, "
+                             f"expected the local dimension {dim}")
         object.__setattr__(self, "projectors", blocks)
         stack = np.empty((len(blocks), dim, dim), dtype=np.complex128)
-        for q, adjoint, out in zip(blocks, adjoints, stack):
-            np.matmul(q, adjoint, out=out)
+        for q, start, out in zip(blocks, offsets, stack):
+            np.matmul(q, adjoint[start:start + q.shape[1]], out=out)
         stack.setflags(write=False)
         object.__setattr__(self, "projector_stack", stack)
 

@@ -9,12 +9,13 @@ The search is sound -- every returned protocol is re-verified -- but
 incomplete: an exhausted search yields Unknown.
 
 Every node works array-at-a-time.  It holds its states as one
-``(m, dim_a, dim_b)`` amplitude stack with their labels and Schmidt ranks,
-and computes each party's cross operators for all pairs in one product.
-Candidates are generated tier by tier, only as far as the search asks; each
-tier is one stack of outcome projectors, which gives the dedupe keys and,
-for the candidates the beam lets through, admissibility in one product
-``vec(P) . vec(M^T)``.  An admitted candidate is applied to the whole stack
+``(m, dim_a, dim_b)`` amplitude stack with their labels and Schmidt ranks.
+It builds a party's cross operators, for all pairs in one product, on
+demand: when that party's candidates, or the other party's Schmidt tier,
+first need them.  Candidates are generated tier by tier, only as far as the
+search asks; each tier is one stack of outcome projectors, which gives the
+dedupe keys and, for the candidates the beam lets through, admissibility in
+one product ``vec(P) . vec(M^T)``.  An admitted candidate is applied to the whole stack
 at once: one batched norm gives every survivor's mass, one batched Gram
 product checks that each outcome's survivors stay orthogonal, and one
 ``svd`` gives their Schmidt ranks, which the children inherit with their
@@ -24,7 +25,9 @@ slice of the stack.  Only the candidate that enters the tree becomes a
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import accumulate
 
 import numpy as np
@@ -55,6 +58,13 @@ UNKNOWN = "unknown"
 
 _DUST = 1e-12
 _PRODUCT_ENTRIES = 1 << 14
+#: coefficients of a flattened 2x2 matrix on (sigma_x, sigma_y, sigma_z)
+_PAULI = np.array([[0, 0, 0.5], [0.5, 0.5j, 0], [0.5, -0.5j, 0], [0, 0, -0.5]])
+
+
+def _check_tolerance(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be a finite number > 0, got {tol}")
 
 
 @dataclass(frozen=True)
@@ -62,8 +72,8 @@ class SearchConfig:
     """Bounds of the protocol search.
 
     ``max_depth`` caps the rounds of measurement on any branch,
-    ``tolerance`` is used by every numerical check, and ``beam_limit`` caps
-    the candidates one party tries at one node.
+    ``tolerance`` (finite and > 0) is used by every numerical check, and
+    ``beam_limit`` caps the candidates one party tries at one node.
     """
 
     max_depth: int = 6
@@ -71,6 +81,7 @@ class SearchConfig:
     beam_limit: int = 64
 
     def __post_init__(self):
+        _check_tolerance(self.tolerance)
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
         if self.beam_limit < 1:
@@ -140,15 +151,6 @@ def _support_labels(stack: np.ndarray, party: str, tol: float) -> np.ndarray:
     return reach.argmax(axis=1)
 
 
-def _pauli_vector(m: np.ndarray) -> np.ndarray:
-    # coefficients of a 2x2 matrix on (sigma_x, sigma_y, sigma_z)
-    return np.array([
-        (m[0, 1] + m[1, 0]) / 2,
-        1j * (m[0, 1] - m[1, 0]) / 2,
-        (m[0, 0] - m[1, 1]) / 2,
-    ])
-
-
 def _bloch_basis(n: np.ndarray) -> np.ndarray:
     """Orthonormal qubit basis whose first vector has Bloch vector ``n``."""
     n = np.asarray(n, dtype=float)
@@ -172,16 +174,15 @@ def _qubit_plane_bases(side_mats, tol) -> list[np.ndarray]:
     nothing; with no constraint left every basis works and the computational
     one is returned, so ``[]`` means no basis exists.
     """
-    rows = []
-    for m in side_mats:
-        pv = _pauli_vector(m)
-        for part in (pv.real, pv.imag):
-            norm = np.linalg.norm(part)
-            if norm > tol:
-                rows.append(part / norm)
-    if not rows:
+    # Pauli vectors of the flattened matrices, and the norm of every real and
+    # imaginary part as the product np.linalg.norm makes, bit for bit
+    parts = (np.reshape(side_mats, (-1, 4)) @ _PAULI).view(np.float64).reshape(-1, 3, 2)
+    parts = parts.transpose(0, 2, 1).reshape(-1, 3)
+    norms = np.sqrt(parts[:, np.newaxis] @ parts[:, :, np.newaxis])[:, 0]
+    keep = norms[:, 0] > tol
+    a = parts[keep] / norms[keep]
+    if not len(a):
         return [np.eye(2, dtype=np.complex128)]
-    a = np.array(rows)
     _, sig, vt = np.linalg.svd(a)
     rank = int(np.count_nonzero(sig > 1e-8))
     return [_bloch_basis(vt[k]) for k in range(rank, 3)]
@@ -298,16 +299,29 @@ def _keys(projs: np.ndarray, counts: list[int]) -> list[bytes]:
     return [np.sort(r).tobytes() for r in np.split(rows, np.cumsum(counts)[:-1])]
 
 
-def _candidates(stack: np.ndarray, party: str, sides: np.ndarray, other: np.ndarray,
-                cfg: SearchConfig):
+@cache
+def _computational(d: int):
+    """The identity of dimension ``d``, its columns as one-column blocks, and
+    their projector stack ``(d, d, d)``, all read-only."""
+    eye, rows = np.eye(d, dtype=np.complex128), np.eye(d, dtype=bool)
+    blocks = tuple(eye[:, row] for row in rows)
+    projs = rows[:, np.newaxis, :] * eye
+    for a in (eye, projs, *blocks):
+        a.setflags(write=False)
+    return eye, blocks, projs
+
+
+def _candidates(stack: np.ndarray, party: str, cross, cfg: SearchConfig):
     """``candidate_bases`` of an amplitude stack as ``(blocks, projectors,
-    admissible)`` triples, given both parties' cross operators (``sides`` for
-    the acting party, ``other`` for the other).  Lazy: a tier is built only
-    when the caller asks past the one before it.  Each tier is one stack of
-    outcome projectors, which gives the dedupe keys and, for the candidates
-    the beam lets through, admissibility in one product."""
+    admissible)`` triples, given ``cross(party)``, the cross operators of
+    either party.  Lazy: a tier is built only when the caller asks past the
+    one before it, and the other party's cross operators are asked for only
+    by the Schmidt tier.  Each tier is one stack of outcome projectors, which
+    gives the dedupe keys and, for the candidates the beam lets through,
+    admissibility in one product."""
     d = stack.shape[1] if party == ALICE else stack.shape[2]
     tol = cfg.tolerance
+    sides = cross(party)
 
     def columns(bases):
         cols = _phased_columns(bases)
@@ -315,15 +329,15 @@ def _candidates(stack: np.ndarray, party: str, sides: np.ndarray, other: np.ndar
         return list(cols), projs.reshape(-1, d, d)
 
     def standard():
-        # one boolean row per outcome: the basis indices it projects onto
         labels = _support_labels(stack, party, tol)
         roots = np.flatnonzero(labels == np.arange(d))
-        groups = [np.eye(d, dtype=bool)]
-        if 2 <= len(roots) < d:
-            groups.append(labels == roots[:, np.newaxis])
-        eye = np.eye(d, dtype=np.complex128)
-        cands = [tuple(eye[:, row] for row in g) for g in groups]
-        return cands, np.concatenate(groups)[:, np.newaxis, :] * eye
+        eye, basis, projs = _computational(d)
+        if not 2 <= len(roots) < d:
+            return [basis], projs
+        # one boolean row per support block: the basis indices it projects onto
+        groups = labels == roots[:, np.newaxis]
+        return ([basis, tuple(eye[:, row] for row in groups)],
+                np.concatenate((projs, groups[:, np.newaxis, :] * eye)))
 
     def zero_diagonal():
         if d == 2:
@@ -335,7 +349,7 @@ def _candidates(stack: np.ndarray, party: str, sides: np.ndarray, other: np.ndar
         return columns(_zero_diagonal_bases(evals, evecs, tol))
 
     def schmidt():
-        if np.abs(other).max(initial=0.0) > _DUST:
+        if np.abs(cross(BOB if party == ALICE else ALICE)).max(initial=0.0) > _DUST:
             return [], None
         # the other party's cross operators all vanish, so this party's local
         # supports, and its Schmidt vectors of different states, are pairwise
@@ -386,17 +400,14 @@ def candidate_bases(e: Ensemble, party: str, cfg: SearchConfig | None = None):
     orthonormal completion of a maximal mutually orthogonal set of the
     party's Schmidt vectors, which then identifies every state in one round.
     Each tier is sorted by projector key, duplicates are dropped, and the list
-    is truncated at ``beam_limit``.  The search runs the same generator on the
-    cross operators it computes once per node, lazily: a tier is built only
-    when the search asks past the end of the one before it, so the order is
-    the same as this list's.
+    is truncated at ``beam_limit``.  The search runs the same generator,
+    lazily: a tier is built only when the search asks past the end of the one
+    before it, so the order is the same as this list's.
     """
     cfg = cfg or SearchConfig()
     stack = e.amplitudes
-    sides = {p: _cross(stack, p) for p in (ALICE, BOB)}
-    other = BOB if party == ALICE else ALICE
     return [ProjectiveMeasurement(party, blocks)
-            for blocks, _, _ in _candidates(stack, party, sides[party], sides[other], cfg)]
+            for blocks, _, _ in _candidates(stack, party, partial(_cross, stack), cfg)]
 
 
 def _project(stack: np.ndarray, party: str, projs: np.ndarray, tol: float):
@@ -506,10 +517,9 @@ def search_protocol(e: Ensemble, cfg: SearchConfig | None = None) -> SearchOutco
         stats["nodes"] += 1
         if depth >= depth_limit:
             return None
-        sides = {p: _cross(stack, p) for p in (ALICE, BOB)}
-        for party, other in ((ALICE, BOB), (BOB, ALICE)):
-            for blocks, projs, admissible in _candidates(stack, party, sides[party],
-                                                         sides[other], cfg):
+        cross = cache(partial(_cross, stack))  # each party's, once it is asked for
+        for party in (ALICE, BOB):
+            for blocks, projs, admissible in _candidates(stack, party, cross, cfg):
                 if not admissible:
                     continue
                 alive, states, _ = _project(stack, party, projs, tol)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -207,6 +211,25 @@ def test_cmd_verify_nonorthonormal_projector_exits_3(bell2_file, tmp_path):
     result = run_cli(["verify", bell2_file, ppath, "--format", "json"])
     assert result.exit_code == 3
     assert report_of(result)["diagnostics"]["kind"] == "NotUnitary"
+
+
+def test_cmd_verify_overflowing_projector_warns_nothing(bell2_file, tmp_path):
+    # the Gram product of a (1e308, 1e308) column overflows; the report says
+    # so, and numpy prints no RuntimeWarning on the way
+    payload = protocol_to_dict(L.canned_protocol("bell2-x"))
+    payload["outcomes"][0]["projector_columns"][0] = [[1e308, 0.0], [1e308, 0.0]]
+    ppath = tmp_path / "huge.json"
+    write_json(ppath, payload)
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-m", "loccdist.cli", "verify", str(bell2_file), str(ppath),
+         "--format", "json"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+        timeout=120)
+    assert result.returncode == 3
+    assert result.stderr == ""
+    assert json.loads(result.stdout)["diagnostics"]["error"] == (
+        "outcome 0: projector columns not orthonormal (deviation inf)")
 
 
 def _write_non_finite(root):

@@ -1,4 +1,6 @@
+import itertools
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from loccdist import (
     tree_depth,
     verify_protocol,
 )
+from loccdist.ensemble import haar_unitary
 
 S2 = 1.0 / np.sqrt(2.0)
 PLUS = np.array([S2, S2])
@@ -84,6 +87,132 @@ def test_measurement_rejects_nan_columns():
         ProjectiveMeasurement(ALICE, (col([np.nan, np.nan]), col([np.nan, np.nan])))
     with pytest.raises(NotUnitary):
         ProjectiveMeasurement(ALICE, (col([1, 0]), col([np.nan, 1])))
+
+
+def _reference_measurement(projectors, tol=L.DEFAULT_TOL):
+    """Per-block validation: one product per outcome and per pair of
+    outcomes, in the order ``ProjectiveMeasurement`` reports faults.  Returns
+    the projector stack, or the ``(type, message)`` of the fault."""
+    blocks = []
+    for q in projectors:
+        q = np.asarray(q, dtype=complex)
+        blocks.append(np.array(q[:, np.newaxis] if q.ndim == 1 else q, copy=True))
+    dim = blocks[0].shape[0]
+    total = 0
+    adjoints = []
+    for k, q in enumerate(blocks):
+        if q.shape[0] != dim:
+            return NotUnitary, "all projectors must act on the same local space"
+        adjoints.append(q.conj().T)
+        with np.errstate(all="ignore"):
+            dev = np.abs(adjoints[k] @ q - np.eye(q.shape[1])).max()
+        if not dev <= tol:
+            return NotUnitary, f"outcome {k}: projector columns not orthonormal (deviation {dev:.3g})"
+        total += q.shape[1]
+    for i in range(len(blocks)):
+        for j in range(i + 1, len(blocks)):
+            with np.errstate(all="ignore"):
+                dev = np.abs(adjoints[i] @ blocks[j]).max()
+            if not dev <= tol:
+                return NotUnitary, f"outcomes {i} and {j} are not orthogonal (overlap {dev:.3g})"
+    if total != dim:
+        return NotUnitary, f"projector ranks sum to {total}, expected the local dimension {dim}"
+    stack = np.empty((len(blocks), dim, dim), dtype=complex)
+    for q, adjoint, out in zip(blocks, adjoints, stack):
+        np.matmul(q, adjoint, out=out)
+    return stack
+
+
+def _assert_validates_as_reference(projectors, tol=L.DEFAULT_TOL):
+    expected = _reference_measurement(projectors, tol)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            got = ProjectiveMeasurement(ALICE, tuple(projectors), tol=tol).projector_stack
+        except NotUnitary as exc:
+            got = type(exc), str(exc)
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert isinstance(got, np.ndarray), got
+        assert got.tobytes() == expected.tobytes()
+    return got
+
+
+def _split(u, ranks):
+    return [u[:, s:s + r] for s, r in zip(np.cumsum([0, *ranks[:-1]]), ranks)]
+
+
+def _measurement_cases():
+    """Valid and faulty measurements, as lists of column blocks."""
+    rng = np.random.default_rng(2026)
+    for d in range(1, 7):
+        for _ in range(6):
+            ranks = []
+            while sum(ranks) < d:
+                ranks.append(int(rng.integers(1, d - sum(ranks) + 1)))
+            u = haar_unitary(d, rng)
+            blocks = _split(u, ranks)
+            yield blocks
+            yield [b[:, 0] if b.shape[1] == 1 else b for b in blocks]  # vectors
+            yield [np.asfortranarray(b) for b in blocks]
+            for k in range(len(blocks)):  # each outcome non-orthonormal in turn
+                bad = list(blocks)
+                bad[k] = bad[k] * 1.1
+                yield bad
+                nan = list(blocks)
+                nan[k] = nan[k].copy()
+                nan[k][0, 0] = np.nan
+                yield nan
+            if len(blocks) > 1:
+                yield blocks[:-1]  # ranks short of the dimension
+                for i, j in itertools.combinations(range(len(blocks)), 2):
+                    twin = list(blocks)
+                    twin[j] = twin[i]
+                    yield twin
+    e = np.eye(4)
+    # overlapping pairs (1, 2) and (0, 3): the first in row order is (0, 3)
+    yield [e[:, :1], e[:, 1:2], e[:, 1:2], e[:, :1]]
+    # overlaps that also break the ranks, and a block of the wrong length
+    yield [e[:, :2], e[:, 1:3]]
+    # mixed local dimensions: the earliest fault wins, dimensions before pairs
+    z3 = np.eye(3)
+    yield [e[:, :1], z3[:, :1]]
+    yield [1.1 * e[:, :1], z3[:, :1]]
+    yield [e[:, :1], 1.1 * e[:, 1:2], z3[:, :1], e[:, 2:]]
+    yield [e[:, :1], e[:, 1:2], z3[:, :1], 1.1 * e[:, 2:]]
+    yield [e[:, :1], e[:, :1], z3[:, :1]]
+    yield [e[:, :1], np.full((4, 1), np.nan), z3[:, :1]]
+    yield [[np.nan, np.nan], [np.nan, np.nan]]
+    yield [[1e308, 1e308], [1, -1]]
+
+
+def test_measurement_validation_matches_per_block_reference():
+    kinds = ("not orthonormal", "not orthogonal", "ranks sum", "same local space")
+    met = set()
+    for blocks in _measurement_cases():
+        got = _assert_validates_as_reference(blocks)
+        if isinstance(got, tuple):
+            met.update(kind for kind in kinds if kind in got[1])
+    assert met == set(kinds)
+
+
+@pytest.mark.parametrize("factor", [1 - 1e-3, 1 + 1e-3])
+def test_measurement_validation_at_the_tolerance(factor):
+    tol = 1e-9
+    dev = tol * factor
+    # a column whose norm^2 is off by dev, and a pair that overlaps by dev
+    _assert_validates_as_reference([[np.sqrt(1 + dev), 0], [0, 1]], tol)
+    _assert_validates_as_reference([[1, 0], [dev, np.sqrt(1 - dev * dev)]], tol)
+    for t in (1e-12, 1e-6):
+        _assert_validates_as_reference([[1, 0], [t * factor, 1]], t)
+
+
+def test_measurement_overflow_reports_inf_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotUnitary, match=r"outcome 0: .* \(deviation inf\)"):
+            ProjectiveMeasurement(ALICE, (col([1e308, 1e308]), col([1, -1])))
 
 
 def test_branch_operator_with_nan_is_not_a_projector():

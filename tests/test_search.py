@@ -209,12 +209,26 @@ def test_candidates_build_a_tier_only_when_asked_past_the_one_before(bell2, monk
     monkeypatch.setattr(search_module, "_qubit_plane_bases",
                         lambda *args: calls.append(args) or real(*args))
     sides = {p: cross_operators(bell2, p) for p in (ALICE, BOB)}
-    gen = search_module._candidates(bell2.amplitudes, ALICE, sides[ALICE], sides[BOB],
+    gen = search_module._candidates(bell2.amplitudes, ALICE, sides.__getitem__,
                                     SearchConfig())
     next(gen)  # the computational basis, from the standard tier
     assert calls == []
     assert len(list(gen)) == 2  # the two zero-diagonal bases
     assert len(calls) == 1
+
+
+def test_search_builds_cross_operators_of_a_party_only_when_asked(monkeypatch):
+    # Alice's computational basis closes |00>, |11> at the root, so Bob's
+    # cross operators are never needed
+    asked = []
+    real = search_module._cross
+    monkeypatch.setattr(search_module, "_cross",
+                        lambda stack, party: asked.append(party) or real(stack, party))
+    e = make_ensemble([product_state(2, 2, [1, 0], [1, 0], name="a"),
+                       product_state(2, 2, [0, 1], [0, 1], name="b")])
+    out = search_protocol(e)
+    assert out.verdict == YES and out.nodes_explored == 1
+    assert asked == [ALICE]
 
 
 def test_candidates_deterministic_and_duplicate_free(six4x4):
@@ -236,6 +250,77 @@ def test_search_config_validation():
         SearchConfig(max_depth=0)
     with pytest.raises(ValueError):
         SearchConfig(beam_limit=0)
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf])
+def test_tolerance_must_be_finite_and_positive(bell2, tol):
+    with pytest.raises(ValueError, match="tolerance must be a finite number > 0"):
+        SearchConfig(tolerance=tol)
+    with pytest.raises(ValueError, match="tolerance must be a finite number > 0"):
+        classify_2x2(bell2, tol=tol)
+
+
+# ---------------------------------------------------------------------------
+# qubit-plane solver
+
+
+def _reference_qubit_plane_bases(side_mats, tol):
+    """The solver with one Pauli vector and one norm per real and imaginary
+    part, operator after operator."""
+    rows = []
+    for m in side_mats:
+        pv = np.array([(m[0, 1] + m[1, 0]) / 2, 1j * (m[0, 1] - m[1, 0]) / 2,
+                       (m[0, 0] - m[1, 1]) / 2])
+        for part in (pv.real, pv.imag):
+            norm = np.linalg.norm(part)
+            if norm > tol:
+                rows.append(part / norm)
+    if not rows:
+        return [np.eye(2, dtype=complex)]
+    _, sig, vt = np.linalg.svd(np.array(rows))
+    rank = int(np.count_nonzero(sig > 1e-8))
+    return [search_module._bloch_basis(vt[k]) for k in range(rank, 3)]
+
+
+PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def _cross_operator_stacks():
+    """Seeded stacks of 0 to 12 traceless 2x2 operators, with the tolerance
+    to solve them at: generic, Hermitian and anti-Hermitian ones (purely real
+    and purely imaginary Pauli parts), all-zero ones, and parts whose norm
+    lies exactly at, just below and just above the tolerance."""
+    rng = np.random.default_rng(2002)
+    for p in range(13):
+        for kind in ("complex", "real", "imaginary", "zeros", "small"):
+            x = rng.normal(size=(p, 3)) + 1j * rng.normal(size=(p, 3))
+            if kind == "real":
+                x = x.real + 0j
+            elif kind == "imaginary":
+                x = 1j * x.imag
+            elif kind == "zeros":
+                x[rng.random(p) < 0.5] = 0
+            elif kind == "small":
+                x *= rng.choice([1e-12, 1e-10, 1e-9, 1e-8, 1.0], size=(p, 1))
+            mats = np.einsum("pk,kij->pij", x, PAULIS)
+            yield mats, L.DEFAULT_TOL
+            if p:
+                part = rng.choice([x[0].real, x[0].imag])
+                at = np.linalg.norm(part)
+                if at > 0:
+                    for tol in (at, np.nextafter(at, np.inf), np.nextafter(at, 0)):
+                        yield mats, tol
+
+
+def test_qubit_plane_bases_match_the_per_operator_loop():
+    cases = 0
+    for mats, tol in _cross_operator_stacks():
+        got = search_module._qubit_plane_bases(mats, tol)
+        ref = _reference_qubit_plane_bases(mats, tol)
+        assert len(got) == len(ref)
+        assert all(g.tobytes() == r.tobytes() for g, r in zip(got, ref))
+        cases += 1
+    assert cases > 150
 
 
 # ---------------------------------------------------------------------------
