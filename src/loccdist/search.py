@@ -1,26 +1,29 @@
 """Bounded synthesis of projective discrimination protocols.
 
 Depth-first search in which, at every node, Alice and then Bob try the
-candidate measurements of one fixed generator (``candidate_bases``).  A
-candidate is admitted only if every outcome keeps the surviving states
-pairwise orthogonal (the per-outcome diagonal of every cross operator must
-vanish), which is necessary for reliable discrimination to remain possible.
+candidate measurements of one fixed generator (``candidate_bases``); Bob
+goes first when Alice's cross operators all vanish, since then his Schmidt
+completion identifies every state in one round.  A candidate is admitted
+only if every outcome keeps the surviving states pairwise orthogonal (the
+per-outcome diagonal of every cross operator must vanish), which is
+necessary for reliable discrimination to remain possible.
 The search is sound -- every returned protocol is re-verified -- but
 incomplete: an exhausted search yields Unknown.
 
 Every node works array-at-a-time.  It holds its states as one
 ``(m, dim_a, dim_b)`` amplitude stack with their labels and Schmidt ranks.
-It builds a party's cross operators, for all pairs in one product, on
-demand: when that party's candidates, or the other party's Schmidt tier,
-first need them.  Candidates are generated tier by tier, only as far as the
-search asks; each tier is one stack of outcome projectors, which gives the
-dedupe keys and, for the candidates the beam lets through, admissibility in
-one product ``vec(P) . vec(M^T)``.  An admitted candidate is applied to the whole stack
-at once: one batched norm gives every survivor's mass, one batched Gram
-product checks that each outcome's survivors stay orthogonal, and one
-``svd`` gives their Schmidt ranks, which the children inherit with their
-slice of the stack.  Only the candidate that enters the tree becomes a
-``ProjectiveMeasurement``; no node builds states or ensembles.
+It builds each party's cross operators, for all pairs in one product, once:
+the party order and every party's Schmidt tier need Alice's and Bob's
+alike.  Candidates are generated tier by tier, the Schmidt tier first, only
+as far as the search asks; each tier is one stack of outcome projectors,
+which gives the dedupe keys and, for the candidates the beam lets through,
+admissibility in one product ``vec(P) . vec(M^T)``.  An admitted candidate
+is applied to the whole stack at once: one batched norm gives every
+survivor's mass, one batched Gram product checks that each outcome's
+survivors stay orthogonal, and one ``svd`` gives their Schmidt ranks, which
+the children inherit with their slice of the stack.  Only the candidate that
+enters the tree becomes a ``ProjectiveMeasurement``; no node builds states
+or ensembles.
 """
 
 from __future__ import annotations
@@ -152,15 +155,15 @@ def _support_labels(stack: np.ndarray, party: str, tol: float) -> np.ndarray:
 
 
 def _bloch_basis(n: np.ndarray) -> np.ndarray:
-    """Orthonormal qubit basis whose first vector has Bloch vector ``n``."""
-    n = np.asarray(n, dtype=float)
-    n = n / np.linalg.norm(n)
-    theta = np.arccos(np.clip(n[2], -1.0, 1.0))
-    phi = float(np.arctan2(n[1], n[0]))
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    w0 = np.array([c, np.exp(1j * phi) * s])
-    w1 = np.array([-np.exp(-1j * phi) * s, c])
-    return np.column_stack([w0, w1])
+    """Orthonormal qubit basis whose first vector has Bloch vector ``n``, a
+    float64 3-vector.  Plain arithmetic runs on Python floats; every
+    elementary function stays a numpy ufunc, whose bits can differ from
+    ``math``'s."""
+    x, y, z = (n / math.sqrt(n @ n)).tolist()
+    half = float(np.arccos(min(max(z, -1.0), 1.0))) / 2.0
+    phi = float(np.arctan2(y, x))
+    c, s = np.cos(half), np.sin(half)
+    return np.array([[c, -np.exp(-1j * phi) * s], [np.exp(1j * phi) * s, c]])
 
 
 def _qubit_plane_bases(side_mats, tol) -> list[np.ndarray]:
@@ -314,11 +317,11 @@ def _computational(d: int):
 def _candidates(stack: np.ndarray, party: str, cross, cfg: SearchConfig):
     """``candidate_bases`` of an amplitude stack as ``(blocks, projectors,
     admissible)`` triples, given ``cross(party)``, the cross operators of
-    either party.  Lazy: a tier is built only when the caller asks past the
-    one before it, and the other party's cross operators are asked for only
-    by the Schmidt tier.  Each tier is one stack of outcome projectors, which
-    gives the dedupe keys and, for the candidates the beam lets through,
-    admissibility in one product."""
+    either party.  The Schmidt tier comes first and asks for the other
+    party's cross operators; the later tiers are lazy, each built only when
+    the caller asks past the one before it.  Each tier is one stack of
+    outcome projectors, which gives the dedupe keys and, for the candidates
+    the beam lets through, admissibility in one product."""
     d = stack.shape[1] if party == ALICE else stack.shape[2]
     tol = cfg.tolerance
     sides = cross(party)
@@ -357,7 +360,7 @@ def _candidates(stack: np.ndarray, party: str, cross, cfg: SearchConfig):
         return columns(_schmidt_completion(stack, party, tol)[np.newaxis])
 
     seen = set()
-    for tier in (standard, zero_diagonal, schmidt):
+    for tier in (schmidt, standard, zero_diagonal):
         cands, projs = tier()
         if not cands:
             continue
@@ -386,23 +389,25 @@ def _candidates(stack: np.ndarray, party: str, cross, cfg: SearchConfig):
 def candidate_bases(e: Ensemble, party: str, cfg: SearchConfig | None = None):
     """Deterministic, duplicate-free candidate measurements for one party.
 
-    Up to three fixed tiers, in this order.  The standard tier is the
-    computational basis and, when the states' local supports split the basis
-    indices into nontrivial components, the block-coarsened measurement onto
-    those components.  The zero-diagonal tier holds bases in which the
-    party's cross operators (``cross_operators``) have vanishing diagonal:
-    for a qubit party every exact solution for all cross operators at once
-    (the Bloch-plane solver), otherwise one basis per Hermitian or
-    anti-Hermitian part of each cross operator, built by pairing
-    opposite-sign eigenvalues.  The fallback tier is offered only when every
-    cross operator of the *other* party vanishes, that is, when this party's
-    local supports of different states are pairwise orthogonal: the
-    orthonormal completion of a maximal mutually orthogonal set of the
-    party's Schmidt vectors, which then identifies every state in one round.
-    Each tier is sorted by projector key, duplicates are dropped, and the list
-    is truncated at ``beam_limit``.  The search runs the same generator,
-    lazily: a tier is built only when the search asks past the end of the one
-    before it, so the order is the same as this list's.
+    Up to three fixed tiers, in this order.  The Schmidt tier is offered
+    only when every cross operator of the *other* party vanishes, that is,
+    when this party's local supports of different states are pairwise
+    orthogonal: the orthonormal completion of a maximal mutually orthogonal
+    set of the party's Schmidt vectors, which then identifies every state in
+    one round, so no later tier can do better and no beam crowds it out.
+    The standard tier is the computational basis and, when the states'
+    local supports split the basis indices into nontrivial components, the
+    block-coarsened measurement onto those components.  The zero-diagonal
+    tier holds bases in which the party's cross operators
+    (``cross_operators``) have vanishing diagonal: for a qubit party every
+    exact solution for all cross operators at once (the Bloch-plane
+    solver), otherwise one basis per Hermitian or anti-Hermitian part of
+    each cross operator, built by pairing opposite-sign eigenvalues.  Each
+    tier is sorted by projector key, duplicates are dropped, and the list is
+    truncated at ``beam_limit``.  The search runs the same generator,
+    lazily: the standard and zero-diagonal tiers are each built only when
+    the search asks past the end of the one before, so the order is the
+    same as this list's.
     """
     cfg = cfg or SearchConfig()
     stack = e.amplitudes
@@ -517,8 +522,10 @@ def search_protocol(e: Ensemble, cfg: SearchConfig | None = None) -> SearchOutco
         stats["nodes"] += 1
         if depth >= depth_limit:
             return None
-        cross = cache(partial(_cross, stack))  # each party's, once it is asked for
-        for party in (ALICE, BOB):
+        cross = cache(partial(_cross, stack))  # each party's, built once
+        # vanishing Alice cross operators let Bob's Schmidt tier close the node
+        parties = (BOB, ALICE) if np.abs(cross(ALICE)).max(initial=0.0) <= _DUST else (ALICE, BOB)
+        for party in parties:
             for blocks, projs, admissible in _candidates(stack, party, cross, cfg):
                 if not admissible:
                     continue

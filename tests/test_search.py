@@ -217,18 +217,61 @@ def test_candidates_build_a_tier_only_when_asked_past_the_one_before(bell2, monk
     assert len(calls) == 1
 
 
-def test_search_builds_cross_operators_of_a_party_only_when_asked(monkeypatch):
-    # Alice's computational basis closes |00>, |11> at the root, so Bob's
-    # cross operators are never needed
+def test_search_builds_each_party_s_cross_operators_once_per_node(monkeypatch):
     asked = []
     real = search_module._cross
     monkeypatch.setattr(search_module, "_cross",
-                        lambda stack, party: asked.append(party) or real(stack, party))
-    e = make_ensemble([product_state(2, 2, [1, 0], [1, 0], name="a"),
-                       product_state(2, 2, [0, 1], [0, 1], name="b")])
+                        lambda stack, party: asked.append((stack.tobytes(), party))
+                        or real(stack, party))
+    for e in (L.canned_example("six4x4"), random_ensemble(3, 3, 9, seed=0, kind="product-basis"),
+              random_ensemble(3, 3, 3, seed=1)):
+        asked.clear()
+        out = search_protocol(e)
+        assert len(asked) == len(set(asked))
+        for party in (ALICE, BOB):
+            assert sum(p == party for _, p in asked) <= out.nodes_explored
+
+
+def test_search_tries_bob_s_schmidt_completion_first_when_alice_s_cross_operators_vanish(
+        monkeypatch):
+    # Bob's local supports are orthogonal and Alice's are not: Alice's cross
+    # operators vanish, so any Alice measurement is admissible but none
+    # closes the node, while Bob's Schmidt completion closes it in one round
+    rng = np.random.default_rng(3)
+    ua, ub = haar_unitary(3, rng), haar_unitary(3, rng)
+    kets = (ua[:, 0], (ua[:, 0] + ua[:, 1]) * S2)
+    e = make_ensemble([product_state(3, 3, kets[k], ub[:, k], name=f"p{k}") for k in range(2)])
+    assert np.abs(cross_operators(e, ALICE)).max() <= 1e-12
+    assert np.abs(cross_operators(e, BOB)).max() > 1e-12
+    projected = []
+    real = search_module._project
+    monkeypatch.setattr(search_module, "_project",
+                        lambda stack, party, *args: projected.append(party)
+                        or real(stack, party, *args))
     out = search_protocol(e)
-    assert out.verdict == YES and out.nodes_explored == 1
-    assert asked == [ALICE]
+    assert (out.verdict, out.nodes_explored) == (YES, 1)
+    assert projected == [BOB]
+    completion = search_module._schmidt_completion(e.amplitudes, BOB, L.DEFAULT_TOL)
+    root = out.protocol.measurement
+    assert root.party == BOB
+    assert all(np.array_equal(q, c) for q, c in
+               zip(root.projectors, search_module._phased_columns(completion[np.newaxis])[0]))
+
+
+def _orthogonal_product_pair(dim_a, dim_b, seed):
+    rng = np.random.default_rng(seed)
+    ua, ub = haar_unitary(dim_a, rng), haar_unitary(dim_b, rng)
+    return make_ensemble([product_state(dim_a, dim_b, ua[:, k], ub[:, k], name=f"p{k}")
+                          for k in range(2)])
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3), (3, 5)])
+def test_beam_of_one_keeps_the_schmidt_completion_of_an_orthogonal_product_pair(dims):
+    # the Schmidt tier goes first, so a narrow beam cannot crowd it out; two
+    # orthogonal states are always distinguishable (Walgate et al. 2000)
+    for seed in range(3):
+        out = search_protocol(_orthogonal_product_pair(*dims, seed), SearchConfig(beam_limit=1))
+        assert (out.verdict, out.nodes_explored) == (YES, 1), seed
 
 
 def test_candidates_deterministic_and_duplicate_free(six4x4):
@@ -280,6 +323,32 @@ def _reference_qubit_plane_bases(side_mats, tol):
     _, sig, vt = np.linalg.svd(np.array(rows))
     rank = int(np.count_nonzero(sig > 1e-8))
     return [search_module._bloch_basis(vt[k]) for k in range(rank, 3)]
+
+
+def _reference_bloch_basis(n):
+    """``_bloch_basis`` as the angle formula on numpy arrays."""
+    n = np.asarray(n, dtype=float)
+    n = n / np.linalg.norm(n)
+    theta = np.arccos(np.clip(n[2], -1.0, 1.0))
+    phi = float(np.arctan2(n[1], n[0]))
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    w0 = np.array([c, np.exp(1j * phi) * s])
+    w1 = np.array([-np.exp(-1j * phi) * s, c])
+    return np.column_stack([w0, w1])
+
+
+def test_bloch_basis_matches_the_angle_formula_bit_for_bit():
+    # protocol bytes depend on these bases; poles and signed zeros included
+    rng = np.random.default_rng(2000)
+    vecs = [np.array(v, dtype=float) for v in itertools.product((0.0, -0.0, 1.0, -1.0), repeat=3)
+            if any(v)]
+    vecs += list(rng.normal(size=(2000, 3)))
+    vecs += list(rng.normal(size=(500, 3)) * [1e-17, 1e-9, 1.0])  # near the poles
+    vecs += [np.linalg.svd(rng.normal(size=(2, 3)))[2][2] for _ in range(500)]
+    for n in vecs:
+        got, ref = search_module._bloch_basis(n), _reference_bloch_basis(n)
+        assert got.dtype == ref.dtype and got.strides == ref.strides
+        assert got.tobytes() == ref.tobytes(), n
 
 
 PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
