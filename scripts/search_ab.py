@@ -13,9 +13,12 @@ For every family of instances (the instance name without its seed or
 rotation number) the script prints the instance count, the sum over the
 family's instances of each one's minimum search time over the rounds, on
 the old and on the new tree, and the relative change of the new tree.  The
-last line is the total over all instances.  It exits 1 if any instance
-differs between the trees in verdict, nodes explored or depth limit, and
-lists those instances on stderr.
+table ends with the total over all instances, and a last line gives the
+number of instances whose protocol bytes differ between the trees: the
+sha256 of ``json.dumps(protocol_to_dict(protocol))``, as in
+``search_fingerprint.py``.  Those instances are listed on stderr.  The
+script exits 1 if any instance differs between the trees in verdict, nodes
+explored or depth limit, and lists those instances on stderr too.
 
 Usage: python3 scripts/search_ab.py OLD_SRC NEW_SRC [--repeat N]
 
@@ -25,7 +28,9 @@ one thread, as in ``perfbench``.
 """
 
 import argparse
+import hashlib
 import importlib
+import json
 import importlib.util
 import os
 import re
@@ -43,14 +48,16 @@ FINGERPRINT = Path(__file__).resolve().parent / "search_fingerprint.py"
 
 def load_tree(src: Path, tag: str):
     """Import the loccdist package under ``src`` and the instances built by
-    it.  Returns ``(modules, search, instances)``; ``modules`` are the
-    package's entries of ``sys.modules``, which must be put back before a
-    search of this tree, since the search imports a module when called."""
+    it.  Returns ``(modules, search, digest, instances)``; ``modules`` are
+    the package's entries of ``sys.modules``, which must be put back before
+    a search of this tree, since the search imports a module when called,
+    and ``digest`` hashes a protocol of this tree."""
     for name in [n for n in sys.modules if n == "loccdist" or n.startswith("loccdist.")]:
         del sys.modules[name]
     sys.path.insert(0, str(src))
     try:
         package = importlib.import_module("loccdist")
+        cli = importlib.import_module("loccdist.cli")
         spec = importlib.util.spec_from_file_location(f"search_fingerprint_{tag}", FINGERPRINT)
         fingerprint = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(fingerprint)
@@ -61,7 +68,13 @@ def load_tree(src: Path, tag: str):
         sys.exit(f"{src} holds no loccdist package")
     modules = {n: m for n, m in sys.modules.items()
                if n == "loccdist" or n.startswith("loccdist.")}
-    return modules, package.search_protocol, instances
+
+    def digest(protocol):
+        if protocol is None:
+            return "-"
+        return hashlib.sha256(json.dumps(cli.protocol_to_dict(protocol)).encode()).hexdigest()
+
+    return modules, package.search_protocol, digest, instances
 
 
 def family(name: str) -> str:
@@ -83,23 +96,25 @@ def main():
                     help="rounds over every instance (default 5)")
     args = ap.parse_args()
     trees = [load_tree(args.old_src, "old"), load_tree(args.new_src, "new")]
-    names = [name for name, _ in trees[0][2]]
-    if names != [name for name, _ in trees[1][2]]:
+    names = [name for name, _ in trees[0][3]]
+    if names != [name for name, _ in trees[1][3]]:
         sys.exit("the two trees build different instance lists")
 
     best = [[float("inf")] * len(names) for _ in trees]
     results = [[None] * len(names) for _ in trees]
+    digests = [[None] * len(names) for _ in trees]
     for r in range(args.repeat):
         for i in range(len(names)):
             first = (i + r) % 2
             for side in (first, 1 - first):
-                modules, search, instances = trees[side]
+                modules, search, digest, instances = trees[side]
                 sys.modules.update(modules)
                 start = time.perf_counter()
                 out = search(instances[i][1])
                 elapsed = time.perf_counter() - start
                 best[side][i] = min(best[side][i], elapsed)
                 results[side][i] = (out.verdict, out.nodes_explored, out.max_depth)
+                digests[side][i] = digest(out.protocol)
 
     totals = defaultdict(lambda: [0, 0.0, 0.0])
     for i, name in enumerate(names):
@@ -113,6 +128,10 @@ def main():
     for key, (count, old, new) in totals.items():
         print(f"{key:<30} {count:>4} {old:>10.3f} {new:>10.3f} {(new - old) / old:>+8.1%}")
 
+    rehashed = [name for name, a, b in zip(names, *digests) if a != b]
+    print(f"protocol bytes differ: {len(rehashed)} of {len(names)}")
+    for name in rehashed:
+        print(f"protocol bytes differ: {name}", file=sys.stderr)
     differ = [(name, a, b) for name, a, b in zip(names, *results) if a != b]
     for name, a, b in differ:
         print(f"differs: {name}: old {a}, new {b}", file=sys.stderr)

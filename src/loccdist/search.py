@@ -11,19 +11,22 @@ The search is sound -- every returned protocol is re-verified -- but
 incomplete: an exhausted search yields Unknown.
 
 Every node works array-at-a-time.  It holds its states as one
-``(m, dim_a, dim_b)`` amplitude stack with their labels and Schmidt ranks.
-It builds each party's cross operators, for all pairs in one product, once:
-the party order and every party's Schmidt tier need Alice's and Bob's
-alike.  Candidates are generated tier by tier, the Schmidt tier first, only
-as far as the search asks; each tier is one stack of outcome projectors,
-which gives the dedupe keys and, for the candidates the beam lets through,
-admissibility in one product ``vec(P) . vec(M^T)``.  An admitted candidate
-is applied to the whole stack at once: one batched norm gives every
-survivor's mass, one batched Gram product checks that each outcome's
-survivors stay orthogonal, and one ``svd`` gives their Schmidt ranks, which
-the children inherit with their slice of the stack.  Only the candidate that
-enters the tree becomes a ``ProjectiveMeasurement``; no node builds states
-or ensembles.
+``(m, dim_a, dim_b)`` amplitude stack with their labels and Schmidt ranks,
+and each party's cross operators, for all pairs: the party order and every
+party's Schmidt tier need Alice's and Bob's alike.  Candidates are generated
+tier by tier, the Schmidt tier first, only as far as the search asks; each
+tier is one stack of outcome projectors, which gives the dedupe keys and,
+for the candidates the beam lets through, admissibility in one product
+``vec(P) . vec(M^T)``.  An admitted candidate is applied to the whole stack
+at once: one batched norm gives every survivor's mass and one batched Gram
+product checks that each outcome's survivors stay orthogonal.  Its children
+(the outcomes that keep two or more states) are packed into one stack,
+whose one ``svd`` gives their Schmidt ranks and Schmidt vectors and whose
+one product per party gives every child's cross operators; only the root
+builds its own.  Every child whose first candidate is the one-round Schmidt
+closure is closed in that one pass, and the others are searched with their
+slices.  Only the candidate that enters the tree becomes a
+``ProjectiveMeasurement``; no node builds states or ensembles.
 """
 
 from __future__ import annotations
@@ -48,10 +51,9 @@ from .protocol import (
 )
 from .states import (
     DEFAULT_TOL,
-    RANK_CUTOFF,
     BipartiteState,
     frobenius_norms,
-    schmidt_ranks,
+    rank_counts,
     unit_norm_slack,
 )
 
@@ -95,13 +97,25 @@ def _local_dim(e: Ensemble, party: str) -> int:
     return e.dim_a if party == ALICE else e.dim_b
 
 
+@cache
+def _pairs(m: int):
+    """Both indices of every pair j < l of ``m`` states, in
+    ``itertools.combinations`` order, as read-only arrays ``(j, l)``."""
+    k = np.arange(m)
+    pairs = np.nonzero(k[:, np.newaxis] < k)
+    for a in pairs:
+        a.setflags(write=False)
+    return pairs
+
+
 def _cross(stack: np.ndarray, party: str) -> np.ndarray:
-    # every pair j < l of an (m, dim_a, dim_b) amplitude stack in one product
-    k = np.arange(len(stack))
-    j, l = np.nonzero(k[:, np.newaxis] < k)
+    # every pair j < l of a (..., m, dim_a, dim_b) amplitude stack in one
+    # product, (..., pairs, d, d); a zero-padded slot gives zero operators
+    j, l = _pairs(stack.shape[-3])
+    later, earlier = stack[..., l, :, :], stack[..., j, :, :].conj()
     if party == ALICE:
-        return stack[l] @ stack[j].conj().transpose(0, 2, 1)
-    return stack[l].transpose(0, 2, 1) @ stack[j].conj()
+        return later @ earlier.swapaxes(-1, -2)
+    return later.swapaxes(-1, -2) @ earlier
 
 
 def cross_operators(e: Ensemble, party: str) -> np.ndarray:
@@ -119,16 +133,17 @@ def cross_operators(e: Ensemble, party: str) -> np.ndarray:
 
 
 def _admits(projs: np.ndarray, sides: np.ndarray, tol: float) -> np.ndarray:
-    """Per projector of a ``(n, d, d)`` stack: whether ``tr(P M)`` vanishes
-    within ``tol`` for every cross operator ``M``, from products
-    ``vec(P) . vec(M^T)`` taken ``_PRODUCT_ENTRIES`` at a time, which bounds
-    their memory however many pairs there are."""
+    """Per projector of a ``(..., n, d, d)`` stack: whether ``tr(P M)``
+    vanishes within ``tol`` for every cross operator ``M`` of the matching
+    ``(..., pairs, d, d)`` stack, from products ``vec(P) . vec(M^T)`` taken
+    ``_PRODUCT_ENTRIES`` at a time, which bounds their memory however many
+    pairs there are."""
     d = projs.shape[-1]
-    flat = sides.transpose(0, 2, 1).reshape(-1, d * d).T
-    rows = projs.reshape(-1, d * d)
-    step = max(1, _PRODUCT_ENTRIES // max(1, flat.shape[1]))
-    return np.concatenate([(np.abs(rows[i:i + step] @ flat) <= tol).all(axis=1)
-                           for i in range(0, len(rows), step)])
+    flat = sides.swapaxes(-1, -2).reshape(*sides.shape[:-3], -1, d * d).swapaxes(-1, -2)
+    rows = projs.reshape(*projs.shape[:-3], -1, d * d)
+    step = max(1, _PRODUCT_ENTRIES // max(1, flat.size // (d * d)))
+    return np.concatenate([(np.abs(rows[..., i:i + step, :] @ flat) <= tol).all(axis=-1)
+                           for i in range(0, rows.shape[-2], step)], axis=-1)
 
 
 def valid_measurement(e: Ensemble, meas: ProjectiveMeasurement,
@@ -268,21 +283,108 @@ def _phased_columns(bases: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(phased.transpose(0, 2, 1))[..., np.newaxis]
 
 
-def _schmidt_completion(stack: np.ndarray, party: str, tol: float) -> np.ndarray:
+def _schmidt_completion(stack: np.ndarray, party: str, tol: float,
+                        factors: tuple | None = None) -> np.ndarray:
     """Orthonormal completion of a maximal mutually orthogonal set of the
     party's Schmidt vectors of an amplitude stack (taken greedily, state by
     state; as in ``schmidt_decompose``, the vectors are kets, so neither side
-    is conjugated)."""
-    u, sig, vh = np.linalg.svd(stack)
-    ranks = np.count_nonzero(sig > RANK_CUTOFF * sig[:, :1], axis=1)
-    kets = u.transpose(0, 2, 1) if party == ALICE else vh
-    chosen = []
-    for vecs, rank in zip(kets, ranks):
-        for v in vecs[:rank]:
-            if all(abs(np.vdot(w, v)) <= tol for w in chosen):
-                chosen.append(v)
-    q, _ = np.linalg.qr(np.column_stack(chosen + [np.eye(kets.shape[-1])]))
-    return q
+    is conjugated).
+
+    A ``(..., m, dim_a, dim_b)`` stack gives one completion per amplitude
+    stack of its leading axes, ``(..., d, d)``, from one ``svd`` (or its
+    ``factors``, when the caller has them) and one stacked ``qr`` when every
+    stack has as many chosen vectors.  A zero matrix has rank 0 and adds no
+    vector, so stacks may be zero-padded.
+    """
+    u, sig, vh = np.linalg.svd(stack) if factors is None else factors
+    kets = u.swapaxes(-1, -2) if party == ALICE else vh
+    *lead, m, d, _ = kets.shape
+    mats = []
+    ranks = rank_counts(sig).reshape(-1, m).tolist()
+    for stack_kets, stack_ranks in zip(kets.reshape(-1, m, d, d), ranks):
+        chosen = []
+        for vecs, rank in zip(stack_kets, stack_ranks):
+            for v in vecs[:rank]:
+                if all(abs(np.vdot(w, v)) <= tol for w in chosen):
+                    chosen.append(v)
+        mats.append(np.column_stack(chosen + [np.eye(d)]))
+    if len({a.shape[1] for a in mats}) == 1:  # every [chosen | I] of one width
+        q = np.linalg.qr(np.array(mats))[0]
+    else:
+        q = np.array([np.linalg.qr(a)[0] for a in mats])
+    return q.reshape(*lead, d, d)
+
+
+def _outcomes(bases: np.ndarray):
+    """The phased one-column blocks of every basis of a ``(..., d, d)`` stack,
+    ``(..., d, d, 1)``, and their outcome projectors, ``(..., d, d, d)``."""
+    cols = _phased_columns(bases)
+    return cols, cols @ cols.conj().swapaxes(-1, -2)
+
+
+def _children(states: np.ndarray, alive: np.ndarray, sizes: np.ndarray):
+    """The outcomes of a candidate that keep two or more states, which become
+    child nodes, given its post-measurement stack and survivor mask from
+    ``_project`` and the survivor count of each outcome.
+
+    Returns ``(kids, packed, factors, ranks)``: the outcome of every child;
+    one ``(children, s, dim_a, dim_b)`` stack of their states, each child's
+    survivors in order in its first slots and zeros after them; its ``svd``;
+    and, shaped as ``alive``, the Schmidt rank of every child's states, 0 for
+    the states of other outcomes.
+    """
+    kids = np.flatnonzero(sizes > 1)
+    slots = np.argsort(~alive[kids], axis=1, kind="stable")[:, :sizes.max()]
+    packed = states[kids[:, np.newaxis], slots]  # dead states are zero
+    factors = np.linalg.svd(packed)
+    ranks = np.zeros(alive.shape, dtype=int)
+    ranks[kids[:, np.newaxis], slots] = rank_counts(factors[1])
+    return kids, packed, factors, ranks
+
+
+def _schmidt_closures(kids: np.ndarray, packed: np.ndarray, factors, count: np.ndarray,
+                      tol: float):
+    """The first candidate of every child node, tried on all of them in one
+    pass when it is a one-round Schmidt closure.
+
+    ``kids``, ``packed`` and ``factors`` are as ``_children`` returns them,
+    and ``count`` holds every child's number of states.  The packed stack
+    gives every child's cross operators in one product per party.  A child's
+    first candidate is Bob's Schmidt completion when its Alice cross
+    operators all vanish (``dfs`` then tries Bob first), else Alice's when
+    its Bob cross operators do; the ``svd`` factors give the completions,
+    and their outcome projectors, admissibility and survivors come from one
+    call each.
+
+    Returns ``(closures, cross_ops)``.  ``closures`` maps the outcome of
+    every child whose closure ``dfs`` would accept without a child node of
+    its own to ``(party, blocks, reach)``: the candidate's blocks as
+    ``_candidates`` yields them and the survivor mask of its outcomes over
+    the child's slots.  ``cross_ops`` maps every other child's outcome to its
+    cross operators per party, as ``_cross`` builds them from its own stack.
+    """
+    cross = {party: _cross(packed, party) for party in (ALICE, BOB)}
+    quiet = {party: np.abs(ops).max(axis=(1, 2, 3)) <= _DUST for party, ops in cross.items()}
+    closures = {}
+    for party, offered in ((BOB, quiet[ALICE]), (ALICE, ~quiet[ALICE] & quiet[BOB])):
+        at = offered.nonzero()[0]
+        if not len(at):
+            continue
+        stacks = packed[at]
+        cols, projs = _outcomes(_schmidt_completion(stacks, party, tol, [f[at] for f in factors]))
+        reach = _project(stacks, party, projs, tol)[0]
+        kept = reach.sum(axis=-1)
+        # every outcome keeps at most one state and two or more keep one: no
+        # child node is left, and survivor orthogonality and the progress
+        # test hold exactly, as in ``dfs``
+        ok = (_admits(projs, cross[party][at], tol).all(axis=-1)
+              & (kept.max(axis=-1) <= 1) & (kept.sum(axis=-1) >= 2))
+        for i in np.flatnonzero(ok).tolist():
+            closures[int(kids[at[i]])] = party, tuple(cols[i]), reach[i]
+    later = _pairs(packed.shape[1])[1]  # a child's own pairs, in their order
+    return closures, {kid: {party: ops[c][later < n] for party, ops in cross.items()}
+                      for c, (kid, n) in enumerate(zip(kids.tolist(), count.tolist()))
+                      if kid not in closures}
 
 
 def _keys(projs: np.ndarray, counts: list[int]) -> list[bytes]:
@@ -327,8 +429,7 @@ def _candidates(stack: np.ndarray, party: str, cross, cfg: SearchConfig):
     sides = cross(party)
 
     def columns(bases):
-        cols = _phased_columns(bases)
-        projs = cols @ cols.conj().transpose(0, 1, 3, 2)
+        cols, projs = _outcomes(bases)
         return list(cols), projs.reshape(-1, d, d)
 
     def standard():
@@ -357,7 +458,7 @@ def _candidates(stack: np.ndarray, party: str, cross, cfg: SearchConfig):
         # the other party's cross operators all vanish, so this party's local
         # supports, and its Schmidt vectors of different states, are pairwise
         # orthogonal: their completion identifies every state in one round
-        return columns(_schmidt_completion(stack, party, tol)[np.newaxis])
+        return columns(_schmidt_completion(stack[np.newaxis], party, tol))
 
     seen = set()
     for tier in (schmidt, standard, zero_diagonal):
@@ -407,7 +508,11 @@ def candidate_bases(e: Ensemble, party: str, cfg: SearchConfig | None = None):
     truncated at ``beam_limit``.  The search runs the same generator,
     lazily: the standard and zero-diagonal tiers are each built only when
     the search asks past the end of the one before, so the order is the
-    same as this list's.
+    same as this list's.  Here the cross operators of both parties are
+    built from the ensemble; in the search, a child node gets them from its
+    parent's batched product, and a child whose first candidate is the
+    Schmidt closure is closed by ``_schmidt_closures`` with the same
+    measurement this list would start with.
     """
     cfg = cfg or SearchConfig()
     stack = e.amplitudes
@@ -423,15 +528,18 @@ def _project(stack: np.ndarray, party: str, projs: np.ndarray, tol: float):
     keeps a squared norm above ``tol`` under projector k, ``states[k, j]`` is
     its post-measurement matrix renormalized as ``make_state`` would (left
     undivided within ``unit_norm_slack`` of unit norm) and zero where not
-    alive, and ``scale[k, j]`` is the divisor applied.
+    alive, and ``scale[k, j]`` is the divisor applied.  Leading axes of both
+    stacks pair up: ``(..., k, d, d)`` projectors on ``(..., m, dim_a,
+    dim_b)`` states give ``(..., k, m)`` results.
     """
+    projs, stack = projs[..., np.newaxis, :, :], stack[..., np.newaxis, :, :, :]
     if party == ALICE:
-        mats = projs[:, np.newaxis] @ stack
+        mats = projs @ stack
     else:
-        mats = stack @ projs.transpose(0, 2, 1)[:, np.newaxis]
+        mats = stack @ projs.swapaxes(-1, -2)
     norms = frobenius_norms(mats)
     alive = np.float_power(norms, 2) > tol  # pow, as norm ** 2 of one float
-    slack = unit_norm_slack(stack.shape[1] * stack.shape[2])
+    slack = unit_norm_slack(stack.shape[-2] * stack.shape[-1])
     scale = np.where(alive & (np.abs(norms - 1.0) > slack), norms, 1.0)
     states = mats / scale[..., np.newaxis, np.newaxis]
     states[~alive] = 0.0
@@ -515,14 +623,19 @@ def search_protocol(e: Ensemble, cfg: SearchConfig | None = None) -> SearchOutco
     depth_limit = min(cfg.max_depth, 2 * (e.dim_a + e.dim_b))
     stats = {"nodes": 0}
 
+    def leaf(labels, idx):
+        return Leaf(labels[idx[0]] if len(idx) else None)
+
     def dfs(stack: np.ndarray, labels: np.ndarray, ranks: np.ndarray,
-            depth: int) -> ProtocolTree | None:
+            depth: int, cross_ops: dict | None = None) -> ProtocolTree | None:
         # one node: the (m, dim_a, dim_b) amplitude stack of its states, their
-        # labels and their Schmidt ranks
+        # labels, their Schmidt ranks and, when its parent built them, its
+        # cross operators per party
         stats["nodes"] += 1
         if depth >= depth_limit:
             return None
-        cross = cache(partial(_cross, stack))  # each party's, built once
+        # each party's cross operators, built once
+        cross = cross_ops.__getitem__ if cross_ops else cache(partial(_cross, stack))
         # vanishing Alice cross operators let Bob's Schmidt tier close the node
         parties = (BOB, ALICE) if np.abs(cross(ALICE)).max(initial=0.0) <= _DUST else (ALICE, BOB)
         for party in parties:
@@ -536,20 +649,30 @@ def search_protocol(e: Ensemble, cfg: SearchConfig | None = None) -> SearchOutco
                 if np.count_nonzero(sizes) < 2:
                     continue
                 # ranks are needed only for a child node, and for the progress
-                # test when every outcome keeps every state; one-state outcomes
-                # alone always make progress
+                # test when every outcome keeps every state (each outcome is
+                # then a child); one-state outcomes alone always make progress
+                closures, child_cross = {}, {}
                 if sizes.max() > 1:
-                    child_ranks = np.zeros(alive.shape, dtype=int)
-                    child_ranks[alive] = schmidt_ranks(states[alive])
+                    kids, packed, factors, child_ranks = _children(states, alive, sizes)
                     if alive[sizes > 0].all() and not (child_ranks < ranks)[alive].any():
                         continue
+                    if depth + 1 < depth_limit:  # children at the limit close nothing
+                        closures, child_cross = _schmidt_closures(kids, packed, factors,
+                                                                  sizes[kids], tol)
                 children = []
                 for k, row in enumerate(alive):
                     idx = np.flatnonzero(row)
                     if len(idx) < 2:
-                        children.append(Leaf(labels[idx[0]] if len(idx) else None))
+                        children.append(leaf(labels, idx))
                         continue
-                    subtree = dfs(states[k, idx], labels[idx], child_ranks[k, idx], depth + 1)
+                    if k in closures:  # the child node closes in one round
+                        stats["nodes"] += 1
+                        closer, closing, reach = closures[k]
+                        subtree = Node(ProjectiveMeasurement(closer, closing), tuple(
+                            leaf(labels[idx], np.flatnonzero(r)) for r in reach))
+                    else:
+                        subtree = dfs(states[k, idx], labels[idx], child_ranks[k, idx],
+                                      depth + 1, child_cross.get(k))
                     if subtree is None:
                         break
                     children.append(subtree)

@@ -178,12 +178,18 @@ def schmidt_decompose(s: BipartiteState) -> SchmidtDecomposition:
     return SchmidtDecomposition(weights, u[:, :rank].T, vh[:rank, :])
 
 
+def rank_counts(sig: np.ndarray) -> np.ndarray:
+    """Schmidt rank of every matrix whose singular values, largest first,
+    are the last axis of ``sig``: the count ``schmidt_decompose`` keeps.  A
+    zero matrix has rank 0."""
+    return (sig > RANK_CUTOFF * sig[..., :1]).sum(axis=-1)
+
+
 def schmidt_ranks(mats) -> np.ndarray:
     """Schmidt rank of every amplitude matrix of a ``(..., dim_a, dim_b)``
-    stack, from one ``svd`` without local vectors: the count of singular
-    values ``schmidt_decompose`` keeps.  Need not be normalized."""
-    sig = np.linalg.svd(mats, compute_uv=False)
-    return np.count_nonzero(sig > RANK_CUTOFF * sig[..., :1], axis=-1)
+    stack, from one ``svd`` without local vectors (``rank_counts``).  Need
+    not be normalized."""
+    return rank_counts(np.linalg.svd(mats, compute_uv=False))
 
 
 def schmidt_number(s: BipartiteState) -> int:

@@ -221,7 +221,7 @@ def test_search_builds_each_party_s_cross_operators_once_per_node(monkeypatch):
     asked = []
     real = search_module._cross
     monkeypatch.setattr(search_module, "_cross",
-                        lambda stack, party: asked.append((stack.tobytes(), party))
+                        lambda stack, party: asked.append((stack.shape, stack.tobytes(), party))
                         or real(stack, party))
     for e in (L.canned_example("six4x4"), random_ensemble(3, 3, 9, seed=0, kind="product-basis"),
               random_ensemble(3, 3, 3, seed=1)):
@@ -229,7 +229,7 @@ def test_search_builds_each_party_s_cross_operators_once_per_node(monkeypatch):
         out = search_protocol(e)
         assert len(asked) == len(set(asked))
         for party in (ALICE, BOB):
-            assert sum(p == party for _, p in asked) <= out.nodes_explored
+            assert sum(p == party for _, _, p in asked) <= out.nodes_explored
 
 
 def test_search_tries_bob_s_schmidt_completion_first_when_alice_s_cross_operators_vanish(
@@ -265,13 +265,130 @@ def _orthogonal_product_pair(dim_a, dim_b, seed):
                           for k in range(2)])
 
 
-@pytest.mark.parametrize("dims", [(2, 2), (3, 3), (3, 5)])
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (3, 5)])
 def test_beam_of_one_keeps_the_schmidt_completion_of_an_orthogonal_product_pair(dims):
     # the Schmidt tier goes first, so a narrow beam cannot crowd it out; two
     # orthogonal states are always distinguishable (Walgate et al. 2000)
     for seed in range(3):
         out = search_protocol(_orthogonal_product_pair(*dims, seed), SearchConfig(beam_limit=1))
         assert (out.verdict, out.nodes_explored) == (YES, 1), seed
+
+
+def _root_children(e):
+    # the first sibling batch a search forms: the children of the root's
+    # first admitted candidate that leaves child nodes
+    batches = []
+    real = search_module._children
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search_module, "_children", lambda *args: batches.append(args) or real(*args))
+        search_protocol(e)
+    states, alive, _ = batches[0]
+    return states, alive
+
+
+def _mixed_product_batch(seed):
+    # sibling nodes of mixed sizes and Schmidt ranks in 3x3, their survivors
+    # scattered over the slots of a parent of 12 states
+    rng = np.random.default_rng(seed)
+    ua, ub = haar_unitary(3, rng), haar_unitary(3, rng)
+
+    def ket(i, j):
+        return np.outer(ua[:, i], ub[:, j])
+
+    def bell(i, j, k, l):
+        return (ket(i, j) + ket(k, l)) * S2
+
+    children = [
+        [ket(0, 0), ket(1, 1)],                    # orthogonal on both sides
+        [ket(0, 0), ket(0, 1), ket(0, 2)],         # one Alice factor
+        [ket(0, 0), ket(1, 0)],                    # one Bob factor
+        [ket(0, 0), ket(1, 1), bell(0, 1, 1, 0)],  # ranks 1, 1, 2
+        [bell(0, 0, 1, 1), ket(2, 2)],             # ranks 2, 1
+        list(random_ensemble(3, 3, 2, seed=seed).amplitudes),
+    ]
+    states = np.zeros((len(children), 12, 3, 3), dtype=complex)
+    alive = np.zeros((len(children), 12), dtype=bool)
+    for k, child in enumerate(children):
+        slots = np.sort(rng.choice(12, len(child), replace=False))
+        states[k, slots], alive[k, slots] = child, True
+    return states, alive
+
+
+def _close_siblings_as_each_child_would(states, alive, cfg=SearchConfig()):
+    """Run the batched closure pass on one sibling batch and check every
+    child against the first candidate ``_candidates`` yields for it alone.
+    Returns whether each child closed."""
+    tol = cfg.tolerance
+    sizes = alive.sum(axis=1)
+    kids, packed, factors, ranks = search_module._children(states, alive, sizes)
+    closures, cross_ops = search_module._schmidt_closures(kids, packed, factors, sizes[kids], tol)
+    closed = []
+    for k in kids.tolist():
+        idx = np.flatnonzero(alive[k])
+        stack = states[k, idx]
+        assert np.array_equal(ranks[k, idx], L.states.schmidt_ranks(stack))
+        cross = {p: search_module._cross(stack, p) for p in (ALICE, BOB)}
+        party, other = (BOB, ALICE) if np.abs(cross[ALICE]).max() <= 1e-12 else (ALICE, BOB)
+        blocks, projs, admissible = next(
+            search_module._candidates(stack, party, cross.__getitem__, cfg))
+        reach = search_module._project(stack, party, projs, tol)[0]
+        kept = reach.sum(axis=1)
+        # the first candidate is the Schmidt closure when the other party's
+        # cross operators vanish; it closes without a child node of its own
+        closes = bool(np.abs(cross[other]).max() <= 1e-12 and admissible
+                      and kept.max() <= 1 and np.count_nonzero(kept) >= 2)
+        assert (k in closures) == closes, k
+        if closes:
+            got_party, got_blocks, got_reach = closures[k]
+            assert got_party == party
+            assert [q.tobytes() for q in got_blocks] == [q.tobytes() for q in blocks]
+            assert np.array_equal(got_reach[:, :len(idx)], reach)
+            assert not got_reach[:, len(idx):].any()
+        else:
+            for p in (ALICE, BOB):
+                assert cross_ops[k][p].shape == cross[p].shape
+                assert cross_ops[k][p].tobytes() == cross[p].tobytes()
+        closed.append(closes)
+    return closed
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_batched_schmidt_closures_match_each_child_s_first_candidate(seed):
+    closed = []
+    for states, alive in (_root_children(random_ensemble(2, 2, 2, seed=seed)),
+                          _root_children(L.canned_example("six4x4")),
+                          _root_children(random_ensemble(2, 2, 4, seed=seed, kind="product-basis")),
+                          _mixed_product_batch(seed)):
+        closed += _close_siblings_as_each_child_would(states, alive)
+    assert True in closed and False in closed
+
+
+def test_only_the_root_builds_cross_operators_from_its_own_stack(monkeypatch):
+    # every other node takes its cross operators from its parent's batched
+    # product, so no node builds them twice
+    shapes = []
+    real = search_module._cross
+    monkeypatch.setattr(search_module, "_cross",
+                        lambda stack, party: shapes.append(stack.shape) or real(stack, party))
+    for e in (L.canned_example("six4x4"), random_ensemble(2, 2, 2, seed=0),
+              random_ensemble(2, 2, 4, seed=1, kind="product-basis")):
+        shapes.clear()
+        out = search_protocol(e)
+        assert out.verdict == YES and out.nodes_explored > 1
+        assert sum(len(shape) == 3 for shape in shapes) == 2  # the root's, one per party
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_children_at_the_depth_limit_do_not_close(seed):
+    # the root's children of a two-qubit Haar pair close in one round, but
+    # not past the depth limit: the first child of each root candidate is
+    # visited and fails
+    pair = random_ensemble(2, 2, 2, seed=seed)
+    out = search_protocol(pair, SearchConfig(max_depth=1))
+    assert (out.verdict, out.nodes_explored) == (UNKNOWN, 3)
+    out = search_protocol(pair, SearchConfig(max_depth=2))
+    assert (out.verdict, out.nodes_explored) == (YES, 3)
+    assert verify_protocol(out.protocol, pair).ok
 
 
 def test_candidates_deterministic_and_duplicate_free(six4x4):

@@ -7,14 +7,24 @@ A change that moves a verdict or a node count on purpose regenerates the file:
 
     PYTHONPATH=src python3 scripts/search_fingerprint.py | cut -d' ' -f1-3 \\
         > tests/data/search_verdicts.txt
+
+``tests/data/search_shapes.txt`` holds one ``name shape`` line per instance:
+the shape of its protocol (``protocol_shape``), ``-`` when there is none.
+Unlike a hash, the shape does not depend on the BLAS build, and it changes
+when the search returns another tree with the same verdict and node count.
+A change that moves a shape on purpose regenerates the file:
+
+    PYTHONPATH=src python3 tests/test_search_verdicts.py > tests/data/search_shapes.txt
 """
 
 import importlib.util
+from functools import cache
 from pathlib import Path
 
-from loccdist import search_protocol
+from loccdist import Leaf, search_protocol
 
 ROOT = Path(__file__).resolve().parents[1]
+DATA = Path(__file__).parent / "data"
 
 
 def _fingerprint_module():
@@ -25,12 +35,43 @@ def _fingerprint_module():
     return module
 
 
-def test_search_verdicts_and_node_counts_match_the_record():
-    expected = (Path(__file__).parent / "data" / "search_verdicts.txt").read_text().splitlines()
-    got = []
-    for name, e in _fingerprint_module().instances():
-        out = search_protocol(e)
-        got.append(f"{name} {out.verdict} {out.nodes_explored}")
+@cache
+def _outcomes():
+    return tuple((name, search_protocol(e)) for name, e in _fingerprint_module().instances())
+
+
+def protocol_shape(tree) -> str:
+    """Parties, outcome ranks and leaf labels of a protocol tree, depth
+    first.  A node is its party and its outcomes in brackets, each outcome
+    its rank, a colon and its child; a leaf is the label it identifies, or
+    ``-`` when it fails."""
+    if isinstance(tree, Leaf):
+        return "-" if tree.is_fail else tree.identify
+    outcomes = " ".join(f"{q.shape[1]}:{protocol_shape(child)}"
+                        for q, child in zip(tree.measurement.projectors, tree.children))
+    return f"{tree.measurement.party}[{outcomes}]"
+
+
+def _shape_lines():
+    return [f"{name} {'-' if out.protocol is None else protocol_shape(out.protocol)}"
+            for name, out in _outcomes()]
+
+
+def _assert_lines_match(got, expected):
     assert len(got) == len(expected)
     changed = [(g, x) for g, x in zip(got, expected) if g != x]
     assert not changed, f"{len(changed)} lines differ, first: {changed[:3]}"
+
+
+def test_search_verdicts_and_node_counts_match_the_record():
+    expected = (DATA / "search_verdicts.txt").read_text().splitlines()
+    _assert_lines_match([f"{name} {out.verdict} {out.nodes_explored}"
+                         for name, out in _outcomes()], expected)
+
+
+def test_protocol_shapes_match_the_record():
+    _assert_lines_match(_shape_lines(), (DATA / "search_shapes.txt").read_text().splitlines())
+
+
+if __name__ == "__main__":
+    print("\n".join(_shape_lines()))
