@@ -30,8 +30,8 @@ one thread, as in ``perfbench``.
 import argparse
 import hashlib
 import importlib
-import json
 import importlib.util
+import json
 import os
 import re
 import sys

@@ -323,15 +323,13 @@ def _outcomes(bases: np.ndarray):
 
 
 def _children(states: np.ndarray, alive: np.ndarray, sizes: np.ndarray):
-    """The outcomes of a candidate that keep two or more states, which become
-    child nodes, given its post-measurement stack and survivor mask from
-    ``_project`` and the survivor count of each outcome.
+    """The outcomes of a candidate that keep two or more states (its child
+    nodes), from its ``_project`` output and survivor counts.
 
-    Returns ``(kids, packed, factors, ranks)``: the outcome of every child;
-    one ``(children, s, dim_a, dim_b)`` stack of their states, each child's
-    survivors in order in its first slots and zeros after them; its ``svd``;
-    and, shaped as ``alive``, the Schmidt rank of every child's states, 0 for
-    the states of other outcomes.
+    Returns ``(kids, packed, factors, ranks)``: the children's outcomes;
+    their states as one zero-padded ``(children, s, dim_a, dim_b)`` stack,
+    each child's survivors first and in order; its ``svd``; and the Schmidt
+    rank of every child's states, shaped as ``alive`` (0 elsewhere).
     """
     kids = np.flatnonzero(sizes > 1)
     slots = np.argsort(~alive[kids], axis=1, kind="stable")[:, :sizes.max()]
@@ -344,24 +342,19 @@ def _children(states: np.ndarray, alive: np.ndarray, sizes: np.ndarray):
 
 def _schmidt_closures(kids: np.ndarray, packed: np.ndarray, factors, count: np.ndarray,
                       tol: float):
-    """The first candidate of every child node, tried on all of them in one
-    pass when it is a one-round Schmidt closure.
+    """Try the first candidate of every child at once, when it is the
+    one-round Schmidt closure: Bob's when the child's Alice cross operators
+    all vanish (``dfs`` then tries Bob first), else Alice's when its Bob
+    cross operators do.
 
-    ``kids``, ``packed`` and ``factors`` are as ``_children`` returns them,
-    and ``count`` holds every child's number of states.  The packed stack
-    gives every child's cross operators in one product per party.  A child's
-    first candidate is Bob's Schmidt completion when its Alice cross
-    operators all vanish (``dfs`` then tries Bob first), else Alice's when
-    its Bob cross operators do; the ``svd`` factors give the completions,
-    and their outcome projectors, admissibility and survivors come from one
-    call each.
-
-    Returns ``(closures, cross_ops)``.  ``closures`` maps the outcome of
-    every child whose closure ``dfs`` would accept without a child node of
-    its own to ``(party, blocks, reach)``: the candidate's blocks as
-    ``_candidates`` yields them and the survivor mask of its outcomes over
-    the child's slots.  ``cross_ops`` maps every other child's outcome to its
-    cross operators per party, as ``_cross`` builds them from its own stack.
+    Takes ``_children``'s output and every child's state count.  One product
+    per party gives every child's cross operators; the ``svd`` factors give
+    the completions, and their projectors, admissibility and survivors come
+    from one call each.  Returns ``(closures, cross_ops)``: ``closures`` maps
+    each child that closes with no child node of its own to ``(party, blocks,
+    reach)``, the blocks ``_candidates`` would yield and the survivors of
+    each outcome over the child's slots; ``cross_ops`` maps every other child
+    to its cross operators per party, as ``_cross`` builds them.
     """
     cross = {party: _cross(packed, party) for party in (ALICE, BOB)}
     quiet = {party: np.abs(ops).max(axis=(1, 2, 3)) <= _DUST for party, ops in cross.items()}
@@ -371,7 +364,8 @@ def _schmidt_closures(kids: np.ndarray, packed: np.ndarray, factors, count: np.n
         if not len(at):
             continue
         stacks = packed[at]
-        cols, projs = _outcomes(_schmidt_completion(stacks, party, tol, [f[at] for f in factors]))
+        bases = _schmidt_completion(stacks, party, tol, tuple(f[at] for f in factors))
+        cols, projs = _outcomes(bases)
         reach = _project(stacks, party, projs, tol)[0]
         kept = reach.sum(axis=-1)
         # every outcome keeps at most one state and two or more keep one: no
