@@ -107,6 +107,7 @@ def calls(root: Path):
     yield ["example", "random-haar", "--dims", "2x3", "--count", "3", "--seed", "42",
            "--output", str(root / "ex" / "rh.json")]
     yield ["example", "random-haar", "--dims", "two", "--output", str(root / "ex" / "x.json")]
+    yield ["example", "random-haar", "--seed", "-1", "--output", str(root / "ex" / "x.json")]
     yield ["example", "nosuch", "--output", str(root / "ex" / "x.json")]
     yield ["search", str(root / "bell2.json"), "--output", str(root / "no-dir" / "p.json")]
     yield ["example", "bell2", "--output", str(root / "no-dir" / "x.json")]

@@ -20,7 +20,14 @@ sha256 of ``json.dumps(protocol_to_dict(protocol))``, as in
 script exits 1 if any instance differs between the trees in verdict, nodes
 explored or depth limit, and lists those instances on stderr too.
 
+With ``--cases sweep2x2`` or ``--cases highdim`` the instances are instead
+the benchmark's seeded cases of that workload, for every seed of
+``--seeds`` (default 1,2), from ``perfbench/workloads.py``; each tree
+builds their ensembles with its own ``make_state`` and ``make_ensemble``,
+as the benchmark does, and a family is the benchmark's family name.
+
 Usage: python3 scripts/search_ab.py OLD_SRC NEW_SRC [--repeat N]
+                                    [--cases sweep2x2|highdim [--seeds 1,2]]
 
 where OLD_SRC and NEW_SRC are ``src`` directories, each holding a
 ``loccdist`` package (for example ``src`` of two checkouts).  BLAS runs on
@@ -44,11 +51,25 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 FINGERPRINT = Path(__file__).resolve().parent / "search_fingerprint.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_tree(src: Path, tag: str):
+def bench_cases(workload: str, seeds: list[int]):
+    """The benchmark's ``workloads`` module and its seeded cases of one
+    workload over every seed, in order."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return workloads, [case for seed in seeds for case in workloads.cases(workload, seed)]
+
+
+def load_tree(src: Path, tag: str, bench=None):
     """Import the loccdist package under ``src`` and the instances built by
-    it.  Returns ``(modules, search, digest, instances)``; ``modules`` are
+    it: those of ``search_fingerprint.py``, or the ensembles of ``bench``,
+    ``bench_cases``'s output, named ``family/index``.
+    Returns ``(modules, search, digest, instances)``; ``modules`` are
     the package's entries of ``sys.modules``, which must be put back before
     a search of this tree, since the search imports a module when called,
     and ``digest`` hashes a protocol of this tree."""
@@ -58,10 +79,15 @@ def load_tree(src: Path, tag: str):
     try:
         package = importlib.import_module("loccdist")
         cli = importlib.import_module("loccdist.cli")
-        spec = importlib.util.spec_from_file_location(f"search_fingerprint_{tag}", FINGERPRINT)
-        fingerprint = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(fingerprint)
-        instances = list(fingerprint.instances())
+        if bench is None:
+            spec = importlib.util.spec_from_file_location(f"search_fingerprint_{tag}", FINGERPRINT)
+            fingerprint = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(fingerprint)
+            instances = list(fingerprint.instances())
+        else:
+            workloads, cases = bench
+            instances = [(f"{case.family}/{i}", ens) for i, (case, ens) in
+                         enumerate(zip(cases, workloads.build_ensembles(package, cases)))]
     finally:
         sys.path.remove(str(src))
     if Path(package.__file__).resolve().parent != (src / "loccdist").resolve():
@@ -78,7 +104,7 @@ def load_tree(src: Path, tag: str):
 
 
 def family(name: str) -> str:
-    return re.sub(r"(-s|-rot|(?<=sweep2x2)-)\d+$", "", name)
+    return re.sub(r"(-s|-rot|(?<=sweep2x2)-|/)\d+$", "", name)
 
 
 def positive_int(text):
@@ -88,14 +114,29 @@ def positive_int(text):
     return value
 
 
+def seed_list(text):
+    try:
+        seeds = [int(part) for part in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError("must be integers separated by commas") from None
+    if any(seed < 0 for seed in seeds):
+        raise argparse.ArgumentTypeError("seeds must be >= 0")
+    return seeds
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("old_src", type=Path, metavar="OLD_SRC")
     ap.add_argument("new_src", type=Path, metavar="NEW_SRC")
     ap.add_argument("--repeat", type=positive_int, default=5, metavar="N",
                     help="rounds over every instance (default 5)")
+    ap.add_argument("--cases", choices=("sweep2x2", "highdim"),
+                    help="search the benchmark's seeded cases of this workload instead")
+    ap.add_argument("--seeds", type=seed_list, default=[1, 2], metavar="S,S,...",
+                    help="benchmark seeds of --cases (default 1,2)")
     args = ap.parse_args()
-    trees = [load_tree(args.old_src, "old"), load_tree(args.new_src, "new")]
+    bench = bench_cases(args.cases, args.seeds) if args.cases else None
+    trees = [load_tree(args.old_src, "old", bench), load_tree(args.new_src, "new", bench)]
     names = [name for name, _ in trees[0][3]]
     if names != [name for name, _ in trees[1][3]]:
         sys.exit("the two trees build different instance lists")

@@ -434,7 +434,7 @@ def cmd_search(ensemble_path, max_depth, beam, output, fmt, tolerance):
 @click.argument("name")
 @click.option("--output", type=click.Path(), default=None,
               help="Ensemble file to write [default: <name>.json].")
-@click.option("--seed", type=int, default=0, show_default=True,
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True,
               help="Seed for the random-* generators.")
 @click.option("--dims", default="2x2", show_default=True,
               help="Local dimensions for the random-* generators, e.g. 3x2.")

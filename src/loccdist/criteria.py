@@ -72,8 +72,8 @@ class SchmidtSumReport:
 
 def schmidt_sum_check(e: Ensemble) -> SchmidtSumReport:
     """Necessary condition: sum of Schmidt ranks must not exceed dim_a*dim_b."""
-    numbers = tuple(int(n) for n in schmidt_ranks(e.amplitudes))
-    return SchmidtSumReport(numbers, int(sum(numbers)), e.dim_a * e.dim_b)
+    numbers = tuple(schmidt_ranks(e.amplitudes).tolist())
+    return SchmidtSumReport(numbers, sum(numbers), e.dim_a * e.dim_b)
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,6 +25,7 @@ it bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -46,12 +47,21 @@ PARTIES = (ALICE, BOB)
 _LEAF_CHUNK = 64
 
 
+_NOT_COLUMNS = "each projector must be a nonempty matrix of columns"
+
+
+@lru_cache(maxsize=16)
+def _identity(n: int) -> np.ndarray:
+    """The read-only complex identity of dimension ``n``."""
+    return _frozen(np.eye(n))
+
+
 def _as_columns(block) -> np.ndarray:
     q = np.asarray(block, dtype=np.complex128)
     if q.ndim == 1:
         q = q[:, np.newaxis]
     if q.ndim != 2 or q.shape[1] == 0:
-        raise NotUnitary("each projector must be a nonempty matrix of columns")
+        raise NotUnitary(_NOT_COLUMNS)
     return q
 
 
@@ -64,6 +74,10 @@ class ProjectiveMeasurement:
     the local dimension, so the outcome projectors resolve the identity.
     ``projector_stack`` holds the outcome projectors ``Q Q^+`` as one
     read-only ``(outcomes, d, d)`` array, built once at construction.
+    Arrays of one shape are copied as one read-only ``(outcomes, d, w)``
+    array, whose slices become the blocks, and their projectors come from
+    one product; blocks of mixed widths are copied and multiplied one by
+    one.  Either way one Gram product of all columns validates them.
     """
 
     party: str
@@ -76,7 +90,17 @@ class ProjectiveMeasurement:
             raise MalformedTree(f"party must be one of {PARTIES}, got {self.party!r}")
         if not self.projectors:
             raise NotUnitary("a measurement needs at least one outcome")
-        blocks = tuple(_frozen(_as_columns(q)) for q in self.projectors)
+        shapes = {getattr(q, "shape", None) for q in self.projectors}
+        if len(shapes) == 1 and None not in shapes:  # arrays of one shape: one copy
+            stacked = np.array(self.projectors, dtype=np.complex128)
+            if stacked.ndim == 2:
+                stacked = stacked[..., np.newaxis]
+            if stacked.ndim != 3 or stacked.shape[2] == 0:
+                raise NotUnitary(_NOT_COLUMNS)
+            stacked.setflags(write=False)
+            blocks = tuple(stacked)
+        else:
+            stacked, blocks = None, tuple(_frozen(_as_columns(q)) for q in self.projectors)
         dim = blocks[0].shape[0]
         # one Gram product of the columns of every block up to the first one
         # on another space checks them all; block maxima name the first fault
@@ -85,7 +109,7 @@ class ProjectiveMeasurement:
         columns = np.concatenate(blocks[:fit], axis=1)
         adjoint = columns.conj().T
         with np.errstate(over="ignore", invalid="ignore"):  # huge entries give deviation inf
-            dev = np.abs(adjoint @ columns - np.eye(columns.shape[1]))
+            dev = np.abs(adjoint @ columns - _identity(columns.shape[1]))
         if not dev.max() <= self.tol or fit < len(blocks):  # "not <=" also fails on NaN
             starts = offsets[:-1]
             peak = np.maximum.reduceat(np.maximum.reduceat(dev, starts, axis=0), starts, axis=1)
@@ -104,9 +128,12 @@ class ProjectiveMeasurement:
             raise NotUnitary(f"projector ranks sum to {columns.shape[1]}, "
                              f"expected the local dimension {dim}")
         object.__setattr__(self, "projectors", blocks)
-        stack = np.empty((len(blocks), dim, dim), dtype=np.complex128)
-        for q, start, out in zip(blocks, offsets, stack):
-            np.matmul(q, adjoint[start:start + q.shape[1]], out=out)
+        if stacked is not None:  # the adjoint rows of block k, as the loop below takes them
+            stack = stacked @ adjoint.reshape(len(blocks), -1, dim)
+        else:
+            stack = np.empty((len(blocks), dim, dim), dtype=np.complex128)
+            for q, start, out in zip(blocks, offsets, stack):
+                np.matmul(q, adjoint[start:start + q.shape[1]], out=out)
         stack.setflags(write=False)
         object.__setattr__(self, "projector_stack", stack)
 
@@ -219,9 +246,9 @@ def _branch_stacks(tree: ProtocolTree, dims):
             for k, (child, op) in enumerate(zip(node.children, meas.projector_stack @ op_b)):
                 walk(child, op_a, op, path + ((BOB, k),))
 
-    walk(tree, np.eye(dims[0], dtype=np.complex128), np.eye(dims[1], dtype=np.complex128), ())
+    walk(tree, _identity(dims[0]), _identity(dims[1]), ())
     ops_a, ops_b, labels, paths = zip(*leaves)
-    return np.stack(ops_a), np.stack(ops_b), list(labels), list(paths)
+    return np.array(ops_a), np.array(ops_b), list(labels), list(paths)
 
 
 def enumerate_branches(tree: ProtocolTree, dims) -> list[BranchOperator]:
@@ -234,17 +261,19 @@ def _completeness_deviation(ops_a: np.ndarray, ops_b: np.ndarray) -> float:
     over ``(L, da, da)`` and ``(L, db, db)`` branch stacks.  The Gram
     products and Kronecker products of ``_LEAF_CHUNK`` leaves come from one
     batched product and one broadcast multiply, and the terms are summed one
-    leaf after the other from zero, as a running ``+=`` would."""
+    leaf after the other from the first, as a running ``+=`` from zero would
+    up to the sign of zero entries, which ``abs`` drops."""
     n = ops_a.shape[-1] * ops_b.shape[-1]
-    total = np.zeros((1, n, n), dtype=np.complex128)
+    total = None
     for i in range(0, len(ops_a), _LEAF_CHUNK):
         a, b = ops_a[i:i + _LEAF_CHUNK], ops_b[i:i + _LEAF_CHUNK]
         gram_a = a.conj().transpose(0, 2, 1) @ a
         gram_b = b.conj().transpose(0, 2, 1) @ b
         krons = (gram_a[:, :, None, :, None] * gram_b[:, None, :, None, :]).reshape(-1, n, n)
         # a reduction over the outer axis adds the rows in order
-        total = np.add.reduce(np.concatenate((total, krons)), axis=0, keepdims=True)
-    return float(np.abs(total[0] - np.eye(n)).max())
+        terms = krons if total is None else np.concatenate((total, krons))
+        total = np.add.reduce(terms, axis=0, keepdims=True)
+    return float(np.abs(total[0] - _identity(n)).max())
 
 
 def completeness_check(branches) -> float:
@@ -342,7 +371,7 @@ class VerificationReport:
 
 def verify_protocol(tree: ProtocolTree, e: Ensemble, tol: float = DEFAULT_TOL) -> VerificationReport:
     ops_a, ops_b, leaf_labels, paths = _ensemble_branches(tree, e)
-    arrivals = np.concatenate([probs for _, probs in _arrivals(ops_a, ops_b, e, tol)])
+    arrivals = [row for _, probs in _arrivals(ops_a, ops_b, e, tol) for row in probs.tolist()]
     deviation = _completeness_deviation(ops_a, ops_b)
     failures = []
     if not deviation <= tol:  # also fails on NaN
@@ -351,7 +380,7 @@ def verify_protocol(tree: ProtocolTree, e: Ensemble, tol: float = DEFAULT_TOL) -
     labels = e.labels
     totals = {lbl: 0.0 for lbl in labels}
     rows = []
-    for path, leaf_label, leaf_probs in zip(paths, leaf_labels, arrivals.tolist()):
+    for path, leaf_label, leaf_probs in zip(paths, leaf_labels, arrivals):
         probs = dict(zip(labels, leaf_probs))
         reached = [lbl for lbl, p in probs.items() if p > tol]
         rows.append((path, leaf_label, probs))

@@ -17,16 +17,20 @@ party's Schmidt tier need Alice's and Bob's alike.  Candidates are generated
 tier by tier, the Schmidt tier first, only as far as the search asks; each
 tier is one stack of outcome projectors, which gives the dedupe keys and,
 for the candidates the beam lets through, admissibility in one product
-``vec(P) . vec(M^T)``.  An admitted candidate is applied to the whole stack
+``vec(P) . vec(M^T)``, read straight off the tier's stack when the beam
+takes the whole tier.  An admitted candidate is applied to the whole stack
 at once: one batched norm gives every survivor's mass and one batched Gram
 product checks that each outcome's survivors stay orthogonal.  Its children
 (the outcomes that keep two or more states) are packed into one stack,
 whose one ``svd`` gives their Schmidt ranks and Schmidt vectors and whose
 one product per party gives every child's cross operators; only the root
 builds its own.  Every child whose first candidate is the one-round Schmidt
-closure is closed in that one pass, and the others are searched with their
-slices.  Only the candidate that enters the tree becomes a
-``ProjectiveMeasurement``; no node builds states or ensembles.
+closure is closed in that one pass: one Gram product picks the Schmidt
+vectors of every completion and one ``qr`` completes them all, the
+projected norms alone give each outcome's reach, and one ``argmax`` names
+the state at every leaf.  The others are searched with their slices.  Only
+the candidate that enters the tree becomes a ``ProjectiveMeasurement``; no
+node builds states or ensembles.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from .protocol import (
     Node,
     ProjectiveMeasurement,
     ProtocolTree,
+    _identity,
     verify_protocol,
 )
 from .states import (
@@ -142,6 +147,8 @@ def _admits(projs: np.ndarray, sides: np.ndarray, tol: float) -> np.ndarray:
     flat = sides.swapaxes(-1, -2).reshape(*sides.shape[:-3], -1, d * d).swapaxes(-1, -2)
     rows = projs.reshape(*projs.shape[:-3], -1, d * d)
     step = max(1, _PRODUCT_ENTRIES // max(1, flat.size // (d * d)))
+    if step >= rows.shape[-2]:
+        return (np.abs(rows @ flat) <= tol).all(axis=-1)
     return np.concatenate([(np.abs(rows[..., i:i + step, :] @ flat) <= tol).all(axis=-1)
                            for i in range(0, rows.shape[-2], step)], axis=-1)
 
@@ -287,32 +294,34 @@ def _schmidt_completion(stack: np.ndarray, party: str, tol: float,
                         factors: tuple | None = None) -> np.ndarray:
     """Orthonormal completion of a maximal mutually orthogonal set of the
     party's Schmidt vectors of an amplitude stack (taken greedily, state by
-    state; as in ``schmidt_decompose``, the vectors are kets, so neither side
-    is conjugated).
+    state, each state's vectors in Schmidt order; as in
+    ``schmidt_decompose``, the vectors are kets, so neither side is
+    conjugated).
 
     A ``(..., m, dim_a, dim_b)`` stack gives one completion per amplitude
     stack of its leading axes, ``(..., d, d)``, from one ``svd`` (or its
-    ``factors``, when the caller has them) and one stacked ``qr`` when every
-    stack has as many chosen vectors.  A zero matrix has rank 0 and adds no
-    vector, so stacks may be zero-padded.
+    ``factors``, when the caller has them).  One Gram product of every
+    stack's Schmidt vectors, read back as Python bools ``|<w|v>| > tol``,
+    drives the greedy choice, and one stacked ``qr`` orthonormalises the
+    first ``d`` columns of every ``[chosen | I]``, on which alone its Q
+    depends.  A zero matrix has rank 0 and adds no vector, so stacks may be
+    zero-padded.
     """
     u, sig, vh = np.linalg.svd(stack) if factors is None else factors
     kets = u.swapaxes(-1, -2) if party == ALICE else vh
     *lead, m, d, _ = kets.shape
-    mats = []
-    ranks = rank_counts(sig).reshape(-1, m).tolist()
-    for stack_kets, stack_ranks in zip(kets.reshape(-1, m, d, d), ranks):
+    kets = kets.reshape(-1, m * d, d)  # row i: vector i % d of state i // d
+    clash = (np.abs(kets.conj() @ kets.swapaxes(-1, -2)) > tol).tolist()
+    eye = kets.size // d  # rows of the identity follow every stack's vectors
+    picks = []
+    for b, (ranks, pair_clash) in enumerate(zip(rank_counts(sig).reshape(-1, m).tolist(), clash)):
         chosen = []
-        for vecs, rank in zip(stack_kets, stack_ranks):
-            for v in vecs[:rank]:
-                if all(abs(np.vdot(w, v)) <= tol for w in chosen):
-                    chosen.append(v)
-        mats.append(np.column_stack(chosen + [np.eye(d)]))
-    if len({a.shape[1] for a in mats}) == 1:  # every [chosen | I] of one width
-        q = np.linalg.qr(np.array(mats))[0]
-    else:
-        q = np.array([np.linalg.qr(a)[0] for a in mats])
-    return q.reshape(*lead, d, d)
+        for i in range(m * d):
+            if i % d < ranks[i // d] and not any(pair_clash[j][i] for j in chosen):
+                chosen.append(i)
+        picks.append(([b * m * d + i for i in chosen] + list(range(eye, eye + d)))[:d])
+    rows = np.concatenate((kets.reshape(-1, d), _identity(d)))[picks]
+    return np.linalg.qr(rows.swapaxes(-1, -2))[0].reshape(*lead, d, d)
 
 
 def _outcomes(bases: np.ndarray):
@@ -349,12 +358,13 @@ def _schmidt_closures(kids: np.ndarray, packed: np.ndarray, factors, count: np.n
 
     Takes ``_children``'s output and every child's state count.  One product
     per party gives every child's cross operators; the ``svd`` factors give
-    the completions, and their projectors, admissibility and survivors come
-    from one call each.  Returns ``(closures, cross_ops)``: ``closures`` maps
-    each child that closes with no child node of its own to ``(party, blocks,
-    reach)``, the blocks ``_candidates`` would yield and the survivors of
-    each outcome over the child's slots; ``cross_ops`` maps every other child
-    to its cross operators per party, as ``_cross`` builds them.
+    the completions, and their projectors, admissibility and reach (from the
+    projected norms alone) come from one call each.  Returns ``(closures,
+    cross_ops)``: ``closures`` maps each child that closes with no child node
+    of its own to ``(party, blocks, slots)``, the blocks ``_candidates``
+    would yield and, per outcome, the child's slot of the one state it keeps
+    or None; ``cross_ops`` maps every other child to its cross operators per
+    party, as ``_cross`` builds them.
     """
     cross = {party: _cross(packed, party) for party in (ALICE, BOB)}
     quiet = {party: np.abs(ops).max(axis=(1, 2, 3)) <= _DUST for party, ops in cross.items()}
@@ -366,15 +376,17 @@ def _schmidt_closures(kids: np.ndarray, packed: np.ndarray, factors, count: np.n
         stacks = packed[at]
         bases = _schmidt_completion(stacks, party, tol, tuple(f[at] for f in factors))
         cols, projs = _outcomes(bases)
-        reach = _project(stacks, party, projs, tol)[0]
+        reach = _reach(stacks, party, projs, tol)[2]
         kept = reach.sum(axis=-1)
         # every outcome keeps at most one state and two or more keep one: no
         # child node is left, and survivor orthogonality and the progress
         # test hold exactly, as in ``dfs``
         ok = (_admits(projs, cross[party][at], tol).all(axis=-1)
               & (kept.max(axis=-1) <= 1) & (kept.sum(axis=-1) >= 2))
+        hit, first = kept.tolist(), reach.argmax(axis=-1).tolist()
         for i in np.flatnonzero(ok).tolist():
-            closures[int(kids[at[i]])] = party, tuple(cols[i]), reach[i]
+            closures[int(kids[at[i]])] = party, tuple(cols[i]), [
+                slot if n else None for n, slot in zip(hit[i], first[i])]
     later = _pairs(packed.shape[1])[1]  # a child's own pairs, in their order
     return closures, {kid: {party: ops[c][later < n] for party, ops in cross.items()}
                       for c, (kid, n) in enumerate(zip(kids.tolist(), count.tolist()))
@@ -472,11 +484,14 @@ def _candidates(stack: np.ndarray, party: str, cross, cfg: SearchConfig):
             continue
         starts = list(accumulate(counts, initial=0))
         chunks = [projs[starts[i]:starts[i + 1]] for i in take]
-        # admissibility of the taken candidates only, from one stack of their projectors
-        ok = np.logical_and.reduceat(_admits(np.concatenate(chunks), sides, tol),
-                                     list(accumulate((counts[i] for i in take[:-1]), initial=0)))
+        if len(take) == len(cands):  # the whole tier: admissibility from its own stack
+            admitted = _admits(projs, sides, tol).tolist()
+            ok = [all(admitted[starts[i]:starts[i + 1]]) for i in take]
+        else:  # admissibility of the taken candidates only, from one stack of their projectors
+            ok = np.logical_and.reduceat(_admits(np.concatenate(chunks), sides, tol), list(
+                accumulate((counts[i] for i in take[:-1]), initial=0))).tolist()
         for i, chunk, admissible in zip(take, chunks, ok):
-            yield tuple(cands[i]), chunk, bool(admissible)
+            yield tuple(cands[i]), chunk, admissible
         if len(seen) == cfg.beam_limit:
             return
 
@@ -514,6 +529,18 @@ def candidate_bases(e: Ensemble, party: str, cfg: SearchConfig | None = None):
             for blocks, _, _ in _candidates(stack, party, partial(_cross, stack), cfg)]
 
 
+def _reach(stack: np.ndarray, party: str, projs: np.ndarray, tol: float):
+    """``(mats, norms, alive)`` of ``_project``: the projected matrices,
+    their norms, and whether each keeps a squared norm above ``tol``."""
+    projs, stack = projs[..., np.newaxis, :, :], stack[..., np.newaxis, :, :, :]
+    if party == ALICE:
+        mats = projs @ stack
+    else:
+        mats = stack @ projs.swapaxes(-1, -2)
+    norms = frobenius_norms(mats)
+    return mats, norms, np.float_power(norms, 2) > tol  # pow, as norm ** 2 of one float
+
+
 def _project(stack: np.ndarray, party: str, projs: np.ndarray, tol: float):
     """Every outcome of a ``(k, d, d)`` projector stack applied to a whole
     ``(m, dim_a, dim_b)`` amplitude stack at once.
@@ -526,13 +553,7 @@ def _project(stack: np.ndarray, party: str, projs: np.ndarray, tol: float):
     stacks pair up: ``(..., k, d, d)`` projectors on ``(..., m, dim_a,
     dim_b)`` states give ``(..., k, m)`` results.
     """
-    projs, stack = projs[..., np.newaxis, :, :], stack[..., np.newaxis, :, :, :]
-    if party == ALICE:
-        mats = projs @ stack
-    else:
-        mats = stack @ projs.swapaxes(-1, -2)
-    norms = frobenius_norms(mats)
-    alive = np.float_power(norms, 2) > tol  # pow, as norm ** 2 of one float
+    mats, norms, alive = _reach(stack, party, projs, tol)
     slack = unit_norm_slack(stack.shape[-2] * stack.shape[-1])
     scale = np.where(alive & (np.abs(norms - 1.0) > slack), norms, 1.0)
     states = mats / scale[..., np.newaxis, np.newaxis]
@@ -661,9 +682,9 @@ def search_protocol(e: Ensemble, cfg: SearchConfig | None = None) -> SearchOutco
                         continue
                     if k in closures:  # the child node closes in one round
                         stats["nodes"] += 1
-                        closer, closing, reach = closures[k]
+                        closer, closing, slots = closures[k]
                         subtree = Node(ProjectiveMeasurement(closer, closing), tuple(
-                            leaf(labels[idx], np.flatnonzero(r)) for r in reach))
+                            Leaf(None if slot is None else labels[idx[slot]]) for slot in slots))
                     else:
                         subtree = dfs(states[k, idx], labels[idx], child_ranks[k, idx],
                                       depth + 1, child_cross.get(k))

@@ -329,6 +329,16 @@ def test_cmd_example_random_generators_deterministic(tmp_path):
     assert ens.dims == (2, 3) and ens.m == 3
 
 
+def test_cmd_example_negative_seed_is_a_usage_error(tmp_path):
+    out = tmp_path / "x.json"
+    result = run_cli(["example", "random-haar", "--seed", "-1", "--output", out])
+    assert result.exit_code == 3
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert "--seed" in result.output
+    assert not out.exists()
+
+
 def test_text_mode_contains_same_verdict_line(bell3_file):
     as_json = run_cli(["check", bell3_file, "--mode", "necessary", "--format", "json"])
     as_text = run_cli(["check", bell3_file, "--mode", "necessary"])

@@ -170,6 +170,28 @@ def _measurement_cases():
                     twin = list(blocks)
                     twin[j] = twin[i]
                     yield twin
+    # blocks of one width, which are copied and multiplied as one stack
+    for d in range(1, 7):
+        for width in (1, 2):
+            if d % width:
+                continue
+            blocks = _split(haar_unitary(d, rng), [width] * (d // width))
+            yield blocks
+            yield [np.asfortranarray(b) for b in blocks]
+            if width == 1:
+                yield [b[:, 0] for b in blocks]  # vectors
+            for k in range(len(blocks)):  # a fault at k, and another one after it
+                bad = list(blocks)
+                bad[k] = bad[k] * 1.1
+                if k + 1 < len(blocks):
+                    bad[-1] = bad[-1].copy()
+                    bad[-1][0, 0] = np.nan
+                yield bad
+            if len(blocks) > 2:
+                twin = list(blocks)
+                twin[2] = twin[1]
+                yield twin
+                yield blocks[:-1]
     e = np.eye(4)
     # overlapping pairs (1, 2) and (0, 3): the first in row order is (0, 3)
     yield [e[:, :1], e[:, 1:2], e[:, 1:2], e[:, :1]]
@@ -185,6 +207,7 @@ def _measurement_cases():
     yield [e[:, :1], np.full((4, 1), np.nan), z3[:, :1]]
     yield [[np.nan, np.nan], [np.nan, np.nan]]
     yield [[1e308, 1e308], [1, -1]]
+    yield [np.array([1e308, 1e308]), np.array([1.0, -1.0])]
 
 
 def test_measurement_validation_matches_per_block_reference():
@@ -195,6 +218,29 @@ def test_measurement_validation_matches_per_block_reference():
         if isinstance(got, tuple):
             met.update(kind for kind in kinds if kind in got[1])
     assert met == set(kinds)
+
+
+@pytest.mark.parametrize("blocks", [
+    (np.zeros((2, 0)), np.zeros((2, 0))),
+    (np.array(1.0), np.array(0.0)),
+    (np.zeros((1, 2, 2)), np.zeros((1, 2, 2))),
+    (np.eye(2)[:, :1], np.zeros((2, 0))),
+    ([1.0], [[[0.0]]]),
+])
+def test_measurement_blocks_must_be_nonempty_column_matrices(blocks):
+    with pytest.raises(NotUnitary, match="each projector must be a nonempty matrix of columns"):
+        ProjectiveMeasurement(ALICE, blocks)
+
+
+def test_measurement_of_one_shape_shares_one_read_only_copy():
+    q = haar_unitary(3, np.random.default_rng(5))
+    source = [q[:, k:k + 1].copy() for k in range(3)]
+    meas = ProjectiveMeasurement(BOB, tuple(source))
+    for block, original in zip(meas.projectors, source):
+        assert not block.flags.writeable
+        assert block.tobytes() == original.tobytes()
+    source[0][0, 0] = 7.0  # the measurement holds a copy
+    assert meas.projectors[0][0, 0] != 7.0
 
 
 @pytest.mark.parametrize("factor", [1 - 1e-3, 1 + 1e-3])

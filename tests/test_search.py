@@ -339,11 +339,10 @@ def _close_siblings_as_each_child_would(states, alive, cfg=SearchConfig()):
                       and kept.max() <= 1 and np.count_nonzero(kept) >= 2)
         assert (k in closures) == closes, k
         if closes:
-            got_party, got_blocks, got_reach = closures[k]
+            got_party, got_blocks, got_slots = closures[k]
             assert got_party == party
             assert [q.tobytes() for q in got_blocks] == [q.tobytes() for q in blocks]
-            assert np.array_equal(got_reach[:, :len(idx)], reach)
-            assert not got_reach[:, len(idx):].any()
+            assert got_slots == [row.argmax() if row.any() else None for row in reach]
         else:
             for p in (ALICE, BOB):
                 assert cross_ops[k][p].shape == cross[p].shape
@@ -361,6 +360,102 @@ def test_batched_schmidt_closures_match_each_child_s_first_candidate(seed):
                           _mixed_product_batch(seed)):
         closed += _close_siblings_as_each_child_would(states, alive)
     assert True in closed and False in closed
+
+
+def _reference_schmidt_completion(stack, party, tol, factors=None):
+    """The per-vector greedy: one ``vdot`` per chosen vector and candidate,
+    and one ``qr`` of ``[chosen | I]`` per amplitude stack of the leading
+    axes (stacked when every ``[chosen | I]`` has one width)."""
+    u, sig, vh = np.linalg.svd(stack) if factors is None else factors
+    kets = u.swapaxes(-1, -2) if party == ALICE else vh
+    *lead, m, d, _ = kets.shape
+    mats = []
+    ranks = L.states.rank_counts(sig).reshape(-1, m).tolist()
+    for stack_kets, stack_ranks in zip(kets.reshape(-1, m, d, d), ranks):
+        chosen = []
+        for vecs, rank in zip(stack_kets, stack_ranks):
+            for v in vecs[:rank]:
+                if all(abs(np.vdot(w, v)) <= tol for w in chosen):
+                    chosen.append(v)
+        mats.append(np.column_stack(chosen + [np.eye(d)]))
+    if len({a.shape[1] for a in mats}) == 1:
+        q = np.linalg.qr(np.array(mats))[0]
+    else:
+        q = np.array([np.linalg.qr(a)[0] for a in mats])
+    return q.reshape(*lead, d, d)
+
+
+def _assert_completion_as_reference(stack, tol=L.DEFAULT_TOL, factors=None):
+    for party in (ALICE, BOB):
+        got = search_module._schmidt_completion(stack, party, tol, factors)
+        want = _reference_schmidt_completion(stack, party, tol, factors)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), party
+
+
+def _padded_random_stacks(rng, dim_a, dim_b):
+    # stacks of up to 5 slots; each has a state in its first slot, the others
+    # hold states of random Schmidt rank or zeros (rank 0), so stacks choose
+    # different numbers of vectors
+    count, m = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+    stacks = np.zeros((count, m, dim_a, dim_b), dtype=complex)
+    for b in range(count):
+        for j in range(m):
+            rank = int(rng.integers(0 if j else 1, min(dim_a, dim_b) + 1))
+            if rank:
+                mat = (rng.standard_normal((dim_a, rank)) + 1j * rng.standard_normal((dim_a, rank))
+                       ) @ (rng.standard_normal((rank, dim_b)) + 1j * rng.standard_normal((rank, dim_b)))
+                stacks[b, j] = mat / np.linalg.norm(mat)
+    return stacks
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_schmidt_completion_matches_the_per_vector_greedy(seed):
+    # the sibling batches the search closes, with their svd factors
+    for states, alive in (_mixed_product_batch(seed),
+                          _root_children(random_ensemble(2, 2, 2, seed=seed)),
+                          _root_children(L.canned_example("six4x4"))):
+        _, packed, factors, _ = search_module._children(states, alive, alive.sum(axis=1))
+        _assert_completion_as_reference(packed, factors=factors)
+        _assert_completion_as_reference(packed)
+    # zero-padded random stacks from 2x2 to 5x5, also with tolerances that
+    # admit more than d "orthogonal" vectors
+    rng = np.random.default_rng(seed)
+    for dim_a, dim_b in itertools.product(range(2, 6), repeat=2):
+        for tol in (L.DEFAULT_TOL, 0.3, 0.9):
+            stacks = _padded_random_stacks(rng, dim_a, dim_b)
+            _assert_completion_as_reference(stacks, tol)
+            _assert_completion_as_reference(stacks[0], tol)
+
+
+@pytest.mark.parametrize("factor", [1 - 1e-3, 1 + 1e-3])
+def test_schmidt_completion_at_the_tolerance(factor):
+    # Alice's kets of two product states overlap by just below or just above
+    # tol: the second is chosen only below it
+    tol = L.DEFAULT_TOL
+    rng = np.random.default_rng(7)
+    ua, ub = haar_unitary(3, rng), haar_unitary(3, rng)
+    overlap = tol * factor
+    second = overlap * ua[:, 0] + np.sqrt(1 - overlap ** 2) * ua[:, 1]
+    stack = np.array([np.outer(ua[:, 0], ub[:, 0]), np.outer(second, ub[:, 1])])
+    _assert_completion_as_reference(stack, tol)
+    q = search_module._schmidt_completion(stack, ALICE, tol)
+    chosen = abs(np.vdot(q[:, 1], second)) > 1 - 1e-6
+    assert chosen == (factor < 1)
+
+
+def test_schmidt_completion_of_the_two_qubit_rule_matches_the_per_vector_greedy(monkeypatch):
+    calls = []
+    real = search_module._schmidt_completion
+    monkeypatch.setattr(L.criteria, "_schmidt_completion",
+                        lambda *args: calls.append(args) or real(*args))
+    for seed in range(10):
+        for m, kind in itertools.product((2, 3, 4), ("haar-orthogonal", "product-basis")):
+            classify_2x2(random_ensemble(2, 2, m, seed=seed, kind=kind))
+    assert calls
+    for args in calls:
+        got = real(*args)
+        assert got.tobytes() == _reference_schmidt_completion(*args).tobytes()
 
 
 def test_only_the_root_builds_cross_operators_from_its_own_stack(monkeypatch):
