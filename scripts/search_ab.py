@@ -132,10 +132,12 @@ def main():
                     help="rounds over every instance (default 5)")
     ap.add_argument("--cases", choices=("sweep2x2", "highdim"),
                     help="search the benchmark's seeded cases of this workload instead")
-    ap.add_argument("--seeds", type=seed_list, default=[1, 2], metavar="S,S,...",
+    ap.add_argument("--seeds", type=seed_list, metavar="S,S,...",
                     help="benchmark seeds of --cases (default 1,2)")
     args = ap.parse_args()
-    bench = bench_cases(args.cases, args.seeds) if args.cases else None
+    if args.seeds and not args.cases:
+        ap.error("--seeds needs --cases")
+    bench = bench_cases(args.cases, args.seeds or [1, 2]) if args.cases else None
     trees = [load_tree(args.old_src, "old", bench), load_tree(args.new_src, "new", bench)]
     names = [name for name, _ in trees[0][3]]
     if names != [name for name, _ in trees[1][3]]:
