@@ -11,7 +11,10 @@ changed.  Every instance comes from loccdist's own seeded generators:
 - ``six4x4`` and ``domino9`` under seeded local rotations ``U_A (x) U_B``;
 - the 200 seeded two-qubit ensembles of the search-vs-classification test;
 - seeded product-basis and Haar ensembles from 2x2 to 5x5;
-- product pairs ``|a0 b0>, |a1 b1>`` orthogonal on both sides.
+- product pairs ``|a0 b0>, |a1 b1>`` orthogonal on both sides;
+- real-valued inputs, which only the zero-diagonal tier solves: seeded real
+  orthogonal pairs in 3x3 to 5x5, and ``d + 1`` members of a product basis
+  under a seeded real rotation ``O_A (x) O_B`` in 3x3 and 4x4.
 
 Usage: PYTHONPATH=src python3 scripts/search_fingerprint.py > fingerprint.txt
 
@@ -46,6 +49,21 @@ def orthogonal_product_pair(dim_a, dim_b, seed):
                             for k in range(2)])
 
 
+def real_orthogonal_pair(dim_a, dim_b, seed):
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.standard_normal((dim_a * dim_b, 2)))[0]
+    return L.make_ensemble([L.make_state(dim_a, dim_b, q[:, k].reshape(dim_a, dim_b), name=f"r{k}")
+                            for k in range(2)])
+
+
+def real_rotated_product_set(dim, seed):
+    rng = np.random.default_rng(seed)
+    oa, ob = (np.linalg.qr(rng.standard_normal((dim, dim)))[0] for _ in range(2))
+    picks = sorted(rng.choice(dim * dim, size=dim + 1, replace=False).tolist())
+    return L.make_ensemble([L.product_state(dim, dim, oa[:, k // dim], ob[:, k % dim],
+                                            name=f"p{k}") for k in picks])
+
+
 def instances():
     for name in L.CANNED_EXAMPLES:
         yield name, L.canned_example(name)
@@ -69,6 +87,12 @@ def instances():
     for dim_a, dim_b in ((2, 2), (2, 3), (3, 3)):
         for seed in range(5):
             yield f"orthpair-{dim_a}x{dim_b}-s{seed}", orthogonal_product_pair(dim_a, dim_b, seed)
+    for dim in (3, 4, 5):
+        for seed in range(3):
+            yield f"realpair-{dim}x{dim}-s{seed}", real_orthogonal_pair(dim, dim, seed)
+    for dim in (3, 4):
+        for seed in range(3):
+            yield f"realprod-{dim}x{dim}-m{dim + 1}-s{seed}", real_rotated_product_set(dim, seed)
 
 
 def positive_int(text):

@@ -70,6 +70,10 @@ EXIT_INDISTINGUISHABLE = 1
 EXIT_UNKNOWN = 2
 EXIT_INPUT_ERROR = 3
 
+#: largest joint dimension ``dim_a * dim_b`` of a random-* example: its Haar
+#: unitary, ``(dim_a * dim_b)`` squared complex entries, then takes 16 MB
+MAX_EXAMPLE_DIM = 1024
+
 
 # ---------------------------------------------------------------------------
 # serialization
@@ -457,6 +461,9 @@ def cmd_example(name, output, seed, dims, count, fmt, tolerance):
                 da, db = (int(x) for x in dims.lower().split("x"))
             except ValueError as exc:
                 raise ParseError("expected NxM, e.g. 2x2", "--dims") from exc
+            if da * db > MAX_EXAMPLE_DIM:
+                raise ParseError(f"{da}x{db} exceeds the largest joint dimension, "
+                                 f"{MAX_EXAMPLE_DIM}", "--dims")
             kind = "product-basis" if name == "random-product" else "haar-orthogonal"
             ens = random_ensemble(da, db, count, seed, kind=kind, tol=tolerance)
         else:

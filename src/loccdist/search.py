@@ -18,7 +18,11 @@ tier by tier, the Schmidt tier first, only as far as the search asks; each
 tier is one stack of outcome projectors, which gives the dedupe keys and,
 for the candidates the beam lets through, admissibility in one product
 ``vec(P) . vec(M^T)``, read straight off the tier's stack when the beam
-takes the whole tier.  An admitted candidate is applied to the whole stack
+takes the whole tier.  The zero-diagonal tier of a party of dimension 3 or
+more is first tested whole: each of its bases holds the vector its part
+retires first, so when one ``_admits`` call finds none of those vectors
+admissible, no basis of the tier can be, and the tier is skipped unbuilt.
+An admitted candidate is applied to the whole stack
 at once: one batched norm gives every survivor's mass and one batched Gram
 product checks that each outcome's survivors stay orthogonal.  Its children
 (the outcomes that keep two or more states) are packed into one stack,
@@ -213,6 +217,64 @@ def _qubit_plane_bases(side_mats, tol) -> list[np.ndarray]:
     return [_bloch_basis(vt[k]) for k in range(rank, 3)]
 
 
+def _rotate(lo: np.ndarray, hi: np.ndarray, v_lo: np.ndarray, v_hi: np.ndarray):
+    """One rotation of ``_zero_diagonal_bases`` in every row: the vectors of
+    values ``lo < 0 < hi`` go to ``(retired, residual)``, where the retired
+    vector has zero diagonal value and the residual has value ``hi + lo``."""
+    theta = np.arctan(np.sqrt(hi / -lo))
+    c, s = np.cos(theta)[:, np.newaxis], np.sin(theta)[:, np.newaxis]
+    return c * v_hi + s * v_lo, -s * v_hi + c * v_lo
+
+
+def _first_retired(evals: np.ndarray, evecs: np.ndarray, tol: float) -> np.ndarray | None:
+    """The vector that ``_zero_diagonal_bases`` retires first in every basis
+    it builds from ``(evals, evecs)``, bit for bit, ``(n, d)``; None when some
+    kept matrix does not start with a rotation.
+
+    A kept matrix starts with one when its least eigenvalue is below ``-cut``
+    and its greatest above ``cut``: the first pass then pairs eigenvectors 0
+    and ``d - 1`` (``eigh`` sorts its values in ascending order), as one
+    call of ``_rotate`` on the same rows.
+    """
+    keep = np.abs(evals).max(axis=1) > tol
+    evals, evecs = evals[keep], evecs[keep]
+    cut = 1e-10 * np.abs(evals).max(axis=1, initial=0.0)
+    lo, hi = evals[:, 0], evals[:, -1]
+    if not ((lo < -cut) & (hi > cut)).all():
+        return None
+    return _rotate(lo, hi, evecs[:, :, 0], evecs[:, :, -1])[0]
+
+
+def _hermitian_parts(sides: np.ndarray) -> np.ndarray:
+    """The Hermitian part ``(M + M^+) / 2`` and the anti-Hermitian part, as
+    the Hermitian ``(M - M^+) / 2i``, of every cross operator of a ``(pairs,
+    d, d)`` stack, in pair order, without those whose entries all vanish."""
+    d = sides.shape[-1]
+    live = sides[np.abs(sides).max(axis=(1, 2)) > _DUST]
+    adj = live.conj().transpose(0, 2, 1)
+    parts = np.stack([(live + adj) / 2, (live - adj) / 2j], axis=1).reshape(-1, d, d)
+    return parts[np.abs(parts).max(axis=(1, 2)) > _DUST]
+
+
+def _zero_diagonal_tier(sides: np.ndarray, tol: float) -> np.ndarray | None:
+    """The zero-diagonal tier of a party of dimension 3 or more, from its
+    ``(pairs, d, d)`` cross operators: ``_zero_diagonal_bases`` of their
+    ``_hermitian_parts``.
+
+    Every basis holds the vector its part retires first (``_first_retired``),
+    so when none of these vectors keeps every ``tr(P M)`` within ``tol``, no
+    basis of the tier is admissible: the tier is then skipped, and None is
+    returned.  Otherwise the whole tier is built.
+    """
+    d = sides.shape[-1]
+    evals, evecs = np.linalg.eigh(_hermitian_parts(sides))
+    first = _first_retired(evals, evecs, tol)
+    if first is not None and not _admits(
+            _outcomes(first[..., np.newaxis])[1].reshape(-1, d, d), sides, tol).any():
+        return None
+    return _zero_diagonal_bases(evals, evecs, tol)
+
+
 def _zero_diagonal_bases(evals: np.ndarray, evecs: np.ndarray, tol: float) -> np.ndarray:
     """Bases with vanishing diagonal for a stack of traceless Hermitian
     matrices, given their eigendecompositions ``(evals, evecs)`` from ``eigh``.
@@ -262,11 +324,7 @@ def _zero_diagonal_bases(evals: np.ndarray, evecs: np.ndarray, tol: float) -> np
         if not len(r):
             break
         lo, hi, lo_k, hi_k = lo[r], hi[r], lo_k[r], hi_k[r]
-        theta = np.arctan(np.sqrt(hi / -lo))
-        c, s = np.cos(theta)[:, np.newaxis], np.sin(theta)[:, np.newaxis]
-        v_hi, v_lo = vecs[r, :, hi_k], vecs[r, :, lo_k]
-        vecs[r, :, hi_k] = c * v_hi + s * v_lo
-        vecs[r, :, new] = -s * v_hi + c * v_lo
+        vecs[r, :, hi_k], vecs[r, :, new] = _rotate(lo, hi, vecs[r, :, lo_k], vecs[r, :, hi_k])
         vals[r, new] = hi + lo
         when[r, hi_k] = new
         alive[r, new] = True
@@ -279,11 +337,11 @@ def _zero_diagonal_bases(evals: np.ndarray, evecs: np.ndarray, tol: float) -> np
 
 
 def _phased_columns(bases: np.ndarray) -> np.ndarray:
-    """The columns of every basis of a ``(n, d, d)`` stack as one-column
-    blocks, ``(n, d, d, 1)`` with column k of basis i at ``[i, k]``, each
+    """The columns of every basis of a ``(n, d, k)`` stack as one-column
+    blocks, ``(n, k, d, 1)`` with column j of basis i at ``[i, j]``, each
     phased so that its largest entry is real and positive."""
-    n, d, _ = bases.shape
-    pivots = bases[np.arange(n)[:, np.newaxis], np.abs(bases).argmax(axis=1), np.arange(d)]
+    n, _, k = bases.shape
+    pivots = bases[np.arange(n)[:, np.newaxis], np.abs(bases).argmax(axis=1), np.arange(k)]
     mags = np.hypot(pivots.real, pivots.imag)  # np.abs of a complex array rounds differently
     big = mags > _DUST
     phased = bases * np.where(big, mags / np.where(big, pivots, 1.0), 1.0)[:, np.newaxis, :]
@@ -325,8 +383,9 @@ def _schmidt_completion(stack: np.ndarray, party: str, tol: float,
 
 
 def _outcomes(bases: np.ndarray):
-    """The phased one-column blocks of every basis of a ``(..., d, d)`` stack,
-    ``(..., d, d, 1)``, and their outcome projectors, ``(..., d, d, d)``."""
+    """The phased one-column blocks of every basis of a ``(n, d, k)`` stack of
+    ``k`` orthonormal columns, ``(n, k, d, 1)``, and their outcome
+    projectors, ``(n, k, d, d)``."""
     cols = _phased_columns(bases)
     return cols, cols @ cols.conj().swapaxes(-1, -2)
 
@@ -452,11 +511,8 @@ def _candidates(stack: np.ndarray, party: str, cross, cfg: SearchConfig):
     def zero_diagonal():
         if d == 2:
             return columns(np.array(_qubit_plane_bases(sides, tol)).reshape(-1, 2, 2))
-        live = sides[np.abs(sides).max(axis=(1, 2)) > _DUST]
-        adj = live.conj().transpose(0, 2, 1)
-        parts = np.stack([(live + adj) / 2, (live - adj) / 2j], axis=1).reshape(-1, d, d)
-        evals, evecs = np.linalg.eigh(parts[np.abs(parts).max(axis=(1, 2)) > _DUST])
-        return columns(_zero_diagonal_bases(evals, evecs, tol))
+        bases = _zero_diagonal_tier(sides, tol)
+        return ([], None) if bases is None else columns(bases)
 
     def schmidt():
         if np.abs(cross(BOB if party == ALICE else ALICE)).max(initial=0.0) > _DUST:
@@ -512,7 +568,10 @@ def candidate_bases(e: Ensemble, party: str, cfg: SearchConfig | None = None):
     (``cross_operators``) have vanishing diagonal: for a qubit party every
     exact solution for all cross operators at once (the Bloch-plane
     solver), otherwise one basis per Hermitian or anti-Hermitian part of
-    each cross operator, built by pairing opposite-sign eigenvalues.  Each
+    each cross operator, built by pairing opposite-sign eigenvalues.  Every
+    such basis holds the vector its part retires first; when none of these
+    vectors is admissible, no basis of the tier is, and the tier is omitted
+    (only when each part starts with a rotation).  Each
     tier is sorted by projector key, duplicates are dropped, and the list is
     truncated at ``beam_limit``.  The search runs the same generator,
     lazily: the standard and zero-diagonal tiers are each built only when

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import loccdist as L
 from loccdist.cli import (
+    MAX_EXAMPLE_DIM,
     REPORT_SCHEMA,
     ensemble_from_dict,
     ensemble_to_dict,
@@ -327,6 +328,24 @@ def test_cmd_example_random_generators_deterministic(tmp_path):
     assert a.read_text() == b.read_text()
     ens, _ = ensemble_from_dict(read_json(a))
     assert ens.dims == (2, 3) and ens.m == 3
+
+
+def test_cmd_example_rejects_dims_above_the_cap_before_generating(tmp_path, monkeypatch):
+    # the generator is never reached above the cap, so no size here allocates
+    calls = []
+    monkeypatch.setattr("loccdist.cli.random_ensemble",
+                        lambda *args, **kwargs: calls.append(args) or L.canned_example("bell2"))
+    out = tmp_path / "x.json"
+    for dims in ("100000x100000", "33x32", "1x1025"):
+        result = run_cli(["example", "random-haar", "--dims", dims, "--output", out])
+        assert result.exit_code == 3, dims
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert "--dims" in result.output and str(MAX_EXAMPLE_DIM) in result.output
+        assert not out.exists()
+    assert calls == []
+    assert run_cli(["example", "random-product", "--dims", "32x32", "--output", out]).exit_code == 0
+    assert calls == [(32, 32, 4, 0)]
 
 
 def test_cmd_example_negative_seed_is_a_usage_error(tmp_path):

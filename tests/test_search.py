@@ -870,6 +870,86 @@ def test_zero_diagonal_bases_match_the_one_matrix_reference(seed):
         assert np.allclose(basis, ref, rtol=0, atol=1e-14)
 
 
+def _real_orthogonal(rng, d):
+    return np.linalg.qr(rng.standard_normal((d, d)))[0]
+
+
+def _traceless(g):
+    return g - np.trace(g) / len(g) * np.eye(len(g))
+
+
+def _part_test_stacks(rng, d):
+    """Stacks of one to three cross operators of dimension ``d``, by kind:
+    traceless Hermitian with tied and zero eigenvalues (rank-deficient), real
+    symmetric, real (as real-valued states give), complex of low rank, and
+    Hermitian with one part whose eigenvalues are all positive, so that its
+    first step is no rotation."""
+    def spectrum():
+        values = list(rng.choice([-2.0, -1.0, 0.0, 0.0, 1.0, 1.0, 3.0], size=d - 1))
+        return np.array(values + [-sum(values)])
+
+    def low_rank(dtype_complex):
+        r = int(rng.integers(1, d))
+        a, b = rng.standard_normal((d, r)), rng.standard_normal((r, d))
+        if dtype_complex:
+            a, b = a + 1j * rng.standard_normal((d, r)), b + 1j * rng.standard_normal((r, d))
+        return _traceless(a @ b)
+
+    def real_symmetric():
+        o = _real_orthogonal(rng, d)
+        return (o * spectrum()) @ o.T
+
+    kinds = {
+        "hermitian": lambda: _traceless_hermitian(rng, d, spectrum(), 1.0),
+        "real-symmetric": real_symmetric,
+        "real": lambda: low_rank(False),
+        "complex": lambda: low_rank(True),
+    }
+    for kind, make in kinds.items():
+        for n in (1, 2, 3):
+            yield kind, np.array([make() for _ in range(n)], dtype=np.complex128)
+    positive = _traceless_hermitian(rng, d, [2e-9] + [0.0] * (d - 1), 1.0)
+    yield "no-rotation", np.array([kinds["complex"](), positive])
+
+
+def test_zero_diagonal_tier_is_skipped_only_when_no_basis_in_it_is_admissible():
+    # every basis of the tier holds the vector its part retires first, so the
+    # tier is skipped exactly when none of those vectors is admissible; it is
+    # built whole otherwise, never part by part
+    tol = 1e-9
+    seen = {"skipped": 0, "admissible": 0, "mixed": 0, "no-rotation": 0}
+    for seed in range(24):
+        rng = np.random.default_rng(2000 + seed)
+        d = 3 + seed % 4
+        for kind, sides in _part_test_stacks(rng, d):
+            evals, evecs = np.linalg.eigh(search_module._hermitian_parts(sides))
+            full = search_module._zero_diagonal_bases(evals, evecs, tol)
+            first = search_module._first_retired(evals, evecs, tol)
+            tier = search_module._zero_diagonal_tier(sides, tol)
+            projs = search_module._outcomes(full)[1].reshape(-1, d, d)
+            admissible = search_module._admits(projs, sides, tol).reshape(-1, d).all(axis=1)
+            if kind == "no-rotation":
+                assert first is None
+                assert tier is not None
+                seen[kind] += 1
+            if first is not None:
+                # the tested vector is a column of its basis, bit for bit
+                assert len(first) == len(full)
+                for vector, basis in zip(first, full):
+                    assert (basis == vector[:, np.newaxis]).all(axis=0).any()
+                passes = search_module._admits(
+                    search_module._outcomes(first[..., np.newaxis])[1].reshape(-1, d, d),
+                    sides, tol)
+                seen["mixed"] += bool(passes.any() and not passes.all())
+            if tier is None:
+                assert not admissible.any()
+                seen["skipped"] += 1
+            else:
+                assert np.array_equal(tier, full)
+            seen["admissible"] += bool(admissible.any())
+    assert all(seen.values()), seen
+
+
 def test_search_raises_when_its_protocol_fails_verification(monkeypatch, bell2):
     def failing(tree, e, tol=L.DEFAULT_TOL):
         return L.VerificationReport(False, 0.0, {}, (), ("injected failure",), tol)
