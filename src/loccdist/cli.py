@@ -461,9 +461,9 @@ def cmd_example(name, output, seed, dims, count, fmt, tolerance):
                 da, db = (int(x) for x in dims.lower().split("x"))
             except ValueError as exc:
                 raise ParseError("expected NxM, e.g. 2x2", "--dims") from exc
-            if da * db > MAX_EXAMPLE_DIM:
-                raise ParseError(f"{da}x{db} exceeds the largest joint dimension, "
-                                 f"{MAX_EXAMPLE_DIM}", "--dims")
+            if not (da >= 1 and db >= 1 and da * db <= MAX_EXAMPLE_DIM):
+                raise ParseError(f"expected positive dimensions whose product is at most "
+                                 f"{MAX_EXAMPLE_DIM}, got {da}x{db}", "--dims")
             kind = "product-basis" if name == "random-product" else "haar-orthogonal"
             ens = random_ensemble(da, db, count, seed, kind=kind, tol=tolerance)
         else:

@@ -330,14 +330,15 @@ def test_cmd_example_random_generators_deterministic(tmp_path):
     assert ens.dims == (2, 3) and ens.m == 3
 
 
-def test_cmd_example_rejects_dims_above_the_cap_before_generating(tmp_path, monkeypatch):
-    # the generator is never reached above the cap, so no size here allocates
+def test_cmd_example_rejects_dims_out_of_range_before_generating(tmp_path, monkeypatch):
+    # the generator is never reached above the cap, so no size here allocates;
+    # negative dimensions made numpy raise a traceback
     calls = []
     monkeypatch.setattr("loccdist.cli.random_ensemble",
                         lambda *args, **kwargs: calls.append(args) or L.canned_example("bell2"))
     out = tmp_path / "x.json"
-    for dims in ("100000x100000", "33x32", "1x1025"):
-        result = run_cli(["example", "random-haar", "--dims", dims, "--output", out])
+    for dims in ("100000x100000", "33x32", "1x1025", "-2x-3", "0x4"):
+        result = run_cli(["example", "random-haar", f"--dims={dims}", "--output", out])
         assert result.exit_code == 3, dims
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.output

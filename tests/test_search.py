@@ -870,33 +870,26 @@ def test_zero_diagonal_bases_match_the_one_matrix_reference(seed):
         assert np.allclose(basis, ref, rtol=0, atol=1e-14)
 
 
-def _real_orthogonal(rng, d):
-    return np.linalg.qr(rng.standard_normal((d, d)))[0]
-
-
-def _traceless(g):
-    return g - np.trace(g) / len(g) * np.eye(len(g))
-
-
 def _part_test_stacks(rng, d):
     """Stacks of one to three cross operators of dimension ``d``, by kind:
     traceless Hermitian with tied and zero eigenvalues (rank-deficient), real
-    symmetric, real (as real-valued states give), complex of low rank, and
-    Hermitian with one part whose eigenvalues are all positive, so that its
-    first step is no rotation."""
+    symmetric likewise, real (as real-valued states give) and complex, both
+    traceless of low rank; and last a complex one beside a Hermitian part
+    whose eigenvalues are all at least 0, whose first step is no rotation."""
     def spectrum():
         values = list(rng.choice([-2.0, -1.0, 0.0, 0.0, 1.0, 1.0, 3.0], size=d - 1))
         return np.array(values + [-sum(values)])
 
-    def low_rank(dtype_complex):
+    def low_rank(complex_entries):
         r = int(rng.integers(1, d))
         a, b = rng.standard_normal((d, r)), rng.standard_normal((r, d))
-        if dtype_complex:
+        if complex_entries:
             a, b = a + 1j * rng.standard_normal((d, r)), b + 1j * rng.standard_normal((r, d))
-        return _traceless(a @ b)
+        g = a @ b
+        return g - np.trace(g) / d * np.eye(d)
 
     def real_symmetric():
-        o = _real_orthogonal(rng, d)
+        o = np.linalg.qr(rng.standard_normal((d, d)))[0]
         return (o * spectrum()) @ o.T
 
     kinds = {
