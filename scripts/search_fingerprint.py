@@ -14,7 +14,13 @@ changed.  Every instance comes from loccdist's own seeded generators:
 - product pairs ``|a0 b0>, |a1 b1>`` orthogonal on both sides;
 - real-valued inputs, which only the zero-diagonal tier solves: seeded real
   orthogonal pairs in 3x3 to 5x5, and ``d + 1`` members of a product basis
-  under a seeded real rotation ``O_A (x) O_B`` in 3x3 and 4x4.
+  under a seeded real rotation ``O_A (x) O_B`` in 3x3 and 4x4;
+- maximally entangled sets: all 455 Pauli 4-sets ``{I(x)I, P1, P2, P3}`` in
+  4x4, with amplitude matrix ``P / 2`` for each two-qubit Pauli product
+  ``P`` (numbered in ``itertools.combinations`` order of the 15 products
+  other than ``I(x)I``), and for d = 3, 4, 5 twelve seeded triples of
+  generalized Bell states, amplitude matrix ``X^a Z^b / sqrt(d)``, each as is
+  and under a seeded local rotation ``U_A (x) U_B``.
 
 Usage: PYTHONPATH=src python3 scripts/search_fingerprint.py > fingerprint.txt
 
@@ -26,6 +32,7 @@ output is the same as before the flag existed.
 
 import argparse
 import hashlib
+import itertools
 import json
 import statistics
 import time
@@ -64,6 +71,33 @@ def real_rotated_product_set(dim, seed):
                                             name=f"p{k}") for k in picks])
 
 
+_PAULIS = {"I": np.eye(2), "X": np.array([[0, 1], [1, 0]]),
+           "Y": np.array([[0, -1j], [1j, 0]]), "Z": np.diag([1, -1])}
+
+
+def pauli_sets():
+    """Every ``{I(x)I, P1, P2, P3}`` of two-qubit Pauli products in 4x4, in
+    ``itertools.combinations`` order of the other 15 products."""
+    products = {a + b: np.kron(_PAULIS[a], _PAULIS[b]) / 2
+                for a, b in itertools.product(_PAULIS, repeat=2)}
+    ident = [("II", products.pop("II"))]
+    for triple in itertools.combinations(products.items(), 3):
+        yield L.make_ensemble([L.make_state(4, 4, mat, name=name)
+                               for name, mat in ident + list(triple)])
+
+
+def bell_triple(dim, seed):
+    """Three distinct generalized Bell states ``X^a Z^b / sqrt(dim)``, picked
+    by a seeded draw of ``(a, b)``."""
+    rng = np.random.default_rng(seed)
+    shift = np.roll(np.eye(dim), 1, axis=0)
+    omega = np.exp(2j * np.pi * np.arange(dim) / dim)
+    picks = sorted(rng.choice(dim * dim, size=3, replace=False).tolist())
+    return L.make_ensemble([
+        L.make_state(dim, dim, np.linalg.matrix_power(shift, k // dim) * omega ** (k % dim)
+                     / np.sqrt(dim), name=f"b{k // dim}{k % dim}") for k in picks])
+
+
 def instances():
     for name in L.CANNED_EXAMPLES:
         yield name, L.canned_example(name)
@@ -93,6 +127,13 @@ def instances():
     for dim in (3, 4):
         for seed in range(3):
             yield f"realprod-{dim}x{dim}-m{dim + 1}-s{seed}", real_rotated_product_set(dim, seed)
+    for index, e in enumerate(pauli_sets()):
+        yield f"pauli-4x4-m4-s{index}", e
+    for dim in (3, 4, 5):
+        for seed in range(12):
+            e = bell_triple(dim, seed)
+            yield f"gbell-{dim}x{dim}-m3-s{seed}", e
+            yield f"gbell-{dim}x{dim}-m3-rot-s{seed}", rotated(e, seed)
 
 
 def positive_int(text):
