@@ -15,15 +15,14 @@ Every node works array-at-a-time.  It holds its states as one
 and each party's cross operators, for all pairs: the party order and every
 party's Schmidt tier need Alice's and Bob's alike.  Candidates are generated
 tier by tier, the Schmidt tier first, only as far as the search asks; each
-tier is one stack of outcome projectors, which gives the dedupe keys and,
-for the candidates the beam lets through, admissibility in one product
-``vec(P) . vec(M^T)``, read straight off the tier's stack when the beam
-takes the whole tier.  The zero-diagonal tier of a party of dimension 3 or
-more is first tested whole: each of its bases holds the vector its part
-retires first, so when one ``_admits`` call finds none of those vectors
-admissible, no basis of the tier can be, and the tier is skipped unbuilt.
-An admitted candidate is applied to the whole stack
-at once: one batched norm gives every survivor's mass and one batched Gram
+tier is one stack of outcome projectors, which gives the dedupe keys and
+admissibility in one product ``vec(P) . vec(M^T)`` on the whole stack.  The
+zero-diagonal tier of a party of dimension 3 or more is pruned part by part
+before it is built: each basis holds the vector its part retires first, and
+a basis holding an inadmissible vector is itself inadmissible, so one
+``_admits`` call on those vectors decides which parts' bases are built, one
+matrix at a time.  An admitted candidate is applied to the whole stack at
+once: one batched norm gives every survivor's mass and one batched Gram
 product checks that each outcome's survivors stay orthogonal.  Its children
 (the outcomes that keep two or more states) are packed into one stack,
 whose one ``svd`` gives their Schmidt ranks and Schmidt vectors and whose
@@ -217,32 +216,14 @@ def _qubit_plane_bases(side_mats, tol) -> list[np.ndarray]:
     return [_bloch_basis(vt[k]) for k in range(rank, 3)]
 
 
-def _rotate(lo: np.ndarray, hi: np.ndarray, v_lo: np.ndarray, v_hi: np.ndarray):
-    """One rotation of ``_zero_diagonal_bases`` in every row: the vectors of
-    values ``lo < 0 < hi`` go to ``(retired, residual)``, where the retired
-    vector has zero diagonal value and the residual has value ``hi + lo``."""
+def _rotate(lo, hi, v_lo: np.ndarray, v_hi: np.ndarray):
+    """One rotation of ``_zero_diagonal_basis``, in every row of arrays or on
+    numpy scalars: the vectors of values ``lo < 0 < hi`` go to ``(retired,
+    residual)``, where the retired vector has zero diagonal value and the
+    residual has value ``hi + lo``."""
     theta = np.arctan(np.sqrt(hi / -lo))
-    c, s = np.cos(theta)[:, np.newaxis], np.sin(theta)[:, np.newaxis]
+    c, s = np.cos(theta)[..., np.newaxis], np.sin(theta)[..., np.newaxis]
     return c * v_hi + s * v_lo, -s * v_hi + c * v_lo
-
-
-def _first_retired(evals: np.ndarray, evecs: np.ndarray, tol: float) -> np.ndarray | None:
-    """The vector that ``_zero_diagonal_bases`` retires first in every basis
-    it builds from ``(evals, evecs)``, bit for bit, ``(n, d)``; None when some
-    kept matrix does not start with a rotation.
-
-    A kept matrix starts with one when its least eigenvalue is below ``-cut``
-    and its greatest above ``cut``: the first pass then pairs eigenvectors 0
-    and ``d - 1`` (``eigh`` sorts its values in ascending order), as one
-    call of ``_rotate`` on the same rows.
-    """
-    keep = np.abs(evals).max(axis=1) > tol
-    evals, evecs = evals[keep], evecs[keep]
-    cut = 1e-10 * np.abs(evals).max(axis=1, initial=0.0)
-    lo, hi = evals[:, 0], evals[:, -1]
-    if not ((lo < -cut) & (hi > cut)).all():
-        return None
-    return _rotate(lo, hi, evecs[:, :, 0], evecs[:, :, -1])[0]
 
 
 def _hermitian_parts(sides: np.ndarray) -> np.ndarray:
@@ -256,84 +237,63 @@ def _hermitian_parts(sides: np.ndarray) -> np.ndarray:
     return parts[np.abs(parts).max(axis=(1, 2)) > _DUST]
 
 
-def _zero_diagonal_tier(sides: np.ndarray, tol: float) -> np.ndarray | None:
+def _zero_diagonal_tier(sides: np.ndarray, tol: float) -> np.ndarray:
     """The zero-diagonal tier of a party of dimension 3 or more, from its
-    ``(pairs, d, d)`` cross operators: ``_zero_diagonal_bases`` of their
-    ``_hermitian_parts``.
+    ``(pairs, d, d)`` cross operators: one ``_zero_diagonal_basis`` per
+    ``_hermitian_parts`` matrix whose largest eigenvalue magnitude exceeds
+    ``tol``, in part order, ``(n, d, d)``.
 
-    Every basis holds the vector its part retires first (``_first_retired``),
-    so when none of these vectors keeps every ``tr(P M)`` within ``tol``, no
-    basis of the tier is admissible: the tier is then skipped, and None is
-    returned.  Otherwise the whole tier is built.
+    A basis holding an inadmissible vector is itself inadmissible.  A part
+    whose least eigenvalue is below ``-cut`` and greatest above ``cut``
+    starts with a rotation of eigenvectors 0 and ``d - 1`` (``eigh`` sorts
+    its values in ascending order), and its basis holds the vector retired
+    there, bit for bit.  One ``_rotate`` call gives every such vector and
+    one ``_admits`` call tests them all; only the parts whose vector keeps
+    every ``tr(P M)`` within ``tol``, or that start with no rotation, are
+    built.
     """
     d = sides.shape[-1]
     evals, evecs = np.linalg.eigh(_hermitian_parts(sides))
-    first = _first_retired(evals, evecs, tol)
-    if first is not None and not _admits(
-            _outcomes(first[..., np.newaxis])[1].reshape(-1, d, d), sides, tol).any():
-        return None
-    return _zero_diagonal_bases(evals, evecs, tol)
+    scale = np.abs(evals).max(axis=1)
+    keep = scale > tol
+    evals, evecs, cut = evals[keep], evecs[keep], 1e-10 * scale[keep]
+    lo, hi = evals[:, 0], evals[:, -1]
+    build = (lo >= -cut) | (hi <= cut)
+    rot = ~build
+    first = _rotate(lo[rot], hi[rot], evecs[rot, :, 0], evecs[rot, :, -1])[0]
+    build[rot] = _admits(_outcomes(first[..., np.newaxis])[1].reshape(-1, d, d), sides, tol)
+    return np.array([_zero_diagonal_basis(w, v) for w, v in zip(evals[build], evecs[build])
+                     ]).reshape(-1, d, d)
 
 
-def _zero_diagonal_bases(evals: np.ndarray, evecs: np.ndarray, tol: float) -> np.ndarray:
-    """Bases with vanishing diagonal for a stack of traceless Hermitian
-    matrices, given their eigendecompositions ``(evals, evecs)`` from ``eigh``.
+def _zero_diagonal_basis(evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:
+    """A basis with vanishing diagonal for a traceless Hermitian matrix, given
+    its eigendecomposition ``(evals, evecs)`` from ``eigh``, its columns in
+    the order they retire.
 
-    Each matrix is worked in its eigenbasis.  Eigenvectors of zero eigenvalue
-    (at most ``1e-10`` times the largest magnitude) are kept as they are;
-    then, repeatedly, the first least and the last greatest active values
-    (ties in the order the vectors became active) are rotated by the angle
-    that zeroes the diagonal of one vector, which is retired, while the other
-    stays active with the sum of the two values.  Cross terms between active
-    vectors stay zero throughout, so each rotation retires one vector.  When
-    one active vector is left, or all active values share a sign up to the
-    cutoff, the active vectors are retired in value order.  Every matrix
-    advances by one step per pass.  Matrices whose largest eigenvalue
-    magnitude is at most ``tol`` are dropped.  Returns one basis per kept
-    matrix, ``(n, d, d)``, its columns in the order they retired.
+    Eigenvectors of zero eigenvalue (at most ``1e-10`` times the largest
+    magnitude) retire first, as they are.  Then, repeatedly, the most
+    negative and the most positive active values (a stable sort of the
+    active list, a rotation's residual appended at its end) are rotated by
+    the angle that zeroes the diagonal of one vector, which retires, while
+    the other stays active with the sum of the two values.  Cross terms
+    between active vectors stay zero throughout, so each rotation retires
+    one vector.  When one active vector is left, or all active values share
+    a sign up to the cutoff, the active vectors retire in value order.
     """
-    keep = np.abs(evals).max(axis=1) > tol
-    n, d = evals[keep].shape
-    slots = 2 * d - 1
-    # slot k < d holds eigenvector k, and the residual of each rotation goes
-    # to a new slot, so slot order is the order of becoming active; a retired
-    # vector stays in its slot, and ``when`` orders the retired slots
-    vals = np.zeros((n, slots))
-    vecs = np.zeros((n, d, slots), dtype=np.complex128)
-    vals[:, :d], vecs[:, :, :d] = evals[keep], evecs[keep]
-    cut = 1e-10 * np.abs(vals).max(axis=1, initial=0.0)
-    alive = np.abs(vals) > cut[:, np.newaxis]
-    when = np.full((n, slots), np.inf)
-    when[:, :d][~alive[:, :d]] = -1.0
-    rows = np.arange(n)
-    for new in range(d, slots):
-        # active slots first, by value, ties in slot order
-        order = np.argsort(np.where(alive, vals, np.inf), axis=1, kind="stable")
-        count = alive.sum(axis=1)
-        lo_k, hi_k = order[:, 0], order[rows, count - 1]
-        lo, hi = vals[rows, lo_k], vals[rows, hi_k]
-        # all active values of one sign: retire them in value order
-        busy = count > 1
-        flush = busy & ((hi <= cut) | (lo >= -cut))
-        if flush.any():
-            rank = np.empty_like(order)
-            rank[rows[:, np.newaxis], order] = np.arange(slots)
-            when = np.where(alive & flush[:, np.newaxis], new + rank / slots, when)
-            alive[flush] = False
-        r = (busy & ~flush).nonzero()[0]
-        if not len(r):
+    cut = 1e-10 * np.abs(evals).max()
+    active = [(w, evecs[:, k]) for k, w in enumerate(evals)]
+    done = [v for w, v in active if abs(w) <= cut]
+    active = [a for a in active if abs(a[0]) > cut]
+    while len(active) > 1:
+        active.sort(key=lambda a: a[0])
+        (lo, v_lo), (hi, v_hi) = active[0], active[-1]
+        if hi <= cut or lo >= -cut:
             break
-        lo, hi, lo_k, hi_k = lo[r], hi[r], lo_k[r], hi_k[r]
-        vecs[r, :, hi_k], vecs[r, :, new] = _rotate(lo, hi, vecs[r, :, lo_k], vecs[r, :, hi_k])
-        vals[r, new] = hi + lo
-        when[r, hi_k] = new
-        alive[r, new] = True
-        alive[r, lo_k] = alive[r, hi_k] = False
-        if (count[r] == 2).all():  # every row is down to one active vector
-            break
-    when[alive] = slots  # a row's last active vector retires last
-    order = np.argsort(when, axis=1, kind="stable")[:, np.newaxis, :d]
-    return vecs[rows[:, np.newaxis, np.newaxis], np.arange(d)[:, np.newaxis], order]
+        retired, residual = _rotate(lo, hi, v_lo, v_hi)
+        done.append(retired)
+        active = active[1:-1] + [(hi + lo, residual)]
+    return np.column_stack(done + [v for _, v in active])
 
 
 def _phased_columns(bases: np.ndarray) -> np.ndarray:
@@ -487,8 +447,8 @@ def _candidates(stack: np.ndarray, party: str, cross, cfg: SearchConfig):
     either party.  The Schmidt tier comes first and asks for the other
     party's cross operators; the later tiers are lazy, each built only when
     the caller asks past the one before it.  Each tier is one stack of
-    outcome projectors, which gives the dedupe keys and, for the candidates
-    the beam lets through, admissibility in one product."""
+    outcome projectors, which gives the dedupe keys and admissibility in one
+    product."""
     d = stack.shape[1] if party == ALICE else stack.shape[2]
     tol = cfg.tolerance
     sides = cross(party)
@@ -511,8 +471,7 @@ def _candidates(stack: np.ndarray, party: str, cross, cfg: SearchConfig):
     def zero_diagonal():
         if d == 2:
             return columns(np.array(_qubit_plane_bases(sides, tol)).reshape(-1, 2, 2))
-        bases = _zero_diagonal_tier(sides, tol)
-        return ([], None) if bases is None else columns(bases)
+        return columns(_zero_diagonal_tier(sides, tol))
 
     def schmidt():
         if np.abs(cross(BOB if party == ALICE else ALICE)).max(initial=0.0) > _DUST:
@@ -539,15 +498,10 @@ def _candidates(stack: np.ndarray, party: str, cross, cfg: SearchConfig):
         if not take:
             continue
         starts = list(accumulate(counts, initial=0))
-        chunks = [projs[starts[i]:starts[i + 1]] for i in take]
-        if len(take) == len(cands):  # the whole tier: admissibility from its own stack
-            admitted = _admits(projs, sides, tol).tolist()
-            ok = [all(admitted[starts[i]:starts[i + 1]]) for i in take]
-        else:  # admissibility of the taken candidates only, from one stack of their projectors
-            ok = np.logical_and.reduceat(_admits(np.concatenate(chunks), sides, tol), list(
-                accumulate((counts[i] for i in take[:-1]), initial=0))).tolist()
-        for i, chunk, admissible in zip(take, chunks, ok):
-            yield tuple(cands[i]), chunk, admissible
+        admitted = _admits(projs, sides, tol).tolist()
+        for i in take:
+            yield (tuple(cands[i]), projs[starts[i]:starts[i + 1]],
+                   all(admitted[starts[i]:starts[i + 1]]))
         if len(seen) == cfg.beam_limit:
             return
 
@@ -569,18 +523,18 @@ def candidate_bases(e: Ensemble, party: str, cfg: SearchConfig | None = None):
     exact solution for all cross operators at once (the Bloch-plane
     solver), otherwise one basis per Hermitian or anti-Hermitian part of
     each cross operator, built by pairing opposite-sign eigenvalues.  Every
-    such basis holds the vector its part retires first; when none of these
-    vectors is admissible, no basis of the tier is, and the tier is omitted
-    (only when each part starts with a rotation).  Each
-    tier is sorted by projector key, duplicates are dropped, and the list is
-    truncated at ``beam_limit``.  The search runs the same generator,
-    lazily: the standard and zero-diagonal tiers are each built only when
-    the search asks past the end of the one before, so the order is the
-    same as this list's.  Here the cross operators of both parties are
-    built from the ensemble; in the search, a child node gets them from its
-    parent's batched product, and a child whose first candidate is the
-    Schmidt closure is closed by ``_schmidt_closures`` with the same
-    measurement this list would start with.
+    such basis holds the vector its part retires first, and a basis holding
+    an inadmissible vector is itself inadmissible: a part whose vector is
+    not admissible gives no basis.  Each tier is sorted by projector key,
+    duplicates are dropped, and the list is truncated at ``beam_limit``.
+    The search runs the same generator, lazily: the standard and
+    zero-diagonal tiers are each built only when the search asks past the
+    end of the one before, so the order is the same as this list's.  Here
+    the cross operators of both parties are built from the ensemble; in the
+    search, a child node gets them from its parent's batched product, and a
+    child whose first candidate is the Schmidt closure is closed by
+    ``_schmidt_closures`` with the same measurement this list would start
+    with.
     """
     cfg = cfg or SearchConfig()
     stack = e.amplitudes

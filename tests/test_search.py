@@ -801,23 +801,15 @@ def _traceless_hermitian(rng, d, spectrum, scale):
 def test_zero_diagonal_bases_are_unitary_with_vanishing_diagonal(seed):
     rng = np.random.default_rng(seed)
     d = 3 + seed % 4
-    tol = 1e-9
-    mats, scales = [], []
-    for k in range(12):
+    for _ in range(12):
         # small integers with repeats and exact zeros, made traceless exactly
         spectrum = list(rng.choice([-2.0, -1.0, 0.0, 0.0, 1.0, 3.0], size=d - 1))
         spectrum.append(-sum(spectrum))
-        if k % 4 == 3:  # below tol: to be dropped
-            scale = tol / (2 * max(1.0, np.abs(spectrum).max()))
-        else:
-            scale = 10.0 ** rng.uniform(-8, 3)
-        mats.append(_traceless_hermitian(rng, d, spectrum, scale))
-        scales.append(scale * np.abs(spectrum).max())
-    evals, evecs = np.linalg.eigh(np.array(mats))
-    bases = search_module._zero_diagonal_bases(evals, evecs, tol)
-    kept = [(h, w, s) for h, w, s in zip(mats, evals, scales) if s > tol]
-    assert len(bases) == len(kept)
-    for basis, (h, w, scale) in zip(bases, kept):
+        scale = 10.0 ** rng.uniform(-12, 3)
+        h = _traceless_hermitian(rng, d, spectrum, scale)
+        scale *= np.abs(spectrum).max()
+        w, v = np.linalg.eigh(h)
+        basis = search_module._zero_diagonal_basis(w, v)
         assert np.abs(basis.conj().T @ basis - np.eye(d)).max() <= 1e-12
         assert np.abs(np.diag(basis.conj().T @ h @ basis)).max() <= 1e-10 * scale
         # eigenvectors of zero eigenvalue come first, as they are
@@ -825,49 +817,22 @@ def test_zero_diagonal_bases_are_unitary_with_vanishing_diagonal(seed):
         assert np.abs(h @ basis[:, :zeros]).max(initial=0.0) <= 1e-10 * scale
 
 
-def _zero_diagonal_basis_reference(evals, evecs, tol):
-    """The builder one matrix at a time: pair the most negative with the most
-    positive active value (a stable sort of the active list, a rotation's
-    residual appended at its end), retiring one vector per rotation."""
-    scale = float(np.abs(evals).max())
-    if scale <= tol:
+def _first_rotated(basis, evals):
+    """The column of a ``_zero_diagonal_basis`` that its first rotation
+    retires, right after the eigenvectors of zero eigenvalue, as a one-column
+    basis; None when it starts with no rotation."""
+    cut = 1e-10 * np.abs(evals).max()
+    if not (evals[0] < -cut and evals[-1] > cut):
         return None
-    cut = 1e-10 * scale
-    active = [[float(w), evecs[:, k]] for k, w in enumerate(evals)]
-    done = [v for w, v in active if abs(w) <= cut]
-    active = [a for a in active if abs(a[0]) > cut]
-    while active:
-        if len(active) == 1:
-            done.append(active[0][1])
-            break
-        active.sort(key=lambda a: a[0])
-        lo, hi = active[0], active[-1]
-        if hi[0] <= cut or lo[0] >= -cut:
-            done.extend(v for _, v in active)
-            break
-        theta = np.arctan(np.sqrt(hi[0] / -lo[0]))
-        c, s = np.cos(theta), np.sin(theta)
-        done.append(c * hi[1] + s * lo[1])
-        active = active[1:-1] + [[hi[0] + lo[0], -s * hi[1] + c * lo[1]]]
-    return np.column_stack(done)
+    k = np.count_nonzero(np.abs(evals) <= cut)
+    return basis[np.newaxis, :, k:k + 1]
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_zero_diagonal_bases_match_the_one_matrix_reference(seed):
-    rng = np.random.default_rng(1000 + seed)
-    d = 3 + seed % 4
-    mats = []
-    for k in range(10):
-        spectrum = list(rng.choice([-2.0, -1.0, 0.0, 1.0, 1.0, 3.0], size=d - 1))
-        spectrum.append(-sum(spectrum))
-        mats.append(_traceless_hermitian(rng, d, spectrum, 10.0 ** rng.uniform(-10, 2)))
-    evals, evecs = np.linalg.eigh(np.array(mats))
-    refs = [b for b in (_zero_diagonal_basis_reference(w, v, 1e-9)
-                        for w, v in zip(evals, evecs)) if b is not None]
-    bases = search_module._zero_diagonal_bases(evals, evecs, 1e-9)
-    assert len(bases) == len(refs)
-    for basis, ref in zip(bases, refs):
-        assert np.allclose(basis, ref, rtol=0, atol=1e-14)
+def _admissible(bases, sides, tol):
+    d = sides.shape[-1]
+    projs = search_module._outcomes(bases)[1]
+    return search_module._admits(projs.reshape(-1, d, d), sides, tol).reshape(
+        projs.shape[:2]).all(axis=1)
 
 
 def _part_test_stacks(rng, d):
@@ -905,42 +870,67 @@ def _part_test_stacks(rng, d):
     yield "no-rotation", np.array([kinds["complex"](), positive])
 
 
-def test_zero_diagonal_tier_is_skipped_only_when_no_basis_in_it_is_admissible():
-    # every basis of the tier holds the vector its part retires first, so the
-    # tier is skipped exactly when none of those vectors is admissible; it is
-    # built whole otherwise, never part by part
+def _full_tier(sides, tol):
+    """Every part's basis, with no part dropped: ``(evals, basis)`` per
+    Hermitian or anti-Hermitian part of largest eigenvalue magnitude above
+    ``tol``."""
+    evals, evecs = np.linalg.eigh(search_module._hermitian_parts(sides))
+    return [(w, search_module._zero_diagonal_basis(w, v))
+            for w, v in zip(evals, evecs) if np.abs(w).max() > tol]
+
+
+def test_zero_diagonal_tier_drops_only_bases_holding_an_inadmissible_vector():
+    # a basis holding an inadmissible vector is itself inadmissible, so the
+    # tier drops a part's basis when the vector of its first rotation fails;
+    # every other part, and every admissible basis, is built, in part order
     tol = 1e-9
-    seen = {"skipped": 0, "admissible": 0, "mixed": 0, "no-rotation": 0}
+    seen = {"dropped": 0, "admissible": 0, "mixed": 0, "no-rotation": 0, "empty": 0}
     for seed in range(24):
         rng = np.random.default_rng(2000 + seed)
         d = 3 + seed % 4
         for kind, sides in _part_test_stacks(rng, d):
-            evals, evecs = np.linalg.eigh(search_module._hermitian_parts(sides))
-            full = search_module._zero_diagonal_bases(evals, evecs, tol)
-            first = search_module._first_retired(evals, evecs, tol)
+            full = _full_tier(sides, tol)
             tier = search_module._zero_diagonal_tier(sides, tol)
-            projs = search_module._outcomes(full)[1].reshape(-1, d, d)
-            admissible = search_module._admits(projs, sides, tol).reshape(-1, d).all(axis=1)
+            admissible = _admissible(np.array([b for _, b in full]).reshape(-1, d, d), sides, tol)
+            built = iter(tier)
+            nxt = next(built, None)
+            dropped = []
+            for (w, basis), ok in zip(full, admissible):
+                if nxt is not None and np.array_equal(nxt, basis):
+                    nxt = next(built, None)
+                    continue
+                assert not ok
+                first = _first_rotated(basis, w)
+                assert first is not None and not _admissible(first, sides, tol).any()
+                dropped.append(basis)
+            assert nxt is None  # the tier is the full list, less the dropped bases
             if kind == "no-rotation":
-                assert first is None
-                assert tier is not None
+                assert _first_rotated(full[-1][1], full[-1][0]) is None
+                assert np.array_equal(tier[-1], full[-1][1])
                 seen[kind] += 1
-            if first is not None:
-                # the tested vector is a column of its basis, bit for bit
-                assert len(first) == len(full)
-                for vector, basis in zip(first, full):
-                    assert (basis == vector[:, np.newaxis]).all(axis=0).any()
-                passes = search_module._admits(
-                    search_module._outcomes(first[..., np.newaxis])[1].reshape(-1, d, d),
-                    sides, tol)
-                seen["mixed"] += bool(passes.any() and not passes.all())
-            if tier is None:
-                assert not admissible.any()
-                seen["skipped"] += 1
-            else:
-                assert np.array_equal(tier, full)
+            seen["dropped"] += bool(dropped)
+            seen["mixed"] += bool(dropped) and len(tier) > 0
+            seen["empty"] += len(tier) == 0
             seen["admissible"] += bool(admissible.any())
     assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_zero_diagonal_bases_match_the_one_matrix_reference(seed):
+    # the tier rotates and tests every part's first vector in one batch; one
+    # part at a time, each part's basis is built and kept when the column its
+    # first rotation retires is admissible, or when it starts with no rotation
+    rng = np.random.default_rng(1000 + seed)
+    d = 3 + seed % 4
+    tol = 1e-9
+    for _, sides in _part_test_stacks(rng, d):
+        refs = [basis for w, basis in _full_tier(sides, tol)
+                if (first := _first_rotated(basis, w)) is None
+                or _admissible(first, sides, tol).all()]
+        tier = search_module._zero_diagonal_tier(sides, tol)
+        assert len(tier) == len(refs)
+        for basis, ref in zip(tier, refs):
+            assert np.array_equal(basis, ref)
 
 
 def test_search_raises_when_its_protocol_fails_verification(monkeypatch, bell2):
