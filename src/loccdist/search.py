@@ -237,33 +237,31 @@ def _hermitian_parts(sides: np.ndarray) -> np.ndarray:
     return parts[np.abs(parts).max(axis=(1, 2)) > _DUST]
 
 
-def _zero_diagonal_tier(sides: np.ndarray, tol: float) -> np.ndarray:
+def _zero_diagonal_tier(sides: np.ndarray, tol: float) -> list[np.ndarray]:
     """The zero-diagonal tier of a party of dimension 3 or more, from its
     ``(pairs, d, d)`` cross operators: one ``_zero_diagonal_basis`` per
     ``_hermitian_parts`` matrix whose largest eigenvalue magnitude exceeds
-    ``tol``, in part order, ``(n, d, d)``.
+    ``tol``, in part order.
 
     A basis holding an inadmissible vector is itself inadmissible.  A part
     whose least eigenvalue is below ``-cut`` and greatest above ``cut``
     starts with a rotation of eigenvectors 0 and ``d - 1`` (``eigh`` sorts
     its values in ascending order), and its basis holds the vector retired
     there, bit for bit.  One ``_rotate`` call gives every such vector and
-    one ``_admits`` call tests them all; only the parts whose vector keeps
-    every ``tr(P M)`` within ``tol``, or that start with no rotation, are
-    built.
+    one ``_admits`` call tests them all, each by its projector ``v v^+``;
+    only the parts whose vector keeps every ``tr(P M)`` within ``tol``, or
+    that start with no rotation, are built.
     """
-    d = sides.shape[-1]
     evals, evecs = np.linalg.eigh(_hermitian_parts(sides))
     scale = np.abs(evals).max(axis=1)
-    keep = scale > tol
-    evals, evecs, cut = evals[keep], evecs[keep], 1e-10 * scale[keep]
-    lo, hi = evals[:, 0], evals[:, -1]
-    build = (lo >= -cut) | (hi <= cut)
-    rot = ~build
-    first = _rotate(lo[rot], hi[rot], evecs[rot, :, 0], evecs[rot, :, -1])[0]
-    build[rot] = _admits(_outcomes(first[..., np.newaxis])[1].reshape(-1, d, d), sides, tol)
-    return np.array([_zero_diagonal_basis(w, v) for w, v in zip(evals[build], evecs[build])
-                     ]).reshape(-1, d, d)
+    lo, hi, cut = evals[:, 0], evals[:, -1], 1e-10 * scale
+    rot = (lo < -cut) & (hi > cut)
+    # a part with no rotation gets a stand-in one, whose vector is not used
+    first = _rotate(np.where(rot, lo, -1.0), np.where(rot, hi, 1.0),
+                    evecs[:, :, 0], evecs[:, :, -1])[0]
+    admitted = _admits(first[:, :, np.newaxis] * first[:, np.newaxis].conj(), sides, tol)
+    build = (scale > tol) & (~rot | admitted)
+    return [_zero_diagonal_basis(evals[k], evecs[k]) for k in np.flatnonzero(build)]
 
 
 def _zero_diagonal_basis(evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:
@@ -471,7 +469,8 @@ def _candidates(stack: np.ndarray, party: str, cross, cfg: SearchConfig):
     def zero_diagonal():
         if d == 2:
             return columns(np.array(_qubit_plane_bases(sides, tol)).reshape(-1, 2, 2))
-        return columns(_zero_diagonal_tier(sides, tol))
+        bases = _zero_diagonal_tier(sides, tol)
+        return columns(np.array(bases)) if bases else ([], None)
 
     def schmidt():
         if np.abs(cross(BOB if party == ALICE else ALICE)).max(initial=0.0) > _DUST:
