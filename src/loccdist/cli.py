@@ -109,7 +109,8 @@ def ensemble_from_dict(data, tol: float = DEFAULT_TOL):
         raise ParseError("top level must be an object", "$")
     dims = data.get("dims")
     if (not isinstance(dims, list) or len(dims) != 2
-            or not all(isinstance(d, int) and d >= 1 for d in dims)):
+            or not all(isinstance(d, int) and not isinstance(d, bool) and d >= 1
+                       for d in dims)):
         raise ParseError("expected [Na, Nb] with positive integers", "dims")
     raw_states = data.get("states")
     if not isinstance(raw_states, list) or not raw_states:
@@ -181,12 +182,12 @@ def protocol_from_dict(data, location="$"):
         if not isinstance(od, dict):
             raise ParseError("expected an object", oloc)
         cols = od.get("projector_columns")
-        if not isinstance(cols, list) or not cols:
+        if not isinstance(cols, list) or not cols or not all(isinstance(c, list) for c in cols):
             raise ParseError("expected a nonempty list of columns",
                              f"{oloc}.projector_columns")
         mat = np.empty((len(cols[0]), len(cols)), dtype=np.complex128)
         for ci, col in enumerate(cols):
-            if not isinstance(col, list) or len(col) != len(cols[0]):
+            if len(col) != len(cols[0]):
                 raise ParseError("columns must share one length",
                                  f"{oloc}.projector_columns[{ci}]")
             for ri, entry in enumerate(col):
@@ -442,7 +443,7 @@ def cmd_search(ensemble_path, max_depth, beam, output, fmt, tolerance):
               help="Seed for the random-* generators.")
 @click.option("--dims", default="2x2", show_default=True,
               help="Local dimensions for the random-* generators, e.g. 3x2.")
-@click.option("--count", type=int, default=4, show_default=True,
+@click.option("--count", type=click.IntRange(min=1), default=4, show_default=True,
               help="Number of states for the random-* generators.")
 @_format_option
 @_tolerance_option

@@ -210,6 +210,8 @@ def random_ensemble(dim_a, dim_b, m, seed, kind: str = "haar-orthogonal",
     Schmidt rank 1).  kind "haar-orthogonal": ``m`` orthonormal Haar-random
     vectors of the joint space.
     """
+    if m < 1:
+        raise EmptyEnsemble(f"m={m}: an ensemble needs at least one state")
     if m > dim_a * dim_b:
         raise TooManyStates(f"m={m} exceeds capacity {dim_a * dim_b}")
     if kind not in RANDOM_KINDS:

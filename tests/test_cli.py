@@ -359,6 +359,17 @@ def test_cmd_example_negative_seed_is_a_usage_error(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_cmd_example_count_below_one_is_a_usage_error(tmp_path, count):
+    out = tmp_path / "x.json"
+    result = run_cli(["example", "random-product", "--count", count, "--output", out])
+    assert result.exit_code == 3
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert "--count" in result.output
+    assert not out.exists()
+
+
 def test_text_mode_contains_same_verdict_line(bell3_file):
     as_json = run_cli(["check", bell3_file, "--mode", "necessary", "--format", "json"])
     as_text = run_cli(["check", bell3_file, "--mode", "necessary"])
@@ -432,6 +443,12 @@ def contract_dir(tmp_path_factory):
     node = '{"party": "A", "outcomes": [{"projector_columns": [[[1, 0]]], "child": '
     (root / "nested.protocol.json").write_text(
         node * 3000 + '{"fail": true}' + "}]}" * 3000)
+    # a column that is a number, and a dimension that is a boolean
+    write_json(root / "column.protocol.json", {"party": "A", "outcomes": [
+        {"projector_columns": [5], "child": {"fail": True}}]})
+    payload = ensemble_to_dict(L.canned_example("bell2"))
+    payload["dims"] = [2, True]
+    write_json(root / "booldims.json", payload)
     return root
 
 
@@ -440,15 +457,15 @@ def cli_calls(draw, root):
     """A check/search/verify argument list and whether it holds an input error."""
     command = draw(st.sampled_from(["check", "search", "verify"]))
     target = draw(st.sampled_from(["bell2", "bell3", "six4x4"])
-                  | st.sampled_from(["garbled", "nan", "inf", "nested", "missing", "directory",
-                                     None]))
+                  | st.sampled_from(["garbled", "nan", "inf", "nested", "booldims", "missing",
+                                     "directory", None]))
     args, bad = [command], target not in ("bell2", "bell3", "six4x4")
     if target == "directory":
         args.append(str(root))
     elif target is not None:
         args.append(str(root / f"{target}.json"))
     if command == "verify":
-        protocol = draw(st.sampled_from(["bell2", "nan", "nested"]))
+        protocol = draw(st.sampled_from(["bell2", "nan", "nested", "column"]))
         args.append(str(root / f"{protocol}.protocol.json"))
         # the bell2-x protocol measures qubits, so it does not fit six4x4
         bad |= protocol != "bell2" or target == "six4x4"

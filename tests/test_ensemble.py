@@ -107,6 +107,13 @@ def test_random_ensemble_too_many():
         random_ensemble(2, 2, 5, seed=0)
 
 
+@pytest.mark.parametrize("kind", L.ensemble.RANDOM_KINDS)
+@pytest.mark.parametrize("m", [0, -1])
+def test_random_ensemble_too_few(kind, m):
+    with pytest.raises(EmptyEnsemble):
+        random_ensemble(2, 2, m, seed=0, kind=kind)
+
+
 @given(st.integers(min_value=0, max_value=10_000))
 def test_random_ensemble_reproducible_byte_identical(seed):
     a = random_ensemble(2, 3, 3, seed=seed, kind="haar-orthogonal")
