@@ -172,8 +172,7 @@ def schmidt_decompose(s: BipartiteState) -> SchmidtDecomposition:
         u, sig, vh = np.linalg.svd(s.amplitudes)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
         raise DecompositionFailure(str(exc)) from exc
-    keep = sig > RANK_CUTOFF * sig[0]
-    rank = int(np.count_nonzero(keep))
+    rank = int(rank_counts(sig))
     weights = tuple(float(x) for x in sig[:rank] ** 2)
     return SchmidtDecomposition(weights, u[:, :rank].T, vh[:rank, :])
 
