@@ -871,11 +871,11 @@ def _part_test_stacks(rng, d):
 
 
 def _full_tier(sides, tol):
-    """Every part's basis, with no part dropped: ``(evals, basis)`` per
-    Hermitian or anti-Hermitian part of largest eigenvalue magnitude above
-    ``tol``."""
+    """Every part's basis, with no part dropped: ``(evals, evecs, basis)``
+    per Hermitian or anti-Hermitian part of largest eigenvalue magnitude
+    above ``tol``."""
     evals, evecs = np.linalg.eigh(search_module._hermitian_parts(sides))
-    return [(w, search_module._zero_diagonal_basis(w, v))
+    return [(w, v, search_module._zero_diagonal_basis(w, v))
             for w, v in zip(evals, evecs) if np.abs(w).max() > tol]
 
 
@@ -891,11 +891,11 @@ def test_zero_diagonal_tier_drops_only_bases_holding_an_inadmissible_vector():
         for kind, sides in _part_test_stacks(rng, d):
             full = _full_tier(sides, tol)
             tier = search_module._zero_diagonal_tier(sides, tol)
-            admissible = _admissible(np.array([b for _, b in full]).reshape(-1, d, d), sides, tol)
+            admissible = _admissible(np.array([b for *_, b in full]).reshape(-1, d, d), sides, tol)
             built = iter(tier)
             nxt = next(built, None)
             dropped = []
-            for (w, basis), ok in zip(full, admissible):
+            for (w, _, basis), ok in zip(full, admissible):
                 if nxt is not None and np.array_equal(nxt, basis):
                     nxt = next(built, None)
                     continue
@@ -905,8 +905,8 @@ def test_zero_diagonal_tier_drops_only_bases_holding_an_inadmissible_vector():
                 dropped.append(basis)
             assert nxt is None  # the tier is the full list, less the dropped bases
             if kind == "no-rotation":
-                assert _first_rotated(full[-1][1], full[-1][0]) is None
-                assert np.array_equal(tier[-1], full[-1][1])
+                assert _first_rotated(full[-1][2], full[-1][0]) is None
+                assert np.array_equal(tier[-1], full[-1][2])
                 seen[kind] += 1
             seen["dropped"] += bool(dropped)
             seen["mixed"] += bool(dropped) and len(tier) > 0
@@ -924,9 +924,16 @@ def test_zero_diagonal_bases_match_the_one_matrix_reference(seed):
     d = 3 + seed % 4
     tol = 1e-9
     for _, sides in _part_test_stacks(rng, d):
-        refs = [basis for w, basis in _full_tier(sides, tol)
-                if (first := _first_rotated(basis, w)) is None
-                or _admissible(first, sides, tol).all()]
+        full = _full_tier(sides, tol)
+        firsts = [_first_rotated(basis, w) for w, _, basis in full]
+        # one batched rotation gives the column each basis retires first, bit for bit
+        turns = [(w, v, first) for (w, v, _), first in zip(full, firsts) if first is not None]
+        if turns:
+            w, v, first = (np.array(x) for x in zip(*turns))
+            batch = search_module._rotate(w[:, 0], w[:, -1], v[:, :, 0], v[:, :, -1])[0]
+            assert np.array_equal(batch, first[:, 0, :, 0])
+        refs = [basis for (*_, basis), first in zip(full, firsts)
+                if first is None or _admissible(first, sides, tol).all()]
         tier = search_module._zero_diagonal_tier(sides, tol)
         assert len(tier) == len(refs)
         for basis, ref in zip(tier, refs):
