@@ -839,8 +839,11 @@ def _part_test_stacks(rng, d):
     """Stacks of one to three cross operators of dimension ``d``, by kind:
     traceless Hermitian with tied and zero eigenvalues (rank-deficient), real
     symmetric likewise, real (as real-valued states give) and complex, both
-    traceless of low rank; and last a complex one beside a Hermitian part
-    whose eigenvalues are all at least 0, whose first step is no rotation."""
+    traceless of low rank; then a complex one beside a Hermitian part
+    whose eigenvalues are all at least 0, whose first step is no rotation;
+    and last a Hermitian one alone whose eigenvalues are at most 5e-10 in
+    magnitude, below the tolerance of 1e-9 the tests use, so that every
+    vector is admissible."""
     def spectrum():
         values = list(rng.choice([-2.0, -1.0, 0.0, 0.0, 1.0, 1.0, 3.0], size=d - 1))
         return np.array(values + [-sum(values)])
@@ -868,6 +871,8 @@ def _part_test_stacks(rng, d):
             yield kind, np.array([make() for _ in range(n)], dtype=np.complex128)
     positive = _traceless_hermitian(rng, d, [2e-9] + [0.0] * (d - 1), 1.0)
     yield "no-rotation", np.array([kinds["complex"](), positive])
+    tiny = _traceless_hermitian(rng, d, [1.0, -1.0] + [0.0] * (d - 2), 5e-10)
+    yield "below-tol", np.array([tiny])
 
 
 def _full_tier(sides, tol):
@@ -884,7 +889,8 @@ def test_zero_diagonal_tier_drops_only_bases_holding_an_inadmissible_vector():
     # tier drops a part's basis when the vector of its first rotation fails;
     # every other part, and every admissible basis, is built, in part order
     tol = 1e-9
-    seen = {"dropped": 0, "admissible": 0, "mixed": 0, "no-rotation": 0, "empty": 0}
+    seen = {"dropped": 0, "admissible": 0, "mixed": 0, "no-rotation": 0, "below-tol": 0,
+            "empty": 0}
     for seed in range(24):
         rng = np.random.default_rng(2000 + seed)
         d = 3 + seed % 4
@@ -894,7 +900,7 @@ def test_zero_diagonal_tier_drops_only_bases_holding_an_inadmissible_vector():
             admissible = _admissible(np.array([b for *_, b in full]).reshape(-1, d, d), sides, tol)
             built = iter(tier)
             nxt = next(built, None)
-            dropped = []
+            dropped = 0
             for (w, _, basis), ok in zip(full, admissible):
                 if nxt is not None and np.array_equal(nxt, basis):
                     nxt = next(built, None)
@@ -902,11 +908,14 @@ def test_zero_diagonal_tier_drops_only_bases_holding_an_inadmissible_vector():
                 assert not ok
                 first = _first_rotated(basis, w)
                 assert first is not None and not _admissible(first, sides, tol).any()
-                dropped.append(basis)
+                dropped += 1
             assert nxt is None  # the tier is the full list, less the dropped bases
             if kind == "no-rotation":
                 assert _first_rotated(full[-1][2], full[-1][0]) is None
                 assert np.array_equal(tier[-1], full[-1][2])
+                seen[kind] += 1
+            if kind == "below-tol":  # a part of eigenvalues at most tol gives no basis
+                assert len(search_module._hermitian_parts(sides)) > len(full)
                 seen[kind] += 1
             seen["dropped"] += bool(dropped)
             seen["mixed"] += bool(dropped) and len(tier) > 0
