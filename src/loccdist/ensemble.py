@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,11 +47,14 @@ class Ensemble:
     def labels(self) -> tuple[str, ...]:
         return tuple(s.name for s in self.states)
 
-    @property
+    @cached_property
     def amplitudes(self) -> np.ndarray:
-        """The states' amplitude matrices as one ``(m, dim_a, dim_b)`` stack (a copy)."""
-        return np.array([s.amplitudes for s in self.states],
-                        dtype=np.complex128).reshape(self.m, self.dim_a, self.dim_b)
+        """The states' amplitude matrices as one read-only ``(m, dim_a, dim_b)``
+        stack, built on first access."""
+        stack = np.array([s.amplitudes for s in self.states],
+                         dtype=np.complex128).reshape(self.m, self.dim_a, self.dim_b)
+        stack.setflags(write=False)
+        return stack
 
     def state(self, label: str) -> BipartiteState:
         for s in self.states:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,6 +32,7 @@ def _complex_matrix(amplitudes) -> np.ndarray:
     return mat
 
 
+@lru_cache(maxsize=64)
 def unit_norm_slack(size: int) -> float:
     """Largest ``|norm - 1|`` that ``make_state`` treats as already normalized.
 
