@@ -75,9 +75,10 @@ class ProjectiveMeasurement:
     ``projector_stack`` holds the outcome projectors ``Q Q^+`` as one
     read-only ``(outcomes, d, d)`` array, built once at construction.
     Arrays of one shape are copied as one read-only ``(outcomes, d, w)``
-    array, whose slices become the blocks, and their projectors come from
-    one product; blocks of mixed widths are copied and multiplied one by
-    one.  Either way one Gram product of all columns validates them.
+    array, whose slices become the blocks, whose one reshape gives all
+    their columns, and whose projectors come from one product; blocks of
+    mixed widths are copied, joined and multiplied one by one.  Either way
+    one Gram product of all columns validates them.
     """
 
     party: str
@@ -104,9 +105,13 @@ class ProjectiveMeasurement:
         dim = blocks[0].shape[0]
         # one Gram product of the columns of every block up to the first one
         # on another space checks them all; block maxima name the first fault
-        fit = next((k for k, q in enumerate(blocks) if q.shape[0] != dim), len(blocks))
-        offsets = list(accumulate((q.shape[1] for q in blocks[:fit]), initial=0))
-        columns = np.concatenate(blocks[:fit], axis=1)
+        if stacked is not None:
+            fit, columns = len(blocks), stacked.transpose(1, 0, 2).reshape(dim, -1)
+            offsets = list(range(0, columns.shape[1] + 1, stacked.shape[2]))
+        else:
+            fit = next((k for k, q in enumerate(blocks) if q.shape[0] != dim), len(blocks))
+            offsets = list(accumulate((q.shape[1] for q in blocks[:fit]), initial=0))
+            columns = np.concatenate(blocks[:fit], axis=1)
         adjoint = columns.conj().T
         with np.errstate(over="ignore", invalid="ignore"):  # huge entries give deviation inf
             dev = np.abs(adjoint @ columns - _identity(columns.shape[1]))
