@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from itertools import accumulate
 
 import numpy as np
@@ -439,17 +439,17 @@ def _computational(d: int):
     return eye, blocks, projs
 
 
-def _candidates(stack: np.ndarray, party: str, cross, cfg: SearchConfig):
+def _candidates(stack: np.ndarray, party: str, cross: dict, cfg: SearchConfig):
     """``candidate_bases`` of an amplitude stack as ``(blocks, projectors,
-    admissible)`` triples, given ``cross(party)``, the cross operators of
-    either party.  The Schmidt tier comes first and asks for the other
-    party's cross operators; the later tiers are lazy, each built only when
-    the caller asks past the one before it.  Each tier is one stack of
-    outcome projectors, which gives the dedupe keys and admissibility in one
+    admissible)`` triples, given ``cross``, the cross operators of both
+    parties.  The Schmidt tier comes first and reads the other party's cross
+    operators; the later tiers are lazy, each built only when the caller
+    asks past the one before it.  Each tier is one stack of outcome
+    projectors, which gives the dedupe keys and admissibility in one
     product."""
     d = stack.shape[1] if party == ALICE else stack.shape[2]
     tol = cfg.tolerance
-    sides = cross(party)
+    sides = cross[party]
 
     def columns(bases):
         cols, projs = _outcomes(bases)
@@ -473,7 +473,7 @@ def _candidates(stack: np.ndarray, party: str, cross, cfg: SearchConfig):
         return columns(np.array(bases)) if bases else ([], None)
 
     def schmidt():
-        if np.abs(cross(BOB if party == ALICE else ALICE)).max(initial=0.0) > _DUST:
+        if np.abs(cross[BOB if party == ALICE else ALICE]).max(initial=0.0) > _DUST:
             return [], None
         # the other party's cross operators all vanish, so this party's local
         # supports, and its Schmidt vectors of different states, are pairwise
@@ -537,8 +537,9 @@ def candidate_bases(e: Ensemble, party: str, cfg: SearchConfig | None = None):
     """
     cfg = cfg or SearchConfig()
     stack = e.amplitudes
+    cross = {p: _cross(stack, p) for p in (ALICE, BOB)}
     return [ProjectiveMeasurement(party, blocks)
-            for blocks, _, _ in _candidates(stack, party, partial(_cross, stack), cfg)]
+            for blocks, _, _ in _candidates(stack, party, cross, cfg)]
 
 
 def _reach(stack: np.ndarray, party: str, projs: np.ndarray, tol: float):
@@ -661,10 +662,10 @@ def search_protocol(e: Ensemble, cfg: SearchConfig | None = None) -> SearchOutco
         stats["nodes"] += 1
         if depth >= depth_limit:
             return None
-        # each party's cross operators, built once
-        cross = cross_ops.__getitem__ if cross_ops else cache(partial(_cross, stack))
+        # each party's cross operators, built once; every node reads both
+        cross = cross_ops or {party: _cross(stack, party) for party in (ALICE, BOB)}
         # vanishing Alice cross operators let Bob's Schmidt tier close the node
-        parties = (BOB, ALICE) if np.abs(cross(ALICE)).max(initial=0.0) <= _DUST else (ALICE, BOB)
+        parties = (BOB, ALICE) if np.abs(cross[ALICE]).max(initial=0.0) <= _DUST else (ALICE, BOB)
         for party in parties:
             for blocks, projs, admissible in _candidates(stack, party, cross, cfg):
                 if not admissible:

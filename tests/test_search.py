@@ -209,8 +209,7 @@ def test_candidates_build_a_tier_only_when_asked_past_the_one_before(bell2, monk
     monkeypatch.setattr(search_module, "_qubit_plane_bases",
                         lambda *args: calls.append(args) or real(*args))
     sides = {p: cross_operators(bell2, p) for p in (ALICE, BOB)}
-    gen = search_module._candidates(bell2.amplitudes, ALICE, sides.__getitem__,
-                                    SearchConfig())
+    gen = search_module._candidates(bell2.amplitudes, ALICE, sides, SearchConfig())
     next(gen)  # the computational basis, from the standard tier
     assert calls == []
     assert len(list(gen)) == 2  # the two zero-diagonal bases
@@ -329,8 +328,7 @@ def _close_siblings_as_each_child_would(states, alive, cfg=SearchConfig()):
         assert np.array_equal(ranks[k, idx], L.states.schmidt_ranks(stack))
         cross = {p: search_module._cross(stack, p) for p in (ALICE, BOB)}
         party, other = (BOB, ALICE) if np.abs(cross[ALICE]).max() <= 1e-12 else (ALICE, BOB)
-        blocks, projs, admissible = next(
-            search_module._candidates(stack, party, cross.__getitem__, cfg))
+        blocks, projs, admissible = next(search_module._candidates(stack, party, cross, cfg))
         reach = search_module._project(stack, party, projs, tol)[0]
         kept = reach.sum(axis=1)
         # the first candidate is the Schmidt closure when the other party's
