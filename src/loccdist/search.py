@@ -116,14 +116,14 @@ def _pairs(m: int):
     return pairs
 
 
-def _cross(stack: np.ndarray, party: str) -> np.ndarray:
-    # every pair j < l of a (..., m, dim_a, dim_b) amplitude stack in one
-    # product, (..., pairs, d, d); a zero-padded slot gives zero operators
+def _cross(stack: np.ndarray, *parties: str) -> dict:
+    # every pair j < l of a (..., m, dim_a, dim_b) amplitude stack, gathered
+    # once, in one product per party, (..., pairs, d, d); a zero-padded slot
+    # gives zero operators
     j, l = _pairs(stack.shape[-3])
     later, earlier = stack[..., l, :, :], stack[..., j, :, :].conj()
-    if party == ALICE:
-        return later @ earlier.swapaxes(-1, -2)
-    return later.swapaxes(-1, -2) @ earlier
+    return {party: later @ earlier.swapaxes(-1, -2) if party == ALICE
+            else later.swapaxes(-1, -2) @ earlier for party in parties}
 
 
 def cross_operators(e: Ensemble, party: str) -> np.ndarray:
@@ -137,7 +137,7 @@ def cross_operators(e: Ensemble, party: str) -> np.ndarray:
     side is the plain overlap, hence zero for ensemble members.  A single
     state has no pairs: the result then has shape ``(0, d, d)``.
     """
-    return _cross(e.amplitudes, party)
+    return _cross(e.amplitudes, party)[party]
 
 
 def _admits(projs: np.ndarray, sides: np.ndarray, tol: float) -> np.ndarray:
@@ -373,8 +373,9 @@ def _schmidt_closures(kids: np.ndarray, packed: np.ndarray, factors, count: np.n
     all vanish (``dfs`` then tries Bob first), else Alice's when its Bob
     cross operators do.
 
-    Takes ``_children``'s output and every child's state count.  One product
-    per party gives every child's cross operators; the ``svd`` factors give
+    Takes ``_children``'s output and every child's state count.  One gather
+    of the pairs and one product per party give every child's cross
+    operators; the ``svd`` factors give
     the completions, and their projectors, admissibility and reach (from the
     projected norms alone) come from one call each.  Returns ``(closures,
     cross_ops)``: ``closures`` maps each child that closes with no child node
@@ -383,22 +384,25 @@ def _schmidt_closures(kids: np.ndarray, packed: np.ndarray, factors, count: np.n
     or None; ``cross_ops`` maps every other child to its cross operators per
     party, as ``_cross`` builds them.
     """
-    cross = {party: _cross(packed, party) for party in (ALICE, BOB)}
+    cross = _cross(packed, ALICE, BOB)
     quiet = {party: np.abs(ops).max(axis=(1, 2, 3)) <= _DUST for party, ops in cross.items()}
     closures = {}
     for party, offered in ((BOB, quiet[ALICE]), (ALICE, ~quiet[ALICE] & quiet[BOB])):
         at = offered.nonzero()[0]
         if not len(at):
             continue
-        stacks = packed[at]
-        bases = _schmidt_completion(stacks, party, tol, tuple(f[at] for f in factors))
+        if len(at) == len(offered):  # every child is offered: nothing to slice
+            stacks, parts, sides = packed, factors, cross[party]
+        else:
+            stacks, parts, sides = packed[at], tuple(f[at] for f in factors), cross[party][at]
+        bases = _schmidt_completion(stacks, party, tol, parts)
         cols, projs = _outcomes(bases)
         reach = _reach(stacks, party, projs, tol)[2]
         kept = reach.sum(axis=-1)
         # every outcome keeps at most one state and two or more keep one: no
         # child node is left, and survivor orthogonality and the progress
         # test hold exactly, as in ``dfs``
-        ok = (_admits(projs, cross[party][at], tol).all(axis=-1)
+        ok = (_admits(projs, sides, tol).all(axis=-1)
               & (kept.max(axis=-1) <= 1) & (kept.sum(axis=-1) >= 2))
         hit, first = kept.tolist(), reach.argmax(axis=-1).tolist()
         for i in np.flatnonzero(ok).tolist():
@@ -537,9 +541,8 @@ def candidate_bases(e: Ensemble, party: str, cfg: SearchConfig | None = None):
     """
     cfg = cfg or SearchConfig()
     stack = e.amplitudes
-    cross = {p: _cross(stack, p) for p in (ALICE, BOB)}
     return [ProjectiveMeasurement(party, blocks)
-            for blocks, _, _ in _candidates(stack, party, cross, cfg)]
+            for blocks, _, _ in _candidates(stack, party, _cross(stack, ALICE, BOB), cfg)]
 
 
 def _reach(stack: np.ndarray, party: str, projs: np.ndarray, tol: float):
@@ -663,7 +666,7 @@ def search_protocol(e: Ensemble, cfg: SearchConfig | None = None) -> SearchOutco
         if depth >= depth_limit:
             return None
         # each party's cross operators, built once; every node reads both
-        cross = cross_ops or {party: _cross(stack, party) for party in (ALICE, BOB)}
+        cross = cross_ops or _cross(stack, ALICE, BOB)
         # vanishing Alice cross operators let Bob's Schmidt tier close the node
         parties = (BOB, ALICE) if np.abs(cross[ALICE]).max(initial=0.0) <= _DUST else (ALICE, BOB)
         for party in parties:

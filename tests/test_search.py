@@ -220,8 +220,9 @@ def test_search_builds_each_party_s_cross_operators_once_per_node(monkeypatch):
     asked = []
     real = search_module._cross
     monkeypatch.setattr(search_module, "_cross",
-                        lambda stack, party: asked.append((stack.shape, stack.tobytes(), party))
-                        or real(stack, party))
+                        lambda stack, *parties: asked.extend(
+                            (stack.shape, stack.tobytes(), party) for party in parties)
+                        or real(stack, *parties))
     for e in (L.canned_example("six4x4"), random_ensemble(3, 3, 9, seed=0, kind="product-basis"),
               random_ensemble(3, 3, 3, seed=1)):
         asked.clear()
@@ -326,7 +327,7 @@ def _close_siblings_as_each_child_would(states, alive, cfg=SearchConfig()):
         idx = np.flatnonzero(alive[k])
         stack = states[k, idx]
         assert np.array_equal(ranks[k, idx], L.states.schmidt_ranks(stack))
-        cross = {p: search_module._cross(stack, p) for p in (ALICE, BOB)}
+        cross = search_module._cross(stack, ALICE, BOB)
         party, other = (BOB, ALICE) if np.abs(cross[ALICE]).max() <= 1e-12 else (ALICE, BOB)
         blocks, projs, admissible = next(search_module._candidates(stack, party, cross, cfg))
         reach = search_module._project(stack, party, projs, tol)[0]
@@ -462,7 +463,8 @@ def test_only_the_root_builds_cross_operators_from_its_own_stack(monkeypatch):
     shapes = []
     real = search_module._cross
     monkeypatch.setattr(search_module, "_cross",
-                        lambda stack, party: shapes.append(stack.shape) or real(stack, party))
+                        lambda stack, *parties: shapes.extend([stack.shape] * len(parties))
+                        or real(stack, *parties))
     for e in (L.canned_example("six4x4"), random_ensemble(2, 2, 2, seed=0),
               random_ensemble(2, 2, 4, seed=1, kind="product-basis")):
         shapes.clear()
