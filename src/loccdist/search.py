@@ -450,7 +450,8 @@ def _candidates(stack: np.ndarray, party: str, cross: dict, cfg: SearchConfig):
     operators; the later tiers are lazy, each built only when the caller
     asks past the one before it.  Each tier is one stack of outcome
     projectors, which gives the dedupe keys and admissibility in one
-    product."""
+    product.  Keys only dedupe later tiers, so a first tier of one candidate
+    is yielded unkeyed, and keyed only when a later tier is built."""
     d = stack.shape[1] if party == ALICE else stack.shape[2]
     tol = cfg.tolerance
     sides = cross[party]
@@ -484,28 +485,34 @@ def _candidates(stack: np.ndarray, party: str, cross: dict, cfg: SearchConfig):
         # orthogonal: their completion identifies every state in one round
         return columns(_schmidt_completion(stack[np.newaxis], party, tol))
 
-    seen = set()
+    seen, lone = set(), None  # lone: the unkeyed first candidate's projectors
     for tier in (schmidt, standard, zero_diagonal):
         cands, projs = tier()
         if not cands:
             continue
         counts = [len(c) for c in cands]
-        keys = _keys(projs, counts)
-        take = []
-        for i in sorted(range(len(cands)), key=keys.__getitem__):
-            if len(seen) == cfg.beam_limit:
-                break
-            if keys[i] not in seen:
-                seen.add(keys[i])
-                take.append(i)
-        if not take:
-            continue
+        if lone is not None:
+            seen.update(_keys(lone, [len(lone)]))
+            lone = None
+        if seen or len(cands) > 1:
+            keys = _keys(projs, counts)
+            take = []
+            for i in sorted(range(len(cands)), key=keys.__getitem__):
+                if len(seen) == cfg.beam_limit:
+                    break
+                if keys[i] not in seen:
+                    seen.add(keys[i])
+                    take.append(i)
+            if not take:
+                continue
+        else:  # the first tier holds one candidate, which the beam always takes
+            lone, take = projs, [0]
         starts = list(accumulate(counts, initial=0))
         admitted = _admits(projs, sides, tol).tolist()
         for i in take:
             yield (tuple(cands[i]), projs[starts[i]:starts[i + 1]],
                    all(admitted[starts[i]:starts[i + 1]]))
-        if len(seen) == cfg.beam_limit:
+        if len(seen) + (lone is not None) == cfg.beam_limit:
             return
 
 
