@@ -61,6 +61,16 @@ def test_six4x4_all_pairwise_overlaps_vanish_by_direct_expansion(six4x4):
             assert abs(brute) < 1e-15
 
 
+def test_amplitudes_are_one_read_only_stack_of_the_states(six4x4):
+    stack = six4x4.amplitudes
+    assert stack is six4x4.amplitudes
+    assert not stack.flags.writeable
+    with pytest.raises(ValueError):
+        stack[0, 0, 0] = 5.0
+    assert stack.dtype == np.complex128 and stack.shape == (6, 4, 4)
+    assert stack.tobytes() == np.array([s.amplitudes for s in six4x4.states]).tobytes()
+
+
 def test_gram_matrix_identity_cases(bell4, six4x4):
     assert np.allclose(gram_matrix(bell4), np.eye(4), atol=1e-12)
     assert np.allclose(gram_matrix(six4x4), np.eye(6), atol=1e-12)

@@ -220,6 +220,29 @@ def test_measurement_validation_matches_per_block_reference():
     assert met == set(kinds)
 
 
+def test_measurement_stacked_and_per_block_paths_agree():
+    # arrays of one shape take the stacked path, the same blocks as nested
+    # lists the per-block one: equal stacks bit for bit, or equal faults
+    met = set()
+    for blocks in _measurement_cases():
+        if not all(isinstance(b, np.ndarray) for b in blocks) or len(
+                {b.shape for b in blocks}) != 1:
+            continue
+        results = []
+        for given in (tuple(blocks), tuple(b.tolist() for b in blocks)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    results.append(ProjectiveMeasurement(ALICE, given).projector_stack.tobytes())
+                except NotUnitary as exc:
+                    results.append(str(exc))
+        assert results[0] == results[1], blocks
+        if isinstance(results[0], str):
+            met.update(kind for kind in ("not orthonormal", "not orthogonal", "ranks sum")
+                       if kind in results[0])
+    assert met == {"not orthonormal", "not orthogonal", "ranks sum"}
+
+
 @pytest.mark.parametrize("blocks", [
     (np.zeros((2, 0)), np.zeros((2, 0))),
     (np.array(1.0), np.array(0.0)),

@@ -216,6 +216,75 @@ def test_candidates_build_a_tier_only_when_asked_past_the_one_before(bell2, monk
     assert len(calls) == 1
 
 
+def _eager_candidate_bases(e, party, beam_limit, tol=1e-9):
+    """``candidate_bases`` as projector stacks, every tier built and keyed in
+    full: each tier sorted by ``_keys``, repeats of any earlier candidate
+    dropped and the list cut at ``beam_limit``.  Returns the list and the
+    number of candidates the tiers held before dedupe and the cut."""
+    stack = e.amplitudes
+    d = e.dim_a if party == ALICE else e.dim_b
+    cross = search_module._cross(stack, ALICE, BOB)
+    eye = np.eye(d, dtype=complex)
+
+    def outcomes(bases):
+        return [list(c) for c in search_module._outcomes(np.array(bases).reshape(-1, d, d))[0]]
+
+    tiers = [[], [[eye[:, [k]] for k in range(d)]], []]
+    if np.abs(cross[BOB if party == ALICE else ALICE]).max(initial=0.0) <= 1e-12:
+        tiers[0] = outcomes(search_module._schmidt_completion(stack[np.newaxis], party, tol))
+    labels = search_module._support_labels(stack, party, tol)
+    roots = np.flatnonzero(labels == np.arange(d))
+    if 2 <= len(roots) < d:
+        tiers[1].append([eye[:, labels == r] for r in roots])
+    if d == 2:
+        bases = search_module._qubit_plane_bases(cross[party], tol)
+    else:
+        bases = search_module._zero_diagonal_tier(cross[party], tol)
+    tiers[2] = outcomes(bases) if len(bases) else []
+    out, seen = [], set()
+    for tier in tiers:
+        projs = [[q @ q.conj().T for q in cand] for cand in tier]
+        keys = [search_module._keys(np.array(p), [len(p)])[0] for p in projs]
+        for i in sorted(range(len(tier)), key=keys.__getitem__):
+            if keys[i] not in seen and len(out) < beam_limit:
+                seen.add(keys[i])
+                out.append(np.array(projs[i]))
+    return out, sum(len(tier) for tier in tiers)
+
+
+def _lazy_key_cases():
+    for dims in ((2, 2), (2, 3), (3, 3), (3, 4), (4, 4)):
+        for seed in range(3):
+            yield random_ensemble(*dims, 2, seed=seed)
+            yield random_ensemble(*dims, dims[0] + 1, seed=seed, kind="product-basis")
+    yield L.canned_example("six4x4")
+    # |00>, |10>: Bob's cross operators vanish, so Alice's first tier is her
+    # lone Schmidt completion, the computational basis, which both later
+    # tiers repeat
+    yield make_ensemble([product_state(2, 2, [1, 0], [1, 0], name="a"),
+                         product_state(2, 2, [0, 1], [1, 0], name="b")])
+
+
+@pytest.mark.parametrize("beam", [1, 2, 3, 64])
+def test_lazy_dedupe_keys_match_an_eager_reference(beam, monkeypatch):
+    keyed = []
+    real = search_module._keys
+    monkeypatch.setattr(search_module, "_keys",
+                        lambda projs, counts: keyed.append(len(counts)) or real(projs, counts))
+    dropped = 0
+    for e in _lazy_key_cases():
+        for party in (ALICE, BOB):
+            expected, held = _eager_candidate_bases(e, party, beam)
+            keyed.clear()
+            got = candidate_bases(e, party, SearchConfig(beam_limit=beam))
+            assert [m.projector_stack.tobytes() for m in got] == [
+                p.tobytes() for p in expected], (e, party)
+            dropped += min(held, beam) - len(expected)
+            if beam == 1:  # no later tier: only a first tier of several is keyed
+                assert all(n > 1 for n in keyed), (e, party)
+    assert dropped > 0 or beam == 1
+
+
 def test_search_builds_each_party_s_cross_operators_once_per_node(monkeypatch):
     asked = []
     real = search_module._cross
