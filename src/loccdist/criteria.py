@@ -42,7 +42,6 @@ from .search import (
     YES,
     SearchConfig,
     SearchOutcome,
-    _check_tolerance,
     _phased_columns,
     _qubit_plane_bases,
     _schmidt_completion,
@@ -50,7 +49,7 @@ from .search import (
     search_protocol,
     surviving_states,
 )
-from .states import DEFAULT_TOL, RANK_CUTOFF, product_state, schmidt_ranks
+from .states import DEFAULT_TOL, RANK_CUTOFF, _check_tolerance, product_state, schmidt_ranks
 
 @dataclass(frozen=True)
 class SchmidtSumReport:

@@ -15,7 +15,7 @@ from .errors import (
     TooManyStates,
     UnknownExample,
 )
-from .states import DEFAULT_TOL, BipartiteState, make_state
+from .states import DEFAULT_TOL, BipartiteState, _check_tolerance, make_state
 
 CANNED_EXAMPLES = ("bell4", "bell3", "bell2", "six4x4", "domino9")
 
@@ -71,8 +71,10 @@ def make_ensemble(states, tol: float = DEFAULT_TOL) -> Ensemble:
 
     States without a name get a positional one ("s0", "s1", ...).  Raises
     ``EmptyEnsemble``, ``DimensionMismatch``, ``TooManyStates``, or
-    ``NotOrthogonal`` (with the offending pair and overlap attached).
+    ``NotOrthogonal`` (with the offending pair and overlap attached), and
+    ``ValueError`` unless ``tol`` is a finite number > 0.
     """
+    _check_tolerance(tol)
     states = list(states)
     if not states:
         raise EmptyEnsemble("an ensemble needs at least one state")

@@ -37,7 +37,7 @@ from .errors import (
     NotUnitary,
     UnknownProtocol,
 )
-from .states import DEFAULT_TOL, _frozen, frobenius_norms, make_state
+from .states import DEFAULT_TOL, _check_tolerance, _frozen, frobenius_norms, make_state
 
 ALICE = "A"
 BOB = "B"
@@ -48,6 +48,11 @@ _LEAF_CHUNK = 64
 
 
 _NOT_COLUMNS = "each projector must be a nonempty matrix of columns"
+
+
+def _check_party(party) -> None:
+    if party not in PARTIES:
+        raise MalformedTree(f"party must be one of {PARTIES}, got {party!r}")
 
 
 @lru_cache(maxsize=16)
@@ -87,8 +92,7 @@ class ProjectiveMeasurement:
     projector_stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.party not in PARTIES:
-            raise MalformedTree(f"party must be one of {PARTIES}, got {self.party!r}")
+        _check_party(self.party)
         if not self.projectors:
             raise NotUnitary("a measurement needs at least one outcome")
         shapes = {getattr(q, "shape", None) for q in self.projectors}
@@ -341,8 +345,10 @@ def run_protocol(tree: ProtocolTree, e: Ensemble, tol: float = DEFAULT_TOL):
     Returns one OutcomeRecord per leaf in depth-first order; a state's
     post-measurement matrix at a leaf is ``op_a @ C @ op_b.T`` of the leaf's
     branch, and probabilities below ``tol`` are floored to exactly zero.
-    Raises ``DimensionMismatch`` when a measurement does not fit the ensemble.
+    Raises ``DimensionMismatch`` when a measurement does not fit the ensemble,
+    and ``ValueError`` unless ``tol`` is a finite number > 0.
     """
+    _check_tolerance(tol)
     ops_a, ops_b, leaf_labels, paths = _ensemble_branches(tree, e)
     leaves = zip(ops_a, ops_b, leaf_labels, paths)
     return [OutcomeRecord(BranchOperator(*leaf), probs, tuple(
@@ -375,6 +381,9 @@ class VerificationReport:
 
 
 def verify_protocol(tree: ProtocolTree, e: Ensemble, tol: float = DEFAULT_TOL) -> VerificationReport:
+    """Check ``tree`` against ``e`` within ``tol`` (finite and > 0, else
+    ``ValueError``); see ``VerificationReport`` for what must hold."""
+    _check_tolerance(tol)
     ops_a, ops_b, leaf_labels, paths = _ensemble_branches(tree, e)
     arrivals = [row for _, probs in _arrivals(ops_a, ops_b, e, tol) for row in probs.tolist()]
     deviation = _completeness_deviation(ops_a, ops_b)

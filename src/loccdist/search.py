@@ -54,12 +54,14 @@ from .protocol import (
     Node,
     ProjectiveMeasurement,
     ProtocolTree,
+    _check_party,
     _identity,
     verify_protocol,
 )
 from .states import (
     DEFAULT_TOL,
     BipartiteState,
+    _check_tolerance,
     frobenius_norms,
     rank_counts,
     unit_norm_slack,
@@ -73,11 +75,6 @@ _DUST = 1e-12
 _PRODUCT_ENTRIES = 1 << 14
 #: coefficients of a flattened 2x2 matrix on (sigma_x, sigma_y, sigma_z)
 _PAULI = np.array([[0, 0, 0.5], [0.5, 0.5j, 0], [0.5, -0.5j, 0], [0, 0, -0.5]])
-
-
-def _check_tolerance(tol: float) -> None:
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tolerance must be a finite number > 0, got {tol}")
 
 
 @dataclass(frozen=True)
@@ -135,8 +132,10 @@ def cross_operators(e: Ensemble, party: str) -> np.ndarray:
     ``<Psi_j|(P (x) I)|Psi_l> = trace(P @ alice_side)`` and
     ``<Psi_j|(I (x) P)|Psi_l> = trace(P @ bob_side)``.  The trace of either
     side is the plain overlap, hence zero for ensemble members.  A single
-    state has no pairs: the result then has shape ``(0, d, d)``.
+    state has no pairs: the result then has shape ``(0, d, d)``.  A party
+    other than ``"A"`` or ``"B"`` raises ``MalformedTree``.
     """
+    _check_party(party)
     return _cross(e.amplitudes, party)[party]
 
 
@@ -159,6 +158,7 @@ def _admits(projs: np.ndarray, sides: np.ndarray, tol: float) -> np.ndarray:
 def valid_measurement(e: Ensemble, meas: ProjectiveMeasurement,
                       tol: float = DEFAULT_TOL) -> bool:
     """Whether every outcome preserves pairwise orthogonality of survivors."""
+    _check_tolerance(tol)
     expected = _local_dim(e, meas.party)
     if meas.local_dim != expected:
         raise DimensionMismatch(
@@ -546,6 +546,7 @@ def candidate_bases(e: Ensemble, party: str, cfg: SearchConfig | None = None):
     ``_schmidt_closures`` with the same measurement this list would start
     with.
     """
+    _check_party(party)
     cfg = cfg or SearchConfig()
     stack = e.amplitudes
     return [ProjectiveMeasurement(party, blocks)
@@ -593,8 +594,12 @@ def surviving_states(e: Ensemble, party: str, projector,
     or below ``tol`` are dropped.  When the parent measurement preserved
     orthogonality the survivors form a valid ensemble; raises
     ``EmptyOutcome`` when nothing survives and ``NotOrthogonal`` when two
-    survivors overlap by more than ``tol``.
+    survivors overlap by more than ``tol``; ``MalformedTree`` for a party
+    other than ``"A"`` or ``"B"``, and ``ValueError`` unless ``tol`` is a
+    finite number > 0.
     """
+    _check_party(party)
+    _check_tolerance(tol)
     q = np.asarray(projector, dtype=np.complex128)
     if q.ndim == 1:
         q = q[:, np.newaxis]

@@ -20,6 +20,11 @@ from .errors import DecompositionFailure, NonFinite, NotUnitary, ShapeMismatch, 
 #: default absolute tolerance for orthogonality / normalization checks
 DEFAULT_TOL = 1e-9
 
+
+def _check_tolerance(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be a finite number > 0, got {tol}")
+
 #: a singular value counts toward the Schmidt rank iff it exceeds
 #: ``RANK_CUTOFF`` times the largest singular value
 RANK_CUTOFF = 1e-9

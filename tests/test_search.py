@@ -578,10 +578,25 @@ def test_search_config_validation():
 
 @pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf])
 def test_tolerance_must_be_finite_and_positive(bell2, tol):
-    with pytest.raises(ValueError, match="tolerance must be a finite number > 0"):
-        SearchConfig(tolerance=tol)
-    with pytest.raises(ValueError, match="tolerance must be a finite number > 0"):
-        classify_2x2(bell2, tol=tol)
+    tree = L.canned_protocol("bell2-x")
+    twins = [product_state(2, 2, [1, 0], [1, 0], name=name) for name in ("a", "b")]
+    for call in (lambda: SearchConfig(tolerance=tol),
+                 lambda: classify_2x2(bell2, tol=tol),
+                 lambda: make_ensemble(twins, tol=tol),
+                 lambda: verify_protocol(tree, bell2, tol=tol),
+                 lambda: L.run_protocol(tree, bell2, tol=tol),
+                 lambda: surviving_states(bell2, ALICE, PLUS, tol=tol),
+                 lambda: valid_measurement(bell2, tree.measurement, tol=tol)):
+        with pytest.raises(ValueError, match="tolerance must be a finite number > 0"):
+            call()
+
+
+def test_unknown_party_is_rejected(bell2):
+    for call in (lambda: cross_operators(bell2, "C"),
+                 lambda: surviving_states(bell2, "C", PLUS),
+                 lambda: candidate_bases(bell2, "C")):
+        with pytest.raises(L.MalformedTree, match=r"party must be one of \('A', 'B'\)"):
+            call()
 
 
 # ---------------------------------------------------------------------------
