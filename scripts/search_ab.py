@@ -24,7 +24,12 @@ With ``--cases sweep2x2`` or ``--cases highdim`` the instances are instead
 the benchmark's seeded cases of that workload, for every seed of
 ``--seeds`` (default 1,2), from ``perfbench/workloads.py``; each tree
 builds their ensembles with its own ``make_state`` and ``make_ensemble``,
-as the benchmark does, and a family is the benchmark's family name.
+as the benchmark does, and a family is the benchmark's family name.  A
+second table then gives each tree's end-to-end metrics as
+``perfbench/run.py`` takes them, from every instance's median time over the
+rounds: ``throughput_per_s`` (instances over the sum of those medians),
+``latency_ms.p50`` and ``latency_ms.p90``.  These are plain wall times; the
+benchmark also scales its times by a calibration kernel.
 
 Usage: python3 scripts/search_ab.py OLD_SRC NEW_SRC [--repeat N]
                                     [--cases sweep2x2|highdim [--seeds 1,2]]
@@ -41,6 +46,7 @@ import importlib.util
 import json
 import os
 import re
+import statistics
 import sys
 import time
 from collections import defaultdict
@@ -107,6 +113,16 @@ def family(name: str) -> str:
     return re.sub(r"(-s|-rot|(?<=sweep2x2)-|/)\d+$", "", name)
 
 
+def end_to_end(times):
+    """``throughput_per_s``, ``latency_ms.p50`` and ``latency_ms.p90`` of one
+    tree, from each instance's median time over the rounds, as
+    ``perfbench/run.py`` computes them from its typical times."""
+    typical_ms = [1000.0 * statistics.median(t) for t in times]
+    return {"throughput_per_s": 1000.0 * len(typical_ms) / sum(typical_ms),
+            "latency_ms.p50": statistics.median(typical_ms),
+            "latency_ms.p90": statistics.quantiles(typical_ms, n=10)[-1]}
+
+
 def positive_int(text):
     value = int(text)
     if value < 1:
@@ -143,7 +159,7 @@ def main():
     if names != [name for name, _ in trees[1][3]]:
         sys.exit("the two trees build different instance lists")
 
-    best = [[float("inf")] * len(names) for _ in trees]
+    times = [[[] for _ in names] for _ in trees]
     results = [[None] * len(names) for _ in trees]
     digests = [[None] * len(names) for _ in trees]
     for r in range(args.repeat):
@@ -155,7 +171,7 @@ def main():
                 start = time.perf_counter()
                 out = search(instances[i][1])
                 elapsed = time.perf_counter() - start
-                best[side][i] = min(best[side][i], elapsed)
+                times[side][i].append(elapsed)
                 results[side][i] = (out.verdict, out.nodes_explored, out.max_depth)
                 digests[side][i] = digest(out.protocol)
 
@@ -164,12 +180,18 @@ def main():
         for key in (family(name), None):
             row = totals[key]
             row[0] += 1
-            row[1] += 1000.0 * best[0][i]
-            row[2] += 1000.0 * best[1][i]
+            row[1] += 1000.0 * min(times[0][i])
+            row[2] += 1000.0 * min(times[1][i])
     totals["total"] = totals.pop(None)
     print(f"{'family':<30} {'n':>4} {'old_ms':>10} {'new_ms':>10} {'change':>8}")
     for key, (count, old, new) in totals.items():
         print(f"{key:<30} {count:>4} {old:>10.3f} {new:>10.3f} {(new - old) / old:>+8.1%}")
+    if args.cases:
+        print(f"\n{'metric':<30} {'old':>10} {'new':>10} {'change':>8}")
+        old, new = (end_to_end(side) for side in times)
+        for key in old:
+            print(f"{key:<30} {old[key]:>10.3f} {new[key]:>10.3f} "
+                  f"{(new[key] - old[key]) / old[key]:>+8.1%}")
 
     rehashed = [name for name, a, b in zip(names, *digests) if a != b]
     print(f"protocol bytes differ: {len(rehashed)} of {len(names)}")

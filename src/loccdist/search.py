@@ -16,17 +16,20 @@ and each party's cross operators, for all pairs: the party order and every
 party's Schmidt tier need Alice's and Bob's alike.  Candidates are generated
 tier by tier, the Schmidt tier first, only as far as the search asks; each
 tier is one stack of outcome projectors, which gives the dedupe keys and
-admissibility in one product ``vec(P) . vec(M^T)`` on the whole stack.  The
-zero-diagonal tier of a party of dimension 3 or more is pruned part by part
-before it is built: each basis holds the vector its part retires first, and
-a basis holding an inadmissible vector is itself inadmissible, so one
-``_admits`` call on those vectors decides which parts' bases are built, one
-matrix at a time.  An admitted candidate is applied to the whole stack at
-once: one batched norm gives every survivor's mass and one batched Gram
-product checks that each outcome's survivors stay orthogonal.  Its children
-(the outcomes that keep two or more states) are packed into one stack,
-whose one ``svd`` gives their Schmidt ranks and Schmidt vectors and whose
-one product per party gives every child's cross operators; only the root
+admissibility in one product ``vec(P) . vec(M^T)`` on the whole stack.
+Keys sort a tier and drop repeats of earlier candidates, so a first tier
+of one candidate (the Schmidt closure or the computational basis that ends
+most nodes) is keyed only when a later tier is built.  The zero-diagonal tier of a party
+of dimension 3 or more is pruned part by part before it is built: each
+basis holds the vector its part retires first, and a basis holding an
+inadmissible vector is itself inadmissible, so one ``_admits`` call on
+those vectors decides which parts' bases are built, one matrix at a time.
+An admitted candidate is applied to the whole stack at once: one batched
+norm gives every survivor's mass and one batched Gram product checks that
+each outcome's survivors stay orthogonal.  Its children (the outcomes that
+keep two or more states) are packed into one stack, whose one ``svd`` gives
+their Schmidt ranks and Schmidt vectors and whose one gather of state pairs
+and one product per party give every child's cross operators; only the root
 builds its own.  Every child whose first candidate is the one-round Schmidt
 closure is closed in that one pass: one Gram product picks the Schmidt
 vectors of every completion and one ``qr`` completes them all, the
@@ -450,8 +453,9 @@ def _candidates(stack: np.ndarray, party: str, cross: dict, cfg: SearchConfig):
     operators; the later tiers are lazy, each built only when the caller
     asks past the one before it.  Each tier is one stack of outcome
     projectors, which gives the dedupe keys and admissibility in one
-    product.  Keys only dedupe later tiers, so a first tier of one candidate
-    is yielded unkeyed, and keyed only when a later tier is built."""
+    product.  A first tier of one candidate needs no key to sort or dedupe
+    it, so it is yielded unkeyed, and keyed only when a later tier is
+    built."""
     d = stack.shape[1] if party == ALICE else stack.shape[2]
     tol = cfg.tolerance
     sides = cross[party]
@@ -537,6 +541,8 @@ def candidate_bases(e: Ensemble, party: str, cfg: SearchConfig | None = None):
     an inadmissible vector is itself inadmissible: a part whose vector is
     not admissible gives no basis.  Each tier is sorted by projector key,
     duplicates are dropped, and the list is truncated at ``beam_limit``.
+    A first tier of one candidate needs no sorting and has nothing to drop,
+    so its key is computed only when a later tier is built.
     The search runs the same generator, lazily: the standard and
     zero-diagonal tiers are each built only when the search asks past the
     end of the one before, so the order is the same as this list's.  Here
