@@ -19,11 +19,12 @@ tier is one stack of outcome projectors, which gives the dedupe keys and
 admissibility in one product ``vec(P) . vec(M^T)`` on the whole stack.
 Keys sort a tier and drop repeats of earlier candidates, so a first tier
 of one candidate (the Schmidt closure or the computational basis that ends
-most nodes) is keyed only when a later tier is built.  The zero-diagonal tier of a party
-of dimension 3 or more is pruned part by part before it is built: each
-basis holds the vector its part retires first, and a basis holding an
-inadmissible vector is itself inadmissible, so one ``_admits`` call on
-those vectors decides which parts' bases are built, one matrix at a time.
+most nodes) is keyed only when a later tier is built.  The zero-diagonal
+tier of a party of dimension 3 or more is pruned part by part before it is
+built: each basis holds the vector its part retires first, and a basis
+holding an inadmissible vector is itself inadmissible, so one ``_admits``
+call on those vectors decides which parts' bases are built, one matrix at a
+time.
 An admitted candidate is applied to the whole stack at once: one batched
 norm gives every survivor's mass and one batched Gram product checks that
 each outcome's survivors stay orthogonal.  Its children (the outcomes that
@@ -378,14 +379,14 @@ def _schmidt_closures(kids: np.ndarray, packed: np.ndarray, factors, count: np.n
 
     Takes ``_children``'s output and every child's state count.  One gather
     of the pairs and one product per party give every child's cross
-    operators; the ``svd`` factors give
-    the completions, and their projectors, admissibility and reach (from the
-    projected norms alone) come from one call each.  Returns ``(closures,
-    cross_ops)``: ``closures`` maps each child that closes with no child node
-    of its own to ``(party, blocks, slots)``, the blocks ``_candidates``
-    would yield and, per outcome, the child's slot of the one state it keeps
-    or None; ``cross_ops`` maps every other child to its cross operators per
-    party, as ``_cross`` builds them.
+    operators; the ``svd`` factors give the completions, and their
+    projectors, admissibility and reach (from the projected norms alone)
+    come from one call each.  Returns ``(closures, cross_ops)``:
+    ``closures`` maps each child that closes with no child node of its own
+    to ``(party, blocks, slots)``, the blocks ``_candidates`` would yield
+    and, per outcome, the child's slot of the one state it keeps or None;
+    ``cross_ops`` maps every other child to its cross operators per party,
+    as ``_cross`` builds them.
     """
     cross = _cross(packed, ALICE, BOB)
     quiet = {party: np.abs(ops).max(axis=(1, 2, 3)) <= _DUST for party, ops in cross.items()}
