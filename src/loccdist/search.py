@@ -466,9 +466,11 @@ def _candidates(stack: np.ndarray, party: str, cross: dict, cfg: SearchConfig):
         return list(cols), projs.reshape(-1, d, d)
 
     def standard():
+        eye, basis, projs = _computational(d)
+        if d < 3:  # 2 to d - 1 support blocks need d >= 3
+            return [basis], projs
         labels = _support_labels(stack, party, tol)
         roots = np.flatnonzero(labels == np.arange(d))
-        eye, basis, projs = _computational(d)
         if not 2 <= len(roots) < d:
             return [basis], projs
         # one boolean row per support block: the basis indices it projects onto
