@@ -44,6 +44,7 @@ from .states import (
 from .ensemble import (
     CANNED_EXAMPLES,
     Ensemble,
+    SchmidtSumReport,
     bell_states,
     canned_example,
     gram_matrix,
@@ -51,6 +52,7 @@ from .ensemble import (
     make_ensemble,
     random_ensemble,
     random_state,
+    schmidt_sum_check,
 )
 from .protocol import (
     ALICE,
@@ -81,11 +83,9 @@ from .search import (
 from .criteria import (
     Certificate,
     CertificateReport,
-    SchmidtSumReport,
     certificate_check,
     classify_2x2,
     product_set_distinguishable,
-    schmidt_sum_check,
 )
 
 __version__ = "0.1.0"

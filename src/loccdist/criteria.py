@@ -1,12 +1,13 @@
 """Decision criteria for local distinguishability.
 
 Three layers: a cheap necessary condition (the Schmidt ranks of a reliably
-distinguishable ensemble sum to at most the joint dimension), certificate
-checking (each state written as a superposition of its own share of a
-locally distinguishable orthogonal product-vector set), and the complete
-classification for two-qubit ensembles by the search's qubit-plane solver
-on Alice's cross operators.  The decisions return the search's own
-``SearchOutcome``.
+distinguishable ensemble sum to at most the joint dimension; defined in
+``ensemble`` and bound here), certificate checking (each state written as a
+superposition of its own share of a locally distinguishable orthogonal
+product-vector set), and the complete classification for two-qubit
+ensembles by the search's qubit-plane solver on Alice's cross operators,
+whose "yes" carries the search's protocol.  The decisions return the
+search's own ``SearchOutcome``.
 """
 
 from __future__ import annotations
@@ -16,63 +17,26 @@ from itertools import combinations
 
 import numpy as np
 
-from .ensemble import Ensemble, make_ensemble
+from .ensemble import Ensemble, SchmidtSumReport, make_ensemble, schmidt_sum_check
 from .errors import (
     BadAssignment,
-    EmptyOutcome,
-    NotOrthogonal,
     ProductSetNotDistinguishable,
     ReconstructionFailure,
     VectorsNotOrthogonal,
     WrongDimensions,
     ZeroState,
 )
-from .protocol import (
-    ALICE,
-    BOB,
-    Leaf,
-    Node,
-    ProjectiveMeasurement,
-    ProtocolTree,
-    VerificationReport,
-    verify_protocol,
-)
+from .protocol import ALICE, Leaf, Node, ProtocolTree, VerificationReport, verify_protocol
 from .search import (
     PROVED_NO,
     YES,
     SearchConfig,
     SearchOutcome,
-    _phased_columns,
     _qubit_plane_bases,
-    _schmidt_completion,
     cross_operators,
     search_protocol,
-    surviving_states,
 )
-from .states import DEFAULT_TOL, RANK_CUTOFF, _check_tolerance, product_state, schmidt_ranks
-
-@dataclass(frozen=True)
-class SchmidtSumReport:
-    """Schmidt ranks of the ensemble members against the joint capacity.
-
-    ``violates`` (the total exceeds the capacity) proves the ensemble cannot
-    be reliably distinguished by local measurements and classical
-    communication; the converse does not hold.
-    """
-
-    schmidt_numbers: tuple[int, ...]
-    total: int
-    capacity: int
-
-    @property
-    def violates(self) -> bool:
-        return self.total > self.capacity
-
-
-def schmidt_sum_check(e: Ensemble) -> SchmidtSumReport:
-    """Necessary condition: sum of Schmidt ranks must not exceed dim_a*dim_b."""
-    numbers = tuple(schmidt_ranks(e.amplitudes).tolist())
-    return SchmidtSumReport(numbers, sum(numbers), e.dim_a * e.dim_b)
+from .states import DEFAULT_TOL, RANK_CUTOFF, _check_tolerance, product_state
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,8 +186,7 @@ def certificate_check(e: Ensemble, cert: Certificate,
 
 def _borderline_warnings(e: Ensemble) -> tuple[str, ...]:
     out = []
-    for s in e.states:
-        sig = np.linalg.svd(s.amplitudes, compute_uv=False)
+    for s, sig in zip(e.states, np.linalg.svd(e.amplitudes, compute_uv=False)):
         cut = RANK_CUTOFF * sig[0]
         smallest = sig[-1]
         if cut / 10 < smallest <= 10 * cut:
@@ -241,11 +204,10 @@ def classify_2x2(e: Ensemble, *, tol: float = DEFAULT_TOL) -> SearchOutcome:
     Bloch-plane solver of the search finds all such bases at once.  Parts of
     a cross operator of norm at most ``tol`` are ignored, since they move no
     diagonal entry past it, so "proved-no" is a proof up to that tolerance;
-    its ``reason`` names the entangled states.  A "yes" carries the
-    two-round protocol from the first basis if it passes ``verify_protocol``,
-    else None: Alice measures in that basis, and Bob separates each
-    outcome's product survivors, whose Bob factors are pairwise orthogonal,
-    in their completion.  ``warnings`` lists states whose smallest singular
+    its ``reason`` names the entangled states.  The rule decides without
+    searching; a "yes" then carries the verified protocol of
+    ``search_protocol`` with the default bounds and ``tol``, or None if that
+    search finds none.  ``warnings`` lists states whose smallest singular
     value sits near the rank cutoff (a borderline product/entangled call).
     ``tol`` must be finite and > 0 (``ValueError`` otherwise).
     """
@@ -261,29 +223,6 @@ def classify_2x2(e: Ensemble, *, tol: float = DEFAULT_TOL) -> SearchOutcome:
         return SearchOutcome(PROVED_NO, None, report, warnings=warnings, reason=(
             f"no basis of Alice's qubit keeps every pair of states orthogonal; "
             f"entangled: {', '.join(entangled)}"))
-    return SearchOutcome(YES, _two_round_protocol(e, bases[0], tol), report,
-                         warnings=warnings)
+    protocol = search_protocol(e, SearchConfig(tolerance=tol)).protocol
+    return SearchOutcome(YES, protocol, report, warnings=warnings)
 
-
-def _two_round_protocol(e: Ensemble, basis: np.ndarray, tol: float) -> ProtocolTree | None:
-    """Alice measures in ``basis``; Bob separates each outcome's product
-    survivors in their Schmidt completion, one column per survivor in state
-    order.  None when an outcome's survivors overlap past ``tol`` or the tree
-    fails ``verify_protocol``."""
-    alice, children = tuple(_phased_columns(basis[np.newaxis])[0]), []
-    for q in alice:
-        try:
-            sub = surviving_states(e, ALICE, q, tol)
-        except EmptyOutcome:
-            children.append(Leaf(None))
-            continue
-        except NotOrthogonal:
-            return None
-        if sub.m == 1:
-            children.append(Leaf(sub.states[0].name))
-            continue
-        bob = tuple(_phased_columns(_schmidt_completion(sub.amplitudes, BOB, tol)[np.newaxis])[0])
-        children.append(Node(ProjectiveMeasurement(BOB, bob),
-                             tuple(Leaf(s.name) for s in sub.states)))
-    protocol = Node(ProjectiveMeasurement(ALICE, alice), tuple(children))
-    return protocol if verify_protocol(protocol, e, tol=tol).ok else None

@@ -1,4 +1,5 @@
-"""Ensembles of mutually orthogonal states, canned examples, and generators."""
+"""Ensembles of mutually orthogonal states, the Schmidt-sum necessary condition,
+canned examples, and generators."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from .errors import (
     TooManyStates,
     UnknownExample,
 )
-from .states import DEFAULT_TOL, BipartiteState, _check_tolerance, make_state
+from .states import DEFAULT_TOL, BipartiteState, _check_tolerance, make_state, schmidt_ranks
 
 CANNED_EXAMPLES = ("bell4", "bell3", "bell2", "six4x4", "domino9")
 
@@ -119,6 +120,30 @@ def overlaps(flat: np.ndarray) -> np.ndarray:
     k = np.arange(flat.shape[-2])
     g[..., k, k] = 0.0
     return g
+
+
+@dataclass(frozen=True)
+class SchmidtSumReport:
+    """Schmidt ranks of the ensemble members against the joint capacity.
+
+    ``violates`` (the total exceeds the capacity) proves the ensemble cannot
+    be reliably distinguished by local measurements and classical
+    communication; the converse does not hold.
+    """
+
+    schmidt_numbers: tuple[int, ...]
+    total: int
+    capacity: int
+
+    @property
+    def violates(self) -> bool:
+        return self.total > self.capacity
+
+
+def schmidt_sum_check(e: Ensemble) -> SchmidtSumReport:
+    """Necessary condition: sum of Schmidt ranks must not exceed dim_a*dim_b."""
+    numbers = tuple(schmidt_ranks(e.amplitudes).tolist())
+    return SchmidtSumReport(numbers, sum(numbers), e.dim_a * e.dim_b)
 
 
 def gram_matrix(e: Ensemble) -> np.ndarray:

@@ -49,7 +49,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .ensemble import Ensemble, make_ensemble, overlaps
+from .ensemble import Ensemble, make_ensemble, overlaps, schmidt_sum_check
 from .errors import DimensionMismatch, EmptyOutcome
 from .protocol import (
     ALICE,
@@ -633,8 +633,8 @@ class SearchOutcome:
     names the proof), or "unknown" (candidates exhausted at ``max_depth``;
     depth and ``nodes_explored`` stay 0 when no search ran).  A
     ``classify_2x2`` "yes" may carry ``protocol=None``: the rule decides, and
-    its protocol is attached only when it verifies.  ``warnings`` lists
-    numerically borderline states.
+    the protocol is the search's, None when the search finds none.
+    ``warnings`` lists numerically borderline states.
     """
 
     verdict: str
@@ -663,8 +663,6 @@ def search_protocol(e: Ensemble, cfg: SearchConfig | None = None) -> SearchOutco
     survivor's support rank strictly shrinking.  Any returned protocol has
     passed ``verify_protocol``.
     """
-    from .criteria import schmidt_sum_check  # deferred: criteria builds on this module
-
     cfg = cfg or SearchConfig()
     tol = cfg.tolerance
     report = schmidt_sum_check(e)

@@ -349,7 +349,8 @@ def test_classify_ignores_cross_operators_below_tolerance(t):
 
 def test_classify_keeps_verdict_when_survivors_overlap(monkeypatch):
     # |00> and |10> are orthogonal only on Alice's side: a Hadamard-basis
-    # outcome leaves two copies of one state, which is no ensemble
+    # outcome leaves two copies of one state, which is no ensemble, so the
+    # rule's basis is no protocol; the protocol is the search's
     e = make_ensemble([product_state(2, 2, [1, 0], [1, 0], name="a"),
                        product_state(2, 2, [0, 1], [1, 0], name="b")])
     hadamard = np.column_stack([PLUS, MINUS]).astype(complex)
@@ -357,7 +358,23 @@ def test_classify_keeps_verdict_when_survivors_overlap(monkeypatch):
                         lambda sides, tol: [hadamard])
     cls = classify_2x2(e)
     assert cls.verdict == YES
-    assert cls.protocol is None
+    assert verify_protocol(cls.protocol, e).ok
+
+
+@pytest.mark.parametrize("t", [1e-11, 1e-10, 3e-10, 1e-9, 1e-8])
+def test_classify_warns_of_states_near_the_rank_cutoff(t):
+    # the warnings come from one batched svd; each must read as the state's own
+    e = make_ensemble([make_state(2, 2, [[1, 0], [0, t]], name="a"),
+                       make_state(2, 2, [[0, 1], [0, 0]], name="b")])
+    want = []
+    for s in e.states:
+        sig = np.linalg.svd(s.amplitudes, compute_uv=False)
+        cut = L.RANK_CUTOFF * sig[0]
+        if cut / 10 < sig[-1] <= 10 * cut:
+            want.append(f"state {s.name!r}: smallest singular value {sig[-1]:.3g} "
+                        f"is within 10x of the rank cutoff {cut:.3g}")
+    assert classify_2x2(e).warnings == tuple(want)
+    assert bool(want) == (t >= 3e-10)
 
 
 def test_two_qubit_sweep_script_runs():

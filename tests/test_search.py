@@ -515,7 +515,7 @@ def test_schmidt_completion_at_the_tolerance(factor):
 def test_schmidt_completion_of_the_two_qubit_rule_matches_the_per_vector_greedy(monkeypatch):
     calls = []
     real = search_module._schmidt_completion
-    monkeypatch.setattr(L.criteria, "_schmidt_completion",
+    monkeypatch.setattr(search_module, "_schmidt_completion",
                         lambda *args: calls.append(args) or real(*args))
     for seed in range(10):
         for m, kind in itertools.product((2, 3, 4), ("haar-orthogonal", "product-basis")):
@@ -797,6 +797,9 @@ def test_search_agrees_with_2x2_classification():
         cls = classify_2x2(e)
         assert out.verdict in (YES, PROVED_NO)
         assert (out.verdict == YES) == (cls.verdict == YES)
+        if cls.verdict == YES:
+            # a rule "yes" carries the search's own protocol
+            assert protocol_to_dict(cls.protocol) == protocol_to_dict(out.protocol)
 
 
 # ---------------------------------------------------------------------------
