@@ -20,7 +20,10 @@ The calls cover:
 - ``verify`` of seeded random protocol trees that are not refinements
   (from ``tests/treegen.py``), on the two-qubit ensembles, ``six4x4`` and a
   3x3 ensemble, so a diff shows ``completeness_deviation``, the state totals
-  and every leaf probability down to the last bit.
+  and every leaf probability down to the last bit;
+- last, an ensemble file that declares dims ``[1, 2**60]``, and ``verify
+  --tolerance 1e-6`` of the ``bell2-x`` protocol with one column entry moved
+  by 1e-7.
 
 Usage: PYTHONPATH=src python3 scripts/cli_fingerprint.py > cli_fingerprint.txt
 """
@@ -73,6 +76,11 @@ def write_inputs(root: Path) -> None:
     node = '{"party": "A", "outcomes": [{"projector_columns": [[[1, 0]]], "child": '
     (root / "nested.protocol.json").write_text(node * 3000 + '{"fail": true}'
                                                + "}]}" * 3000)
+    (root / "huge-dims.json").write_text(
+        '{"dims": [1, 1152921504606846976], "states": [{"name": "x", "amplitudes": [[[1, 0]]]}]}\n')
+    nudged = protocol_to_dict(L.canned_protocol("bell2-x"))
+    nudged["outcomes"][0]["projector_columns"][0][0][0] += 1e-7
+    write_json(root / "nudged.protocol.json", nudged)
 
 
 def calls(root: Path):
@@ -113,6 +121,9 @@ def calls(root: Path):
     yield ["example", "bell2", "--output", str(root / "no-dir" / "x.json")]
     for name, seed in RANDOM_TREES:
         yield ["verify", str(root / f"{name}.json"), str(root / f"tree{seed}.protocol.json")]
+    yield ["check", str(root / "huge-dims.json")]
+    yield ["verify", str(root / "bell2.json"), str(root / "nudged.protocol.json"),
+           "--tolerance", "1e-6"]
 
 
 def digests(root: Path) -> dict:

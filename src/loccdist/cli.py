@@ -78,33 +78,43 @@ MAX_EXAMPLE_DIM = 1024
 # ---------------------------------------------------------------------------
 # serialization
 
-def _pair(z) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
+def _pairs(mat) -> list:
+    """The rows of a complex matrix as lists of [re, im] pairs of floats."""
+    return np.stack((mat.real, mat.imag), -1).tolist()
 
 
 def ensemble_to_dict(e) -> dict:
     return {
         "dims": [e.dim_a, e.dim_b],
-        "states": [
-            {"name": s.name,
-             "amplitudes": [[_pair(z) for z in row] for row in s.amplitudes]}
-            for s in e.states
-        ],
+        "states": [{"name": s.name, "amplitudes": _pairs(s.amplitudes)} for s in e.states],
     }
 
 
 def _parse_pair(entry, location):
-    # json reads NaN, Infinity and out-of-range literals such as 1e400
+    # json reads NaN, Infinity, out-of-range floats such as 1e400 and ints of any size
     if (not isinstance(entry, (list, tuple)) or len(entry) != 2
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                       and math.isfinite(x) for x in entry)):
+                       and abs(x) <= sys.float_info.max for x in entry)):
         raise ParseError("expected an [re, im] pair of finite numbers", location)
     return complex(entry[0], entry[1])
 
 
+def _parse_rows(rows, width, location, message):
+    """Parse ``rows`` of ``width`` [re, im] pairs into a complex matrix; every row
+    (``ParseError(message)`` at ``location[r]``) and entry is checked first."""
+    parsed = []
+    for r, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != width:
+            raise ParseError(message, f"{location}[{r}]")
+        parsed.append([_parse_pair(entry, f"{location}[{r}][{c}]")
+                       for c, entry in enumerate(row)])
+    return np.array(parsed, dtype=np.complex128)
+
+
 def ensemble_from_dict(data, tol: float = DEFAULT_TOL):
-    """Parse an ensemble file; returns (ensemble, notices)."""
+    """Parse an ensemble file; returns (ensemble, notices).  Bad input raises
+    ``ParseError`` at its location, e.g. ``states[1].amplitudes[0][1]``, before
+    any matrix is built; ``tol`` governs the notices and the orthogonality check."""
     if not isinstance(data, dict):
         raise ParseError("top level must be an object", "$")
     dims = data.get("dims")
@@ -127,13 +137,7 @@ def ensemble_from_dict(data, tol: float = DEFAULT_TOL):
         rows = sd.get("amplitudes")
         if not isinstance(rows, list) or len(rows) != dims[0]:
             raise ParseError(f"expected {dims[0]} rows", f"{loc}.amplitudes")
-        mat = np.zeros((dims[0], dims[1]), dtype=np.complex128)
-        for r, row in enumerate(rows):
-            if not isinstance(row, list) or len(row) != dims[1]:
-                raise ParseError(f"expected {dims[1]} entries",
-                                 f"{loc}.amplitudes[{r}]")
-            for c, entry in enumerate(row):
-                mat[r, c] = _parse_pair(entry, f"{loc}.amplitudes[{r}][{c}]")
+        mat = _parse_rows(rows, dims[1], f"{loc}.amplitudes", f"expected {dims[1]} entries")
         state = make_state(dims[0], dims[1], mat, name=name)
         if abs(state.normalization - 1.0) > tol:
             norm = (f"norm was {state.normalization:.12g}"
@@ -151,15 +155,16 @@ def protocol_to_dict(tree) -> dict:
     return {
         "party": tree.measurement.party,
         "outcomes": [
-            {"projector_columns": [[_pair(z) for z in q[:, k]]
-                                   for k in range(q.shape[1])],
-             "child": protocol_to_dict(child)}
+            {"projector_columns": _pairs(q.T), "child": protocol_to_dict(child)}
             for q, child in zip(tree.measurement.projectors, tree.children)
         ],
     }
 
 
-def protocol_from_dict(data, location="$"):
+def protocol_from_dict(data, location="$", tol: float = DEFAULT_TOL):
+    """Parse a protocol file (the subtree at ``location``).  Bad input raises
+    ``ParseError`` at its location; each measurement's projector columns must be
+    orthonormal and resolve the identity within ``tol`` (``NotUnitary`` otherwise)."""
     if not isinstance(data, dict):
         raise ParseError("expected an object", location)
     if "fail" in data or "identify" in data:
@@ -185,17 +190,10 @@ def protocol_from_dict(data, location="$"):
         if not isinstance(cols, list) or not cols or not all(isinstance(c, list) for c in cols):
             raise ParseError("expected a nonempty list of columns",
                              f"{oloc}.projector_columns")
-        mat = np.empty((len(cols[0]), len(cols)), dtype=np.complex128)
-        for ci, col in enumerate(cols):
-            if len(col) != len(cols[0]):
-                raise ParseError("columns must share one length",
-                                 f"{oloc}.projector_columns[{ci}]")
-            for ri, entry in enumerate(col):
-                mat[ri, ci] = _parse_pair(
-                    entry, f"{oloc}.projector_columns[{ci}][{ri}]")
-        blocks.append(mat)
-        children.append(protocol_from_dict(od.get("child"), f"{oloc}.child"))
-    return Node(ProjectiveMeasurement(party, tuple(blocks)), tuple(children))
+        blocks.append(_parse_rows(cols, len(cols[0]), f"{oloc}.projector_columns",
+                                  "columns must share one length").T)
+        children.append(protocol_from_dict(od.get("child"), f"{oloc}.child", tol))
+    return Node(ProjectiveMeasurement(party, tuple(blocks), tol), tuple(children))
 
 
 def read_json(path):
@@ -394,7 +392,7 @@ def cmd_verify(ensemble_path, protocol_path, fmt, tolerance):
 
     def body():
         ens = load_ensemble(ensemble_path, tol=tolerance)
-        tree = protocol_from_dict(read_json(protocol_path))
+        tree = protocol_from_dict(read_json(protocol_path), tol=tolerance)
         report = verify_protocol(tree, ens, tol=tolerance)
         diagnostics = {
             "completeness_deviation": report.completeness_deviation,

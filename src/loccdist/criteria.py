@@ -55,19 +55,19 @@ class Certificate:
     coefficients: dict
 
 
-def product_set_distinguishable(vectors, dims, cfg: SearchConfig | None = None,
-                                tol: float = DEFAULT_TOL) -> SearchOutcome:
+def product_set_distinguishable(vectors, dims, cfg: SearchConfig | None = None) -> SearchOutcome:
     """Search for a protocol identifying each product vector.
 
     ``vectors`` is a sequence of (alice, bob) pairs, pairwise orthogonal as
-    joint vectors (``NotOrthogonal`` otherwise).  The vector ``k`` is
-    labelled ``v<k>``.  An "unknown" verdict only means the bounded search
-    was exhausted, not impossibility.
+    joint vectors within ``cfg.tolerance`` (``NotOrthogonal`` otherwise).
+    The vector ``k`` is labelled ``v<k>``.  An "unknown" verdict only means
+    the bounded search was exhausted, not impossibility.
     """
+    cfg = cfg or SearchConfig()
     dim_a, dim_b = dims
     states = [product_state(dim_a, dim_b, a, b, name=f"v{k}")
               for k, (a, b) in enumerate(vectors)]
-    return search_protocol(make_ensemble(states, tol=tol), cfg)
+    return search_protocol(make_ensemble(states, tol=cfg.tolerance), cfg)
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,17 +93,19 @@ def _relabel_leaves(tree: ProtocolTree, owner: dict) -> ProtocolTree:
 
 
 def certificate_check(e: Ensemble, cert: Certificate,
-                      cfg: SearchConfig | None = None,
-                      tol: float = DEFAULT_TOL) -> CertificateReport:
+                      cfg: SearchConfig | None = None) -> CertificateReport:
     """Validate a certificate; success proves the ensemble distinguishable.
 
     Checks, in order: the assignment structure (``BadAssignment``), pairwise
     joint orthogonality of the product vectors (``VectorsNotOrthogonal``),
     reconstruction of every state from its assigned vectors
     (``ReconstructionFailure``), and local distinguishability of the vector
-    set (``ProductSetNotDistinguishable``).  On success the product-set
-    protocol is relabeled into an ensemble protocol and re-verified.
+    set, searched with ``cfg`` (``ProductSetNotDistinguishable``); every
+    step uses ``cfg.tolerance``.  On success the product-set protocol is
+    relabeled into an ensemble protocol and re-verified.
     """
+    cfg = cfg or SearchConfig()
+    tol = cfg.tolerance
     n = len(cert.product_vectors)
     labels = set(e.labels)
     if set(cert.assignment) != labels:
@@ -160,7 +162,7 @@ def certificate_check(e: Ensemble, cert: Certificate,
                 f"state {label!r} not reproduced by its assigned vectors "
                 f"(error {err:.3g})")
 
-    result = product_set_distinguishable(vecs, e.dims, cfg, tol=tol)
+    result = product_set_distinguishable(vecs, e.dims, cfg)
     if result.verdict != YES:
         raise ProductSetNotDistinguishable(
             f"no protocol found for the certificate's product set "
@@ -205,9 +207,9 @@ def classify_2x2(e: Ensemble, *, tol: float = DEFAULT_TOL) -> SearchOutcome:
     a cross operator of norm at most ``tol`` are ignored, since they move no
     diagonal entry past it, so "proved-no" is a proof up to that tolerance;
     its ``reason`` names the entangled states.  The rule decides without
-    searching; a "yes" then carries the verified protocol of
-    ``search_protocol`` with the default bounds and ``tol``, or None if that
-    search finds none.  ``warnings`` lists states whose smallest singular
+    searching; a "yes" then carries the verified protocol (None if none is
+    found) and the Schmidt report of ``search_protocol`` with the default
+    bounds and ``tol``.  ``warnings`` lists states whose smallest singular
     value sits near the rank cutoff (a borderline product/entangled call).
     ``tol`` must be finite and > 0 (``ValueError`` otherwise).
     """
@@ -215,14 +217,13 @@ def classify_2x2(e: Ensemble, *, tol: float = DEFAULT_TOL) -> SearchOutcome:
     if e.dims != (2, 2):
         raise WrongDimensions(f"classify_2x2 needs a 2x2 ensemble, got "
                               f"{e.dim_a}x{e.dim_b}")
-    report = schmidt_sum_check(e)
     warnings = _borderline_warnings(e)
-    bases = _qubit_plane_bases(cross_operators(e, ALICE), tol)
-    if not bases:
-        entangled = [s.name for s, n in zip(e.states, report.schmidt_numbers) if n > 1]
-        return SearchOutcome(PROVED_NO, None, report, warnings=warnings, reason=(
-            f"no basis of Alice's qubit keeps every pair of states orthogonal; "
-            f"entangled: {', '.join(entangled)}"))
-    protocol = search_protocol(e, SearchConfig(tolerance=tol)).protocol
-    return SearchOutcome(YES, protocol, report, warnings=warnings)
+    if _qubit_plane_bases(cross_operators(e, ALICE), tol):
+        found = search_protocol(e, SearchConfig(tolerance=tol))
+        return SearchOutcome(YES, found.protocol, found.schmidt_report, warnings=warnings)
+    report = schmidt_sum_check(e)
+    entangled = [s.name for s, n in zip(e.states, report.schmidt_numbers) if n > 1]
+    return SearchOutcome(PROVED_NO, None, report, warnings=warnings, reason=(
+        f"no basis of Alice's qubit keeps every pair of states orthogonal; "
+        f"entangled: {', '.join(entangled)}"))
 

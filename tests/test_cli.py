@@ -88,6 +88,37 @@ def test_parse_error_carries_location(tmp_path):
     assert err.value.location == "states[1].amplitudes[0][1]"
 
 
+#: an ensemble file whose declared width, 2**60, no row has
+HUGE_DIMS = ('{"dims": [1, 1152921504606846976], '
+             '"states": [{"name": "x", "amplitudes": [[[1, 0]]]}]}\n')
+
+
+def test_huge_declared_dims_fail_at_the_first_row(tmp_path):
+    with pytest.raises(ParseError) as err:
+        ensemble_from_dict(json.loads(HUGE_DIMS))
+    assert err.value.location == "states[0].amplitudes[0]"
+    path = tmp_path / "huge-dims.json"
+    path.write_text(HUGE_DIMS)
+    result = run_cli(["check", path, "--format", "json"])
+    assert result.exit_code == 3
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert report_of(result)["diagnostics"]["kind"] == "ParseError"
+
+
+def test_integer_beyond_float64_is_a_parse_error():
+    # json reads a long integer literal exactly; float() of it overflows
+    payload = ensemble_to_dict(L.canned_example("bell2"))
+    payload["states"][0]["amplitudes"][1][0] = [10 ** 400, 0]
+    with pytest.raises(ParseError) as err:
+        ensemble_from_dict(payload)
+    assert err.value.location == "states[0].amplitudes[1][0]"
+    with pytest.raises(ParseError) as err:
+        protocol_from_dict({"party": "A", "outcomes": [
+            {"projector_columns": [[[1, 0], [0, -10 ** 400]]], "child": {"fail": True}}]})
+    assert err.value.location == "$.outcomes[0].projector_columns[0][1]"
+
+
 def test_protocol_parse_rejects_bad_party():
     with pytest.raises(ParseError) as err:
         protocol_from_dict({"party": "C", "outcomes": []})
@@ -212,6 +243,20 @@ def test_cmd_verify_nonorthonormal_projector_exits_3(bell2_file, tmp_path):
     result = run_cli(["verify", bell2_file, ppath, "--format", "json"])
     assert result.exit_code == 3
     assert report_of(result)["diagnostics"]["kind"] == "NotUnitary"
+
+
+def test_cmd_verify_tolerance_reaches_protocol_parsing(bell2_file, tmp_path):
+    # one column entry moved by 1e-7: its column is orthonormal only to ~1.4e-7
+    payload = protocol_to_dict(L.canned_protocol("bell2-x"))
+    payload["outcomes"][0]["projector_columns"][0][0][0] += 1e-7
+    ppath = tmp_path / "nudged.json"
+    write_json(ppath, payload)
+    strict = run_cli(["verify", bell2_file, ppath, "--format", "json"])
+    assert strict.exit_code == 3
+    assert report_of(strict)["diagnostics"]["kind"] == "NotUnitary"
+    loose = run_cli(["verify", bell2_file, ppath, "--tolerance", "1e-6", "--format", "json"])
+    assert loose.exit_code == 0
+    assert report_of(loose)["verdict"] == "verified"
 
 
 def test_cmd_verify_overflowing_projector_warns_nothing(bell2_file, tmp_path):

@@ -168,6 +168,21 @@ def test_certificate_bad_coefficients_rejected(bell2):
                                              coefficients))
 
 
+def test_certificate_takes_its_one_tolerance_from_cfg():
+    # |a0 b> and |a1 b> overlap by ~1e-7: orthogonal at 1e-6, not at 1e-9
+    a0, a1, b = np.array([1, 0]), np.array([1e-7, 1]) / np.hypot(1e-7, 1), np.array([1, 0])
+    cfg = L.SearchConfig(tolerance=1e-6)
+    ens = make_ensemble([product_state(2, 2, a0, b, name="x"),
+                         product_state(2, 2, a1, b, name="y")], tol=cfg.tolerance)
+    cert = Certificate(((a0, b), (a1, b)), {"x": (0,), "y": (1,)}, {"x": (1,), "y": (1,)})
+    report = certificate_check(ens, cert, cfg)
+    assert report.verification.ok
+    assert report.verification.tolerance == cfg.tolerance
+    assert product_set_distinguishable(cert.product_vectors, (2, 2), cfg).verdict == YES
+    with pytest.raises(VectorsNotOrthogonal):
+        certificate_check(ens, cert)
+
+
 def test_certificate_undistinguishable_product_set(domino9):
     # the nine domino tiles are themselves an orthogonal product set the
     # search cannot split, so a certificate built on them must be rejected
