@@ -21,9 +21,10 @@ The calls cover:
   (from ``tests/treegen.py``), on the two-qubit ensembles, ``six4x4`` and a
   3x3 ensemble, so a diff shows ``completeness_deviation``, the state totals
   and every leaf probability down to the last bit;
-- last, an ensemble file that declares dims ``[1, 2**60]``, and ``verify
+- last, an ensemble file that declares dims ``[1, 2**60]``, ``verify
   --tolerance 1e-6`` of the ``bell2-x`` protocol with one column entry moved
-  by 1e-7.
+  by 1e-7, ``verify`` of a protocol whose one projector column is empty,
+  and ``check`` of an ensemble with a state of norm 1e-13.
 
 Usage: PYTHONPATH=src python3 scripts/cli_fingerprint.py > cli_fingerprint.txt
 """
@@ -81,6 +82,11 @@ def write_inputs(root: Path) -> None:
     nudged = protocol_to_dict(L.canned_protocol("bell2-x"))
     nudged["outcomes"][0]["projector_columns"][0][0][0] += 1e-7
     write_json(root / "nudged.protocol.json", nudged)
+    write_json(root / "empty-column.protocol.json", {"party": "A", "outcomes": [
+        {"projector_columns": [[]], "child": {"fail": True}}]})
+    write_json(root / "tiny.json", {"dims": [2, 2], "states": [
+        {"name": "tiny", "amplitudes": [[[1e-13, 0], [0, 0]], [[0, 0], [0, 0]]]},
+        {"name": "one", "amplitudes": [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]}]})
 
 
 def calls(root: Path):
@@ -124,6 +130,8 @@ def calls(root: Path):
     yield ["check", str(root / "huge-dims.json")]
     yield ["verify", str(root / "bell2.json"), str(root / "nudged.protocol.json"),
            "--tolerance", "1e-6"]
+    yield ["verify", str(root / "bell2.json"), str(root / "empty-column.protocol.json")]
+    yield ["check", str(root / "tiny.json")]
 
 
 def digests(root: Path) -> dict:

@@ -65,7 +65,7 @@ def _as_columns(block) -> np.ndarray:
     q = np.asarray(block, dtype=np.complex128)
     if q.ndim == 1:
         q = q[:, np.newaxis]
-    if q.ndim != 2 or q.shape[1] == 0:
+    if q.ndim != 2 or 0 in q.shape:
         raise NotUnitary(_NOT_COLUMNS)
     return q
 
@@ -100,7 +100,7 @@ class ProjectiveMeasurement:
             stacked = np.array(self.projectors, dtype=np.complex128)
             if stacked.ndim == 2:
                 stacked = stacked[..., np.newaxis]
-            if stacked.ndim != 3 or stacked.shape[2] == 0:
+            if stacked.ndim != 3 or 0 in stacked.shape[1:]:
                 raise NotUnitary(_NOT_COLUMNS)
             stacked.setflags(write=False)
             blocks = tuple(stacked)

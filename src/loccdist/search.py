@@ -1,42 +1,46 @@
 """Bounded synthesis of projective discrimination protocols.
 
 Depth-first search in which, at every node, Alice and then Bob try the
-candidate measurements of one fixed generator (``candidate_bases``); Bob
-goes first when Alice's cross operators all vanish, since then his Schmidt
-completion identifies every state in one round.  A candidate is admitted
-only if every outcome keeps the surviving states pairwise orthogonal (the
-per-outcome diagonal of every cross operator must vanish), which is
-necessary for reliable discrimination to remain possible.
+candidate measurements of one fixed generator (``candidate_bases``).  Every
+node is first offered the one-round Schmidt closure: when one party's cross
+operators all vanish, the other party's local supports are pairwise
+orthogonal, and the completion of its Schmidt vectors identifies every state
+in one round (Bob's is offered when Alice's vanish, else Alice's when
+Bob's do).  A candidate is admitted only if every outcome keeps the
+surviving states pairwise orthogonal (the per-outcome diagonal of every
+cross operator must vanish), which is necessary for reliable discrimination
+to remain possible.
 The search is sound -- every returned protocol is re-verified -- but
 incomplete: an exhausted search yields Unknown.
 
 Every node works array-at-a-time.  It holds its states as one
 ``(m, dim_a, dim_b)`` amplitude stack with their labels and Schmidt ranks,
-and each party's cross operators, for all pairs: the party order and every
-party's Schmidt tier need Alice's and Bob's alike.  Candidates are generated
-tier by tier, the Schmidt tier first, only as far as the search asks; each
-tier is one stack of outcome projectors, which gives the dedupe keys and
-admissibility in one product ``vec(P) . vec(M^T)`` on the whole stack.
+and each party's cross operators, for all pairs.  Nodes are closed in
+batches, the root as a batch of one and the children of an admitted
+candidate together, in one pass: one gather of the batch's state pairs and
+one product per party give every node's cross operators, and for the nodes
+offered the closure, one Gram product of their Schmidt vectors picks every
+completion's vectors and one ``qr`` completes them all, the projected norms
+alone give each outcome's reach, and one ``argmax`` names the state at every
+leaf.  A node the closure does not end is searched with its cross
+operators from that pass.  Candidates are generated tier by tier, only as
+far as the search asks; each tier is one stack of outcome projectors, which
+gives the dedupe keys and admissibility in one product ``vec(P) . vec(M^T)``
+on the whole stack, against the acting party's cross operators alone.
 Keys sort a tier and drop repeats of earlier candidates, so a first tier
-of one candidate (the Schmidt closure or the computational basis that ends
-most nodes) is keyed only when a later tier is built.  The zero-diagonal
-tier of a party of dimension 3 or more is pruned part by part before it is
-built: each basis holds the vector its part retires first, and a basis
-holding an inadmissible vector is itself inadmissible, so one ``_admits``
-call on those vectors decides which parts' bases are built, one matrix at a
-time.
+of one candidate (the computational basis that ends most nodes) is keyed
+only when a later tier is built.  The zero-diagonal tier of a party of
+dimension 3 or more is pruned part by part before it is built: each basis
+holds the vector its part retires first, and a basis holding an
+inadmissible vector is itself inadmissible, so one ``_admits`` call on
+those vectors decides which parts' bases are built, one matrix at a time.
 An admitted candidate is applied to the whole stack at once: one batched
 norm gives every survivor's mass and one batched Gram product checks that
 each outcome's survivors stay orthogonal.  Its children (the outcomes that
 keep two or more states) are packed into one stack, whose one ``svd`` gives
-their Schmidt ranks and Schmidt vectors and whose one gather of state pairs
-and one product per party give every child's cross operators; only the root
-builds its own.  Every child whose first candidate is the one-round Schmidt
-closure is closed in that one pass: one Gram product picks the Schmidt
-vectors of every completion and one ``qr`` completes them all, the
-projected norms alone give each outcome's reach, and one ``argmax`` names
-the state at every leaf.  The others are searched with their slices.  Only
-the candidate that enters the tree becomes a ``ProjectiveMeasurement``; no
+their Schmidt ranks and Schmidt vectors, and are closed as one batch; the
+root's ``svd`` is taken only when it is offered the closure.  Only the
+candidate that enters the tree becomes a ``ProjectiveMeasurement``; no
 node builds states or ensembles.
 """
 
@@ -372,21 +376,26 @@ def _children(states: np.ndarray, alive: np.ndarray, sizes: np.ndarray):
 
 def _schmidt_closures(kids: np.ndarray, packed: np.ndarray, factors, count: np.ndarray,
                       tol: float):
-    """Try the first candidate of every child at once, when it is the
-    one-round Schmidt closure: Bob's when the child's Alice cross operators
-    all vanish (``dfs`` then tries Bob first), else Alice's when its Bob
-    cross operators do.
+    """Close every node of a batch at once where the one-round Schmidt
+    closure ends it: Bob's when the node's Alice cross operators all vanish,
+    else Alice's when its Bob cross operators do.  The other party's local
+    supports, and its Schmidt vectors of different states, are then
+    pairwise orthogonal, so their completion identifies every state.
 
-    Takes ``_children``'s output and every child's state count.  One gather
-    of the pairs and one product per party give every child's cross
-    operators; the ``svd`` factors give the completions, and their
-    projectors, admissibility and reach (from the projected norms alone)
-    come from one call each.  Returns ``(closures, cross_ops)``:
-    ``closures`` maps each child that closes with no child node of its own
-    to ``(party, blocks, slots)``, the blocks ``_candidates`` would yield
-    and, per outcome, the child's slot of the one state it keeps or None;
-    ``cross_ops`` maps every other child to its cross operators per party,
-    as ``_cross`` builds them.
+    Takes a zero-padded ``(nodes, s, dim_a, dim_b)`` stack, each node's
+    states first and in order, as ``_children`` packs a candidate's children
+    (the root is a batch of one), with each node's key in ``kids``, the
+    stack's ``svd`` ``factors`` (None for a batch of one: its ``svd`` is
+    then taken only if it is offered the closure) and each node's state
+    count.  One gather of the pairs and
+    one product per party give every node's cross operators; the
+    completions, and their projectors, admissibility and reach (from the
+    projected norms alone), come from one call each.  Returns ``(closures,
+    cross_ops)``: ``closures`` maps each node that closes with no child node
+    of its own to ``(party, blocks, slots)``, the completion's phased
+    columns and, per outcome, the node's slot of the one state it keeps or
+    None; ``cross_ops`` maps every other node to its cross operators per
+    party, as ``_cross`` builds them.
     """
     cross = _cross(packed, ALICE, BOB)
     quiet = {party: np.abs(ops).max(axis=(1, 2, 3)) <= _DUST for party, ops in cross.items()}
@@ -395,7 +404,7 @@ def _schmidt_closures(kids: np.ndarray, packed: np.ndarray, factors, count: np.n
         at = offered.nonzero()[0]
         if not len(at):
             continue
-        if len(at) == len(offered):  # every child is offered: nothing to slice
+        if len(at) == len(offered):  # every node is offered: nothing to slice
             stacks, parts, sides = packed, factors, cross[party]
         else:
             stacks, parts, sides = packed[at], tuple(f[at] for f in factors), cross[party][at]
@@ -412,8 +421,10 @@ def _schmidt_closures(kids: np.ndarray, packed: np.ndarray, factors, count: np.n
         for i in np.flatnonzero(ok).tolist():
             closures[int(kids[at[i]])] = party, tuple(cols[i]), [
                 slot if n else None for n, slot in zip(hit[i], first[i])]
-    later = _pairs(packed.shape[1])[1]  # a child's own pairs, in their order
-    return closures, {kid: {party: ops[c][later < n] for party, ops in cross.items()}
+    width = packed.shape[1]
+    later = _pairs(width)[1]  # a node's own pairs, in their order
+    return closures, {kid: {party: ops[c] if n == width else ops[c][later < n]
+                            for party, ops in cross.items()}
                       for c, (kid, n) in enumerate(zip(kids.tolist(), count.tolist()))
                       if kid not in closures}
 
@@ -447,19 +458,17 @@ def _computational(d: int):
     return eye, blocks, projs
 
 
-def _candidates(stack: np.ndarray, party: str, cross: dict, cfg: SearchConfig):
+def _candidates(stack: np.ndarray, party: str, sides: np.ndarray, cfg: SearchConfig):
     """``candidate_bases`` of an amplitude stack as ``(blocks, projectors,
-    admissible)`` triples, given ``cross``, the cross operators of both
-    parties.  The Schmidt tier comes first and reads the other party's cross
-    operators; the later tiers are lazy, each built only when the caller
-    asks past the one before it.  Each tier is one stack of outcome
+    admissible)`` triples, given ``sides``, the party's ``(pairs, d, d)``
+    cross operators.  The zero-diagonal tier is lazy, built only when the
+    caller asks past the standard tier.  Each tier is one stack of outcome
     projectors, which gives the dedupe keys and admissibility in one
     product.  A first tier of one candidate needs no key to sort or dedupe
     it, so it is yielded unkeyed, and keyed only when a later tier is
     built."""
     d = stack.shape[1] if party == ALICE else stack.shape[2]
     tol = cfg.tolerance
-    sides = cross[party]
 
     def columns(bases):
         cols, projs = _outcomes(bases)
@@ -484,16 +493,8 @@ def _candidates(stack: np.ndarray, party: str, cross: dict, cfg: SearchConfig):
         bases = _zero_diagonal_tier(sides, tol)
         return columns(np.array(bases)) if bases else ([], None)
 
-    def schmidt():
-        if np.abs(cross[BOB if party == ALICE else ALICE]).max(initial=0.0) > _DUST:
-            return [], None
-        # the other party's cross operators all vanish, so this party's local
-        # supports, and its Schmidt vectors of different states, are pairwise
-        # orthogonal: their completion identifies every state in one round
-        return columns(_schmidt_completion(stack[np.newaxis], party, tol))
-
     seen, lone = set(), None  # lone: the unkeyed first candidate's projectors
-    for tier in (schmidt, standard, zero_diagonal):
+    for tier in (standard, zero_diagonal):
         cands, projs = tier()
         if not cands:
             continue
@@ -526,40 +527,31 @@ def _candidates(stack: np.ndarray, party: str, cross: dict, cfg: SearchConfig):
 def candidate_bases(e: Ensemble, party: str, cfg: SearchConfig | None = None):
     """Deterministic, duplicate-free candidate measurements for one party.
 
-    Up to three fixed tiers, in this order.  The Schmidt tier is offered
-    only when every cross operator of the *other* party vanishes, that is,
-    when this party's local supports of different states are pairwise
-    orthogonal: the orthonormal completion of a maximal mutually orthogonal
-    set of the party's Schmidt vectors, which then identifies every state in
-    one round, so no later tier can do better and no beam crowds it out.
-    The standard tier is the computational basis and, when the states'
-    local supports split the basis indices into nontrivial components, the
-    block-coarsened measurement onto those components.  The zero-diagonal
-    tier holds bases in which the party's cross operators
-    (``cross_operators``) have vanishing diagonal: for a qubit party every
-    exact solution for all cross operators at once (the Bloch-plane
-    solver), otherwise one basis per Hermitian or anti-Hermitian part of
-    each cross operator, built by pairing opposite-sign eigenvalues.  Every
-    such basis holds the vector its part retires first, and a basis holding
-    an inadmissible vector is itself inadmissible: a part whose vector is
-    not admissible gives no basis.  Each tier is sorted by projector key,
-    duplicates are dropped, and the list is truncated at ``beam_limit``.
-    A first tier of one candidate needs no sorting and has nothing to drop,
-    so its key is computed only when a later tier is built.
-    The search runs the same generator, lazily: the standard and
-    zero-diagonal tiers are each built only when the search asks past the
-    end of the one before, so the order is the same as this list's.  Here
-    the cross operators of both parties are built from the ensemble; in the
-    search, a child node gets them from its parent's batched product, and a
-    child whose first candidate is the Schmidt closure is closed by
-    ``_schmidt_closures`` with the same measurement this list would start
-    with.
+    Two fixed tiers, in this order.  The standard tier is the computational
+    basis and, when the states' local supports split the basis indices into
+    nontrivial components, the block-coarsened measurement onto those
+    components.  The zero-diagonal tier holds bases in which the party's
+    cross operators (``cross_operators``) have vanishing diagonal: for a
+    qubit party every exact solution for all cross operators at once (the
+    Bloch-plane solver), otherwise one basis per Hermitian or anti-Hermitian
+    part of each cross operator, built by pairing opposite-sign eigenvalues.
+    Every such basis holds the vector its part retires first, and a basis
+    holding an inadmissible vector is itself inadmissible: a part whose
+    vector is not admissible gives no basis.  Each tier is sorted by
+    projector key, duplicates are dropped, and the list is truncated at
+    ``beam_limit``.  A first tier of one candidate needs no sorting and has
+    nothing to drop, so its key is computed only when a later tier is
+    built.
+    The search runs the same generator, lazily: the zero-diagonal tier is
+    built only when the search asks past the end of the standard tier, so
+    the order is the same as this list's.  Here the party's cross operators
+    are built from the ensemble; in the search, every node gets them from
+    its batch's closure pass.  The one-round Schmidt closure is not on this
+    list: the search offers it to every node before these candidates.
     """
-    _check_party(party)
     cfg = cfg or SearchConfig()
-    stack = e.amplitudes
-    return [ProjectiveMeasurement(party, blocks)
-            for blocks, _, _ in _candidates(stack, party, _cross(stack, ALICE, BOB), cfg)]
+    return [ProjectiveMeasurement(party, blocks) for blocks, _, _
+            in _candidates(e.amplitudes, party, cross_operators(e, party), cfg)]
 
 
 def _reach(stack: np.ndarray, party: str, projs: np.ndarray, tol: float):
@@ -655,9 +647,10 @@ def _single_state_tree(e: Ensemble) -> ProtocolTree:
 def search_protocol(e: Ensemble, cfg: SearchConfig | None = None) -> SearchOutcome:
     """Depth-first synthesis of a discrimination protocol.
 
-    Short-circuits through the Schmidt-sum necessary condition, then explores
-    candidate measurements in deterministic order, recursing on each
-    outcome's surviving states; a branch closes when a single state survives.
+    Short-circuits through the Schmidt-sum necessary condition, then offers
+    the root its one-round Schmidt closure, then explores candidate
+    measurements in deterministic order, recursing on each outcome's
+    surviving states; a branch closes when a single state survives.
     A candidate must preserve orthogonality in every outcome and must make
     progress: at least two outcomes with different survivor sets, or some
     survivor's support rank strictly shrinking.  Any returned protocol has
@@ -676,20 +669,23 @@ def search_protocol(e: Ensemble, cfg: SearchConfig | None = None) -> SearchOutco
     def leaf(labels, idx):
         return Leaf(labels[idx[0]] if len(idx) else None)
 
+    def closed(closure, labels) -> Node:
+        # a node that its Schmidt closure ends in one round
+        stats["nodes"] += 1
+        party, blocks, slots = closure
+        return Node(ProjectiveMeasurement(party, blocks), tuple(
+            Leaf(None if slot is None else labels[slot]) for slot in slots))
+
     def dfs(stack: np.ndarray, labels: np.ndarray, ranks: np.ndarray,
-            depth: int, cross_ops: dict | None = None) -> ProtocolTree | None:
+            depth: int, cross_ops: dict | None) -> ProtocolTree | None:
         # one node: the (m, dim_a, dim_b) amplitude stack of its states, their
-        # labels, their Schmidt ranks and, when its parent built them, its
-        # cross operators per party
+        # labels, their Schmidt ranks and its cross operators per party, from
+        # its batch's closure pass (None at the depth limit, which has none)
         stats["nodes"] += 1
         if depth >= depth_limit:
             return None
-        # each party's cross operators, built once; every node reads both
-        cross = cross_ops or _cross(stack, ALICE, BOB)
-        # vanishing Alice cross operators let Bob's Schmidt tier close the node
-        parties = (BOB, ALICE) if np.abs(cross[ALICE]).max(initial=0.0) <= _DUST else (ALICE, BOB)
-        for party in parties:
-            for blocks, projs, admissible in _candidates(stack, party, cross, cfg):
+        for party in (ALICE, BOB):
+            for blocks, projs, admissible in _candidates(stack, party, cross_ops[party], cfg):
                 if not admissible:
                     continue
                 alive, states, _ = _project(stack, party, projs, tol)
@@ -716,10 +712,7 @@ def search_protocol(e: Ensemble, cfg: SearchConfig | None = None) -> SearchOutco
                         children.append(leaf(labels, idx))
                         continue
                     if k in closures:  # the child node closes in one round
-                        stats["nodes"] += 1
-                        closer, closing, slots = closures[k]
-                        subtree = Node(ProjectiveMeasurement(closer, closing), tuple(
-                            Leaf(None if slot is None else labels[idx[slot]]) for slot in slots))
+                        subtree = closed(closures[k], labels[idx])
                     else:
                         subtree = dfs(states[k, idx], labels[idx], child_ranks[k, idx],
                                       depth + 1, child_cross.get(k))
@@ -732,9 +725,12 @@ def search_protocol(e: Ensemble, cfg: SearchConfig | None = None) -> SearchOutco
 
     if e.m == 1:
         tree = _single_state_tree(e)
-    else:
-        tree = dfs(e.amplitudes, np.array(e.labels, dtype=object),
-                   np.array(report.schmidt_numbers), 0)
+    else:  # the root is closed as a batch of one, or searched
+        labels = np.array(e.labels, dtype=object)
+        closures, cross = _schmidt_closures(np.zeros(1, dtype=int), e.amplitudes[np.newaxis],
+                                            None, np.array([e.m]), tol)
+        tree = closed(closures[0], labels) if closures else dfs(
+            e.amplitudes, labels, np.array(report.schmidt_numbers), 0, cross[0])
     if tree is None:
         return SearchOutcome(UNKNOWN, None, report, depth_limit, stats["nodes"])
     verification = verify_protocol(tree, e, tol=tol)

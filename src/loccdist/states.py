@@ -104,8 +104,10 @@ def make_state(dim_a, dim_b, amplitudes, name=None) -> BipartiteState:
     lands it inside that slack.  Hence
     ``make_state(.., make_state(.., x).amplitudes)`` reproduces the
     amplitudes of ``make_state(.., x)`` bit for bit, and a stored state reads
-    back exactly.  A matrix of finite entries whose norm overflows is first
-    divided by its largest real or imaginary part.
+    back exactly.  A matrix of finite entries whose norm overflows, or is
+    below ``1e-12``, is first divided by its largest real or imaginary part,
+    so any matrix with a nonzero entry is normalized, down to the least
+    subnormal.
 
     Raises ``ZeroState`` for an all-zero matrix, ``NonFinite`` when an entry
     is NaN or infinite, and ``ShapeMismatch`` when the matrix does not have
@@ -116,14 +118,16 @@ def make_state(dim_a, dim_b, amplitudes, name=None) -> BipartiteState:
         raise ShapeMismatch(f"amplitude shape {mat.shape} != declared ({dim_a}, {dim_b})")
     with np.errstate(over="ignore"):  # finite entries whose norm overflows are rescaled below
         norm, scale = float(np.linalg.norm(mat)), 1.0
-    if not math.isfinite(norm) and np.isfinite(mat).all():
-        scale = float(np.max(np.abs([mat.real, mat.imag])))
-        mat = mat / scale
-        norm = float(np.linalg.norm(mat))
-    if not math.isfinite(norm):
+    if not math.isfinite(norm) and not np.isfinite(mat).all():
         raise NonFinite("amplitudes must be finite numbers")
-    if norm < 1e-12:
-        raise ZeroState("cannot normalize an all-zero amplitude matrix")
+    if not 1e-12 <= norm < math.inf:
+        scale = float(np.max(np.abs([mat.real, mat.imag])))
+        if scale == 0.0:
+            raise ZeroState("cannot normalize an all-zero amplitude matrix")
+        # part by part: complex division multiplies by 1 / scale, which
+        # overflows for a subnormal scale
+        mat = (np.stack((mat.real, mat.imag), -1) / scale).view(np.complex128)[..., 0]
+        norm = float(np.linalg.norm(mat))
     if scale == 1.0 and abs(norm - 1.0) <= unit_norm_slack(mat.size):
         return BipartiteState(dim_a, dim_b, mat, name=name)
     return BipartiteState(dim_a, dim_b, mat / norm, name=name, normalization=norm * scale)

@@ -259,6 +259,29 @@ def test_cmd_verify_tolerance_reaches_protocol_parsing(bell2_file, tmp_path):
     assert report_of(loose)["verdict"] == "verified"
 
 
+def test_cmd_verify_empty_projector_column_exits_3(bell2_file, tmp_path):
+    ppath = tmp_path / "empty-column.json"
+    write_json(ppath, {"party": "A", "outcomes": [
+        {"projector_columns": [[]], "child": {"fail": True}}]})
+    result = run_cli(["verify", bell2_file, ppath, "--format", "json"])
+    assert result.exit_code == 3
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert report_of(result)["diagnostics"] == {
+        "error": "each projector must be a nonempty matrix of columns", "kind": "NotUnitary"}
+
+
+def test_cmd_check_normalizes_a_state_of_tiny_norm(tmp_path):
+    path = tmp_path / "tiny.json"
+    write_json(path, {"dims": [2, 2], "states": [
+        {"name": "tiny", "amplitudes": [[[1e-13, 0], [0, 0]], [[0, 0], [0, 0]]]},
+        {"name": "one", "amplitudes": [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]}]})
+    result = run_cli(["check", path, "--format", "json"])
+    assert result.exit_code == 0
+    assert "notice: state tiny: input normalized (norm was 1e-13)" in result.stderr
+    assert json.loads(result.stdout)["verdict"] == "distinguishable"
+
+
 def test_cmd_verify_overflowing_projector_warns_nothing(bell2_file, tmp_path):
     # the Gram product of a (1e308, 1e308) column overflows; the report says
     # so, and numpy prints no RuntimeWarning on the way

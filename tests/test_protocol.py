@@ -249,6 +249,13 @@ def test_measurement_stacked_and_per_block_paths_agree():
     (np.zeros((1, 2, 2)), np.zeros((1, 2, 2))),
     (np.eye(2)[:, :1], np.zeros((2, 0))),
     ([1.0], [[[0.0]]]),
+    # blocks with no rows, as an empty projector column of a protocol file
+    # gives: one shape (the stacked path), then mixed shapes
+    (np.zeros((0, 1)),),
+    (np.zeros((0, 1)), np.zeros((0, 1))),
+    (np.zeros(0),),
+    (np.zeros((0, 1)), np.eye(2)),
+    ([], [[1.0], [0.0]]),
 ])
 def test_measurement_blocks_must_be_nonempty_column_matrices(blocks):
     with pytest.raises(NotUnitary, match="each projector must be a nonempty matrix of columns"):

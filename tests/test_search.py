@@ -148,7 +148,8 @@ def test_candidates_six4x4_standard_include_block(six4x4):
 def test_search_solves_product_pair_orthogonal_on_both_sides():
     # |a0 b0>, |a1 b1>: every cross operator vanishes on both sides, so only
     # a basis of Schmidt vectors makes progress; two orthogonal states are
-    # always distinguishable (Walgate et al., PRL 85, 4972 (2000))
+    # always distinguishable (Walgate et al., PRL 85, 4972 (2000)).  The root
+    # closes at once with Bob's Schmidt closure, offered first
     for seed in range(5):
         rng = np.random.default_rng(seed)
         ua, ub = haar_unitary(2, rng), haar_unitary(2, rng)
@@ -156,9 +157,9 @@ def test_search_solves_product_pair_orthogonal_on_both_sides():
                               for k in range(2)])
         assert np.abs(cross_operators(pair, ALICE)).max() <= 1e-12
         assert np.abs(cross_operators(pair, BOB)).max() <= 1e-12
-        assert _contains_basis(candidate_bases(pair, BOB), BOB, [ub[:, 0], ub[:, 1]])
         out = search_protocol(pair)
-        assert out.verdict == YES
+        assert (out.verdict, out.nodes_explored) == (YES, 1)
+        assert _contains_basis([out.protocol.measurement], BOB, [ub[:, 0], ub[:, 1]])
         assert verify_protocol(out.protocol, pair).ok
 
 
@@ -208,7 +209,7 @@ def test_candidates_build_a_tier_only_when_asked_past_the_one_before(bell2, monk
     real = search_module._qubit_plane_bases
     monkeypatch.setattr(search_module, "_qubit_plane_bases",
                         lambda *args: calls.append(args) or real(*args))
-    sides = {p: cross_operators(bell2, p) for p in (ALICE, BOB)}
+    sides = cross_operators(bell2, ALICE)
     gen = search_module._candidates(bell2.amplitudes, ALICE, sides, SearchConfig())
     next(gen)  # the computational basis, from the standard tier
     assert calls == []
@@ -223,24 +224,22 @@ def _eager_candidate_bases(e, party, beam_limit, tol=1e-9):
     number of candidates the tiers held before dedupe and the cut."""
     stack = e.amplitudes
     d = e.dim_a if party == ALICE else e.dim_b
-    cross = search_module._cross(stack, ALICE, BOB)
+    sides = cross_operators(e, party)
     eye = np.eye(d, dtype=complex)
 
     def outcomes(bases):
         return [list(c) for c in search_module._outcomes(np.array(bases).reshape(-1, d, d))[0]]
 
-    tiers = [[], [[eye[:, [k]] for k in range(d)]], []]
-    if np.abs(cross[BOB if party == ALICE else ALICE]).max(initial=0.0) <= 1e-12:
-        tiers[0] = outcomes(search_module._schmidt_completion(stack[np.newaxis], party, tol))
+    tiers = [[[eye[:, [k]] for k in range(d)]], []]
     labels = search_module._support_labels(stack, party, tol)
     roots = np.flatnonzero(labels == np.arange(d))
     if 2 <= len(roots) < d:
-        tiers[1].append([eye[:, labels == r] for r in roots])
+        tiers[0].append([eye[:, labels == r] for r in roots])
     if d == 2:
-        bases = search_module._qubit_plane_bases(cross[party], tol)
+        bases = search_module._qubit_plane_bases(sides, tol)
     else:
-        bases = search_module._zero_diagonal_tier(cross[party], tol)
-    tiers[2] = outcomes(bases) if len(bases) else []
+        bases = search_module._zero_diagonal_tier(sides, tol)
+    tiers[1] = outcomes(bases) if len(bases) else []
     out, seen = [], set()
     for tier in tiers:
         projs = [[q @ q.conj().T for q in cand] for cand in tier]
@@ -258,9 +257,8 @@ def _lazy_key_cases():
             yield random_ensemble(*dims, 2, seed=seed)
             yield random_ensemble(*dims, dims[0] + 1, seed=seed, kind="product-basis")
     yield L.canned_example("six4x4")
-    # |00>, |10>: Bob's cross operators vanish, so Alice's first tier is her
-    # lone Schmidt completion, the computational basis, which both later
-    # tiers repeat
+    # |00>, |10>: Alice's first tier is the lone computational basis, which
+    # her zero-diagonal tier repeats
     yield make_ensemble([product_state(2, 2, [1, 0], [1, 0], name="a"),
                          product_state(2, 2, [0, 1], [1, 0], name="b")])
 
@@ -305,7 +303,8 @@ def test_search_tries_bob_s_schmidt_completion_first_when_alice_s_cross_operator
         monkeypatch):
     # Bob's local supports are orthogonal and Alice's are not: Alice's cross
     # operators vanish, so any Alice measurement is admissible but none
-    # closes the node, while Bob's Schmidt completion closes it in one round
+    # closes the node, while Bob's Schmidt completion closes it in one round,
+    # before any candidate is projected
     rng = np.random.default_rng(3)
     ua, ub = haar_unitary(3, rng), haar_unitary(3, rng)
     kets = (ua[:, 0], (ua[:, 0] + ua[:, 1]) * S2)
@@ -319,7 +318,7 @@ def test_search_tries_bob_s_schmidt_completion_first_when_alice_s_cross_operator
                         or real(stack, party, *args))
     out = search_protocol(e)
     assert (out.verdict, out.nodes_explored) == (YES, 1)
-    assert projected == [BOB]
+    assert projected == []
     completion = search_module._schmidt_completion(e.amplitudes, BOB, L.DEFAULT_TOL)
     root = out.protocol.measurement
     assert root.party == BOB
@@ -334,10 +333,40 @@ def _orthogonal_product_pair(dim_a, dim_b, seed):
                           for k in range(2)])
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_a_root_closed_by_its_schmidt_closure_asks_for_no_candidate(seed, monkeypatch):
+    # one party's cross operators vanish in each set, so the root is closed
+    # in its batch of one, before any candidate is generated; the protocol is
+    # that party's phased Schmidt completion, one outcome per state or none
+    asked = []
+    real = search_module._candidates
+    monkeypatch.setattr(search_module, "_candidates",
+                        lambda stack, party, *args: asked.append(party)
+                        or real(stack, party, *args))
+    basis = random_ensemble(3, 4, 4, seed=seed, kind="product-basis")
+    swapped = make_ensemble([L.make_state(4, 3, s.amplitudes.T, name=s.name)
+                             for s in basis.states])  # Bob's cross operators vanish
+    for e in (_orthogonal_product_pair(3, 4, seed), basis, swapped,
+              random_ensemble(2, 3, 3, seed=seed, kind="product-basis")):
+        quiet = {p: np.abs(cross_operators(e, p)).max() <= 1e-12 for p in (ALICE, BOB)}
+        party = BOB if quiet[ALICE] else ALICE
+        assert quiet[ALICE] or quiet[BOB]
+        out = search_protocol(e)
+        assert (out.verdict, out.nodes_explored) == (YES, 1), e
+        assert asked == []
+        root = out.protocol.measurement
+        completion = search_module._schmidt_completion(e.amplitudes, party, L.DEFAULT_TOL)
+        assert root.party == party
+        assert [q.tobytes() for q in root.projectors] == [
+            q.tobytes() for q in search_module._phased_columns(completion[np.newaxis])[0]]
+        assert verify_protocol(out.protocol, e).ok
+
+
 @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (3, 5), (2, 3)])
 def test_beam_of_one_keeps_the_schmidt_completion_of_an_orthogonal_product_pair(dims):
-    # the Schmidt tier goes first, so a narrow beam cannot crowd it out; two
-    # orthogonal states are always distinguishable (Walgate et al. 2000)
+    # the root is closed by its Schmidt closure before any candidate is
+    # tried, so a narrow beam cannot crowd it out; two orthogonal states are
+    # always distinguishable (Walgate et al. 2000)
     for seed in range(3):
         out = search_protocol(_orthogonal_product_pair(*dims, seed), SearchConfig(beam_limit=1))
         assert (out.verdict, out.nodes_explored) == (YES, 1), seed
@@ -385,7 +414,7 @@ def _mixed_product_batch(seed):
 
 def _close_siblings_as_each_child_would(states, alive, cfg=SearchConfig()):
     """Run the batched closure pass on one sibling batch and check every
-    child against the first candidate ``_candidates`` yields for it alone.
+    child against its own Schmidt closure, built from its stack alone.
     Returns whether each child closed."""
     tol = cfg.tolerance
     sizes = alive.sum(axis=1)
@@ -398,11 +427,14 @@ def _close_siblings_as_each_child_would(states, alive, cfg=SearchConfig()):
         assert np.array_equal(ranks[k, idx], L.states.schmidt_ranks(stack))
         cross = search_module._cross(stack, ALICE, BOB)
         party, other = (BOB, ALICE) if np.abs(cross[ALICE]).max() <= 1e-12 else (ALICE, BOB)
-        blocks, projs, admissible = next(search_module._candidates(stack, party, cross, cfg))
+        completion = search_module._schmidt_completion(stack, party, tol)
+        blocks = search_module._phased_columns(completion[np.newaxis])[0]
+        projs = np.array([q @ q.conj().T for q in blocks])
+        admissible = search_module._admits(projs, cross[party], tol).all()
         reach = search_module._project(stack, party, projs, tol)[0]
         kept = reach.sum(axis=1)
-        # the first candidate is the Schmidt closure when the other party's
-        # cross operators vanish; it closes without a child node of its own
+        # the closure is offered when the other party's cross operators
+        # vanish; it closes without a child node of its own
         closes = bool(np.abs(cross[other]).max() <= 1e-12 and admissible
                       and kept.max() <= 1 and np.count_nonzero(kept) >= 2)
         assert (k in closures) == closes, k
@@ -527,8 +559,9 @@ def test_schmidt_completion_of_the_two_qubit_rule_matches_the_per_vector_greedy(
 
 
 def test_only_the_root_builds_cross_operators_from_its_own_stack(monkeypatch):
-    # every other node takes its cross operators from its parent's batched
-    # product, so no node builds them twice
+    # the root builds them from its own stack, as a batch of one; every other
+    # node takes its cross operators from its parent's batched product, so
+    # no node builds them twice
     shapes = []
     real = search_module._cross
     monkeypatch.setattr(search_module, "_cross",
@@ -539,7 +572,8 @@ def test_only_the_root_builds_cross_operators_from_its_own_stack(monkeypatch):
         shapes.clear()
         out = search_protocol(e)
         assert out.verdict == YES and out.nodes_explored > 1
-        assert sum(len(shape) == 3 for shape in shapes) == 2  # the root's, one per party
+        assert shapes[:2] == [(1, *e.amplitudes.shape)] * 2  # the root's, one per party
+        assert all(len(shape) == 4 for shape in shapes)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -851,8 +885,14 @@ def test_batched_survivors_agree_with_surviving_states():
         for party in (ALICE, BOB):
             d = e.dim_a if party == ALICE else e.dim_b
             u = haar_unitary(d, rng)
+            # the candidates, a Haar basis, and the Schmidt completion the
+            # search offers before them, whose completing vectors may keep
+            # no state
+            completion = search_module._schmidt_completion(e.amplitudes, party, 1e-9)
             measurements = candidate_bases(e, party)
-            measurements.append(ProjectiveMeasurement(party, tuple(u[:, [k]] for k in range(d))))
+            for basis in (u, completion):
+                measurements.append(ProjectiveMeasurement(party, tuple(basis[:, [k]]
+                                                                       for k in range(d))))
             for meas in measurements:
                 projs = np.array(meas.projector_matrices())
                 alive, states, _ = search_module._project(e.amplitudes, party, projs, 1e-9)

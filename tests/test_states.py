@@ -63,6 +63,26 @@ def test_make_state_scales_finite_entries_whose_norm_overflows():
             make_state(2, 2, [[1e200, np.inf], [0, 0]])
 
 
+@pytest.mark.parametrize("tiny", [1e-13, 1e-200, 5e-324])
+def test_make_state_scales_finite_entries_whose_norm_is_tiny(tiny):
+    # unnormalized input is normalized, down to the least subnormal: a norm
+    # below 1e-12 is first divided by the largest real or imaginary part
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = make_state(2, 2, [[tiny, 0], [0, -tiny * 1j]])
+        assert np.allclose(s.amplitudes, [[1 / np.sqrt(2), 0], [0, -1j / np.sqrt(2)]],
+                           rtol=0, atol=1e-15)
+        assert s.normalization == pytest.approx(np.sqrt(2) * tiny, rel=1e-15, abs=0)
+        again = make_state(2, 2, s.amplitudes)
+        assert np.array_equal(again.amplitudes, s.amplitudes)
+        assert again.normalization == 1.0
+        one = make_state(2, 2, [[0, 0], [tiny, 0]])
+        assert np.array_equal(one.amplitudes, [[0, 0], [1, 0]])
+        assert one.normalization == tiny
+        with pytest.raises(ZeroState):
+            make_state(2, 2, [[0.0, -0.0], [0j, -0j]])
+
+
 def test_state_is_immutable():
     s = make_state(2, 2, [[1, 0], [0, 1]])
     with pytest.raises(ValueError):
