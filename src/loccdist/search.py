@@ -24,12 +24,11 @@ completion's vectors and one ``qr`` completes them all, the projected norms
 alone give each outcome's reach, and one ``argmax`` names the state at every
 leaf.  A node the closure does not end is searched with its cross
 operators from that pass.  Candidates are generated tier by tier, only as
-far as the search asks; each tier is one stack of outcome projectors, which
-gives the dedupe keys and admissibility in one product ``vec(P) . vec(M^T)``
-on the whole stack, against the acting party's cross operators alone.
-Keys sort a tier and drop repeats of earlier candidates, so a first tier
-of one candidate (the computational basis that ends most nodes) is keyed
-only when a later tier is built.  The zero-diagonal tier of a party of
+far as the search asks, and tried in the order the tiers build them; the
+beam counts every candidate, so no tier is built once it is spent.  Each
+tier is one stack of outcome projectors, which gives admissibility in one
+product ``vec(P) . vec(M^T)`` on the whole stack, against the acting
+party's cross operators alone.  The zero-diagonal tier of a party of
 dimension 3 or more is pruned part by part before it is built: each basis
 holds the vector its part retires first, and a basis holding an
 inadmissible vector is itself inadmissible, so one ``_admits`` call on
@@ -49,7 +48,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, islice
+from numbers import Integral
 
 import numpy as np
 
@@ -89,9 +89,10 @@ _PAULI = np.array([[0, 0, 0.5], [0.5, 0.5j, 0], [0.5, -0.5j, 0], [0, 0, -0.5]])
 class SearchConfig:
     """Bounds of the protocol search.
 
-    ``max_depth`` caps the rounds of measurement on any branch,
-    ``tolerance`` (finite and > 0) is used by every numerical check, and
-    ``beam_limit`` caps the candidates one party tries at one node.
+    ``max_depth`` (an integer >= 1) caps the rounds of measurement on any
+    branch, ``tolerance`` (finite and > 0) is used by every numerical check,
+    and ``beam_limit`` (an integer >= 1) caps the candidates one party tries
+    at one node.
     """
 
     max_depth: int = 6
@@ -100,10 +101,10 @@ class SearchConfig:
 
     def __post_init__(self):
         _check_tolerance(self.tolerance)
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-        if self.beam_limit < 1:
-            raise ValueError("beam_limit must be >= 1")
+        for name in ("max_depth", "beam_limit"):
+            bound = getattr(self, name)
+            if isinstance(bound, bool) or not isinstance(bound, Integral) or bound < 1:
+                raise ValueError(f"{name} must be an integer >= 1")
 
 
 def _local_dim(e: Ensemble, party: str) -> int:
@@ -429,23 +430,6 @@ def _schmidt_closures(kids: np.ndarray, packed: np.ndarray, factors, count: np.n
                       if kid not in closures}
 
 
-def _keys(projs: np.ndarray, counts: list[int]) -> list[bytes]:
-    """Dedupe key of every candidate: its outcome projectors, rounded and
-    sorted, as one byte string (candidate i owns ``counts[i]`` consecutive
-    projectors of ``projs``).
-
-    One rounding of the float64 view covers the whole stack; adding 0.0 folds
-    negative zeros so equal projectors share a key.  Byte strings of equal
-    projector size compare as the tuples of their projectors would.
-    """
-    d = projs.shape[-1]
-    rounded = projs.view(np.float64).round(6) + 0.0
-    rows = rounded.reshape(len(projs), -1).view(f"V{16 * d * d}")[:, 0]
-    if len(set(counts)) == 1:
-        return [r.tobytes() for r in np.sort(rows.reshape(len(counts), -1), axis=1)]
-    return [np.sort(r).tobytes() for r in np.split(rows, np.cumsum(counts)[:-1])]
-
-
 @cache
 def _computational(d: int):
     """The identity of dimension ``d``, its columns as one-column blocks, and
@@ -459,14 +443,13 @@ def _computational(d: int):
 
 
 def _candidates(stack: np.ndarray, party: str, sides: np.ndarray, cfg: SearchConfig):
-    """``candidate_bases`` of an amplitude stack as ``(blocks, projectors,
-    admissible)`` triples, given ``sides``, the party's ``(pairs, d, d)``
-    cross operators.  The zero-diagonal tier is lazy, built only when the
-    caller asks past the standard tier.  Each tier is one stack of outcome
-    projectors, which gives the dedupe keys and admissibility in one
-    product.  A first tier of one candidate needs no key to sort or dedupe
-    it, so it is yielded unkeyed, and keyed only when a later tier is
-    built."""
+    """``candidate_bases`` of an amplitude stack as an iterator of
+    ``(blocks, projectors, admissible)`` triples, given ``sides``, the
+    party's ``(pairs, d, d)`` cross operators: each tier in build order, cut
+    at ``beam_limit``.  The zero-diagonal tier is lazy, built only when the
+    caller asks past the standard tier, and never once the beam is spent.
+    Each tier is one stack of outcome projectors, which gives the
+    admissibility of all its candidates in one product."""
     d = stack.shape[1] if party == ALICE else stack.shape[2]
     tol = cfg.tolerance
 
@@ -493,39 +476,22 @@ def _candidates(stack: np.ndarray, party: str, sides: np.ndarray, cfg: SearchCon
         bases = _zero_diagonal_tier(sides, tol)
         return columns(np.array(bases)) if bases else ([], None)
 
-    seen, lone = set(), None  # lone: the unkeyed first candidate's projectors
-    for tier in (standard, zero_diagonal):
-        cands, projs = tier()
-        if not cands:
-            continue
-        counts = [len(c) for c in cands]
-        if lone is not None:
-            seen.update(_keys(lone, [len(lone)]))
-            lone = None
-        if seen or len(cands) > 1:
-            keys = _keys(projs, counts)
-            take = []
-            for i in sorted(range(len(cands)), key=keys.__getitem__):
-                if len(seen) == cfg.beam_limit:
-                    break
-                if keys[i] not in seen:
-                    seen.add(keys[i])
-                    take.append(i)
-            if not take:
+    def tiers():
+        for tier in (standard, zero_diagonal):
+            cands, projs = tier()
+            if not cands:
                 continue
-        else:  # the first tier holds one candidate, which the beam always takes
-            lone, take = projs, [0]
-        starts = list(accumulate(counts, initial=0))
-        admitted = _admits(projs, sides, tol).tolist()
-        for i in take:
-            yield (tuple(cands[i]), projs[starts[i]:starts[i + 1]],
-                   all(admitted[starts[i]:starts[i + 1]]))
-        if len(seen) + (lone is not None) == cfg.beam_limit:
-            return
+            starts = list(accumulate(map(len, cands), initial=0))
+            admitted = _admits(projs, sides, tol).tolist()
+            for i, blocks in enumerate(cands):
+                yield (tuple(blocks), projs[starts[i]:starts[i + 1]],
+                       all(admitted[starts[i]:starts[i + 1]]))
+
+    return islice(tiers(), cfg.beam_limit)
 
 
 def candidate_bases(e: Ensemble, party: str, cfg: SearchConfig | None = None):
-    """Deterministic, duplicate-free candidate measurements for one party.
+    """Deterministic candidate measurements for one party.
 
     Two fixed tiers, in this order.  The standard tier is the computational
     basis and, when the states' local supports split the basis indices into
@@ -537,11 +503,10 @@ def candidate_bases(e: Ensemble, party: str, cfg: SearchConfig | None = None):
     part of each cross operator, built by pairing opposite-sign eigenvalues.
     Every such basis holds the vector its part retires first, and a basis
     holding an inadmissible vector is itself inadmissible: a part whose
-    vector is not admissible gives no basis.  Each tier is sorted by
-    projector key, duplicates are dropped, and the list is truncated at
-    ``beam_limit``.  A first tier of one candidate needs no sorting and has
-    nothing to drop, so its key is computed only when a later tier is
-    built.
+    vector is not admissible gives no basis.  The list is each tier in the
+    order it is built, cut at ``beam_limit``.  Repeats are kept: a
+    candidate may equal an earlier one, as each of ``six4x4``'s six
+    zero-diagonal bases for Alice is her computational basis, permuted.
     The search runs the same generator, lazily: the zero-diagonal tier is
     built only when the search asks past the end of the standard tier, so
     the order is the same as this list's.  Here the party's cross operators

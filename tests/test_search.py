@@ -191,8 +191,8 @@ def _prefix_cases():
 
 @pytest.mark.parametrize("party", [ALICE, BOB])
 def test_candidates_beam_limit_keeps_a_prefix_of_the_default_list(party):
-    # the tiers are built lazily; the seen set and the beam count carry
-    # across them, so every beam gives a prefix of the full list
+    # the tiers are built lazily and the beam counts across them, so every
+    # beam gives a prefix of the full list
     for name, e in _prefix_cases():
         full = candidate_bases(e, party)
         for k in range(1, len(full) + 1):
@@ -218,10 +218,9 @@ def test_candidates_build_a_tier_only_when_asked_past_the_one_before(bell2, monk
 
 
 def _eager_candidate_bases(e, party, beam_limit, tol=1e-9):
-    """``candidate_bases`` as projector stacks, every tier built and keyed in
-    full: each tier sorted by ``_keys``, repeats of any earlier candidate
-    dropped and the list cut at ``beam_limit``.  Returns the list and the
-    number of candidates the tiers held before dedupe and the cut."""
+    """``candidate_bases`` as projector stacks, every tier built in full: the
+    tiers joined in order, each in its build order, and the list cut at
+    ``beam_limit``."""
     stack = e.amplitudes
     d = e.dim_a if party == ALICE else e.dim_b
     sides = cross_operators(e, party)
@@ -240,47 +239,65 @@ def _eager_candidate_bases(e, party, beam_limit, tol=1e-9):
     else:
         bases = search_module._zero_diagonal_tier(sides, tol)
     tiers[1] = outcomes(bases) if len(bases) else []
-    out, seen = [], set()
-    for tier in tiers:
-        projs = [[q @ q.conj().T for q in cand] for cand in tier]
-        keys = [search_module._keys(np.array(p), [len(p)])[0] for p in projs]
-        for i in sorted(range(len(tier)), key=keys.__getitem__):
-            if keys[i] not in seen and len(out) < beam_limit:
-                seen.add(keys[i])
-                out.append(np.array(projs[i]))
-    return out, sum(len(tier) for tier in tiers)
+    cands = tiers[0] + tiers[1]
+    return [np.array([q @ q.conj().T for q in cand]) for cand in cands[:beam_limit]]
 
 
-def _lazy_key_cases():
+def _lazy_tier_cases():
     for dims in ((2, 2), (2, 3), (3, 3), (3, 4), (4, 4)):
         for seed in range(3):
             yield random_ensemble(*dims, 2, seed=seed)
             yield random_ensemble(*dims, dims[0] + 1, seed=seed, kind="product-basis")
     yield L.canned_example("six4x4")
-    # |00>, |10>: Alice's first tier is the lone computational basis, which
-    # her zero-diagonal tier repeats
-    yield make_ensemble([product_state(2, 2, [1, 0], [1, 0], name="a"),
-                         product_state(2, 2, [0, 1], [1, 0], name="b")])
+    yield _pair_00_10()
+
+
+def _pair_00_10():
+    # |00>, |10>: Alice's zero-diagonal tier repeats her computational basis
+    return make_ensemble([product_state(2, 2, [1, 0], [1, 0], name="a"),
+                          product_state(2, 2, [0, 1], [1, 0], name="b")])
 
 
 @pytest.mark.parametrize("beam", [1, 2, 3, 64])
-def test_lazy_dedupe_keys_match_an_eager_reference(beam, monkeypatch):
-    keyed = []
-    real = search_module._keys
-    monkeypatch.setattr(search_module, "_keys",
-                        lambda projs, counts: keyed.append(len(counts)) or real(projs, counts))
-    dropped = 0
-    for e in _lazy_key_cases():
+def test_lazy_tiers_match_an_eager_reference(beam):
+    for e in _lazy_tier_cases():
         for party in (ALICE, BOB):
-            expected, held = _eager_candidate_bases(e, party, beam)
-            keyed.clear()
+            expected = _eager_candidate_bases(e, party, beam)
             got = candidate_bases(e, party, SearchConfig(beam_limit=beam))
             assert [m.projector_stack.tobytes() for m in got] == [
                 p.tobytes() for p in expected], (e, party)
-            dropped += min(held, beam) - len(expected)
-            if beam == 1:  # no later tier: only a first tier of several is keyed
-                assert all(n > 1 for n in keyed), (e, party)
-    assert dropped > 0 or beam == 1
+    if beam > 1:  # the repeat is listed, not dropped
+        got = candidate_bases(_pair_00_10(), ALICE, SearchConfig(beam_limit=beam))
+        assert len(got) == 2
+        assert np.allclose(got[1].projector_stack, got[0].projector_stack, atol=1e-12)
+
+
+def test_candidate_bases_list_every_tier_in_build_order(six4x4):
+    # Alice's standard tier (the computational basis and its support blocks)
+    # and then all six zero-diagonal bases, each the computational basis
+    # permuted: repeats of the first candidate, listed where they are built
+    cands = candidate_bases(six4x4, ALICE)
+    assert [m.outcomes for m in cands] == [4, 2, 4, 4, 4, 4, 4, 4]
+    eye = np.eye(4)
+    assert np.array_equal(cands[0].projector_stack, eye[:, np.newaxis, :] * eye)
+    tier = search_module._zero_diagonal_tier(cross_operators(six4x4, ALICE), 1e-9)
+    assert len(tier) == 6
+    for meas, projs in zip(cands[2:], search_module._outcomes(np.array(tier))[1]):
+        assert np.array_equal(meas.projector_stack, projs)
+        mags = np.abs(projs)
+        assert np.allclose(mags, mags.round(), atol=1e-12)
+        assert np.allclose(projs.sum(axis=0), eye, atol=1e-12)
+
+
+def test_a_spent_beam_builds_no_later_tier(six4x4, monkeypatch):
+    calls = []
+    real = search_module._zero_diagonal_tier
+    monkeypatch.setattr(search_module, "_zero_diagonal_tier",
+                        lambda *args: calls.append(args) or real(*args))
+    assert len(candidate_bases(six4x4, ALICE, SearchConfig(beam_limit=2))) == 2
+    assert calls == []
+    assert len(candidate_bases(six4x4, ALICE, SearchConfig(beam_limit=3))) == 3
+    assert len(calls) == 1
 
 
 def test_search_builds_each_party_s_cross_operators_once_per_node(monkeypatch):
@@ -589,18 +606,13 @@ def test_children_at_the_depth_limit_do_not_close(seed):
     assert verify_protocol(out.protocol, pair).ok
 
 
-def test_candidates_deterministic_and_duplicate_free(six4x4):
+def test_candidates_deterministic(six4x4):
     a = candidate_bases(six4x4, ALICE)
     b = candidate_bases(six4x4, ALICE)
     assert len(a) == len(b)
     for ma, mb in zip(a, b):
         for qa, qb in zip(ma.projectors, mb.projectors):
             assert np.array_equal(qa, qb)
-    keys = set()
-    for meas in a:
-        key = tuple(sorted(np.round(p, 6).tobytes() for p in meas.projector_matrices()))
-        assert key not in keys
-        keys.add(key)
 
 
 def test_search_config_validation():
@@ -608,6 +620,20 @@ def test_search_config_validation():
         SearchConfig(max_depth=0)
     with pytest.raises(ValueError):
         SearchConfig(beam_limit=0)
+
+
+@pytest.mark.parametrize("field", ["max_depth", "beam_limit"])
+@pytest.mark.parametrize("bound", [1.5, 3.0, float("nan"), float("inf"), True, "3", None])
+def test_search_config_bounds_must_be_integers(field, bound):
+    with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
+        SearchConfig(**{field: bound})
+
+
+def test_search_config_accepts_numpy_integers(bell2):
+    cfg = SearchConfig(max_depth=np.int64(3), beam_limit=np.int64(2))
+    assert len(candidate_bases(bell2, ALICE, cfg)) == 2
+    out = search_protocol(bell2, cfg)
+    assert (out.verdict, out.max_depth) == (YES, 3)
 
 
 @pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf])
