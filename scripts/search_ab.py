@@ -13,12 +13,16 @@ For every family of instances (the instance name without its seed or
 rotation number) the script prints the instance count, the sum over the
 family's instances of each one's minimum search time over the rounds, on
 the old and on the new tree, and the relative change of the new tree.  The
-table ends with the total over all instances, and a last line gives the
-number of instances whose protocol bytes differ between the trees: the
+table ends with the total over all instances.  Two last lines give the
+number of instances whose protocol bytes differ between the trees (the
 sha256 of ``json.dumps(protocol_to_dict(protocol))``, as in
-``search_fingerprint.py``.  Those instances are listed on stderr.  The
-script exits 1 if any instance differs between the trees in verdict, nodes
-explored or depth limit, and lists those instances on stderr too.
+``search_fingerprint.py``) and the number whose protocol shapes differ
+(``search_fingerprint.protocol_shape``: parties, outcome ranks and leaf
+labels), so a change that only moves floating-point bits or phases reads 0
+shapes changed.  Those instances are listed on stderr.  The script exits 1
+if any instance differs between the trees in verdict, nodes explored or
+depth limit, and lists those instances on stderr too; differing bytes or
+shapes alone do not change the exit code.
 
 With ``--cases sweep2x2`` or ``--cases highdim`` the instances are instead
 the benchmark's seeded cases of that workload, for every seed of
@@ -72,23 +76,25 @@ def bench_cases(workload: str, seeds: list[int]):
 
 
 def load_tree(src: Path, tag: str, bench=None):
-    """Import the loccdist package under ``src`` and the instances built by
-    it: those of ``search_fingerprint.py``, or the ensembles of ``bench``,
-    ``bench_cases``'s output, named ``family/index``.
-    Returns ``(modules, search, digest, instances)``; ``modules`` are
+    """Import the loccdist package under ``src``, ``search_fingerprint.py`` on
+    it, and the instances built by it: those of ``search_fingerprint.py``,
+    or the ensembles of ``bench``, ``bench_cases``'s output, named
+    ``family/index``.
+    Returns ``(modules, search, digest, shape, instances)``; ``modules`` are
     the package's entries of ``sys.modules``, which must be put back before
     a search of this tree, since the search imports a module when called,
-    and ``digest`` hashes a protocol of this tree."""
+    and ``digest`` and ``shape`` hash and describe a protocol of this tree,
+    ``-`` when there is none."""
     for name in [n for n in sys.modules if n == "loccdist" or n.startswith("loccdist.")]:
         del sys.modules[name]
     sys.path.insert(0, str(src))
     try:
         package = importlib.import_module("loccdist")
         cli = importlib.import_module("loccdist.cli")
+        spec = importlib.util.spec_from_file_location(f"search_fingerprint_{tag}", FINGERPRINT)
+        fingerprint = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(fingerprint)
         if bench is None:
-            spec = importlib.util.spec_from_file_location(f"search_fingerprint_{tag}", FINGERPRINT)
-            fingerprint = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(fingerprint)
             instances = list(fingerprint.instances())
         else:
             workloads, cases = bench
@@ -106,7 +112,10 @@ def load_tree(src: Path, tag: str, bench=None):
             return "-"
         return hashlib.sha256(json.dumps(cli.protocol_to_dict(protocol)).encode()).hexdigest()
 
-    return modules, package.search_protocol, digest, instances
+    def shape(protocol):
+        return "-" if protocol is None else fingerprint.protocol_shape(protocol)
+
+    return modules, package.search_protocol, digest, shape, instances
 
 
 def family(name: str) -> str:
@@ -155,18 +164,19 @@ def main():
         ap.error("--seeds needs --cases")
     bench = bench_cases(args.cases, args.seeds or [1, 2]) if args.cases else None
     trees = [load_tree(args.old_src, "old", bench), load_tree(args.new_src, "new", bench)]
-    names = [name for name, _ in trees[0][3]]
-    if names != [name for name, _ in trees[1][3]]:
+    names = [name for name, _ in trees[0][-1]]
+    if names != [name for name, _ in trees[1][-1]]:
         sys.exit("the two trees build different instance lists")
 
     times = [[[] for _ in names] for _ in trees]
     results = [[None] * len(names) for _ in trees]
     digests = [[None] * len(names) for _ in trees]
+    shapes = [[None] * len(names) for _ in trees]
     for r in range(args.repeat):
         for i in range(len(names)):
             first = (i + r) % 2
             for side in (first, 1 - first):
-                modules, search, digest, instances = trees[side]
+                modules, search, digest, shape, instances = trees[side]
                 sys.modules.update(modules)
                 start = time.perf_counter()
                 out = search(instances[i][1])
@@ -174,6 +184,7 @@ def main():
                 times[side][i].append(elapsed)
                 results[side][i] = (out.verdict, out.nodes_explored, out.max_depth)
                 digests[side][i] = digest(out.protocol)
+                shapes[side][i] = shape(out.protocol)
 
     totals = defaultdict(lambda: [0, 0.0, 0.0])
     for i, name in enumerate(names):
@@ -193,10 +204,11 @@ def main():
             print(f"{key:<30} {old[key]:>10.3f} {new[key]:>10.3f} "
                   f"{(new[key] - old[key]) / old[key]:>+8.1%}")
 
-    rehashed = [name for name, a, b in zip(names, *digests) if a != b]
-    print(f"protocol bytes differ: {len(rehashed)} of {len(names)}")
-    for name in rehashed:
-        print(f"protocol bytes differ: {name}", file=sys.stderr)
+    for what, values in (("bytes", digests), ("shapes", shapes)):
+        changed = [name for name, a, b in zip(names, *values) if a != b]
+        print(f"protocol {what} differ: {len(changed)} of {len(names)}")
+        for name in changed:
+            print(f"protocol {what} differ: {name}", file=sys.stderr)
     differ = [(name, a, b) for name, a, b in zip(names, *results) if a != b]
     for name, a, b in differ:
         print(f"differs: {name}: old {a}, new {b}", file=sys.stderr)

@@ -28,6 +28,10 @@ With ``--repeat N`` every instance is searched N more times and each line
 gets one more field: the median wall time of those searches in ms.  This
 gives per-instance search latency on two checkouts; without the flag the
 output is the same as before the flag existed.
+
+``protocol_shape`` gives a protocol's parties, outcome ranks and leaf
+labels without its numbers; ``tests/test_search_verdicts.py`` pins it per
+instance and ``search_ab.py`` compares it between two trees.
 """
 
 import argparse
@@ -134,6 +138,18 @@ def instances():
             e = bell_triple(dim, seed)
             yield f"gbell-{dim}x{dim}-m3-s{seed}", e
             yield f"gbell-{dim}x{dim}-m3-rot-s{seed}", rotated(e, seed)
+
+
+def protocol_shape(tree) -> str:
+    """Parties, outcome ranks and leaf labels of a protocol tree, depth
+    first.  A node is its party and its outcomes in brackets, each outcome
+    its rank, a colon and its child; a leaf is the label it identifies, or
+    ``-`` when it fails."""
+    if isinstance(tree, L.Leaf):
+        return "-" if tree.is_fail else tree.identify
+    outcomes = " ".join(f"{q.shape[1]}:{protocol_shape(child)}"
+                        for q, child in zip(tree.measurement.projectors, tree.children))
+    return f"{tree.measurement.party}[{outcomes}]"
 
 
 def positive_int(text):

@@ -4,24 +4,26 @@ Three layers: a cheap necessary condition (the Schmidt ranks of a reliably
 distinguishable ensemble sum to at most the joint dimension; defined in
 ``ensemble`` and bound here), certificate checking (each state written as a
 superposition of its own share of a locally distinguishable orthogonal
-product-vector set), and the complete classification for two-qubit
-ensembles by the search's qubit-plane solver on Alice's cross operators,
-whose "yes" carries the search's protocol.  The decisions return the
-search's own ``SearchOutcome``.
+product-vector set, built once as the ensemble the search decides), and
+the complete classification for two-qubit ensembles by the search's
+qubit-plane solver on Alice's cross operators, whose "yes" carries the
+search's protocol.  The decisions return the search's own
+``SearchOutcome``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .ensemble import Ensemble, SchmidtSumReport, make_ensemble, schmidt_sum_check
 from .errors import (
     BadAssignment,
+    NotOrthogonal,
     ProductSetNotDistinguishable,
     ReconstructionFailure,
+    TooManyStates,
     VectorsNotOrthogonal,
     WrongDimensions,
     ZeroState,
@@ -36,7 +38,7 @@ from .search import (
     cross_operators,
     search_protocol,
 )
-from .states import DEFAULT_TOL, RANK_CUTOFF, _check_tolerance, product_state
+from .states import DEFAULT_TOL, RANK_CUTOFF, _check_tolerance, frobenius_norms, product_state
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,6 +57,15 @@ class Certificate:
     coefficients: dict
 
 
+def _product_ensemble(vectors, dims, tol: float) -> Ensemble:
+    """The product states ``|a>|b>`` of (alice, bob) vector pairs, the k-th
+    labelled ``v<k>``, as one ensemble validated by ``make_ensemble`` at
+    ``tol``."""
+    dim_a, dim_b = dims
+    return make_ensemble([product_state(dim_a, dim_b, a, b, name=f"v{k}")
+                          for k, (a, b) in enumerate(vectors)], tol=tol)
+
+
 def product_set_distinguishable(vectors, dims, cfg: SearchConfig | None = None) -> SearchOutcome:
     """Search for a protocol identifying each product vector.
 
@@ -64,10 +75,7 @@ def product_set_distinguishable(vectors, dims, cfg: SearchConfig | None = None) 
     the bounded search was exhausted, not impossibility.
     """
     cfg = cfg or SearchConfig()
-    dim_a, dim_b = dims
-    states = [product_state(dim_a, dim_b, a, b, name=f"v{k}")
-              for k, (a, b) in enumerate(vectors)]
-    return search_protocol(make_ensemble(states, tol=cfg.tolerance), cfg)
+    return search_protocol(_product_ensemble(vectors, dims, cfg.tolerance), cfg)
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,13 +104,17 @@ def certificate_check(e: Ensemble, cert: Certificate,
                       cfg: SearchConfig | None = None) -> CertificateReport:
     """Validate a certificate; success proves the ensemble distinguishable.
 
-    Checks, in order: the assignment structure (``BadAssignment``), pairwise
-    joint orthogonality of the product vectors (``VectorsNotOrthogonal``),
-    reconstruction of every state from its assigned vectors
-    (``ReconstructionFailure``), and local distinguishability of the vector
-    set, searched with ``cfg`` (``ProductSetNotDistinguishable``); every
-    step uses ``cfg.tolerance``.  On success the product-set protocol is
-    relabeled into an ensemble protocol and re-verified.
+    Checks, in order: the assignment structure (``BadAssignment``), a
+    factor of norm below ``1e-12`` (``ZeroState``) or of the wrong length
+    (``ShapeMismatch``), pairwise joint orthogonality of the product vectors
+    (``VectorsNotOrthogonal``, also when there are more vectors than the
+    joint dimension), reconstruction of every state from its assigned
+    vectors (``ReconstructionFailure``), and local distinguishability of the
+    vector set, searched with ``cfg`` (``ProductSetNotDistinguishable``);
+    every step uses ``cfg.tolerance``.  The vectors are normalized and
+    checked once, as the ensemble of ``product_set_distinguishable``, which
+    also rebuilds the states and is searched.  On success the product-set
+    protocol is relabeled into an ensemble protocol and re-verified.
     """
     cfg = cfg or SearchConfig()
     tol = cfg.tolerance
@@ -114,7 +126,8 @@ def certificate_check(e: Ensemble, cert: Certificate,
         raise BadAssignment(f"assignment labels mismatch (missing {sorted(missing)}, "
                             f"unknown {sorted(extra)})")
     seen: dict[int, str] = {}
-    for label, indices in cert.assignment.items():
+    coefficients = np.zeros((len(cert.assignment), n), dtype=np.complex128)
+    for row, (label, indices) in enumerate(cert.assignment.items()):
         if not indices:
             raise BadAssignment(f"state {label!r} has an empty assignment")
         for idx in indices:
@@ -129,40 +142,32 @@ def certificate_check(e: Ensemble, cert: Certificate,
         if coeffs is None or len(coeffs) != len(indices):
             raise BadAssignment(f"state {label!r} needs one coefficient per "
                                 f"assigned vector")
+        coefficients[row, list(indices)] = coeffs
 
-    vecs = []
-    for k, (a, b) in enumerate(cert.product_vectors):
-        a = np.asarray(a, dtype=np.complex128).reshape(-1)
-        b = np.asarray(b, dtype=np.complex128).reshape(-1)
-        na, nb = np.linalg.norm(a), np.linalg.norm(b)
-        if na < 1e-12 or nb < 1e-12:
+    for k, pair in enumerate(cert.product_vectors):
+        if min(np.linalg.norm(np.asarray(v, dtype=np.complex128)) for v in pair) < 1e-12:
             raise ZeroState(f"product vector {k} has a zero factor")
-        vecs.append((a / na, b / nb))
+    try:
+        products = _product_ensemble(cert.product_vectors, e.dims, tol)
+    except TooManyStates as exc:
+        raise VectorsNotOrthogonal(f"{n} product vectors cannot be pairwise orthogonal "
+                                   f"in a {e.dim_a}x{e.dim_b} space") from exc
+    except NotOrthogonal as exc:
+        i, j = (int(name[1:]) for name in exc.pair)
+        raise VectorsNotOrthogonal(
+            f"product vectors {i} and {j} overlap ({exc.overlap:.3g} > {tol:.3g})",
+            pair=(i, j), overlap=exc.overlap) from exc
 
-    max_overlap = 0.0
-    for i, j in combinations(range(n), 2):
-        overlap = abs(np.vdot(vecs[i][0], vecs[j][0]) * np.vdot(vecs[i][1], vecs[j][1]))
-        max_overlap = max(max_overlap, overlap)
-        if overlap > tol:
-            raise VectorsNotOrthogonal(
-                f"product vectors {i} and {j} overlap ({overlap:.3g} > {tol:.3g})",
-                pair=(i, j), overlap=overlap)
-
-    errors = {}
-    for label, indices in cert.assignment.items():
-        target = e.state(label).amplitudes
-        rebuilt = np.zeros_like(target)
-        for idx, coeff in zip(indices, cert.coefficients[label]):
-            a, b = vecs[idx]
-            rebuilt += complex(coeff) * np.outer(a, b)
-        err = float(np.linalg.norm(rebuilt - target))
-        errors[label] = err
+    rebuilt = np.tensordot(coefficients, products.amplitudes, axes=1)
+    targets = np.array([e.state(label).amplitudes for label in cert.assignment])
+    errors = dict(zip(cert.assignment, frobenius_norms(rebuilt - targets).tolist()))
+    for label, err in errors.items():
         if err > tol:
             raise ReconstructionFailure(
                 f"state {label!r} not reproduced by its assigned vectors "
                 f"(error {err:.3g})")
 
-    result = product_set_distinguishable(vecs, e.dims, cfg)
+    result = search_protocol(products, cfg)
     if result.verdict != YES:
         raise ProductSetNotDistinguishable(
             f"no protocol found for the certificate's product set "
@@ -178,7 +183,7 @@ def certificate_check(e: Ensemble, cert: Certificate,
     return CertificateReport(
         labels=e.labels,
         vector_count=n,
-        max_pairwise_overlap=max_overlap,
+        max_pairwise_overlap=products.max_overlap,
         reconstruction_errors=errors,
         product_protocol=result.protocol,
         ensemble_protocol=refined,

@@ -40,7 +40,9 @@ keep two or more states) are packed into one stack, whose one ``svd`` gives
 their Schmidt ranks and Schmidt vectors, and are closed as one batch; the
 root's ``svd`` is taken only when it is offered the closure.  Only the
 candidate that enters the tree becomes a ``ProjectiveMeasurement``; no
-node builds states or ensembles.
+node builds states or ensembles.  A measurement is fixed by its projectors
+``|c><c|``, which do not depend on a column's phase, so every basis enters
+the tree with its columns as they were built.
 """
 
 from __future__ import annotations
@@ -105,6 +107,7 @@ class SearchConfig:
             bound = getattr(self, name)
             if isinstance(bound, bool) or not isinstance(bound, Integral) or bound < 1:
                 raise ValueError(f"{name} must be an integer >= 1")
+            object.__setattr__(self, name, int(bound))  # a numpy integer is not JSON
 
 
 def _local_dim(e: Ensemble, party: str) -> int:
@@ -303,18 +306,6 @@ def _zero_diagonal_basis(evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:
     return np.column_stack(done + [v for _, v in active])
 
 
-def _phased_columns(bases: np.ndarray) -> np.ndarray:
-    """The columns of every basis of a ``(n, d, k)`` stack as one-column
-    blocks, ``(n, k, d, 1)`` with column j of basis i at ``[i, j]``, each
-    phased so that its largest entry is real and positive."""
-    n, _, k = bases.shape
-    pivots = bases[np.arange(n)[:, np.newaxis], np.abs(bases).argmax(axis=1), np.arange(k)]
-    mags = np.hypot(pivots.real, pivots.imag)  # np.abs of a complex array rounds differently
-    big = mags > _DUST
-    phased = bases * np.where(big, mags / np.where(big, pivots, 1.0), 1.0)[:, np.newaxis, :]
-    return np.ascontiguousarray(phased.transpose(0, 2, 1))[..., np.newaxis]
-
-
 def _schmidt_completion(stack: np.ndarray, party: str, tol: float,
                         factors: tuple | None = None) -> np.ndarray:
     """Orthonormal completion of a maximal mutually orthogonal set of the
@@ -350,10 +341,10 @@ def _schmidt_completion(stack: np.ndarray, party: str, tol: float,
 
 
 def _outcomes(bases: np.ndarray):
-    """The phased one-column blocks of every basis of a ``(n, d, k)`` stack of
-    ``k`` orthonormal columns, ``(n, k, d, 1)``, and their outcome
-    projectors, ``(n, k, d, d)``."""
-    cols = _phased_columns(bases)
+    """The columns of every basis of a ``(n, d, k)`` stack of ``k``
+    orthonormal columns as one-column blocks, ``(n, k, d, 1)`` with column j
+    of basis i at ``[i, j]``, and their outcome projectors, ``(n, k, d, d)``."""
+    cols = np.ascontiguousarray(bases.transpose(0, 2, 1))[..., np.newaxis]
     return cols, cols @ cols.conj().swapaxes(-1, -2)
 
 
@@ -388,15 +379,15 @@ def _schmidt_closures(kids: np.ndarray, packed: np.ndarray, factors, count: np.n
     (the root is a batch of one), with each node's key in ``kids``, the
     stack's ``svd`` ``factors`` (None for a batch of one: its ``svd`` is
     then taken only if it is offered the closure) and each node's state
-    count.  One gather of the pairs and
-    one product per party give every node's cross operators; the
-    completions, and their projectors, admissibility and reach (from the
-    projected norms alone), come from one call each.  Returns ``(closures,
-    cross_ops)``: ``closures`` maps each node that closes with no child node
-    of its own to ``(party, blocks, slots)``, the completion's phased
-    columns and, per outcome, the node's slot of the one state it keeps or
-    None; ``cross_ops`` maps every other node to its cross operators per
-    party, as ``_cross`` builds them.
+    count.  One gather of the pairs and one product per party give every
+    node's cross operators; the completions, and their projectors,
+    admissibility and reach (from the projected norms alone), come from one
+    call each.  Returns ``(closures, cross_ops)``: ``closures`` maps each
+    node that closes with no child node of its own to ``(party, blocks,
+    slots)``, the completion's columns as one-column blocks and, per
+    outcome, the node's slot of the one state it keeps or None;
+    ``cross_ops`` maps every other node to its cross operators per party, as
+    ``_cross`` builds them.
     """
     cross = _cross(packed, ALICE, BOB)
     quiet = {party: np.abs(ops).max(axis=(1, 2, 3)) <= _DUST for party, ops in cross.items()}

@@ -125,6 +125,56 @@ def test_protocol_parse_rejects_bad_party():
     assert "party" in str(err.value)
 
 
+def _bell2_with(edit):
+    payload = ensemble_to_dict(L.canned_example("bell2"))
+    edit(payload)
+    return payload
+
+
+def _bell2_x_with(edit):
+    payload = protocol_to_dict(L.canned_protocol("bell2-x"))
+    edit(payload)
+    return payload
+
+
+#: (file kind, file payload, location the error names); "{path}" is the file
+_PARSE_ERRORS = {
+    "top-level-list": ("ensemble", [], "$"),
+    "empty-states": ("ensemble", _bell2_with(lambda p: p.update(states=[])), "states"),
+    "state-not-object": ("ensemble", _bell2_with(lambda p: p["states"].__setitem__(1, 7)),
+                         "states[1]"),
+    "name-not-string": ("ensemble", _bell2_with(lambda p: p["states"][0].update(name=3)),
+                        "states[0].name"),
+    "wrong-row-count": ("ensemble", _bell2_with(lambda p: p["states"][1]["amplitudes"].pop()),
+                        "states[1].amplitudes"),
+    "node-not-object": ("protocol", "x", "$"),
+    "identify-not-string": ("protocol", _bell2_x_with(
+        lambda p: p["outcomes"][1].update(child={"identify": 5})), "$.outcomes[1].child.identify"),
+    "empty-outcomes": ("protocol", _bell2_x_with(lambda p: p.update(outcomes=[])),
+                       "$.outcomes"),
+    "outcome-not-object": ("protocol", _bell2_x_with(lambda p: p["outcomes"].__setitem__(0, [])),
+                           "$.outcomes[0]"),
+    "nested-too-deep": ("ensemble", None, "{path}"),
+}
+
+
+@pytest.mark.parametrize("case", _PARSE_ERRORS)
+def test_malformed_files_exit_3_naming_the_location(tmp_path, bell2_file, case):
+    kind, payload, location = _PARSE_ERRORS[case]
+    path = tmp_path / f"{case}.json"
+    if payload is None:  # past the JSON reader's recursion limit
+        path.write_text('{"dims": [2, 2], "states": ' + "[" * 5000 + "]" * 5000 + "}")
+    else:
+        write_json(path, payload)
+    args = ["check", path] if kind == "ensemble" else ["verify", bell2_file, path]
+    result = run_cli(args + ["--format", "json"])
+    assert result.exit_code == 3
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    rep = report_of(result)
+    assert rep["diagnostics"]["kind"] == "ParseError"
+    assert rep["diagnostics"]["error"].startswith(location.format(path=path) + ": ")
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -204,6 +254,22 @@ def test_cmd_check_classify2x2_ignores_search_bounds(bell2_file, tmp_path):
     verified = run_cli(["verify", bell2_file, ppath, "--format", "json"])
     assert verified.exit_code == 0
     assert report_of(verified)["verdict"] == "verified"
+
+
+def test_cmd_check_classify2x2_reports_borderline_states(tmp_path):
+    # a smallest singular value of 1e-9 sits within 10x of the rank cutoff
+    states = [L.make_state(2, 2, [[1, 0], [0, 1e-9]], name="near"),
+              L.make_state(2, 2, [[0, 1], [0, 0]], name="p")]
+    path = tmp_path / "near.json"
+    write_json(path, ensemble_to_dict(L.make_ensemble(states)))
+    result = run_cli(["check", path, "--mode", "classify2x2", "--format", "json"])
+    rep = report_of(result)
+    assert (result.exit_code, rep["verdict"]) == (0, "distinguishable")
+    jsonschema.validate(rep, REPORT_SCHEMA)
+    assert list(rep["diagnostics"])[:4] == ["schmidt_numbers", "schmidt_sum", "capacity",
+                                            "warnings"]
+    warnings = rep["diagnostics"]["warnings"]
+    assert len(warnings) == 1 and warnings[0].startswith("state 'near': smallest singular")
 
 
 def test_cmd_check_classify2x2_wrong_dims_exits_3(six4x4_pair):
@@ -396,6 +462,18 @@ def test_cmd_example_random_generators_deterministic(tmp_path):
     assert a.read_text() == b.read_text()
     ens, _ = ensemble_from_dict(read_json(a))
     assert ens.dims == (2, 3) and ens.m == 3
+
+
+def test_cmd_example_dims_not_n_by_m_exits_3(tmp_path):
+    out = tmp_path / "x.json"
+    result = run_cli(["example", "random-haar", "--dims", "abc", "--output", out,
+                      "--format", "json"])
+    assert result.exit_code == 3
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    rep = report_of(result)
+    assert rep["diagnostics"] == {"error": "--dims: expected NxM, e.g. 2x2",
+                                  "kind": "ParseError"}
+    assert not out.exists()
 
 
 def test_cmd_example_rejects_dims_out_of_range_before_generating(tmp_path, monkeypatch):

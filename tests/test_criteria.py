@@ -13,8 +13,10 @@ from loccdist import (
     NotOrthogonal,
     ProductSetNotDistinguishable,
     ReconstructionFailure,
+    ShapeMismatch,
     VectorsNotOrthogonal,
     WrongDimensions,
+    ZeroState,
     apply_local_unitary,
     certificate_check,
     classify_2x2,
@@ -137,8 +139,10 @@ def test_certificate_perturbed_vector_rejected(six4x4):
     vectors = list(cert.product_vectors)
     vectors[0] = (E4[0] + 1e-3 * E4[1], E4[0])
     mutated = Certificate(tuple(vectors), cert.assignment, cert.coefficients)
-    with pytest.raises(VectorsNotOrthogonal):
+    with pytest.raises(VectorsNotOrthogonal) as err:
         certificate_check(six4x4, mutated)
+    assert err.value.pair == (0, 1)
+    assert 7e-4 < err.value.overlap < 7.1e-4
 
 
 def test_certificate_shared_vector_rejected(six4x4):
@@ -166,6 +170,58 @@ def test_certificate_bad_coefficients_rejected(bell2):
     with pytest.raises(ReconstructionFailure):
         certificate_check(bell2, Certificate(cert.product_vectors, cert.assignment,
                                              coefficients))
+
+
+@pytest.mark.parametrize("assignment, coefficients", [
+    ({"A1": (), "A2": (2, 3)}, {"A1": (), "A2": (S2, S2)}),            # empty
+    ({"A1": (0, 4), "A2": (2, 3)}, {"A1": (S2, S2), "A2": (S2, S2)}),  # out of range
+    ({"A1": (0, -1), "A2": (2, 3)}, {"A1": (S2, S2), "A2": (S2, S2)}),  # out of range
+    ({"A1": (0, 1), "A2": (2, 3)}, {"A1": (S2,), "A2": (S2, S2)}),     # one too few
+    ({"A1": (0, 1), "A2": (2, 3)}, {"A2": (S2, S2)}),                  # none
+])
+def test_certificate_malformed_assignment_rejected(bell2, assignment, coefficients):
+    cert = bell2_certificate()
+    with pytest.raises(BadAssignment):
+        certificate_check(bell2, Certificate(cert.product_vectors, assignment, coefficients))
+
+
+@pytest.mark.parametrize("factor", [0, 1])
+def test_certificate_zero_factor_rejected(bell2, factor):
+    cert = bell2_certificate()
+    vectors = [list(pair) for pair in cert.product_vectors]
+    vectors[2][factor] = np.zeros(2)
+    with pytest.raises(ZeroState):
+        certificate_check(bell2, Certificate(tuple(map(tuple, vectors)), cert.assignment,
+                                             cert.coefficients))
+
+
+def test_certificate_factor_of_the_wrong_length_rejected(bell2):
+    cert = bell2_certificate()
+    vectors = list(cert.product_vectors)
+    vectors[1] = (np.array([S2, -S2, 0.0]), MINUS)
+    with pytest.raises(ShapeMismatch):
+        certificate_check(bell2, Certificate(tuple(vectors), cert.assignment,
+                                             cert.coefficients))
+
+
+def test_certificate_more_vectors_than_the_joint_dimension_rejected(bell2):
+    # five vectors in 2x2 cannot be pairwise orthogonal
+    cert = bell2_certificate()
+    vectors = cert.product_vectors + ((np.array([1.0, 0.0]), np.array([1.0, 0.0])),)
+    with pytest.raises(VectorsNotOrthogonal):
+        certificate_check(bell2, Certificate(vectors, cert.assignment, cert.coefficients))
+
+
+def test_certificate_builds_its_product_ensemble_once(six4x4, monkeypatch):
+    built = []
+    real = L.criteria.make_ensemble
+    monkeypatch.setattr(L.criteria, "make_ensemble",
+                        lambda states, tol: built.append(len(states)) or real(states, tol=tol))
+    report = certificate_check(six4x4, six4x4_certificate())
+    assert built == [8]
+    assert report.max_pairwise_overlap <= 1e-12
+    assert max(report.reconstruction_errors.values()) <= 1e-12
+    assert list(report.reconstruction_errors) == list(six4x4_certificate().assignment)
 
 
 def test_certificate_takes_its_one_tolerance_from_cfg():

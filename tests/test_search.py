@@ -340,7 +340,7 @@ def test_search_tries_bob_s_schmidt_completion_first_when_alice_s_cross_operator
     root = out.protocol.measurement
     assert root.party == BOB
     assert all(np.array_equal(q, c) for q, c in
-               zip(root.projectors, search_module._phased_columns(completion[np.newaxis])[0]))
+               zip(root.projectors, search_module._outcomes(completion[np.newaxis])[0][0]))
 
 
 def _orthogonal_product_pair(dim_a, dim_b, seed):
@@ -354,7 +354,7 @@ def _orthogonal_product_pair(dim_a, dim_b, seed):
 def test_a_root_closed_by_its_schmidt_closure_asks_for_no_candidate(seed, monkeypatch):
     # one party's cross operators vanish in each set, so the root is closed
     # in its batch of one, before any candidate is generated; the protocol is
-    # that party's phased Schmidt completion, one outcome per state or none
+    # that party's Schmidt completion, one outcome per state or none
     asked = []
     real = search_module._candidates
     monkeypatch.setattr(search_module, "_candidates",
@@ -375,7 +375,7 @@ def test_a_root_closed_by_its_schmidt_closure_asks_for_no_candidate(seed, monkey
         completion = search_module._schmidt_completion(e.amplitudes, party, L.DEFAULT_TOL)
         assert root.party == party
         assert [q.tobytes() for q in root.projectors] == [
-            q.tobytes() for q in search_module._phased_columns(completion[np.newaxis])[0]]
+            q.tobytes() for q in search_module._outcomes(completion[np.newaxis])[0][0]]
         assert verify_protocol(out.protocol, e).ok
 
 
@@ -445,7 +445,7 @@ def _close_siblings_as_each_child_would(states, alive, cfg=SearchConfig()):
         cross = search_module._cross(stack, ALICE, BOB)
         party, other = (BOB, ALICE) if np.abs(cross[ALICE]).max() <= 1e-12 else (ALICE, BOB)
         completion = search_module._schmidt_completion(stack, party, tol)
-        blocks = search_module._phased_columns(completion[np.newaxis])[0]
+        blocks = search_module._outcomes(completion[np.newaxis])[0][0]
         projs = np.array([q @ q.conj().T for q in blocks])
         admissible = search_module._admits(projs, cross[party], tol).all()
         reach = search_module._project(stack, party, projs, tol)[0]
@@ -631,9 +631,12 @@ def test_search_config_bounds_must_be_integers(field, bound):
 
 def test_search_config_accepts_numpy_integers(bell2):
     cfg = SearchConfig(max_depth=np.int64(3), beam_limit=np.int64(2))
+    assert type(cfg.max_depth) is int and type(cfg.beam_limit) is int
     assert len(candidate_bases(bell2, ALICE, cfg)) == 2
     out = search_protocol(bell2, cfg)
     assert (out.verdict, out.max_depth) == (YES, 3)
+    assert type(out.max_depth) is int
+    assert json.dumps([cfg.max_depth, cfg.beam_limit, out.max_depth]) == "[3, 2, 3]"
 
 
 @pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf])
@@ -817,6 +820,51 @@ def test_search_domino9_unknown(domino9):
     assert out.verdict == UNKNOWN
     assert out.protocol is None
     assert out.nodes_explored >= 1
+
+
+def test_an_admissible_candidate_whose_survivors_overlap_is_rejected(monkeypatch):
+    # Alice's computational basis moves each pair overlap by 1e-10 (within
+    # tol, of opposite signs), but its outcome 1 keeps both states with norm
+    # ~1e-2, so their renormalized survivors overlap by ~1e-6 > tol: the
+    # candidate is admissible, and the survivor check rejects it
+    eps, beta = 1e-2, 1e-8
+    e = make_ensemble([L.make_state(2, 2, [[1, 0], [eps, 0]], name="x"),
+                       L.make_state(2, 2, [[-eps * beta, 1], [beta, eps]], name="y")])
+    peaks = []
+    real = search_module.overlaps
+
+    def overlaps(flat):
+        out = real(flat)
+        peaks.append(float(out.max()))
+        return out
+
+    monkeypatch.setattr(search_module, "overlaps", overlaps)
+    out = search_protocol(e)
+    assert (out.verdict, out.nodes_explored) == (YES, 1)
+    assert peaks[0] > 1e-7
+    assert out.protocol.measurement.party == BOB
+    assert verify_protocol(out.protocol, e).ok
+
+
+def test_a_candidate_that_makes_no_progress_is_rejected(monkeypatch):
+    # Bob's factors overlap by 1e-10: inside tol, so every candidate of
+    # Alice's is admissible, but above the 1e-12 at which her cross operators
+    # count as vanishing, so no Schmidt closure is offered.  Both of Alice's
+    # candidates are her computational basis (her cross operators are below
+    # tol, so the qubit-plane solver returns it too); each keeps both product
+    # states in both outcomes, and no Schmidt rank can shrink
+    e = make_ensemble([product_state(2, 2, PLUS, [1, 0], name="x"),
+                       product_state(2, 2, PLUS, [1e-10, 1], name="y")])
+    batches = []
+    real = search_module._children
+    monkeypatch.setattr(search_module, "_children",
+                        lambda states, alive, sizes: batches.append(alive.copy())
+                        or real(states, alive, sizes))
+    out = search_protocol(e)
+    assert (out.verdict, out.nodes_explored) == (YES, 1)
+    assert len(batches) == 2 and all(alive.all() for alive in batches)
+    assert out.protocol.measurement.party == BOB
+    assert verify_protocol(out.protocol, e).ok
 
 
 def test_search_single_state_trivial():

@@ -9,9 +9,10 @@ A change that moves a verdict or a node count on purpose regenerates the file:
         > tests/data/search_verdicts.txt
 
 ``tests/data/search_shapes.txt`` holds one ``name shape`` line per instance:
-the shape of its protocol (``protocol_shape``), ``-`` when there is none.
-Unlike a hash, the shape does not depend on the BLAS build, and it changes
-when the search returns another tree with the same verdict and node count.
+the shape of its protocol (the script's ``protocol_shape``), ``-`` when
+there is none.  Unlike a hash, the shape does not depend on the BLAS build,
+and it changes when the search returns another tree with the same verdict
+and node count.
 A change that moves a shape on purpose regenerates the file:
 
     PYTHONPATH=src python3 tests/test_search_verdicts.py > tests/data/search_shapes.txt
@@ -21,12 +22,13 @@ import importlib.util
 from functools import cache
 from pathlib import Path
 
-from loccdist import Leaf, search_protocol
+from loccdist import search_protocol
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = Path(__file__).parent / "data"
 
 
+@cache
 def _fingerprint_module():
     spec = importlib.util.spec_from_file_location(
         "search_fingerprint", ROOT / "scripts" / "search_fingerprint.py")
@@ -40,20 +42,9 @@ def _outcomes():
     return tuple((name, search_protocol(e)) for name, e in _fingerprint_module().instances())
 
 
-def protocol_shape(tree) -> str:
-    """Parties, outcome ranks and leaf labels of a protocol tree, depth
-    first.  A node is its party and its outcomes in brackets, each outcome
-    its rank, a colon and its child; a leaf is the label it identifies, or
-    ``-`` when it fails."""
-    if isinstance(tree, Leaf):
-        return "-" if tree.is_fail else tree.identify
-    outcomes = " ".join(f"{q.shape[1]}:{protocol_shape(child)}"
-                        for q, child in zip(tree.measurement.projectors, tree.children))
-    return f"{tree.measurement.party}[{outcomes}]"
-
-
 def _shape_lines():
-    return [f"{name} {'-' if out.protocol is None else protocol_shape(out.protocol)}"
+    shape = _fingerprint_module().protocol_shape
+    return [f"{name} {'-' if out.protocol is None else shape(out.protocol)}"
             for name, out in _outcomes()]
 
 
