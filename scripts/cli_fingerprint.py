@@ -24,7 +24,12 @@ The calls cover:
 - last, an ensemble file that declares dims ``[1, 2**60]``, ``verify
   --tolerance 1e-6`` of the ``bell2-x`` protocol with one column entry moved
   by 1e-7, ``verify`` of a protocol whose one projector column is empty,
-  and ``check`` of an ensemble with a state of norm 1e-13.
+  ``check`` of an ensemble with a state of norm 1e-13, and ``search
+  --tolerance 1e-6`` of ``|+>|b0>``, ``|+>(1e-7|b0> + |b1>)`` for Bob's
+  computational basis and for that basis turned by 0.3 rad.  Alice's cross
+  operator (~5e-8) is within that tolerance, so Bob's Schmidt closure ends
+  the root; in the turned basis its protocol differs from what a search of
+  the candidates finds.
 
 Usage: PYTHONPATH=src python3 scripts/cli_fingerprint.py > cli_fingerprint.txt
 """
@@ -87,6 +92,12 @@ def write_inputs(root: Path) -> None:
     write_json(root / "tiny.json", {"dims": [2, 2], "states": [
         {"name": "tiny", "amplitudes": [[[1e-13, 0], [0, 0]], [[0, 0], [0, 0]]]},
         {"name": "one", "amplitudes": [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]}]})
+    plus = np.full(2, 2 ** -0.5)
+    for name, turn in (("close-pair", 0.0), ("close-pair-turned", 0.3)):
+        b0, b1 = np.array([[np.cos(turn), np.sin(turn)], [-np.sin(turn), np.cos(turn)]])
+        write_json(root / f"{name}.json", ensemble_to_dict(L.make_ensemble(
+            [L.product_state(2, 2, plus, b0, name="x"),
+             L.product_state(2, 2, plus, 1e-7 * b0 + b1, name="y")], tol=1e-6)))
 
 
 def calls(root: Path):
@@ -132,6 +143,9 @@ def calls(root: Path):
            "--tolerance", "1e-6"]
     yield ["verify", str(root / "bell2.json"), str(root / "empty-column.protocol.json")]
     yield ["check", str(root / "tiny.json")]
+    for name in ("close-pair", "close-pair-turned"):
+        yield ["search", str(root / f"{name}.json"), "--tolerance", "1e-6",
+               "--output", str(root / f"{name}.found.json")]
 
 
 def digests(root: Path) -> dict:

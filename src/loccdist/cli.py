@@ -337,7 +337,7 @@ def _decide(config, mode):
     ens = load_ensemble(config["ensemble"], tol=tol)
     if mode == "necessary":
         rep = schmidt_sum_check(ens)
-        out = SearchOutcome(PROVED_NO if rep.violates else UNKNOWN, None, rep)
+        out = SearchOutcome(PROVED_NO if rep.violates else UNKNOWN, None, rep, reason=rep.reason)
     elif mode == "classify2x2":
         out = classify_2x2(ens, tol=tol)
     else:

@@ -23,6 +23,7 @@ from .errors import (
     NotOrthogonal,
     ProductSetNotDistinguishable,
     ReconstructionFailure,
+    ShapeMismatch,
     TooManyStates,
     VectorsNotOrthogonal,
     WrongDimensions,
@@ -104,17 +105,17 @@ def certificate_check(e: Ensemble, cert: Certificate,
                       cfg: SearchConfig | None = None) -> CertificateReport:
     """Validate a certificate; success proves the ensemble distinguishable.
 
-    Checks, in order: the assignment structure (``BadAssignment``), a
-    factor of norm below ``1e-12`` (``ZeroState``) or of the wrong length
-    (``ShapeMismatch``), pairwise joint orthogonality of the product vectors
-    (``VectorsNotOrthogonal``, also when there are more vectors than the
-    joint dimension), reconstruction of every state from its assigned
-    vectors (``ReconstructionFailure``), and local distinguishability of the
-    vector set, searched with ``cfg`` (``ProductSetNotDistinguishable``);
-    every step uses ``cfg.tolerance``.  The vectors are normalized and
-    checked once, as the ensemble of ``product_set_distinguishable``, which
-    also rebuilds the states and is searched.  On success the product-set
-    protocol is relabeled into an ensemble protocol and re-verified.
+    Checks, in order: the assignment structure (``BadAssignment``); per
+    vector, a factor of the wrong length (``ShapeMismatch``) or of norm below
+    ``1e-12`` (``ZeroState``), each naming the vector; pairwise joint
+    orthogonality of the product vectors (``VectorsNotOrthogonal``, also with
+    more vectors than the joint dimension); reconstruction of every state
+    from its assigned vectors (``ReconstructionFailure``); and local
+    distinguishability of the vector set, searched with ``cfg``
+    (``ProductSetNotDistinguishable``); every step uses ``cfg.tolerance``.
+    The vectors are normalized and checked once, as one ensemble
+    (``_product_ensemble``) that also rebuilds the states and is searched.
+    On success the product-set protocol is relabeled and re-verified.
     """
     cfg = cfg or SearchConfig()
     tol = cfg.tolerance
@@ -145,7 +146,10 @@ def certificate_check(e: Ensemble, cert: Certificate,
         coefficients[row, list(indices)] = coeffs
 
     for k, pair in enumerate(cert.product_vectors):
-        if min(np.linalg.norm(np.asarray(v, dtype=np.complex128)) for v in pair) < 1e-12:
+        factors = [np.asarray(v, dtype=np.complex128).reshape(-1) for v in pair]
+        if tuple(f.size for f in factors) != e.dims:
+            raise ShapeMismatch(f"product vector {k} needs factors of lengths {e.dims}")
+        if min(np.linalg.norm(f) for f in factors) < 1e-12:
             raise ZeroState(f"product vector {k} has a zero factor")
     try:
         products = _product_ensemble(cert.product_vectors, e.dims, tol)

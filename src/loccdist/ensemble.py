@@ -128,7 +128,8 @@ class SchmidtSumReport:
 
     ``violates`` (the total exceeds the capacity) proves the ensemble cannot
     be reliably distinguished by local measurements and classical
-    communication; the converse does not hold.
+    communication; the converse does not hold.  ``reason`` states that
+    proof, and is None when there is none.
     """
 
     schmidt_numbers: tuple[int, ...]
@@ -138,6 +139,11 @@ class SchmidtSumReport:
     @property
     def violates(self) -> bool:
         return self.total > self.capacity
+
+    @property
+    def reason(self) -> str | None:
+        return (f"Schmidt ranks sum to {self.total} > capacity {self.capacity}"
+                if self.violates else None)
 
 
 def schmidt_sum_check(e: Ensemble) -> SchmidtSumReport:

@@ -1,17 +1,19 @@
 """Bounded synthesis of projective discrimination protocols.
 
 Depth-first search in which, at every node, Alice and then Bob try the
-candidate measurements of one fixed generator (``candidate_bases``).  Every
-node is first offered the one-round Schmidt closure: when one party's cross
-operators all vanish, the other party's local supports are pairwise
-orthogonal, and the completion of its Schmidt vectors identifies every state
-in one round (Bob's is offered when Alice's vanish, else Alice's when
-Bob's do).  A candidate is admitted only if every outcome keeps the
-surviving states pairwise orthogonal (the per-outcome diagonal of every
-cross operator must vanish), which is necessary for reliable discrimination
-to remain possible.
-The search is sound -- every returned protocol is re-verified -- but
-incomplete: an exhausted search yields Unknown.
+candidate measurements of one fixed generator (``candidate_bases``).  A
+number counts as zero when its magnitude is within the tolerance ``tol``
+(``SearchConfig.tolerance``); a rank counts the singular values, or
+eigenvalue magnitudes, above ``RANK_CUTOFF`` times the largest.  Every node
+is first offered the one-round Schmidt closure: when one party's cross
+operators are all within ``tol``, the other party's local supports are
+pairwise orthogonal, and the completion of its Schmidt vectors identifies
+every state in one round (Bob's is offered when Alice's are, else Alice's
+when Bob's are).  A candidate is admitted only if every outcome keeps the
+surviving states pairwise orthogonal (every cross operator's per-outcome
+diagonal within ``tol``), as reliable discrimination requires.  The search
+is sound -- every returned protocol is re-verified -- but incomplete: an
+exhausted search yields Unknown.
 
 Every node works array-at-a-time.  It holds its states as one
 ``(m, dim_a, dim_b)`` amplitude stack with their labels and Schmidt ranks,
@@ -70,6 +72,7 @@ from .protocol import (
 )
 from .states import (
     DEFAULT_TOL,
+    RANK_CUTOFF,
     BipartiteState,
     _check_tolerance,
     frobenius_norms,
@@ -81,7 +84,6 @@ YES = "yes"
 PROVED_NO = "proved-no"
 UNKNOWN = "unknown"
 
-_DUST = 1e-12
 _PRODUCT_ENTRIES = 1 << 14
 #: coefficients of a flattened 2x2 matrix on (sigma_x, sigma_y, sigma_z)
 _PAULI = np.array([[0, 0, 0.5], [0.5, 0.5j, 0], [0.5, -0.5j, 0], [0, 0, -0.5]])
@@ -224,8 +226,7 @@ def _qubit_plane_bases(side_mats, tol) -> list[np.ndarray]:
     if not len(a):
         return [np.eye(2, dtype=np.complex128)]
     _, sig, vt = np.linalg.svd(a)
-    rank = int(np.count_nonzero(sig > 1e-8))
-    return [_bloch_basis(vt[k]) for k in range(rank, 3)]
+    return [_bloch_basis(vt[k]) for k in range(int(rank_counts(sig)), 3)]
 
 
 def _rotate(lo, hi, v_lo: np.ndarray, v_hi: np.ndarray):
@@ -238,42 +239,41 @@ def _rotate(lo, hi, v_lo: np.ndarray, v_hi: np.ndarray):
     return c * v_hi + s * v_lo, -s * v_hi + c * v_lo
 
 
-def _hermitian_parts(sides: np.ndarray) -> np.ndarray:
+def _hermitian_parts(sides: np.ndarray, tol: float) -> np.ndarray:
     """The Hermitian part ``(M + M^+) / 2`` and the anti-Hermitian part, as
     the Hermitian ``(M - M^+) / 2i``, of every cross operator of a ``(pairs,
-    d, d)`` stack, in pair order, without those whose entries all vanish."""
+    d, d)`` stack, in pair order, less those with every entry within ``tol``."""
     d = sides.shape[-1]
-    live = sides[np.abs(sides).max(axis=(1, 2)) > _DUST]
+    # skip the operators within tol, whose parts are too: most, on product sets
+    live = sides[np.abs(sides).max(axis=(1, 2)) > tol]
     adj = live.conj().transpose(0, 2, 1)
     parts = np.stack([(live + adj) / 2, (live - adj) / 2j], axis=1).reshape(-1, d, d)
-    return parts[np.abs(parts).max(axis=(1, 2)) > _DUST]
+    return parts[np.abs(parts).max(axis=(1, 2)) > tol]
 
 
 def _zero_diagonal_tier(sides: np.ndarray, tol: float) -> list[np.ndarray]:
     """The zero-diagonal tier of a party of dimension 3 or more, from its
     ``(pairs, d, d)`` cross operators: one ``_zero_diagonal_basis`` per
-    ``_hermitian_parts`` matrix whose largest eigenvalue magnitude exceeds
-    ``tol``, in part order.
+    ``_hermitian_parts`` matrix, in part order (each has an eigenvalue above
+    ``tol`` in magnitude, as ``|H_ij| <= ||H||_2``).
 
     A basis holding an inadmissible vector is itself inadmissible.  A part
-    whose least eigenvalue is below ``-cut`` and greatest above ``cut``
-    starts with a rotation of eigenvectors 0 and ``d - 1`` (``eigh`` sorts
-    its values in ascending order), and its basis holds the vector retired
-    there, bit for bit.  One ``_rotate`` call gives every such vector and
-    one ``_admits`` call tests them all, each by its projector ``v v^+``;
-    only the parts whose vector keeps every ``tr(P M)`` within ``tol``, or
-    that start with no rotation, are built.
+    whose eigenvalues reach below ``-cut`` and above ``cut`` (``RANK_CUTOFF``
+    times its largest magnitude) starts with a rotation of eigenvectors 0
+    and ``d - 1`` (``eigh`` sorts its values in ascending order), and its
+    basis holds the vector retired there, bit for bit.  One ``_rotate`` call
+    gives every such vector and one ``_admits`` call tests them all, each by
+    its projector ``v v^+``; only the parts whose vector keeps every
+    ``tr(P M)`` within ``tol``, or that start with no rotation, are built.
     """
-    evals, evecs = np.linalg.eigh(_hermitian_parts(sides))
-    scale = np.abs(evals).max(axis=1)
-    lo, hi, cut = evals[:, 0], evals[:, -1], 1e-10 * scale
+    evals, evecs = np.linalg.eigh(_hermitian_parts(sides, tol))
+    lo, hi, cut = evals[:, 0], evals[:, -1], RANK_CUTOFF * np.abs(evals).max(axis=1)
     rot = (lo < -cut) & (hi > cut)
     # a part with no rotation gets a stand-in one, whose vector is not used
     first = _rotate(np.where(rot, lo, -1.0), np.where(rot, hi, 1.0),
                     evecs[:, :, 0], evecs[:, :, -1])[0]
     admitted = _admits(first[:, :, np.newaxis] * first[:, np.newaxis].conj(), sides, tol)
-    build = (scale > tol) & (~rot | admitted)
-    return [_zero_diagonal_basis(evals[k], evecs[k]) for k in np.flatnonzero(build)]
+    return [_zero_diagonal_basis(evals[k], evecs[k]) for k in np.flatnonzero(~rot | admitted)]
 
 
 def _zero_diagonal_basis(evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:
@@ -281,9 +281,9 @@ def _zero_diagonal_basis(evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:
     its eigendecomposition ``(evals, evecs)`` from ``eigh``, its columns in
     the order they retire.
 
-    Eigenvectors of zero eigenvalue (at most ``1e-10`` times the largest
-    magnitude) retire first, as they are.  Then, repeatedly, the most
-    negative and the most positive active values (a stable sort of the
+    Eigenvectors of zero eigenvalue (at most ``RANK_CUTOFF`` times the
+    largest magnitude) retire first, as they are.  Then, repeatedly, the
+    most negative and the most positive active values (a stable sort of the
     active list, a rotation's residual appended at its end) are rotated by
     the angle that zeroes the diagonal of one vector, which retires, while
     the other stays active with the sum of the two values.  Cross terms
@@ -291,7 +291,7 @@ def _zero_diagonal_basis(evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:
     one vector.  When one active vector is left, or all active values share
     a sign up to the cutoff, the active vectors retire in value order.
     """
-    cut = 1e-10 * np.abs(evals).max()
+    cut = RANK_CUTOFF * np.abs(evals).max()
     active = [(w, evecs[:, k]) for k, w in enumerate(evals)]
     done = [v for w, v in active if abs(w) <= cut]
     active = [a for a in active if abs(a[0]) > cut]
@@ -369,10 +369,10 @@ def _children(states: np.ndarray, alive: np.ndarray, sizes: np.ndarray):
 def _schmidt_closures(kids: np.ndarray, packed: np.ndarray, factors, count: np.ndarray,
                       tol: float):
     """Close every node of a batch at once where the one-round Schmidt
-    closure ends it: Bob's when the node's Alice cross operators all vanish,
-    else Alice's when its Bob cross operators do.  The other party's local
-    supports, and its Schmidt vectors of different states, are then
-    pairwise orthogonal, so their completion identifies every state.
+    closure ends it: Bob's when the node's Alice cross operators are all
+    within ``tol``, else Alice's when its Bob cross operators are.  The other
+    party's local supports, and its Schmidt vectors of different states, are
+    then pairwise orthogonal, so their completion identifies every state.
 
     Takes a zero-padded ``(nodes, s, dim_a, dim_b)`` stack, each node's
     states first and in order, as ``_children`` packs a candidate's children
@@ -390,7 +390,7 @@ def _schmidt_closures(kids: np.ndarray, packed: np.ndarray, factors, count: np.n
     ``_cross`` builds them.
     """
     cross = _cross(packed, ALICE, BOB)
-    quiet = {party: np.abs(ops).max(axis=(1, 2, 3)) <= _DUST for party, ops in cross.items()}
+    quiet = {party: np.abs(ops).max(axis=(1, 2, 3)) <= tol for party, ops in cross.items()}
     closures = {}
     for party, offered in ((BOB, quiet[ALICE]), (ALICE, ~quiet[ALICE] & quiet[BOB])):
         at = offered.nonzero()[0]
@@ -462,10 +462,8 @@ def _candidates(stack: np.ndarray, party: str, sides: np.ndarray, cfg: SearchCon
                 np.concatenate((projs, groups[:, np.newaxis, :] * eye)))
 
     def zero_diagonal():
-        if d == 2:
-            return columns(np.array(_qubit_plane_bases(sides, tol)).reshape(-1, 2, 2))
-        bases = _zero_diagonal_tier(sides, tol)
-        return columns(np.array(bases)) if bases else ([], None)
+        bases = (_qubit_plane_bases if d == 2 else _zero_diagonal_tier)(sides, tol)
+        return columns(np.array(bases).reshape(-1, d, d)) if bases else ([], None)
 
     def tiers():
         for tier in (standard, zero_diagonal):
@@ -578,11 +576,13 @@ class SearchOutcome:
     """Result of every decision: search, ``classify_2x2``, product sets.
 
     ``verdict`` is "yes" (verified protocol attached), "proved-no" (``reason``
-    names the proof), or "unknown" (candidates exhausted at ``max_depth``;
-    depth and ``nodes_explored`` stay 0 when no search ran).  A
-    ``classify_2x2`` "yes" may carry ``protocol=None``: the rule decides, and
-    the protocol is the search's, None when the search finds none.
-    ``warnings`` lists numerically borderline states.
+    names the proof), or "unknown" (no candidate of the root, searched to at
+    most ``max_depth`` rounds, led to a protocol; ``nodes_explored`` is 1
+    when the root rejected them all; depth and ``nodes_explored`` stay 0
+    when no search ran).  A ``classify_2x2`` "yes" may carry
+    ``protocol=None``: the rule decides, and the protocol is the search's,
+    None when the search finds none.  ``warnings`` lists numerically
+    borderline states.
     """
 
     verdict: str
@@ -592,12 +592,6 @@ class SearchOutcome:
     nodes_explored: int = 0
     reason: str | None = None
     warnings: tuple[str, ...] = ()
-
-
-def _single_state_tree(e: Ensemble) -> ProtocolTree:
-    eye = np.eye(e.dim_a, dtype=np.complex128)
-    meas = ProjectiveMeasurement(ALICE, (eye,))
-    return Node(meas, (Leaf(e.states[0].name),))
 
 
 def search_protocol(e: Ensemble, cfg: SearchConfig | None = None) -> SearchOutcome:
@@ -616,14 +610,10 @@ def search_protocol(e: Ensemble, cfg: SearchConfig | None = None) -> SearchOutco
     tol = cfg.tolerance
     report = schmidt_sum_check(e)
     if report.violates:
-        return SearchOutcome(PROVED_NO, None, report, reason=(
-            f"Schmidt ranks sum to {report.total} > capacity {report.capacity}"))
+        return SearchOutcome(PROVED_NO, None, report, reason=report.reason)
 
     depth_limit = min(cfg.max_depth, 2 * (e.dim_a + e.dim_b))
     stats = {"nodes": 0}
-
-    def leaf(labels, idx):
-        return Leaf(labels[idx[0]] if len(idx) else None)
 
     def closed(closure, labels) -> Node:
         # a node that its Schmidt closure ends in one round
@@ -665,7 +655,7 @@ def search_protocol(e: Ensemble, cfg: SearchConfig | None = None) -> SearchOutco
                 for k, row in enumerate(alive):
                     idx = np.flatnonzero(row)
                     if len(idx) < 2:
-                        children.append(leaf(labels, idx))
+                        children.append(Leaf(labels[idx[0]] if len(idx) else None))
                         continue
                     if k in closures:  # the child node closes in one round
                         subtree = closed(closures[k], labels[idx])
@@ -679,8 +669,8 @@ def search_protocol(e: Ensemble, cfg: SearchConfig | None = None) -> SearchOutco
                     return Node(ProjectiveMeasurement(party, blocks), tuple(children))
         return None
 
-    if e.m == 1:
-        tree = _single_state_tree(e)
+    if e.m == 1:  # Alice's trivial measurement identifies the one state
+        tree = Node(ProjectiveMeasurement(ALICE, (_identity(e.dim_a),)), (Leaf(e.labels[0]),))
     else:  # the root is closed as a batch of one, or searched
         labels = np.array(e.labels, dtype=object)
         closures, cross = _schmidt_closures(np.zeros(1, dtype=int), e.amplitudes[np.newaxis],

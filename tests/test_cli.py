@@ -220,6 +220,19 @@ def test_cmd_check_necessary_bell3(bell3_file):
     assert rep["diagnostics"]["capacity"] == 4
 
 
+@pytest.mark.parametrize("mode", ["necessary", "full"])
+def test_cmd_check_gives_the_schmidt_sum_reason_in_every_mode(tmp_path, mode):
+    path = tmp_path / "bell4.json"
+    write_json(path, ensemble_to_dict(L.canned_example("bell4")))
+    reason = "Schmidt ranks sum to 8 > capacity 4"
+    result = run_cli(["check", path, "--mode", mode, "--format", "json"])
+    assert result.exit_code == 1
+    assert report_of(result)["diagnostics"]["reason"] == reason
+    result = run_cli(["check", path, "--mode", mode, "--format", "text"])
+    assert result.exit_code == 1
+    assert f"reason: {reason}" in result.output.splitlines()
+
+
 def test_cmd_check_full_six4x4(six4x4_pair):
     epath, _ = six4x4_pair
     result = run_cli(["check", epath, "--mode", "full", "--format", "json"])

@@ -199,7 +199,7 @@ def test_certificate_factor_of_the_wrong_length_rejected(bell2):
     cert = bell2_certificate()
     vectors = list(cert.product_vectors)
     vectors[1] = (np.array([S2, -S2, 0.0]), MINUS)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ShapeMismatch, match="product vector 1"):
         certificate_check(bell2, Certificate(tuple(vectors), cert.assignment,
                                              cert.coefficients))
 

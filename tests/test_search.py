@@ -443,7 +443,7 @@ def _close_siblings_as_each_child_would(states, alive, cfg=SearchConfig()):
         stack = states[k, idx]
         assert np.array_equal(ranks[k, idx], L.states.schmidt_ranks(stack))
         cross = search_module._cross(stack, ALICE, BOB)
-        party, other = (BOB, ALICE) if np.abs(cross[ALICE]).max() <= 1e-12 else (ALICE, BOB)
+        party, other = (BOB, ALICE) if np.abs(cross[ALICE]).max() <= tol else (ALICE, BOB)
         completion = search_module._schmidt_completion(stack, party, tol)
         blocks = search_module._outcomes(completion[np.newaxis])[0][0]
         projs = np.array([q @ q.conj().T for q in blocks])
@@ -451,8 +451,8 @@ def _close_siblings_as_each_child_would(states, alive, cfg=SearchConfig()):
         reach = search_module._project(stack, party, projs, tol)[0]
         kept = reach.sum(axis=1)
         # the closure is offered when the other party's cross operators
-        # vanish; it closes without a child node of its own
-        closes = bool(np.abs(cross[other]).max() <= 1e-12 and admissible
+        # are within tol of zero; it closes without a child node of its own
+        closes = bool(np.abs(cross[other]).max() <= tol and admissible
                       and kept.max() <= 1 and np.count_nonzero(kept) >= 2)
         assert (k in closures) == closes, k
         if closes:
@@ -680,7 +680,7 @@ def _reference_qubit_plane_bases(side_mats, tol):
     if not rows:
         return [np.eye(2, dtype=complex)]
     _, sig, vt = np.linalg.svd(np.array(rows))
-    rank = int(np.count_nonzero(sig > 1e-8))
+    rank = int(np.count_nonzero(sig > L.RANK_CUTOFF * sig[0]))
     return [search_module._bloch_basis(vt[k]) for k in range(rank, 3)]
 
 
@@ -846,25 +846,57 @@ def test_an_admissible_candidate_whose_survivors_overlap_is_rejected(monkeypatch
     assert verify_protocol(out.protocol, e).ok
 
 
-def test_a_candidate_that_makes_no_progress_is_rejected(monkeypatch):
-    # Bob's factors overlap by 1e-10: inside tol, so every candidate of
-    # Alice's is admissible, but above the 1e-12 at which her cross operators
-    # count as vanishing, so no Schmidt closure is offered.  Both of Alice's
-    # candidates are her computational basis (her cross operators are below
-    # tol, so the qubit-plane solver returns it too); each keeps both product
-    # states in both outcomes, and no Schmidt rank can shrink
-    e = make_ensemble([product_state(2, 2, PLUS, [1, 0], name="x"),
-                       product_state(2, 2, PLUS, [1e-10, 1], name="y")])
+def _overlapping_bob_factors(overlap, tol=L.DEFAULT_TOL):
+    # |+>|0> and |+>(overlap|0> + |1>): Alice's cross operator is ~overlap / 2
+    return make_ensemble([product_state(2, 2, PLUS, [1, 0], name="x"),
+                          product_state(2, 2, PLUS, [overlap, 1], name="y")], tol=tol)
+
+
+def _record_children(monkeypatch):
     batches = []
     real = search_module._children
     monkeypatch.setattr(search_module, "_children",
                         lambda states, alive, sizes: batches.append(alive.copy())
                         or real(states, alive, sizes))
+    return batches
+
+
+def test_a_candidate_that_makes_no_progress_is_rejected(monkeypatch):
+    # Bob's factors overlap by 1e-10, inside tol, so every candidate of
+    # Alice's is admissible.  The root's Schmidt closure is declined here, so
+    # that Alice's candidates are tried: both are her computational basis
+    # (her cross operators are within tol, so the qubit-plane solver returns
+    # it too); each keeps both product states in both outcomes, and no
+    # Schmidt rank can shrink
+    e = _overlapping_bob_factors(1e-10)
+    real = search_module._schmidt_closures
+
+    def decline_the_root(kids, packed, factors, count, tol):
+        if factors is None:  # the root, a batch of one: no closure, its own cross operators
+            cross = search_module._cross(packed, ALICE, BOB)
+            return {}, {0: {p: ops[0] for p, ops in cross.items()}}
+        return real(kids, packed, factors, count, tol)
+
+    monkeypatch.setattr(search_module, "_schmidt_closures", decline_the_root)
+    batches = _record_children(monkeypatch)
     out = search_protocol(e)
     assert (out.verdict, out.nodes_explored) == (YES, 1)
     assert len(batches) == 2 and all(alive.all() for alive in batches)
     assert out.protocol.measurement.party == BOB
     assert verify_protocol(out.protocol, e).ok
+
+
+@pytest.mark.parametrize("overlap, tol", [(1e-10, L.DEFAULT_TOL), (1e-7, 1e-6)])
+def test_cross_operators_within_tol_offer_the_root_its_schmidt_closure(overlap, tol, monkeypatch):
+    # Alice's cross operators are within tol of zero, so the root is offered
+    # Bob's Schmidt closure and closes in one round, before any candidate
+    batches = _record_children(monkeypatch)
+    e = _overlapping_bob_factors(overlap, tol)
+    out = search_protocol(e, SearchConfig(tolerance=tol))
+    assert (out.verdict, out.nodes_explored) == (YES, 1)
+    assert batches == []
+    assert out.protocol.measurement.party == BOB
+    assert verify_protocol(out.protocol, e, tol=tol).ok
 
 
 def test_search_single_state_trivial():
@@ -1022,7 +1054,7 @@ def _first_rotated(basis, evals):
     """The column of a ``_zero_diagonal_basis`` that its first rotation
     retires, right after the eigenvectors of zero eigenvalue, as a one-column
     basis; None when it starts with no rotation."""
-    cut = 1e-10 * np.abs(evals).max()
+    cut = L.RANK_CUTOFF * np.abs(evals).max()
     if not (evals[0] < -cut and evals[-1] > cut):
         return None
     k = np.count_nonzero(np.abs(evals) <= cut)
@@ -1070,7 +1102,8 @@ def _part_test_stacks(rng, d):
     for kind, make in kinds.items():
         for n in (1, 2, 3):
             yield kind, np.array([make() for _ in range(n)], dtype=np.complex128)
-    positive = _traceless_hermitian(rng, d, [2e-9] + [0.0] * (d - 1), 1.0)
+    # its d diagonal entries sum to 2e-9 * d, so one is at least 2e-9, above tol
+    positive = _traceless_hermitian(rng, d, [2e-9 * d] + [0.0] * (d - 1), 1.0)
     yield "no-rotation", np.array([kinds["complex"](), positive])
     tiny = _traceless_hermitian(rng, d, [1.0, -1.0] + [0.0] * (d - 2), 5e-10)
     yield "below-tol", np.array([tiny])
@@ -1080,7 +1113,7 @@ def _full_tier(sides, tol):
     """Every part's basis, with no part dropped: ``(evals, evecs, basis)``
     per Hermitian or anti-Hermitian part of largest eigenvalue magnitude
     above ``tol``."""
-    evals, evecs = np.linalg.eigh(search_module._hermitian_parts(sides))
+    evals, evecs = np.linalg.eigh(search_module._hermitian_parts(sides, tol))
     return [(w, v, search_module._zero_diagonal_basis(w, v))
             for w, v in zip(evals, evecs) if np.abs(w).max() > tol]
 
@@ -1115,8 +1148,9 @@ def test_zero_diagonal_tier_drops_only_bases_holding_an_inadmissible_vector():
                 assert _first_rotated(full[-1][2], full[-1][0]) is None
                 assert np.array_equal(tier[-1], full[-1][2])
                 seen[kind] += 1
-            if kind == "below-tol":  # a part of eigenvalues at most tol gives no basis
-                assert len(search_module._hermitian_parts(sides)) > len(full)
+            if kind == "below-tol":  # a part with every entry within tol gives no basis
+                assert len(search_module._hermitian_parts(sides, 1e-12)) == 1
+                assert len(search_module._hermitian_parts(sides, tol)) == 0 and tier == []
                 seen[kind] += 1
             seen["dropped"] += bool(dropped)
             seen["mixed"] += bool(dropped) and len(tier) > 0
