@@ -14,10 +14,11 @@ search's protocol.  The decisions return the search's own
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
-from .ensemble import Ensemble, SchmidtSumReport, make_ensemble, schmidt_sum_check
+from .ensemble import Ensemble, make_ensemble, schmidt_sum_check
 from .errors import (
     BadAssignment,
     NotOrthogonal,
@@ -105,12 +106,15 @@ def certificate_check(e: Ensemble, cert: Certificate,
                       cfg: SearchConfig | None = None) -> CertificateReport:
     """Validate a certificate; success proves the ensemble distinguishable.
 
-    Checks, in order: the assignment structure (``BadAssignment``); per
+    Checks, in order: the assignment structure (``BadAssignment``: every
+    label maps to a nonempty sequence of distinct integer indices in range,
+    with as many coefficients, each a number); per
     vector, a factor of the wrong length (``ShapeMismatch``) or of norm below
     ``1e-12`` (``ZeroState``), each naming the vector; pairwise joint
     orthogonality of the product vectors (``VectorsNotOrthogonal``, also with
     more vectors than the joint dimension); reconstruction of every state
-    from its assigned vectors (``ReconstructionFailure``); and local
+    from its assigned vectors (``ReconstructionFailure``, also when the
+    error is NaN or infinite); and local
     distinguishability of the vector set, searched with ``cfg``
     (``ProductSetNotDistinguishable``); every step uses ``cfg.tolerance``.
     The vectors are normalized and checked once, as one ensemble
@@ -129,9 +133,15 @@ def certificate_check(e: Ensemble, cert: Certificate,
     seen: dict[int, str] = {}
     coefficients = np.zeros((len(cert.assignment), n), dtype=np.complex128)
     for row, (label, indices) in enumerate(cert.assignment.items()):
+        try:
+            indices = tuple(indices)
+        except TypeError:
+            indices = ()
         if not indices:
-            raise BadAssignment(f"state {label!r} has an empty assignment")
+            raise BadAssignment(f"state {label!r} needs a nonempty sequence of vector indices")
         for idx in indices:
+            if isinstance(idx, bool) or not isinstance(idx, Integral):
+                raise BadAssignment(f"state {label!r} references {idx!r}, not a vector index")
             if not 0 <= idx < n:
                 raise BadAssignment(f"state {label!r} references vector {idx} "
                                     f"out of range 0..{n - 1}")
@@ -139,8 +149,11 @@ def certificate_check(e: Ensemble, cert: Certificate,
                 raise BadAssignment(f"vector {idx} assigned to both {seen[idx]!r} "
                                     f"and {label!r}")
             seen[idx] = label
-        coeffs = cert.coefficients.get(label)
-        if coeffs is None or len(coeffs) != len(indices):
+        try:  # a missing entry is None, which gives a 0-d array
+            coeffs = np.asarray(cert.coefficients.get(label), dtype=np.complex128)
+        except (TypeError, ValueError):
+            coeffs = None
+        if coeffs is None or coeffs.shape != (len(indices),):
             raise BadAssignment(f"state {label!r} needs one coefficient per "
                                 f"assigned vector")
         coefficients[row, list(indices)] = coeffs
@@ -162,11 +175,12 @@ def certificate_check(e: Ensemble, cert: Certificate,
             f"product vectors {i} and {j} overlap ({exc.overlap:.3g} > {tol:.3g})",
             pair=(i, j), overlap=exc.overlap) from exc
 
-    rebuilt = np.tensordot(coefficients, products.amplitudes, axes=1)
     targets = np.array([e.state(label).amplitudes for label in cert.assignment])
-    errors = dict(zip(cert.assignment, frobenius_norms(rebuilt - targets).tolist()))
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite coefficients give NaN
+        rebuilt = np.tensordot(coefficients, products.amplitudes, axes=1)
+        errors = dict(zip(cert.assignment, frobenius_norms(rebuilt - targets).tolist()))
     for label, err in errors.items():
-        if err > tol:
+        if not err <= tol:  # "not <=" also fails on NaN
             raise ReconstructionFailure(
                 f"state {label!r} not reproduced by its assigned vectors "
                 f"(error {err:.3g})")

@@ -47,9 +47,6 @@ PARTIES = (ALICE, BOB)
 _LEAF_CHUNK = 64
 
 
-_NOT_COLUMNS = "each projector must be a nonempty matrix of columns"
-
-
 def _check_party(party) -> None:
     if party not in PARTIES:
         raise MalformedTree(f"party must be one of {PARTIES}, got {party!r}")
@@ -66,7 +63,7 @@ def _as_columns(block) -> np.ndarray:
     if q.ndim == 1:
         q = q[:, np.newaxis]
     if q.ndim != 2 or 0 in q.shape:
-        raise NotUnitary(_NOT_COLUMNS)
+        raise NotUnitary("each projector must be a nonempty matrix of columns")
     return q
 
 
@@ -78,12 +75,10 @@ class ProjectiveMeasurement:
     subspaces must be mutually orthogonal and their column counts must sum to
     the local dimension, so the outcome projectors resolve the identity.
     ``projector_stack`` holds the outcome projectors ``Q Q^+`` as one
-    read-only ``(outcomes, d, d)`` array, built once at construction.
-    Arrays of one shape are copied as one read-only ``(outcomes, d, w)``
-    array, whose slices become the blocks, whose one reshape gives all
-    their columns, and whose projectors come from one product; blocks of
-    mixed widths are copied, joined and multiplied one by one.  Either way
-    one Gram product of all columns validates them.
+    read-only ``(outcomes, d, d)`` array, built once at construction.  Each
+    block (a matrix, or a single vector as one column) is copied read-only;
+    one Gram product of all their columns validates them, and block ``k``'s
+    projector is the product of its columns with their adjoint rows.
     """
 
     party: str
@@ -95,27 +90,13 @@ class ProjectiveMeasurement:
         _check_party(self.party)
         if not self.projectors:
             raise NotUnitary("a measurement needs at least one outcome")
-        shapes = {getattr(q, "shape", None) for q in self.projectors}
-        if len(shapes) == 1 and None not in shapes:  # arrays of one shape: one copy
-            stacked = np.array(self.projectors, dtype=np.complex128)
-            if stacked.ndim == 2:
-                stacked = stacked[..., np.newaxis]
-            if stacked.ndim != 3 or 0 in stacked.shape[1:]:
-                raise NotUnitary(_NOT_COLUMNS)
-            stacked.setflags(write=False)
-            blocks = tuple(stacked)
-        else:
-            stacked, blocks = None, tuple(_frozen(_as_columns(q)) for q in self.projectors)
+        blocks = tuple(_frozen(_as_columns(q)) for q in self.projectors)
         dim = blocks[0].shape[0]
         # one Gram product of the columns of every block up to the first one
         # on another space checks them all; block maxima name the first fault
-        if stacked is not None:
-            fit, columns = len(blocks), stacked.transpose(1, 0, 2).reshape(dim, -1)
-            offsets = list(range(0, columns.shape[1] + 1, stacked.shape[2]))
-        else:
-            fit = next((k for k, q in enumerate(blocks) if q.shape[0] != dim), len(blocks))
-            offsets = list(accumulate((q.shape[1] for q in blocks[:fit]), initial=0))
-            columns = np.concatenate(blocks[:fit], axis=1)
+        fit = next((k for k, q in enumerate(blocks) if q.shape[0] != dim), len(blocks))
+        offsets = list(accumulate((q.shape[1] for q in blocks[:fit]), initial=0))
+        columns = np.concatenate(blocks[:fit], axis=1)
         adjoint = columns.conj().T
         with np.errstate(over="ignore", invalid="ignore"):  # huge entries give deviation inf
             dev = np.abs(adjoint @ columns - _identity(columns.shape[1]))
@@ -137,12 +118,9 @@ class ProjectiveMeasurement:
             raise NotUnitary(f"projector ranks sum to {columns.shape[1]}, "
                              f"expected the local dimension {dim}")
         object.__setattr__(self, "projectors", blocks)
-        if stacked is not None:  # the adjoint rows of block k, as the loop below takes them
-            stack = stacked @ adjoint.reshape(len(blocks), -1, dim)
-        else:
-            stack = np.empty((len(blocks), dim, dim), dtype=np.complex128)
-            for q, start, out in zip(blocks, offsets, stack):
-                np.matmul(q, adjoint[start:start + q.shape[1]], out=out)
+        stack = np.empty((len(blocks), dim, dim), dtype=np.complex128)
+        for q, start, out in zip(blocks, offsets, stack):
+            np.matmul(q, adjoint[start:start + q.shape[1]], out=out)
         stack.setflags(write=False)
         object.__setattr__(self, "projector_stack", stack)
 
@@ -422,17 +400,6 @@ def verify_protocol(tree: ProtocolTree, e: Ensemble, tol: float = DEFAULT_TOL) -
     )
 
 
-def _cols(dim, *indices):
-    out = np.zeros((dim, len(indices)), dtype=np.complex128)
-    for c, i in enumerate(indices):
-        out[i, c] = 1.0
-    return out
-
-
-def _col(vec):
-    return np.asarray(vec, dtype=np.complex128).reshape(-1, 1)
-
-
 def canned_protocol(name: str) -> ProtocolTree:
     """Named example protocols: "six4x4" and "bell2-x".
 
@@ -445,37 +412,38 @@ def canned_protocol(name: str) -> ProtocolTree:
     """
     if name == "six4x4":
         s2 = 1.0 / np.sqrt(2.0)
+        eye = _identity(4)
         plus01 = np.array([s2, s2, 0, 0])
         minus01 = np.array([s2, -s2, 0, 0])
         plus23 = np.array([0, 0, s2, s2])
         minus23 = np.array([0, 0, s2, -s2])
 
         bob_under_a0 = Node(
-            ProjectiveMeasurement(BOB, (_cols(4, 0), _cols(4, 1), _cols(4, 2, 3))),
+            ProjectiveMeasurement(BOB, (eye[:, [0]], eye[:, [1]], eye[:, [2, 3]])),
             (Leaf("psi1"), Leaf("psi3"), Leaf(None)),
         )
         bob_under_a1 = Node(
-            ProjectiveMeasurement(BOB, (_col(plus01), _col(minus01), _cols(4, 2, 3))),
+            ProjectiveMeasurement(BOB, (plus01, minus01, eye[:, [2, 3]])),
             (Leaf("psi2"), Leaf("psi3"), Leaf(None)),
         )
         first_block = Node(
-            ProjectiveMeasurement(ALICE, (_cols(4, 0), _cols(4, 1), _cols(4, 2, 3))),
+            ProjectiveMeasurement(ALICE, (eye[:, [0]], eye[:, [1]], eye[:, [2, 3]])),
             (bob_under_a0, bob_under_a1, Leaf(None)),
         )
         alice_under_b2 = Node(
-            ProjectiveMeasurement(ALICE, (_cols(4, 2), _cols(4, 3), _cols(4, 0, 1))),
+            ProjectiveMeasurement(ALICE, (eye[:, [2]], eye[:, [3]], eye[:, [0, 1]])),
             (Leaf("psi4"), Leaf("psi6"), Leaf(None)),
         )
         alice_under_b3 = Node(
-            ProjectiveMeasurement(ALICE, (_col(plus23), _col(minus23), _cols(4, 0, 1))),
+            ProjectiveMeasurement(ALICE, (plus23, minus23, eye[:, [0, 1]])),
             (Leaf("psi5"), Leaf("psi6"), Leaf(None)),
         )
         second_block = Node(
-            ProjectiveMeasurement(BOB, (_cols(4, 2), _cols(4, 3), _cols(4, 0, 1))),
+            ProjectiveMeasurement(BOB, (eye[:, [2]], eye[:, [3]], eye[:, [0, 1]])),
             (alice_under_b2, alice_under_b3, Leaf(None)),
         )
         return Node(
-            ProjectiveMeasurement(ALICE, (_cols(4, 0, 1), _cols(4, 2, 3))),
+            ProjectiveMeasurement(ALICE, (eye[:, [0, 1]], eye[:, [2, 3]])),
             (first_block, second_block),
         )
 
@@ -483,10 +451,10 @@ def canned_protocol(name: str) -> ProtocolTree:
         s2 = 1.0 / np.sqrt(2.0)
         plus = np.array([s2, s2])
         minus = np.array([s2, -s2])
-        bob_x = ProjectiveMeasurement(BOB, (_col(plus), _col(minus)))
+        bob_x = ProjectiveMeasurement(BOB, (plus, minus))
         under_plus = Node(bob_x, (Leaf("A1"), Leaf("A2")))
         under_minus = Node(bob_x, (Leaf("A2"), Leaf("A1")))
-        return Node(ProjectiveMeasurement(ALICE, (_col(plus), _col(minus))),
+        return Node(ProjectiveMeasurement(ALICE, (plus, minus)),
                     (under_plus, under_minus))
 
     raise UnknownProtocol(f"unknown protocol {name!r}; known: six4x4, bell2-x")

@@ -66,6 +66,7 @@ from .protocol import (
     Node,
     ProjectiveMeasurement,
     ProtocolTree,
+    _as_columns,
     _check_party,
     _identity,
     verify_protocol,
@@ -549,15 +550,15 @@ def surviving_states(e: Ensemble, party: str, projector,
     or below ``tol`` are dropped.  When the parent measurement preserved
     orthogonality the survivors form a valid ensemble; raises
     ``EmptyOutcome`` when nothing survives and ``NotOrthogonal`` when two
-    survivors overlap by more than ``tol``; ``MalformedTree`` for a party
-    other than ``"A"`` or ``"B"``, and ``ValueError`` unless ``tol`` is a
-    finite number > 0.
+    survivors overlap by more than ``tol``; ``NotUnitary`` when
+    ``projector`` is not a nonempty vector or matrix, ``DimensionMismatch``
+    when its rows do not match the party's dimension, ``MalformedTree`` for
+    a party other than ``"A"`` or ``"B"``, and ``ValueError`` unless ``tol``
+    is a finite number > 0.
     """
     _check_party(party)
     _check_tolerance(tol)
-    q = np.asarray(projector, dtype=np.complex128)
-    if q.ndim == 1:
-        q = q[:, np.newaxis]
+    q = _as_columns(projector)
     if q.shape[0] != _local_dim(e, party):
         raise DimensionMismatch(
             f"projector acts on dim {q.shape[0]}, party {party} has dim "

@@ -185,6 +185,55 @@ def test_certificate_malformed_assignment_rejected(bell2, assignment, coefficien
         certificate_check(bell2, Certificate(cert.product_vectors, assignment, coefficients))
 
 
+def _basis_pair():
+    """``|00>`` and ``|01>`` as ``s0`` and ``s1``, with the vectors of a
+    certificate for them."""
+    e0, e1 = np.eye(2)
+    ens = make_ensemble([product_state(2, 2, e0, e0, name="s0"),
+                         product_state(2, 2, e0, e1, name="s1")])
+    return ens, ((e0, e0), (e0, e1))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_certificate_nonfinite_coefficient_rejected(bad):
+    # every comparison with NaN is False, so "err > tol" alone would pass
+    ens, vectors = _basis_pair()
+    cert = Certificate(vectors, {"s0": (0,), "s1": (1,)}, {"s0": (bad,), "s1": (1,)})
+    with pytest.raises(ReconstructionFailure, match="state 's0'"):
+        certificate_check(ens, cert)
+
+
+NOT_A_SEQUENCE = "state 's0' needs a nonempty sequence of vector indices"
+NOT_AN_INDEX = "state 's0' references .*, not a vector index"
+NOT_COEFFICIENTS = "state 's0' needs one coefficient per assigned vector"
+
+
+@pytest.mark.parametrize("indices, coefficients, message", [
+    (3, (1,), NOT_A_SEQUENCE),
+    (0, (1,), NOT_A_SEQUENCE),          # falsy, but not empty
+    ((0.0,), (1,), NOT_AN_INDEX),
+    (("0",), (1,), NOT_AN_INDEX),
+    ((True,), (1,), NOT_AN_INDEX),      # a bool is no index
+    ((0,), 0.7, NOT_COEFFICIENTS),
+    ((0,), ("a",), NOT_COEFFICIENTS),   # no number
+])
+def test_certificate_malformed_assignment_entry_names_the_state(indices, coefficients, message):
+    ens, vectors = _basis_pair()
+    cert = Certificate(vectors, {"s0": indices, "s1": (1,)},
+                       {"s0": coefficients, "s1": (1,)})
+    with pytest.raises(BadAssignment, match=message):
+        certificate_check(ens, cert)
+
+
+def test_certificate_takes_numpy_integer_indices():
+    ens, vectors = _basis_pair()
+    cert = Certificate(vectors, {"s0": (np.int64(0),), "s1": np.array([1])},
+                       {"s0": (1,), "s1": np.array([1.0])})
+    report = certificate_check(ens, cert)
+    assert report.verification.ok
+    assert report.reconstruction_errors == {"s0": 0.0, "s1": 0.0}
+
+
 @pytest.mark.parametrize("factor", [0, 1])
 def test_certificate_zero_factor_rejected(bell2, factor):
     cert = bell2_certificate()

@@ -170,7 +170,7 @@ def _measurement_cases():
                     twin = list(blocks)
                     twin[j] = twin[i]
                     yield twin
-    # blocks of one width, which are copied and multiplied as one stack
+    # blocks of one width
     for d in range(1, 7):
         for width in (1, 2):
             if d % width:
@@ -208,6 +208,11 @@ def _measurement_cases():
     yield [[np.nan, np.nan], [np.nan, np.nan]]
     yield [[1e308, 1e308], [1, -1]]
     yield [np.array([1e308, 1e308]), np.array([1.0, -1.0])]
+    for name in ("six4x4", "bell2-x"):  # every measurement of the canned protocols
+        nodes = [canned_protocol(name)]
+        for node in nodes:
+            yield list(node.measurement.projectors)
+            nodes += [c for c in node.children if isinstance(c, Node)]
 
 
 def test_measurement_validation_matches_per_block_reference():
@@ -220,9 +225,9 @@ def test_measurement_validation_matches_per_block_reference():
     assert met == set(kinds)
 
 
-def test_measurement_stacked_and_per_block_paths_agree():
-    # arrays of one shape take the stacked path, the same blocks as nested
-    # lists the per-block one: equal stacks bit for bit, or equal faults
+def test_measurement_arrays_and_nested_lists_agree():
+    # arrays of one shape and the same blocks as nested lists give equal
+    # stacks bit for bit, or equal faults
     met = set()
     for blocks in _measurement_cases():
         if not all(isinstance(b, np.ndarray) for b in blocks) or len(
@@ -250,7 +255,7 @@ def test_measurement_stacked_and_per_block_paths_agree():
     (np.eye(2)[:, :1], np.zeros((2, 0))),
     ([1.0], [[[0.0]]]),
     # blocks with no rows, as an empty projector column of a protocol file
-    # gives: one shape (the stacked path), then mixed shapes
+    # gives: of one shape, then of mixed shapes
     (np.zeros((0, 1)),),
     (np.zeros((0, 1)), np.zeros((0, 1))),
     (np.zeros(0),),

@@ -9,6 +9,7 @@ from loccdist import (
     ALICE,
     BOB,
     EmptyOutcome,
+    NotUnitary,
     ProjectiveMeasurement,
     SearchConfig,
     candidate_bases,
@@ -774,6 +775,12 @@ def test_surviving_states_full_projector_is_identity(six4x4):
     assert sub.labels == six4x4.labels
     for before, after in zip(six4x4.states, sub.states):
         assert np.allclose(before.amplitudes, after.amplitudes, atol=1e-12)
+
+
+@pytest.mark.parametrize("projector", [np.zeros((2, 2, 1)), np.array(1.0), np.zeros((2, 0))])
+def test_surviving_states_needs_a_nonempty_matrix_of_columns(bell2, projector):
+    with pytest.raises(NotUnitary, match="each projector must be a nonempty matrix of columns"):
+        surviving_states(bell2, ALICE, projector)
 
 
 def test_surviving_states_empty_outcome(six4x4):
