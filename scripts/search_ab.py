@@ -91,6 +91,9 @@ def load_tree(src: Path, tag: str, bench=None):
     try:
         package = importlib.import_module("loccdist")
         cli = importlib.import_module("loccdist.cli")
+        # criteria imports every other submodule; a lazy package would
+        # otherwise import one later, while the other tree's are in sys.modules
+        importlib.import_module("loccdist.criteria")
         spec = importlib.util.spec_from_file_location(f"search_fingerprint_{tag}", FINGERPRINT)
         fingerprint = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(fingerprint)

@@ -13,6 +13,11 @@ plain floats, so round-trips are bit-exact):
 Exit codes: 0 distinguishable / success, 1 indistinguishable (proved) or
 verification failure, 2 unknown, 3 input error (a bad or unwritable file, or a
 usage error such as a missing argument or an out-of-range option).
+
+At module level only the standard library, click and ``errors`` are
+imported; numpy and the computational modules are imported by the functions
+that use them, so ``--help`` and a usage error load no numpy, and each
+command loads only the modules it runs.
 """
 
 from __future__ import annotations
@@ -24,26 +29,8 @@ import time
 from pathlib import Path
 
 import click
-import numpy as np
 
-from .criteria import classify_2x2, schmidt_sum_check
-from .ensemble import (
-    CANNED_EXAMPLES,
-    canned_example,
-    make_ensemble,
-    random_ensemble,
-)
-from .errors import LoccdistError, ParseError
-from .protocol import (
-    Leaf,
-    Node,
-    ProjectiveMeasurement,
-    canned_protocol,
-    format_path,
-    verify_protocol,
-)
-from .search import PROVED_NO, UNKNOWN, YES, SearchConfig, SearchOutcome, search_protocol
-from .states import DEFAULT_TOL, BipartiteState, make_state, schmidt_decompose
+from .errors import DEFAULT_TOL, LoccdistError, ParseError
 
 SCHEMA_VERSION = "v1"
 
@@ -80,6 +67,8 @@ MAX_EXAMPLE_DIM = 1024
 
 def _pairs(mat) -> list:
     """The rows of a complex matrix as lists of [re, im] pairs of floats."""
+    import numpy as np
+
     return np.stack((mat.real, mat.imag), -1).tolist()
 
 
@@ -102,6 +91,8 @@ def _parse_pair(entry, location):
 def _parse_rows(rows, width, location, message):
     """Parse ``rows`` of ``width`` [re, im] pairs into a complex matrix; every row
     (``ParseError(message)`` at ``location[r]``) and entry is checked first."""
+    import numpy as np
+
     parsed = []
     for r, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != width:
@@ -115,6 +106,9 @@ def ensemble_from_dict(data, tol: float = DEFAULT_TOL):
     """Parse an ensemble file; returns (ensemble, notices).  Bad input raises
     ``ParseError`` at its location, e.g. ``states[1].amplitudes[0][1]``, before
     any matrix is built; ``tol`` governs the notices and the orthogonality check."""
+    from .ensemble import make_ensemble
+    from .states import make_state
+
     if not isinstance(data, dict):
         raise ParseError("top level must be an object", "$")
     dims = data.get("dims")
@@ -125,7 +119,7 @@ def ensemble_from_dict(data, tol: float = DEFAULT_TOL):
     raw_states = data.get("states")
     if not isinstance(raw_states, list) or not raw_states:
         raise ParseError("expected a nonempty list", "states")
-    states: list[BipartiteState] = []
+    states = []
     notices: list[str] = []
     for si, sd in enumerate(raw_states):
         loc = f"states[{si}]"
@@ -148,6 +142,8 @@ def ensemble_from_dict(data, tol: float = DEFAULT_TOL):
 
 
 def protocol_to_dict(tree) -> dict:
+    from .protocol import Leaf
+
     if isinstance(tree, Leaf):
         if tree.is_fail:
             return {"fail": True}
@@ -165,6 +161,8 @@ def protocol_from_dict(data, location="$", tol: float = DEFAULT_TOL):
     """Parse a protocol file (the subtree at ``location``).  Bad input raises
     ``ParseError`` at its location; each measurement's projector columns must be
     orthonormal and resolve the identity within ``tol`` (``NotUnitary`` otherwise)."""
+    from .protocol import Leaf, Node, ProjectiveMeasurement
+
     if not isinstance(data, dict):
         raise ParseError("expected an object", location)
     if "fail" in data or "identify" in data:
@@ -305,6 +303,8 @@ def cmd_schmidt(ensemble_path, fmt, tolerance):
     config = {"ensemble": str(ensemble_path), "tolerance": tolerance}
 
     def body():
+        from .states import schmidt_decompose
+
         ens = load_ensemble(ensemble_path, tol=tolerance)
         rows = []
         for s in ens.states:
@@ -316,14 +316,6 @@ def cmd_schmidt(ensemble_path, fmt, tolerance):
     _run("schmidt", config, fmt, body)
 
 
-#: decision verdict -> (report verdict, exit code)
-_VERDICTS = {
-    YES: ("distinguishable", EXIT_DISTINGUISHABLE),
-    PROVED_NO: ("indistinguishable", EXIT_INDISTINGUISHABLE),
-    UNKNOWN: ("unknown", EXIT_UNKNOWN),
-}
-
-
 def _decide(config, mode):
     """The decision behind ``check --mode MODE`` and ``search`` (mode "full").
 
@@ -331,16 +323,22 @@ def _decide(config, mode):
     the exit code, the diagnostics and the protocol found (or None).  The
     diagnostics hold the Schmidt data, then the outcome's "warnings", then
     "nodes_explored" and "search_depth" (full mode only), then the "reason"
-    of a proof of impossibility.
+    of a proof of impossibility.  Only the modules of ``mode`` are loaded.
     """
+    from .ensemble import PROVED_NO, UNKNOWN, YES, SearchOutcome, schmidt_sum_check
+
     tol = config["tolerance"]
     ens = load_ensemble(config["ensemble"], tol=tol)
     if mode == "necessary":
         rep = schmidt_sum_check(ens)
         out = SearchOutcome(PROVED_NO if rep.violates else UNKNOWN, None, rep, reason=rep.reason)
     elif mode == "classify2x2":
+        from .criteria import classify_2x2
+
         out = classify_2x2(ens, tol=tol)
     else:
+        from .search import SearchConfig, search_protocol
+
         out = search_protocol(ens, SearchConfig(max_depth=config["max_depth"], tolerance=tol,
                                                 beam_limit=config["beam"]))
     rep = out.schmidt_report
@@ -353,7 +351,10 @@ def _decide(config, mode):
         diagnostics["search_depth"] = out.max_depth
     if out.reason:
         diagnostics["reason"] = out.reason
-    return (*_VERDICTS[out.verdict], diagnostics, out.protocol)
+    verdicts = {YES: ("distinguishable", EXIT_DISTINGUISHABLE),
+                PROVED_NO: ("indistinguishable", EXIT_INDISTINGUISHABLE),
+                UNKNOWN: ("unknown", EXIT_UNKNOWN)}
+    return (*verdicts[out.verdict], diagnostics, out.protocol)
 
 
 @main.command("check")
@@ -391,6 +392,8 @@ def cmd_verify(ensemble_path, protocol_path, fmt, tolerance):
               "tolerance": tolerance}
 
     def body():
+        from .protocol import format_path, verify_protocol
+
         ens = load_ensemble(ensemble_path, tol=tolerance)
         tree = protocol_from_dict(read_json(protocol_path), tol=tolerance)
         report = verify_protocol(tree, ens, tol=tolerance)
@@ -453,6 +456,8 @@ def cmd_example(name, output, seed, dims, count, fmt, tolerance):
               "tolerance": tolerance}
 
     def body():
+        from .ensemble import CANNED_EXAMPLES, canned_example, random_ensemble
+
         if name in CANNED_EXAMPLES:
             ens = canned_example(name)
         elif name in ("random-product", "random-haar"):
@@ -475,6 +480,8 @@ def cmd_example(name, output, seed, dims, count, fmt, tolerance):
                        "dims": [ens.dim_a, ens.dim_b], "m": ens.m}
         protocol_name = {"six4x4": "six4x4", "bell2": "bell2-x"}.get(name)
         if protocol_name:
+            from .protocol import canned_protocol
+
             proto_path = out_path.with_suffix(".protocol.json")
             write_json(proto_path, protocol_to_dict(canned_protocol(protocol_name)))
             diagnostics["protocol_path"] = str(proto_path)

@@ -18,7 +18,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .ensemble import Ensemble, make_ensemble, schmidt_sum_check
+from .ensemble import PROVED_NO, YES, Ensemble, SearchOutcome, make_ensemble, schmidt_sum_check
 from .errors import (
     BadAssignment,
     NotOrthogonal,
@@ -31,15 +31,7 @@ from .errors import (
     ZeroState,
 )
 from .protocol import ALICE, Leaf, Node, ProtocolTree, VerificationReport, verify_protocol
-from .search import (
-    PROVED_NO,
-    YES,
-    SearchConfig,
-    SearchOutcome,
-    _qubit_plane_bases,
-    cross_operators,
-    search_protocol,
-)
+from .search import SearchConfig, _qubit_plane_bases, cross_operators, search_protocol
 from .states import DEFAULT_TOL, RANK_CUTOFF, _check_tolerance, frobenius_norms, product_state
 
 

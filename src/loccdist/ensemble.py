@@ -1,10 +1,11 @@
 """Ensembles of mutually orthogonal states, the Schmidt-sum necessary condition,
-canned examples, and generators."""
+the outcome of every decision, canned examples, and generators."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -17,6 +18,9 @@ from .errors import (
     UnknownExample,
 )
 from .states import DEFAULT_TOL, BipartiteState, _check_tolerance, make_state, schmidt_ranks
+
+if TYPE_CHECKING:  # protocol imports this module
+    from .protocol import ProtocolTree
 
 CANNED_EXAMPLES = ("bell4", "bell3", "bell2", "six4x4", "domino9")
 
@@ -144,6 +148,35 @@ class SchmidtSumReport:
     def reason(self) -> str | None:
         return (f"Schmidt ranks sum to {self.total} > capacity {self.capacity}"
                 if self.violates else None)
+
+
+#: the verdicts of a ``SearchOutcome``
+YES = "yes"
+PROVED_NO = "proved-no"
+UNKNOWN = "unknown"
+
+
+@dataclass(frozen=True, eq=False)
+class SearchOutcome:
+    """Result of every decision: search, ``classify_2x2``, product sets.
+
+    ``verdict`` is "yes" (verified protocol attached), "proved-no" (``reason``
+    names the proof), or "unknown" (no candidate of the root, searched to at
+    most ``max_depth`` rounds, led to a protocol; ``nodes_explored`` is 1
+    when the root rejected them all; depth and ``nodes_explored`` stay 0
+    when no search ran).  A ``classify_2x2`` "yes" may carry
+    ``protocol=None``: the rule decides, and the protocol is the search's,
+    None when the search finds none.  ``warnings`` lists numerically
+    borderline states.
+    """
+
+    verdict: str
+    protocol: ProtocolTree | None
+    schmidt_report: object
+    max_depth: int = 0
+    nodes_explored: int = 0
+    reason: str | None = None
+    warnings: tuple[str, ...] = ()
 
 
 def schmidt_sum_check(e: Ensemble) -> SchmidtSumReport:

@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types and the default tolerance, shared across the package.
+
+This module imports nothing, so the command line can read ``DEFAULT_TOL``
+for its option defaults without loading numpy.
+"""
+
+#: default absolute tolerance for orthogonality / normalization checks
+DEFAULT_TOL = 1e-9
 
 
 class LoccdistError(Exception):

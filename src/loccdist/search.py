@@ -57,8 +57,17 @@ from numbers import Integral
 
 import numpy as np
 
-from .ensemble import Ensemble, make_ensemble, overlaps, schmidt_sum_check
-from .errors import DimensionMismatch, EmptyOutcome
+from .ensemble import (
+    PROVED_NO,
+    UNKNOWN,
+    YES,
+    Ensemble,
+    SearchOutcome,
+    make_ensemble,
+    overlaps,
+    schmidt_sum_check,
+)
+from .errors import DimensionMismatch, EmptyOutcome, NotUnitary
 from .protocol import (
     ALICE,
     BOB,
@@ -80,10 +89,6 @@ from .states import (
     rank_counts,
     unit_norm_slack,
 )
-
-YES = "yes"
-PROVED_NO = "proved-no"
-UNKNOWN = "unknown"
 
 _PRODUCT_ENTRIES = 1 << 14
 #: coefficients of a flattened 2x2 matrix on (sigma_x, sigma_y, sigma_z)
@@ -551,10 +556,11 @@ def surviving_states(e: Ensemble, party: str, projector,
     orthogonality the survivors form a valid ensemble; raises
     ``EmptyOutcome`` when nothing survives and ``NotOrthogonal`` when two
     survivors overlap by more than ``tol``; ``NotUnitary`` when
-    ``projector`` is not a nonempty vector or matrix, ``DimensionMismatch``
-    when its rows do not match the party's dimension, ``MalformedTree`` for
-    a party other than ``"A"`` or ``"B"``, and ``ValueError`` unless ``tol``
-    is a finite number > 0.
+    ``projector`` is not a nonempty vector or matrix whose columns are
+    orthonormal within ``tol``, ``DimensionMismatch`` when its rows do not
+    match the party's dimension, ``MalformedTree`` for a party other than
+    ``"A"`` or ``"B"``, and ``ValueError`` unless ``tol`` is a finite
+    number > 0.
     """
     _check_party(party)
     _check_tolerance(tol)
@@ -563,6 +569,10 @@ def surviving_states(e: Ensemble, party: str, projector,
         raise DimensionMismatch(
             f"projector acts on dim {q.shape[0]}, party {party} has dim "
             f"{_local_dim(e, party)}")
+    with np.errstate(over="ignore", invalid="ignore"):  # huge entries give deviation inf
+        dev = np.abs(q.conj().T @ q - _identity(q.shape[1])).max()
+    if not dev <= tol:  # "not <=" also fails on NaN
+        raise NotUnitary(f"projector columns not orthonormal (deviation {dev:.3g})")
     alive, states, scale = _project(e.amplitudes, party, (q @ q.conj().T)[np.newaxis], tol)
     survivors = [BipartiteState(e.dim_a, e.dim_b, states[0, j], name=e.states[j].name,
                                 normalization=float(scale[0, j]))
@@ -570,29 +580,6 @@ def surviving_states(e: Ensemble, party: str, projector,
     if not survivors:
         raise EmptyOutcome("no ensemble member survives this outcome")
     return make_ensemble(survivors, tol=tol)
-
-
-@dataclass(frozen=True, eq=False)
-class SearchOutcome:
-    """Result of every decision: search, ``classify_2x2``, product sets.
-
-    ``verdict`` is "yes" (verified protocol attached), "proved-no" (``reason``
-    names the proof), or "unknown" (no candidate of the root, searched to at
-    most ``max_depth`` rounds, led to a protocol; ``nodes_explored`` is 1
-    when the root rejected them all; depth and ``nodes_explored`` stay 0
-    when no search ran).  A ``classify_2x2`` "yes" may carry
-    ``protocol=None``: the rule decides, and the protocol is the search's,
-    None when the search finds none.  ``warnings`` lists numerically
-    borderline states.
-    """
-
-    verdict: str
-    protocol: ProtocolTree | None
-    schmidt_report: object
-    max_depth: int = 0
-    nodes_explored: int = 0
-    reason: str | None = None
-    warnings: tuple[str, ...] = ()
 
 
 def search_protocol(e: Ensemble, cfg: SearchConfig | None = None) -> SearchOutcome:

@@ -15,10 +15,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DecompositionFailure, NonFinite, NotUnitary, ShapeMismatch, ZeroState
-
-#: default absolute tolerance for orthogonality / normalization checks
-DEFAULT_TOL = 1e-9
+from .errors import (
+    DEFAULT_TOL,
+    DecompositionFailure,
+    NonFinite,
+    NotUnitary,
+    ShapeMismatch,
+    ZeroState,
+)
 
 
 def _check_tolerance(tol: float) -> None:

@@ -493,7 +493,7 @@ def test_cmd_example_rejects_dims_out_of_range_before_generating(tmp_path, monke
     # the generator is never reached above the cap, so no size here allocates;
     # negative dimensions made numpy raise a traceback
     calls = []
-    monkeypatch.setattr("loccdist.cli.random_ensemble",
+    monkeypatch.setattr("loccdist.ensemble.random_ensemble",
                         lambda *args, **kwargs: calls.append(args) or L.canned_example("bell2"))
     out = tmp_path / "x.json"
     for dims in ("100000x100000", "33x32", "1x1025", "-2x-3", "0x4"):

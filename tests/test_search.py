@@ -783,6 +783,16 @@ def test_surviving_states_needs_a_nonempty_matrix_of_columns(bell2, projector):
         surviving_states(bell2, ALICE, projector)
 
 
+@pytest.mark.parametrize("block", [[[1, 1], [0, 1], [0, 0], [0, 0]],
+                                   [[1, 1], [0, 0], [0, 0], [0, 0]]],
+                         ids=["skewed-columns", "repeated-column"])
+def test_surviving_states_needs_orthonormal_columns(six4x4, block):
+    # skewed columns make two survivors overlap, which would blame the states;
+    # a repeated column's q q^+ = 2|0><0| is no projector, yet looks like |0>
+    with pytest.raises(NotUnitary, match=r"projector columns not orthonormal \(deviation 1\)"):
+        surviving_states(six4x4, ALICE, np.array(block))
+
+
 def test_surviving_states_empty_outcome(six4x4):
     block01 = surviving_states(six4x4, ALICE, cols(4, 0, 1))
     with pytest.raises(EmptyOutcome):
