@@ -25,14 +25,14 @@ offered the closure, one Gram product of their Schmidt vectors picks every
 completion's vectors and one ``qr`` completes them all, the projected norms
 alone give each outcome's reach, and one ``argmax`` names the state at every
 leaf.  A node the closure does not end is searched with its cross
-operators from that pass.  Candidates are generated tier by tier, only as
-far as the search asks, and tried in the order the tiers build them; the
-beam counts every candidate, so no tier is built once it is spent.  Each
-tier is one stack of outcome projectors, which gives admissibility in one
-product ``vec(P) . vec(M^T)`` on the whole stack, against the acting
-party's cross operators alone.  The zero-diagonal tier of a party of
-dimension 3 or more is pruned part by part before it is built: each basis
-holds the vector its part retires first, and a basis holding an
+operators from that pass.  Candidates are generated tier by tier (a
+qubit's qubit-plane bases, else the standard and zero-diagonal tiers), only
+as far as the search asks, and tried in build order; the beam counts every
+candidate, so no tier is built once it is spent.  Each tier is one stack
+of outcome projectors, which gives admissibility in one product ``vec(P) .
+vec(M^T)`` on the whole stack, against the acting party's cross operators
+alone.  The zero-diagonal tier is pruned part by part before it is built:
+each basis holds the vector its part retires first, and a basis holding an
 inadmissible vector is itself inadmissible, so one ``_admits`` call on
 those vectors decides which parts' bases are built, one matrix at a time.
 An admitted candidate is applied to the whole stack at once: one batched
@@ -442,22 +442,22 @@ def _computational(d: int):
 def _candidates(stack: np.ndarray, party: str, sides: np.ndarray, cfg: SearchConfig):
     """``candidate_bases`` of an amplitude stack as an iterator of
     ``(blocks, projectors, admissible)`` triples, given ``sides``, the
-    party's ``(pairs, d, d)`` cross operators: each tier in build order, cut
-    at ``beam_limit``.  The zero-diagonal tier is lazy, built only when the
-    caller asks past the standard tier, and never once the beam is spent.
-    Each tier is one stack of outcome projectors, which gives the
-    admissibility of all its candidates in one product."""
+    party's ``(pairs, d, d)`` cross operators: each tier of the party's
+    dimension in build order, cut at ``beam_limit``.  The zero-diagonal tier
+    is built only when the caller asks past the standard tier, and never
+    once the beam is spent.  Each tier is one stack of outcome projectors,
+    whose admissibility comes from one product."""
     d = stack.shape[1] if party == ALICE else stack.shape[2]
     tol = cfg.tolerance
 
     def columns(bases):
-        cols, projs = _outcomes(bases)
+        if not bases:
+            return [], None
+        cols, projs = _outcomes(np.array(bases).reshape(-1, d, d))
         return list(cols), projs.reshape(-1, d, d)
 
     def standard():
         eye, basis, projs = _computational(d)
-        if d < 3:  # 2 to d - 1 support blocks need d >= 3
-            return [basis], projs
         labels = _support_labels(stack, party, tol)
         roots = np.flatnonzero(labels == np.arange(d))
         if not 2 <= len(roots) < d:
@@ -467,12 +467,14 @@ def _candidates(stack: np.ndarray, party: str, sides: np.ndarray, cfg: SearchCon
         return ([basis, tuple(eye[:, row] for row in groups)],
                 np.concatenate((projs, groups[:, np.newaxis, :] * eye)))
 
+    def qubit_plane():
+        return columns(_qubit_plane_bases(sides, tol))
+
     def zero_diagonal():
-        bases = (_qubit_plane_bases if d == 2 else _zero_diagonal_tier)(sides, tol)
-        return columns(np.array(bases).reshape(-1, d, d)) if bases else ([], None)
+        return columns(_zero_diagonal_tier(sides, tol))
 
     def tiers():
-        for tier in (standard, zero_diagonal):
+        for tier in (qubit_plane,) if d == 2 else (standard, zero_diagonal):
             cands, projs = tier()
             if not cands:
                 continue
@@ -488,26 +490,23 @@ def _candidates(stack: np.ndarray, party: str, sides: np.ndarray, cfg: SearchCon
 def candidate_bases(e: Ensemble, party: str, cfg: SearchConfig | None = None):
     """Deterministic candidate measurements for one party.
 
-    Two fixed tiers, in this order.  The standard tier is the computational
-    basis and, when the states' local supports split the basis indices into
-    nontrivial components, the block-coarsened measurement onto those
-    components.  The zero-diagonal tier holds bases in which the party's
-    cross operators (``cross_operators``) have vanishing diagonal: for a
-    qubit party every exact solution for all cross operators at once (the
-    Bloch-plane solver), otherwise one basis per Hermitian or anti-Hermitian
-    part of each cross operator, built by pairing opposite-sign eigenvalues.
-    Every such basis holds the vector its part retires first, and a basis
-    holding an inadmissible vector is itself inadmissible: a part whose
-    vector is not admissible gives no basis.  The list is each tier in the
-    order it is built, cut at ``beam_limit``.  Repeats are kept: a
-    candidate may equal an earlier one, as each of ``six4x4``'s six
-    zero-diagonal bases for Alice is her computational basis, permuted.
-    The search runs the same generator, lazily: the zero-diagonal tier is
-    built only when the search asks past the end of the standard tier, so
-    the order is the same as this list's.  Here the party's cross operators
-    are built from the ensemble; in the search, every node gets them from
-    its batch's closure pass.  The one-round Schmidt closure is not on this
-    list: the search offers it to every node before these candidates.
+    The party's local dimension picks the tiers.  A qubit's one tier is its
+    qubit-plane bases, one per Bloch direction in which every cross operator
+    (``cross_operators``) has vanishing diagonal (the computational basis
+    when none constrains it); in 2 x n any such basis, then the other
+    party's measurement, identifies the states (Walgate & Hardy, PRL 89,
+    147901 (2002)).  A party of dimension 3 or more has the standard tier
+    (the computational basis and, when the states' local supports split the
+    basis indices into 2 to d - 1 components, the block-coarsened
+    measurement onto them), then the zero-diagonal tier (one basis per
+    Hermitian or anti-Hermitian part of each cross operator, in which that
+    part has vanishing diagonal, save those ``_zero_diagonal_tier`` prunes).
+    The list is each tier in build order, cut at ``beam_limit``, repeats
+    kept (each of ``six4x4``'s zero-diagonal bases for Alice is her
+    computational basis, permuted); the search runs it lazily, in the same
+    order.  Here the party's cross operators come from the ensemble, in the
+    search from each node's batch.  The search offers every node its
+    one-round Schmidt closure, which is not on this list, before these.
     """
     cfg = cfg or SearchConfig()
     return [ProjectiveMeasurement(party, blocks) for blocks, _, _

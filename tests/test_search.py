@@ -183,6 +183,18 @@ def test_candidates_beam_limit_truncates(bell2):
     assert len(cands) == 1
 
 
+def test_a_beam_of_one_on_a_qubit_tries_its_first_qubit_plane_basis(bell2):
+    # Alice's one candidate is a basis on the Bloch equator, in which her
+    # cross operator Z / 2 has zero diagonal; Bob tells apart each outcome's
+    # survivors
+    (meas,) = candidate_bases(bell2, ALICE, SearchConfig(beam_limit=1))
+    assert valid_measurement(bell2, meas)
+    out = search_protocol(bell2, SearchConfig(beam_limit=1))
+    assert out.verdict == YES
+    assert out.protocol.measurement.projector_stack.tobytes() == meas.projector_stack.tobytes()
+    assert verify_protocol(out.protocol, bell2).ok
+
+
 def _prefix_cases():
     for name in ("bell2", "six4x4", "domino9"):
         yield name, L.canned_example(name)
@@ -205,13 +217,14 @@ def test_candidates_beam_limit_keeps_a_prefix_of_the_default_list(party):
                            for qa, qb in zip(ma.projectors, mb.projectors)), (name, k)
 
 
-def test_candidates_build_a_tier_only_when_asked_past_the_one_before(bell2, monkeypatch):
+def test_candidates_build_a_tier_only_when_asked_past_the_one_before(monkeypatch):
     calls = []
-    real = search_module._qubit_plane_bases
-    monkeypatch.setattr(search_module, "_qubit_plane_bases",
+    real = search_module._zero_diagonal_tier
+    monkeypatch.setattr(search_module, "_zero_diagonal_tier",
                         lambda *args: calls.append(args) or real(*args))
-    sides = cross_operators(bell2, ALICE)
-    gen = search_module._candidates(bell2.amplitudes, ALICE, sides, SearchConfig())
+    e = _pair_00_10()
+    sides = cross_operators(e, ALICE)
+    gen = search_module._candidates(e.amplitudes, ALICE, sides, SearchConfig())
     next(gen)  # the computational basis, from the standard tier
     assert calls == []
     assert len(list(gen)) == 2  # the two zero-diagonal bases
@@ -220,8 +233,9 @@ def test_candidates_build_a_tier_only_when_asked_past_the_one_before(bell2, monk
 
 def _eager_candidate_bases(e, party, beam_limit, tol=1e-9):
     """``candidate_bases`` as projector stacks, every tier built in full: the
-    tiers joined in order, each in its build order, and the list cut at
-    ``beam_limit``."""
+    tiers of the party's dimension joined in order (the qubit plane for a
+    qubit, else the standard and zero-diagonal tiers), each in its build
+    order, and the list cut at ``beam_limit``."""
     stack = e.amplitudes
     d = e.dim_a if party == ALICE else e.dim_b
     sides = cross_operators(e, party)
@@ -230,17 +244,15 @@ def _eager_candidate_bases(e, party, beam_limit, tol=1e-9):
     def outcomes(bases):
         return [list(c) for c in search_module._outcomes(np.array(bases).reshape(-1, d, d))[0]]
 
-    tiers = [[[eye[:, [k]] for k in range(d)]], []]
-    labels = search_module._support_labels(stack, party, tol)
-    roots = np.flatnonzero(labels == np.arange(d))
-    if 2 <= len(roots) < d:
-        tiers[0].append([eye[:, labels == r] for r in roots])
     if d == 2:
-        bases = search_module._qubit_plane_bases(sides, tol)
+        cands = outcomes(search_module._qubit_plane_bases(sides, tol))
     else:
-        bases = search_module._zero_diagonal_tier(sides, tol)
-    tiers[1] = outcomes(bases) if len(bases) else []
-    cands = tiers[0] + tiers[1]
+        cands = [[eye[:, [k]] for k in range(d)]]
+        labels = search_module._support_labels(stack, party, tol)
+        roots = np.flatnonzero(labels == np.arange(d))
+        if 2 <= len(roots) < d:
+            cands.append([eye[:, labels == r] for r in roots])
+        cands += outcomes(search_module._zero_diagonal_tier(sides, tol))
     return [np.array([q @ q.conj().T for q in cand]) for cand in cands[:beam_limit]]
 
 
@@ -254,9 +266,10 @@ def _lazy_tier_cases():
 
 
 def _pair_00_10():
-    # |00>, |10>: Alice's zero-diagonal tier repeats her computational basis
-    return make_ensemble([product_state(2, 2, [1, 0], [1, 0], name="a"),
-                          product_state(2, 2, [0, 1], [1, 0], name="b")])
+    # |00>, |10> in 3x3: each of Alice's two zero-diagonal bases is her
+    # computational basis, permuted
+    return make_ensemble([product_state(3, 3, [1, 0, 0], [1, 0, 0], name="a"),
+                          product_state(3, 3, [0, 1, 0], [1, 0, 0], name="b")])
 
 
 @pytest.mark.parametrize("beam", [1, 2, 3, 64])
@@ -267,10 +280,14 @@ def test_lazy_tiers_match_an_eager_reference(beam):
             got = candidate_bases(e, party, SearchConfig(beam_limit=beam))
             assert [m.projector_stack.tobytes() for m in got] == [
                 p.tobytes() for p in expected], (e, party)
-    if beam > 1:  # the repeat is listed, not dropped
+    if beam > 1:  # the repeats are listed, not dropped
         got = candidate_bases(_pair_00_10(), ALICE, SearchConfig(beam_limit=beam))
-        assert len(got) == 2
-        assert np.allclose(got[1].projector_stack, got[0].projector_stack, atol=1e-12)
+        assert len(got) == min(beam, 3)
+        first = got[0].projector_stack
+        for meas in got[1:]:
+            # outcome k projects onto the basis index where its diagonal peaks
+            order = np.abs(meas.projector_stack.diagonal(axis1=1, axis2=2)).argmax(axis=1)
+            assert np.allclose(meas.projector_stack, first[order], atol=1e-12)
 
 
 def test_candidate_bases_list_every_tier_in_build_order(six4x4):
@@ -753,6 +770,95 @@ def test_qubit_plane_bases_match_the_per_operator_loop():
 
 
 # ---------------------------------------------------------------------------
+# a qubit party's candidates: the qubit-plane bases alone
+
+
+def _walgate_hardy_set(n, m, seed, qubit=ALICE):
+    """``m`` states ``sqrt(w)|0>|u_a> + sqrt(1 - w) e^{i phi}|1>|v_b>`` in 2xn
+    (their transpose, in nx2, when Bob holds the qubit), the ``a`` distinct
+    and the ``b`` distinct across states, for seeded Haar bases ``u``, ``v``
+    of the other party: the qubit's computational basis keeps every pair
+    orthogonal, so the set is LOCC-distinguishable (Walgate & Hardy, PRL 89,
+    147901 (2002))."""
+    rng = np.random.default_rng([n, m, seed])
+    u, v = haar_unitary(n, rng), haar_unitary(n, rng)
+    a, b = rng.permutation(n)[:m], rng.permutation(n)[:m]
+    w, phi = rng.uniform(0.05, 0.95, m), rng.uniform(0, 2 * np.pi, m)
+    states = []
+    for k in range(m):
+        amp = np.array([np.sqrt(w[k]) * u[:, a[k]],
+                        np.sqrt(1 - w[k]) * np.exp(1j * phi[k]) * v[:, b[k]]])
+        states.append(L.make_state(2, n, amp, name=f"s{k}") if qubit == ALICE
+                      else L.make_state(n, 2, amp.T, name=f"s{k}"))
+    return make_ensemble(states)
+
+
+def _walgate_hardy_sets():
+    for n in (2, 3, 4):
+        for m in range(2, n + 1):
+            for seed in range(5):
+                for qubit in (ALICE, BOB):
+                    yield qubit, _walgate_hardy_set(n, m, seed, qubit)
+
+
+def _qubit_plane_projectors(e, party, tol=L.DEFAULT_TOL):
+    bases = search_module._qubit_plane_bases(cross_operators(e, party), tol)
+    return list(search_module._outcomes(np.array(bases).reshape(-1, 2, 2))[1])
+
+
+def _qubit_party_cases():
+    yield ALICE, L.canned_example("bell2")  # a rank-1 constraint: two bases
+    yield ALICE, _overlapping_bob_factors(1e-10)  # no constraint: the computational basis
+    for n in (2, 3, 4):
+        for m in (2, 3):
+            yield ALICE, random_ensemble(2, n, m, seed=n)
+            yield BOB, random_ensemble(n, 2, m, seed=n)
+    yield from _walgate_hardy_sets()
+
+
+def test_a_qubit_party_is_offered_exactly_its_qubit_plane_bases():
+    counts = set()
+    for party, e in _qubit_party_cases():
+        got = [m.projector_stack for m in candidate_bases(e, party)]
+        expected = _qubit_plane_projectors(e, party)
+        assert [p.tobytes() for p in got] == [p.tobytes() for p in expected], (e, party)
+        counts.add(len(got))
+    assert counts == {0, 1, 2}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_qubit_party_s_candidates_rotate_with_its_local_unitary(seed):
+    # a qubit plane of one direction is one basis, whose projectors turn into
+    # U P U^+ under U_A (x) U_B, in either order (the direction's sign is free)
+    rng = np.random.default_rng(seed)
+    cases = [(ALICE, random_ensemble(2, n, 2, seed=seed)) for n in (2, 3, 4)]
+    cases += [(BOB, random_ensemble(n, 2, 2, seed=seed)) for n in (2, 3, 4)]
+    cases += [(q, _walgate_hardy_set(n, n, seed, q)) for n in (2, 3, 4) for q in (ALICE, BOB)]
+    for party, e in cases:
+        ua, ub = haar_unitary(e.dim_a, rng), haar_unitary(e.dim_b, rng)
+        rotated = make_ensemble([L.apply_local_unitary(s, ua, ub) for s in e.states])
+        u = ua if party == ALICE else ub
+        (before,), (after,) = candidate_bases(e, party), candidate_bases(rotated, party)
+        turned = u @ before.projector_stack @ u.conj().T
+        assert (np.allclose(after.projector_stack, turned, atol=1e-9)
+                or np.allclose(after.projector_stack, turned[::-1], atol=1e-9)), (seed, party)
+
+
+def test_walgate_hardy_sets_are_distinguished():
+    # 2xn and nx2 sets whose qubit computational basis keeps every pair
+    # orthogonal are always distinguishable (Walgate & Hardy, PRL 89, 147901
+    # (2002)): the qubit measures a basis of its plane, then the other party
+    # identifies the state
+    count = 0
+    for _, e in _walgate_hardy_sets():
+        out = search_protocol(e)
+        assert out.verdict == YES, e
+        assert verify_protocol(out.protocol, e).ok
+        count += 1
+    assert count == 60
+
+
+# ---------------------------------------------------------------------------
 # surviving states
 
 
@@ -840,13 +946,14 @@ def test_search_domino9_unknown(domino9):
 
 
 def test_an_admissible_candidate_whose_survivors_overlap_is_rejected(monkeypatch):
-    # Alice's computational basis moves each pair overlap by 1e-10 (within
-    # tol, of opposite signs), but its outcome 1 keeps both states with norm
-    # ~1e-2, so their renormalized survivors overlap by ~1e-6 > tol: the
-    # candidate is admissible, and the survivor check rejects it
+    # in 3x3, Alice's computational basis moves each pair overlap by 1e-10
+    # (within tol, of opposite signs), but its outcome 1 keeps both states
+    # with norm ~1e-2, so their renormalized survivors overlap by ~1e-6 >
+    # tol: the candidate is admissible, and the survivor check rejects it
     eps, beta = 1e-2, 1e-8
-    e = make_ensemble([L.make_state(2, 2, [[1, 0], [eps, 0]], name="x"),
-                       L.make_state(2, 2, [[-eps * beta, 1], [beta, eps]], name="y")])
+    e = make_ensemble([L.make_state(3, 3, [[1, 0, 0], [eps, 0, 0], [0, 0, 0]], name="x"),
+                       L.make_state(3, 3, [[-eps * beta, 1, 0], [beta, eps, 0], [0, 0, 0]],
+                                    name="y")])
     peaks = []
     real = search_module.overlaps
 
@@ -881,10 +988,10 @@ def _record_children(monkeypatch):
 def test_a_candidate_that_makes_no_progress_is_rejected(monkeypatch):
     # Bob's factors overlap by 1e-10, inside tol, so every candidate of
     # Alice's is admissible.  The root's Schmidt closure is declined here, so
-    # that Alice's candidates are tried: both are her computational basis
-    # (her cross operators are within tol, so the qubit-plane solver returns
-    # it too); each keeps both product states in both outcomes, and no
-    # Schmidt rank can shrink
+    # that Alice's candidates are tried: her one candidate is her
+    # computational basis (her cross operators are within tol, so the
+    # qubit-plane solver returns it); it keeps both product states in both
+    # outcomes, and no Schmidt rank can shrink
     e = _overlapping_bob_factors(1e-10)
     real = search_module._schmidt_closures
 
@@ -898,7 +1005,7 @@ def test_a_candidate_that_makes_no_progress_is_rejected(monkeypatch):
     batches = _record_children(monkeypatch)
     out = search_protocol(e)
     assert (out.verdict, out.nodes_explored) == (YES, 1)
-    assert len(batches) == 2 and all(alive.all() for alive in batches)
+    assert len(batches) == 1 and batches[0].all()
     assert out.protocol.measurement.party == BOB
     assert verify_protocol(out.protocol, e).ok
 
