@@ -1,135 +1,160 @@
 #!/usr/bin/env python3
-"""Time the search of two loccdist source trees against each other in one process.
+"""Time two loccdist source trees against each other, interleaved, in one process.
 
-Both trees are imported into this process, each with the instances of
-``search_fingerprint.instances()`` built by its own code.  Every round runs
-each instance once on either tree, back to back, and the tree that goes
-first alternates from instance to instance and from round to round, so a
-slow phase of the machine hits both alike.  Separate benchmark processes
-swing by several percent between runs on a shared machine; in one process
-the two trees see the same phases.
+Both trees are imported into this process, and each builds its operations
+with its own code:
 
-For every family of instances (the instance name without its seed or
-rotation number) the script prints the instance count, the sum over the
-family's instances of each one's minimum search time over the rounds, on
-the old and on the new tree, and the relative change of the new tree.  The
-table ends with the total over all instances.  Two last lines give the
-number of instances whose protocol bytes differ between the trees (the
-sha256 of ``json.dumps(protocol_to_dict(protocol))``, as in
-``search_fingerprint.py``) and the number whose protocol shapes differ
-(``search_fingerprint.protocol_shape``: parties, outcome ranks and leaf
-labels), so a change that only moves floating-point bits or phases reads 0
-shapes changed.  Those instances are listed on stderr.  The script exits 1
-if any instance differs between the trees in verdict, nodes explored or
-depth limit, and lists those instances on stderr too; differing bytes or
-shapes alone do not change the exit code.
+- by default, a search of every instance of
+  ``search_fingerprint.instances()``;
+- with ``--cases sweep2x2`` or ``--cases highdim``, the benchmark's
+  searches of that workload (``workloads.search_ops`` over
+  ``build_ensembles``), for every seed of ``--seeds``;
+- with ``--cases cli``, the benchmark's ``cli`` round (``workloads.cli_ops``)
+  for every seed of ``--seeds``: each call a fresh ``python -m loccdist.cli``
+  process, on input files that each tree writes into its own directory.
 
-With ``--cases sweep2x2`` or ``--cases highdim`` the instances are instead
-the benchmark's seeded cases of that workload, for every seed of
-``--seeds`` (default 1,2), from ``perfbench/workloads.py``; each tree
-builds their ensembles with its own ``make_state`` and ``make_ensemble``,
-as the benchmark does, and a family is the benchmark's family name.  A
-second table then gives each tree's end-to-end metrics as
-``perfbench/run.py`` takes them, from every instance's median time over the
-rounds: ``throughput_per_s`` (instances over the sum of those medians),
-``latency_ms.p50`` and ``latency_ms.p90``.  These are plain wall times; the
-benchmark also scales its times by a calibration kernel.
+``perfbench/workloads.py`` is read, never changed.  Every round runs each
+operation once on either tree, back to back, and the tree that goes first
+alternates from operation to operation and from round to round, so a slow
+phase of the machine hits both alike.  As in the benchmark's ``Tally``, an
+operation that raises is a failed operation, and every answer goes through
+the operation's check: the benchmark's own checks, which re-walk every
+protocol with plain numpy (a fingerprint instance must only be answered
+soundly).
+
+The script prints, per group (a family of instances, or a CLI command kind),
+the number of operations and each tree's sum of per-operation median times
+over the rounds, with the relative change.  Then each tree's end-to-end
+metrics as ``perfbench/run.py`` computes them from those medians, failed
+operations left out: ``throughput_per_s``, ``latency_ms.p50`` and
+``latency_ms.p90``, with the ``decided`` and ``failed`` counts of the first
+round.  These are plain wall times; the benchmark also scales its times by
+a calibration kernel.  Then the per-round throughput ratio new/old: its
+median, its quartiles, the rounds the new tree won, and the spread of the
+old tree's own per-round throughput (quartile distance over median).  For
+searches, two last lines give the number of operations whose protocol bytes
+differ between the trees (``search_fingerprint.protocol_digest``, the hash
+that script prints) and whose protocol shapes differ (``protocol_shape``:
+parties, outcome ranks and leaf labels), listed on stderr.
+
+The script exits 1, listing the cause on stderr, when an outcome differs
+between the trees or between rounds, or when a check finds a problem.  An
+outcome is a search's verdict, nodes explored and depth limit, and every
+operation's failed and decided flags; differing bytes or shapes alone do
+not change the exit code.
 
 Usage: python3 scripts/search_ab.py OLD_SRC NEW_SRC [--repeat N]
-                                    [--cases sweep2x2|highdim [--seeds 1,2]]
+                                    [--cases sweep2x2|highdim|cli] [--seeds 1,2]
 
 where OLD_SRC and NEW_SRC are ``src`` directories, each holding a
 ``loccdist`` package (for example ``src`` of two checkouts).  BLAS runs on
-one thread, as in ``perfbench``.
+one thread, as in ``perfbench``; CLI processes inherit that.
 """
 
+import os
+
+# one BLAS thread, as in the benchmark, before any tree imports numpy
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 import argparse
-import hashlib
 import importlib
 import importlib.util
-import json
-import os
 import re
 import statistics
 import sys
+import tempfile
 import time
 from collections import defaultdict
 from pathlib import Path
 
-# one BLAS thread, as in the benchmark, before any tree imports numpy
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
 FINGERPRINT = Path(__file__).resolve().parent / "search_fingerprint.py"
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SIDES = ("old", "new")
 
 
-def bench_cases(workload: str, seeds: list[int]):
-    """The benchmark's ``workloads`` module and its seeded cases of one
-    workload over every seed, in order."""
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        workloads = importlib.import_module("workloads")
-    finally:
-        sys.path.remove(str(PERFBENCH))
-    return workloads, [case for seed in seeds for case in workloads.cases(workload, seed)]
+def load_tree(src: Path, tag: str, workloads, cases, seeds, workdir: Path):
+    """Import the loccdist package under ``src`` and build its operations with
+    its own code: those of ``--cases`` (``cases``, None for the fingerprint)
+    over ``seeds``, CLI input files written under ``workdir``.
 
-
-def load_tree(src: Path, tag: str, bench=None):
-    """Import the loccdist package under ``src``, ``search_fingerprint.py`` on
-    it, and the instances built by it: those of ``search_fingerprint.py``,
-    or the ensembles of ``bench``, ``bench_cases``'s output, named
-    ``family/index``.
-    Returns ``(modules, search, digest, shape, instances)``; ``modules`` are
-    the package's entries of ``sys.modules``, which must be put back before
-    a search of this tree, since the search imports a module when called,
-    and ``digest`` and ``shape`` hash and describe a protocol of this tree,
-    ``-`` when there is none."""
+    Returns ``(modules, ops, names, describe)``.  ``modules`` are the
+    package's entries of ``sys.modules``, which must be put back before an
+    operation of this tree, since a search imports a module when called;
+    ``describe(result)`` gives a result's outcome fields beyond failed and
+    decided, its protocol digest and its protocol shape."""
+    src = src.resolve()
+    if not (src / "loccdist" / "__init__.py").is_file():
+        sys.exit(f"{src} holds no loccdist package")
     for name in [n for n in sys.modules if n == "loccdist" or n.startswith("loccdist.")]:
         del sys.modules[name]
     sys.path.insert(0, str(src))
     try:
         package = importlib.import_module("loccdist")
-        cli = importlib.import_module("loccdist.cli")
+        importlib.import_module("loccdist.cli")
         # criteria imports every other submodule; a lazy package would
         # otherwise import one later, while the other tree's are in sys.modules
         importlib.import_module("loccdist.criteria")
         spec = importlib.util.spec_from_file_location(f"search_fingerprint_{tag}", FINGERPRINT)
         fingerprint = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(fingerprint)
-        if bench is None:
-            instances = list(fingerprint.instances())
+        if cases == "cli":
+            env = dict(os.environ)
+            env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+            ops = []
+            for seed in seeds:
+                seed_dir = workdir / f"{tag}-{seed}"
+                seed_dir.mkdir()
+                cli_cases = workloads.cli_cases(seed)
+                workloads.write_cli_inputs(package, cli_cases, seed_dir)
+                runner = workloads.CliRunner(env, src.parent, seed_dir)
+                ops += workloads.cli_ops(runner, cli_cases, seed_dir)
         else:
-            workloads, cases = bench
-            instances = [(f"{case.family}/{i}", ens) for i, (case, ens) in
-                         enumerate(zip(cases, workloads.build_ensembles(package, cases)))]
+            if cases is None:
+                all_cases, ensembles = [], []
+                for name, e in fingerprint.instances():
+                    all_cases.append(workloads.Case(name, {s.name: s.amplitudes
+                                                           for s in e.states}))
+                    ensembles.append(e)
+            else:
+                all_cases = [case for seed in seeds for case in workloads.cases(cases, seed)]
+                ensembles = workloads.build_ensembles(package, all_cases)
+            ops = workloads.search_ops(package, all_cases, ensembles)
     finally:
         sys.path.remove(str(src))
-    if Path(package.__file__).resolve().parent != (src / "loccdist").resolve():
-        sys.exit(f"{src} holds no loccdist package")
     modules = {n: m for n, m in sys.modules.items()
                if n == "loccdist" or n.startswith("loccdist.")}
+    names = [op.name if cases is None else f"{op.name}/{i}" for i, op in enumerate(ops)]
 
-    def digest(protocol):
-        if protocol is None:
-            return "-"
-        return hashlib.sha256(json.dumps(cli.protocol_to_dict(protocol)).encode()).hexdigest()
+    def describe(out):
+        if cases == "cli":
+            return (), None, None
+        shape = "-" if out.protocol is None else fingerprint.protocol_shape(out.protocol)
+        return ((out.verdict, out.nodes_explored, out.max_depth),
+                fingerprint.protocol_digest(out.protocol), shape)
 
-    def shape(protocol):
-        return "-" if protocol is None else fingerprint.protocol_shape(protocol)
-
-    return modules, package.search_protocol, digest, shape, instances
+    return modules, ops, names, describe
 
 
-def family(name: str) -> str:
+def group(name: str) -> str:
+    """The family of a fingerprint instance, or the group of an operation
+    named ``group/index``."""
     return re.sub(r"(-s|-rot|(?<=sweep2x2)-|/)\d+$", "", name)
 
 
-def end_to_end(times):
-    """``throughput_per_s``, ``latency_ms.p50`` and ``latency_ms.p90`` of one
-    tree, from each instance's median time over the rounds, as
-    ``perfbench/run.py`` computes them from its typical times."""
-    typical_ms = [1000.0 * statistics.median(t) for t in times]
+def quartiles(values):
+    """(q1, median, q3) of ``values``, as ``statistics.quantiles`` takes them."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4)
+    return q1, q2, q3
+
+
+def end_to_end(typical_ms):
+    """``throughput_per_s``, ``latency_ms.p50`` and ``latency_ms.p90`` from
+    each successful operation's median time, as ``perfbench/run.py``
+    computes them from its typical times."""
     return {"throughput_per_s": 1000.0 * len(typical_ms) / sum(typical_ms),
             "latency_ms.p50": statistics.median(typical_ms),
             "latency_ms.p90": statistics.quantiles(typical_ms, n=10)[-1]}
@@ -157,65 +182,101 @@ def main():
     ap.add_argument("old_src", type=Path, metavar="OLD_SRC")
     ap.add_argument("new_src", type=Path, metavar="NEW_SRC")
     ap.add_argument("--repeat", type=positive_int, default=5, metavar="N",
-                    help="rounds over every instance (default 5)")
-    ap.add_argument("--cases", choices=("sweep2x2", "highdim"),
-                    help="search the benchmark's seeded cases of this workload instead")
+                    help="rounds over every operation (default 5)")
+    ap.add_argument("--cases", choices=("sweep2x2", "highdim", "cli"),
+                    help="run the benchmark's operations of this workload instead")
     ap.add_argument("--seeds", type=seed_list, metavar="S,S,...",
                     help="benchmark seeds of --cases (default 1,2)")
     args = ap.parse_args()
     if args.seeds and not args.cases:
         ap.error("--seeds needs --cases")
-    bench = bench_cases(args.cases, args.seeds or [1, 2]) if args.cases else None
-    trees = [load_tree(args.old_src, "old", bench), load_tree(args.new_src, "new", bench)]
-    names = [name for name, _ in trees[0][-1]]
-    if names != [name for name, _ in trees[1][-1]]:
-        sys.exit("the two trees build different instance lists")
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(PERFBENCH))
 
-    times = [[[] for _ in names] for _ in trees]
-    results = [[None] * len(names) for _ in trees]
-    digests = [[None] * len(names) for _ in trees]
-    shapes = [[None] * len(names) for _ in trees]
-    for r in range(args.repeat):
-        for i in range(len(names)):
-            first = (i + r) % 2
-            for side in (first, 1 - first):
-                modules, search, digest, shape, instances = trees[side]
-                sys.modules.update(modules)
-                start = time.perf_counter()
-                out = search(instances[i][1])
-                elapsed = time.perf_counter() - start
-                times[side][i].append(elapsed)
-                results[side][i] = (out.verdict, out.nodes_explored, out.max_depth)
-                digests[side][i] = digest(out.protocol)
-                shapes[side][i] = shape(out.protocol)
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = [load_tree(src, tag, workloads, args.cases, args.seeds or [1, 2], Path(tmp))
+                 for src, tag in ((args.old_src, "old"), (args.new_src, "new"))]
+        names = trees[0][2]
+        if names != trees[1][2]:
+            sys.exit("the two trees build different operation lists")
+        times = [[[] for _ in names] for _ in trees]
+        outcomes = [[None] * len(names) for _ in trees]
+        protocols = [[(None, None)] * len(names) for _ in trees]
+        problems = []
+        for r in range(args.repeat):
+            for i, name in enumerate(names):
+                first = (i + r) % 2
+                for side in (first, 1 - first):
+                    modules, ops, _, describe = trees[side]
+                    sys.modules.update(modules)
+                    start = time.perf_counter()
+                    try:
+                        result = ops[i].run()
+                    except Exception as exc:  # a crash of the program is a failed operation
+                        print(f"crashed: {SIDES[side]} {name}: {exc!r}", file=sys.stderr)
+                        result = None
+                    times[side][i].append(time.perf_counter() - start)
+                    failed, decided, found, extra = True, False, [], ()
+                    if result is not None:
+                        extra, digest, shape = describe(result)
+                        protocols[side][i] = (digest, shape)
+                        try:
+                            failed, decided, found = ops[i].check(result)
+                        except Exception as exc:  # output the checks cannot read
+                            failed, decided, found = False, False, [f"unreadable output: {exc!r}"]
+                    problems += [f"{SIDES[side]} {name}: {p}" for p in found]
+                    outcome = (failed, decided, *extra)
+                    if outcomes[side][i] is None:
+                        outcomes[side][i] = outcome
+                    elif outcome != outcomes[side][i]:
+                        problems.append(f"{SIDES[side]} {name}: outcome changed between rounds")
 
-    totals = defaultdict(lambda: [0, 0.0, 0.0])
+    ok = [[not outcome[0] for outcome in side] for side in outcomes]
+    rows = defaultdict(lambda: [0, 0.0, 0.0])
     for i, name in enumerate(names):
-        for key in (family(name), None):
-            row = totals[key]
-            row[0] += 1
-            row[1] += 1000.0 * min(times[0][i])
-            row[2] += 1000.0 * min(times[1][i])
-    totals["total"] = totals.pop(None)
-    print(f"{'family':<30} {'n':>4} {'old_ms':>10} {'new_ms':>10} {'change':>8}")
-    for key, (count, old, new) in totals.items():
+        for key in (group(name), "total"):
+            rows[key][0] += 1
+            for side in (0, 1):
+                rows[key][1 + side] += 1000.0 * statistics.median(times[side][i])
+    rows["total"] = rows.pop("total")
+    print(f"{'group':<30} {'n':>4} {'old_ms':>10} {'new_ms':>10} {'change':>8}")
+    for key, (count, old, new) in rows.items():
         print(f"{key:<30} {count:>4} {old:>10.3f} {new:>10.3f} {(new - old) / old:>+8.1%}")
-    if args.cases:
-        print(f"\n{'metric':<30} {'old':>10} {'new':>10} {'change':>8}")
-        old, new = (end_to_end(side) for side in times)
-        for key in old:
-            print(f"{key:<30} {old[key]:>10.3f} {new[key]:>10.3f} "
-                  f"{(new[key] - old[key]) / old[key]:>+8.1%}")
 
-    for what, values in (("bytes", digests), ("shapes", shapes)):
-        changed = [name for name, a, b in zip(names, *values) if a != b]
-        print(f"protocol {what} differ: {len(changed)} of {len(names)}")
-        for name in changed:
-            print(f"protocol {what} differ: {name}", file=sys.stderr)
-    differ = [(name, a, b) for name, a, b in zip(names, *results) if a != b]
+    old, new = (end_to_end([1000.0 * statistics.median(t) for t, good in zip(side, mask) if good])
+                for side, mask in zip(times, ok))
+    print(f"\n{'metric':<30} {'old':>10} {'new':>10} {'change':>8}")
+    for key in old:
+        print(f"{key:<30} {old[key]:>10.3f} {new[key]:>10.3f} "
+              f"{(new[key] - old[key]) / old[key]:>+8.1%}")
+    for key, column in (("decided", 1), ("failed", 0)):
+        counts = [sum(o[column] for o in side) for side in outcomes]
+        print(f"{key:<30} {counts[0]:>10} {counts[1]:>10}")
+
+    per_round = [[sum(mask) / sum(t[r] for t, good in zip(side, mask) if good)
+                  for r in range(args.repeat)] for side, mask in zip(times, ok)]
+    ratios = [new / old for old, new in zip(*per_round)]
+    q1, median, q3 = quartiles(ratios)
+    old_q1, old_median, old_q3 = quartiles(per_round[0])
+    print(f"\nthroughput ratio new/old per round: median {median:.3f}, quartiles {q1:.3f} "
+          f"{q3:.3f}, new won {sum(x > 1 for x in ratios)} of {args.repeat}, "
+          f"old spread {(old_q3 - old_q1) / old_median:.1%}")
+
+    if args.cases != "cli":
+        for what, column in (("bytes", 0), ("shapes", 1)):
+            changed = [name for name, a, b in zip(names, *protocols) if a[column] != b[column]]
+            print(f"protocol {what} differ: {len(changed)} of {len(names)}")
+            for name in changed:
+                print(f"protocol {what} differ: {name}", file=sys.stderr)
+    differ = [(name, a, b) for name, a, b in zip(names, *outcomes) if a != b]
     for name, a, b in differ:
         print(f"differs: {name}: old {a}, new {b}", file=sys.stderr)
-    sys.exit(1 if differ else 0)
+    for problem in problems:
+        print(f"problem: {problem}", file=sys.stderr)
+    sys.exit(1 if differ or problems else 0)
 
 
 if __name__ == "__main__":

@@ -24,22 +24,15 @@ changed.  Every instance comes from loccdist's own seeded generators:
 
 Usage: PYTHONPATH=src python3 scripts/search_fingerprint.py > fingerprint.txt
 
-With ``--repeat N`` every instance is searched N more times and each line
-gets one more field: the median wall time of those searches in ms.  This
-gives per-instance search latency on two checkouts; without the flag the
-output is the same as before the flag existed.
-
 ``protocol_shape`` gives a protocol's parties, outcome ranks and leaf
 labels without its numbers; ``tests/test_search_verdicts.py`` pins it per
-instance and ``search_ab.py`` compares it between two trees.
+instance.  ``search_ab.py`` compares it and ``protocol_digest`` between two
+trees.
 """
 
-import argparse
 import hashlib
 import itertools
 import json
-import statistics
-import time
 
 import numpy as np
 
@@ -152,37 +145,18 @@ def protocol_shape(tree) -> str:
     return f"{tree.measurement.party}[{outcomes}]"
 
 
-def positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return value
-
-
-def median_ms(e, repeat):
-    times = []
-    for _ in range(repeat):
-        start = time.perf_counter()
-        L.search_protocol(e)
-        times.append(time.perf_counter() - start)
-    return 1000.0 * statistics.median(times)
+def protocol_digest(protocol) -> str:
+    """The sha256 of ``json.dumps(protocol_to_dict(protocol))``, ``-`` when
+    there is no protocol."""
+    if protocol is None:
+        return "-"
+    return hashlib.sha256(json.dumps(protocol_to_dict(protocol)).encode()).hexdigest()
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--repeat", type=positive_int, metavar="N",
-                    help="append the median time in ms of N more searches per instance")
-    args = ap.parse_args()
     for name, e in instances():
         out = L.search_protocol(e)
-        digest = "-"
-        if out.protocol is not None:
-            text = json.dumps(protocol_to_dict(out.protocol))
-            digest = hashlib.sha256(text.encode()).hexdigest()
-        fields = [name, out.verdict, out.nodes_explored, out.max_depth, digest]
-        if args.repeat:
-            fields.append(f"{median_ms(e, args.repeat):.3f}")
-        print(*fields)
+        print(name, out.verdict, out.nodes_explored, out.max_depth, protocol_digest(out.protocol))
 
 
 if __name__ == "__main__":

@@ -1,0 +1,52 @@
+"""The scripts under ``scripts/``: the A/B harness, and README's list of them."""
+
+import re
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
+
+#: makes a tree's search answer ``unknown`` on every two-state set
+_UNKNOWN_ON_PAIRS = """
+
+_search_protocol = search_protocol
+
+
+def search_protocol(e, cfg=None):
+    out = _search_protocol(e, cfg)
+    return SearchOutcome("unknown", None, out.schmidt_report) if e.m == 2 else out
+"""
+
+
+def _search_ab(old_src, new_src):
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / "search_ab.py"), str(old_src), str(new_src),
+         "--cases", "highdim", "--seeds", "1", "--repeat", "1"],
+        capture_output=True, text=True, timeout=300)
+
+
+def test_search_ab_finds_no_difference_between_a_tree_and_itself():
+    proc = _search_ab(ROOT / "src", ROOT / "src")
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    assert ["decided", "46", "46"] in lines
+    assert ["failed", "0", "0"] in lines
+    assert "protocol bytes differ: 0 of 104" in proc.stdout.splitlines()
+
+
+def test_search_ab_names_the_operations_whose_verdict_moved(tmp_path):
+    shutil.copytree(ROOT / "src" / "loccdist", tmp_path / "loccdist",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "loccdist" / "search.py", "a") as f:
+        f.write(_UNKNOWN_ON_PAIRS)
+    proc = _search_ab(ROOT / "src", tmp_path)
+    assert proc.returncode == 1
+    assert re.search(r"^differs: haarpair3/\d+: ", proc.stderr, re.M), proc.stderr
+
+
+def test_readme_names_every_script_and_no_other():
+    named = set(re.findall(r"scripts/(\w+)\.py", (ROOT / "README.md").read_text()))
+    assert named == {path.stem for path in SCRIPTS.glob("*.py")}

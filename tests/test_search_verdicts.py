@@ -19,9 +19,13 @@ A change that moves a shape on purpose regenerates the file:
 """
 
 import importlib.util
+import re
 from functools import cache
 from pathlib import Path
 
+import numpy as np
+
+import loccdist as L
 from loccdist import search_protocol
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -38,8 +42,13 @@ def _fingerprint_module():
 
 
 @cache
+def _instances():
+    return tuple(_fingerprint_module().instances())
+
+
+@cache
 def _outcomes():
-    return tuple((name, search_protocol(e)) for name, e in _fingerprint_module().instances())
+    return tuple((name, search_protocol(e)) for name, e in _instances())
 
 
 def _shape_lines():
@@ -62,6 +71,31 @@ def test_search_verdicts_and_node_counts_match_the_record():
 
 def test_protocol_shapes_match_the_record():
     _assert_lines_match(_shape_lines(), (DATA / "search_shapes.txt").read_text().splitlines())
+
+
+#: fingerprint families whose every verdict holds under local unitaries and
+#: relabelling today; the Pauli sets, generalized Bell triples, ``realpair``,
+#: ``realprod`` and ``six4x4`` still lose some ``yes`` (ROADMAP item 9)
+_INVARIANT = re.compile(r"bell[234]$|domino9|haar-orthogonal-|orthpair-|product-basis-|sweep2x2-")
+
+
+def test_verdicts_hold_under_local_unitaries_and_relabelling():
+    """One seeded copy of each instance of those families, under a Haar
+    ``U_A (x) U_B`` and a random order of its states, keeps its verdict."""
+    flips, copies = [], 0
+    for index, ((name, e), (_, out)) in enumerate(zip(_instances(), _outcomes())):
+        if not _INVARIANT.match(name):
+            continue
+        rng = np.random.default_rng(index)
+        ua, ub = L.haar_unitary(e.dim_a, rng), L.haar_unitary(e.dim_b, rng)
+        copy = L.make_ensemble([L.apply_local_unitary(e.states[k], ua, ub)
+                                for k in rng.permutation(e.m)])
+        verdict = search_protocol(copy).verdict
+        copies += 1
+        if verdict != out.verdict:
+            flips.append(f"{name}: {out.verdict} -> {verdict}")
+    assert copies == 410
+    assert not flips, flips
 
 
 if __name__ == "__main__":
