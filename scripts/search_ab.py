@@ -27,11 +27,13 @@ the number of operations and each tree's sum of per-operation median times
 over the rounds, with the relative change.  Then each tree's end-to-end
 metrics as ``perfbench/run.py`` computes them from those medians, failed
 operations left out: ``throughput_per_s``, ``latency_ms.p50`` and
-``latency_ms.p90``, with the ``decided`` and ``failed`` counts of the first
-round.  These are plain wall times; the benchmark also scales its times by
-a calibration kernel.  Then the per-round throughput ratio new/old: its
-median, its quartiles, the rounds the new tree won, and the spread of the
-old tree's own per-round throughput (quartile distance over median).  For
+``latency_ms.p90``; the group of the operation nearest each latency metric,
+which names the band a latency change moves; and the ``decided`` and
+``failed`` counts of the first round.  These are plain wall times; the
+benchmark also scales its times by a calibration kernel.  Then the
+per-round throughput ratio new/old: its median, its quartiles, the rounds
+the new tree won, and the spread of the old tree's own per-round
+throughput (quartile distance over median).  For
 searches, two last lines give the number of operations whose protocol bytes
 differ between the trees (``search_fingerprint.protocol_digest``, the hash
 that script prints) and whose protocol shapes differ (``protocol_shape``:
@@ -160,6 +162,13 @@ def end_to_end(typical_ms):
             "latency_ms.p90": statistics.quantiles(typical_ms, n=10)[-1]}
 
 
+def band(typical_ms, value):
+    """The group of the operation whose typical time, in a mapping from
+    operation name to time, is nearest ``value``: the band a latency metric
+    falls in."""
+    return group(min(typical_ms, key=lambda name: abs(typical_ms[name] - value)))
+
+
 def positive_int(text):
     value = int(text)
     if value < 1:
@@ -246,12 +255,16 @@ def main():
     for key, (count, old, new) in rows.items():
         print(f"{key:<30} {count:>4} {old:>10.3f} {new:>10.3f} {(new - old) / old:>+8.1%}")
 
-    old, new = (end_to_end([1000.0 * statistics.median(t) for t, good in zip(side, mask) if good])
-                for side, mask in zip(times, ok))
+    typical = [{name: 1000.0 * statistics.median(t) for name, t, good in zip(names, side, mask)
+                if good} for side, mask in zip(times, ok)]
+    old, new = (end_to_end(list(side.values())) for side in typical)
     print(f"\n{'metric':<30} {'old':>10} {'new':>10} {'change':>8}")
     for key in old:
         print(f"{key:<30} {old[key]:>10.3f} {new[key]:>10.3f} "
               f"{(new[key] - old[key]) / old[key]:>+8.1%}")
+    for key in ("latency_ms.p50", "latency_ms.p90"):
+        print(f"{key + ' group':<30} {band(typical[0], old[key]):>10} "
+              f"{band(typical[1], new[key]):>10}")
     for key, column in (("decided", 1), ("failed", 0)):
         counts = [sum(o[column] for o in side) for side in outcomes]
         print(f"{key:<30} {counts[0]:>10} {counts[1]:>10}")

@@ -1,7 +1,8 @@
 """Bounded synthesis of projective discrimination protocols.
 
-Depth-first search in which, at every node, Alice and then Bob try the
-candidate measurements of one fixed generator (``candidate_bases``).  A
+Depth-first search in which every node tries the candidate measurements of
+one fixed generator per party (``candidate_bases``), cheap tiers first:
+Alice's cheap tiers, then Bob's, then Alice's costly tier, then Bob's.  A
 number counts as zero when its magnitude is within the tolerance ``tol``
 (``SearchConfig.tolerance``); a rank counts the singular values, or
 eigenvalue magnitudes, above ``RANK_CUTOFF`` times the largest.  Every node
@@ -25,20 +26,24 @@ offered the closure, one Gram product of their Schmidt vectors picks every
 completion's vectors and one ``qr`` completes them all, the projected norms
 alone give each outcome's reach, and one ``argmax`` names the state at every
 leaf.  A node the closure does not end is searched with its cross
-operators from that pass.  Candidates are generated tier by tier (a
-qubit's qubit-plane bases, else the standard and zero-diagonal tiers), only
-as far as the search asks, and tried in build order; the beam counts every
-candidate, so no tier is built once it is spent.  Each tier is one stack
-of outcome projectors, which gives admissibility in one product ``vec(P) .
-vec(M^T)`` on the whole stack, against the acting party's cross operators
-alone.  The zero-diagonal tier is pruned part by part before it is built:
-each basis holds the vector its part retires first, and a basis holding an
-inadmissible vector is itself inadmissible, so one ``_admits`` call on
-those vectors decides which parts' bases are built, one matrix at a time.
+operators from that pass.  Candidates are generated tier by tier, only as
+far as the search asks, and tried in build order.  A qubit's one tier, its
+qubit-plane bases, is cheap; a larger party's standard tier is cheap and its
+zero-diagonal tier costly.  The beam counts a party's candidates at a node
+across both classes, and is checked before a tier is built, so no tier is
+built once it is spent.  Each tier is one stack of outcome projectors,
+which gives admissibility in one product ``vec(P) . vec(M^T)`` on the whole
+stack, against the acting party's cross operators alone.  The zero-diagonal
+tier is pruned part by part before it is built: each basis holds the vector
+its part retires first, and a basis holding an inadmissible vector is
+itself inadmissible, so one ``_admits`` call on those vectors decides which
+parts' bases are built, one matrix at a time.
 An admitted candidate is applied to the whole stack at once: one batched
-norm gives every survivor's mass and one batched Gram product checks that
-each outcome's survivors stay orthogonal.  Its children (the outcomes that
-keep two or more states) are packed into one stack, whose one ``svd`` gives
+norm gives every survivor's mass, and a candidate that keeps states in
+fewer than two outcomes is rejected from those alone; otherwise the
+survivors are renormalised and one batched Gram product checks that each
+outcome's survivors stay orthogonal.  Its children (the outcomes that keep
+two or more states) are packed into one stack, whose one ``svd`` gives
 their Schmidt ranks and Schmidt vectors, and are closed as one batch; the
 root's ``svd`` is taken only when it is offered the closure.  Only the
 candidate that enters the tree becomes a ``ProjectiveMeasurement``; no
@@ -52,7 +57,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate, islice
+from itertools import accumulate, chain
 from numbers import Integral
 
 import numpy as np
@@ -93,6 +98,8 @@ from .states import (
 _PRODUCT_ENTRIES = 1 << 14
 #: coefficients of a flattened 2x2 matrix on (sigma_x, sigma_y, sigma_z)
 _PAULI = np.array([[0, 0, 0.5], [0.5, 0.5j, 0], [0.5, -0.5j, 0], [0, 0, -0.5]])
+#: the order of ``dfs``'s ``_candidates`` classes: cheap (0), then costly (1)
+_SCHEDULE = ((ALICE, 0), (BOB, 0), (ALICE, 1), (BOB, 1))
 
 
 @dataclass(frozen=True)
@@ -102,7 +109,7 @@ class SearchConfig:
     ``max_depth`` (an integer >= 1) caps the rounds of measurement on any
     branch, ``tolerance`` (finite and > 0) is used by every numerical check,
     and ``beam_limit`` (an integer >= 1) caps the candidates one party tries
-    at one node.
+    at one node, counted across its cheap and costly tiers.
     """
 
     max_depth: int = 6
@@ -440,15 +447,17 @@ def _computational(d: int):
 
 
 def _candidates(stack: np.ndarray, party: str, sides: np.ndarray, cfg: SearchConfig):
-    """``candidate_bases`` of an amplitude stack as an iterator of
-    ``(blocks, projectors, admissible)`` triples, given ``sides``, the
-    party's ``(pairs, d, d)`` cross operators: each tier of the party's
-    dimension in build order, cut at ``beam_limit``.  The zero-diagonal tier
-    is built only when the caller asks past the standard tier, and never
-    once the beam is spent.  Each tier is one stack of outcome projectors,
-    whose admissibility comes from one product."""
+    """``candidate_bases`` of an amplitude stack as two iterators ``(cheap,
+    costly)`` of ``(blocks, projectors, admissible)`` triples, given
+    ``sides``, the party's ``(pairs, d, d)`` cross operators: a qubit's
+    qubit-plane bases and nothing, else the standard and the zero-diagonal
+    tier.  A tier is built only when its iterator is asked for it, and
+    ``beam_limit``, counted across both classes, is checked first, so no
+    tier is built once it is spent.  Each tier is one stack of outcome
+    projectors, whose admissibility comes from one product."""
     d = stack.shape[1] if party == ALICE else stack.shape[2]
     tol = cfg.tolerance
+    left = cfg.beam_limit
 
     def columns(bases):
         if not bases:
@@ -467,24 +476,23 @@ def _candidates(stack: np.ndarray, party: str, sides: np.ndarray, cfg: SearchCon
         return ([basis, tuple(eye[:, row] for row in groups)],
                 np.concatenate((projs, groups[:, np.newaxis, :] * eye)))
 
-    def qubit_plane():
-        return columns(_qubit_plane_bases(sides, tol))
+    def tier(build):
+        nonlocal left
+        if left < 1:
+            return
+        cands, projs = build()
+        if not cands:
+            return
+        starts = list(accumulate(map(len, cands), initial=0))
+        admitted = _admits(projs, sides, tol).tolist()
+        for i, blocks in enumerate(cands[:left]):
+            left -= 1
+            yield (tuple(blocks), projs[starts[i]:starts[i + 1]],
+                   all(admitted[starts[i]:starts[i + 1]]))
 
-    def zero_diagonal():
-        return columns(_zero_diagonal_tier(sides, tol))
-
-    def tiers():
-        for tier in (qubit_plane,) if d == 2 else (standard, zero_diagonal):
-            cands, projs = tier()
-            if not cands:
-                continue
-            starts = list(accumulate(map(len, cands), initial=0))
-            admitted = _admits(projs, sides, tol).tolist()
-            for i, blocks in enumerate(cands):
-                yield (tuple(blocks), projs[starts[i]:starts[i + 1]],
-                       all(admitted[starts[i]:starts[i + 1]]))
-
-    return islice(tiers(), cfg.beam_limit)
+    if d == 2:
+        return tier(lambda: columns(_qubit_plane_bases(sides, tol))), ()
+    return tier(standard), tier(lambda: columns(_zero_diagonal_tier(sides, tol)))
 
 
 def candidate_bases(e: Ensemble, party: str, cfg: SearchConfig | None = None):
@@ -503,14 +511,16 @@ def candidate_bases(e: Ensemble, party: str, cfg: SearchConfig | None = None):
     part has vanishing diagonal, save those ``_zero_diagonal_tier`` prunes).
     The list is each tier in build order, cut at ``beam_limit``, repeats
     kept (each of ``six4x4``'s zero-diagonal bases for Alice is her
-    computational basis, permuted); the search runs it lazily, in the same
-    order.  Here the party's cross operators come from the ensemble, in the
-    search from each node's batch.  The search offers every node its
-    one-round Schmidt closure, which is not on this list, before these.
+    computational basis, permuted).  The search runs it lazily, in the same
+    order, but tries both parties' cheap tiers before either costly
+    (zero-diagonal) tier, with one beam per party across both.  Here the
+    party's cross operators come from the ensemble, in the search from each
+    node's batch.  The search offers every node its one-round Schmidt
+    closure, which is not on this list, before these.
     """
     cfg = cfg or SearchConfig()
     return [ProjectiveMeasurement(party, blocks) for blocks, _, _
-            in _candidates(e.amplitudes, party, cross_operators(e, party), cfg)]
+            in chain(*_candidates(e.amplitudes, party, cross_operators(e, party), cfg))]
 
 
 def _reach(stack: np.ndarray, party: str, projs: np.ndarray, tol: float):
@@ -537,8 +547,13 @@ def _project(stack: np.ndarray, party: str, projs: np.ndarray, tol: float):
     stacks pair up: ``(..., k, d, d)`` projectors on ``(..., m, dim_a,
     dim_b)`` states give ``(..., k, m)`` results.
     """
-    mats, norms, alive = _reach(stack, party, projs, tol)
-    slack = unit_norm_slack(stack.shape[-2] * stack.shape[-1])
+    return _renormalise(*_reach(stack, party, projs, tol))
+
+
+def _renormalise(mats: np.ndarray, norms: np.ndarray, alive: np.ndarray):
+    """``_project``'s ``(alive, states, scale)`` from the ``(mats, norms,
+    alive)`` that ``_reach`` gives."""
+    slack = unit_norm_slack(mats.shape[-2] * mats.shape[-1])
     scale = np.where(alive & (np.abs(norms - 1.0) > slack), norms, 1.0)
     states = mats / scale[..., np.newaxis, np.newaxis]
     states[~alive] = 0.0
@@ -617,15 +632,20 @@ def search_protocol(e: Ensemble, cfg: SearchConfig | None = None) -> SearchOutco
         stats["nodes"] += 1
         if depth >= depth_limit:
             return None
-        for party in (ALICE, BOB):
-            for blocks, projs, admissible in _candidates(stack, party, cross_ops[party], cfg):
+        # a party's candidates are made only when its first class is reached
+        tiers = {}
+        for party, costly in _SCHEDULE:
+            if party not in tiers:
+                tiers[party] = _candidates(stack, party, cross_ops[party], cfg)
+            for blocks, projs, admissible in tiers[party][costly]:
                 if not admissible:
                     continue
-                alive, states, _ = _project(stack, party, projs, tol)
-                if overlaps(states.reshape(*alive.shape, -1)).max() > tol:
+                reach = _reach(stack, party, projs, tol)
+                sizes = reach[2].sum(axis=1)
+                if np.count_nonzero(sizes) < 2:  # no progress, whatever the survivors
                     continue
-                sizes = alive.sum(axis=1)
-                if np.count_nonzero(sizes) < 2:
+                alive, states, _ = _renormalise(*reach)
+                if overlaps(states.reshape(*alive.shape, -1)).max() > tol:
                     continue
                 # ranks are needed only for a child node, and for the progress
                 # test when every outcome keeps every state (each outcome is

@@ -35,6 +35,13 @@ def test_search_ab_finds_no_difference_between_a_tree_and_itself():
     assert ["decided", "46", "46"] in lines
     assert ["failed", "0", "0"] in lines
     assert "protocol bytes differ: 0 of 104" in proc.stdout.splitlines()
+    # p90 falls inside six4x4's wide band (34 of the 104 searches) on either
+    # tree; p50 falls among groups whose times interleave, so one round of
+    # timing noise may name a neighbour of the same band on each side
+    bands = {line[0]: line[2:] for line in lines if line[1:2] == ["group"]}
+    assert bands["latency_ms.p90"] == ["six4x4", "six4x4"]
+    groups = {line[0] for line in lines if len(line) == 5 and line[1].isdigit()}
+    assert len(bands["latency_ms.p50"]) == 2 and set(bands["latency_ms.p50"]) <= groups
 
 
 def test_search_ab_names_the_operations_whose_verdict_moved(tmp_path):

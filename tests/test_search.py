@@ -224,10 +224,12 @@ def test_candidates_build_a_tier_only_when_asked_past_the_one_before(monkeypatch
                         lambda *args: calls.append(args) or real(*args))
     e = _pair_00_10()
     sides = cross_operators(e, ALICE)
-    gen = search_module._candidates(e.amplitudes, ALICE, sides, SearchConfig())
-    next(gen)  # the computational basis, from the standard tier
+    cheap, costly = search_module._candidates(e.amplitudes, ALICE, sides, SearchConfig())
+    next(cheap)  # the computational basis, from the standard tier
     assert calls == []
-    assert len(list(gen)) == 2  # the two zero-diagonal bases
+    assert list(cheap) == []  # the standard tier has no second candidate here
+    assert calls == []
+    assert len(list(costly)) == 2  # the two zero-diagonal bases
     assert len(calls) == 1
 
 
@@ -316,6 +318,90 @@ def test_a_spent_beam_builds_no_later_tier(six4x4, monkeypatch):
     assert calls == []
     assert len(candidate_bases(six4x4, ALICE, SearchConfig(beam_limit=3))) == 3
     assert len(calls) == 1
+    # the beam counts both classes: a beam spent by the cheap one leaves
+    # the costly one empty and unbuilt, else it gives what is left
+    sides = cross_operators(six4x4, ALICE)
+    for beam, costly_count in ((2, 0), (3, 1)):
+        calls.clear()
+        cheap, costly = search_module._candidates(six4x4.amplitudes, ALICE, sides,
+                                                  SearchConfig(beam_limit=beam))
+        assert len(list(cheap)) == 2
+        assert calls == []
+        assert len(list(costly)) == costly_count
+        assert len(calls) == costly_count
+
+
+def test_six4x4_is_searched_with_no_zero_diagonal_tier(six4x4, monkeypatch):
+    # at the root's second child (psi4-psi6), Bob's computational basis, a
+    # cheap tier, closes the node before Alice's costly tier is reached
+    calls = []
+    real = search_module._zero_diagonal_tier
+    monkeypatch.setattr(search_module, "_zero_diagonal_tier",
+                        lambda *args: calls.append(args) or real(*args))
+    out = search_protocol(six4x4)
+    assert (out.verdict, out.nodes_explored) == (YES, 7)
+    assert calls == []
+
+
+def test_search_tries_both_parties_cheap_tiers_before_either_costly_tier(monkeypatch):
+    # every node asks for Alice's cheap class, then Bob's, then Alice's
+    # costly class, then Bob's; each party's classes come from one
+    # ``_candidates`` call, made when its first class is reached
+    asked = []
+    real = search_module._candidates
+
+    def candidates(stack, party, sides, cfg):
+        cheap, costly = real(stack, party, sides, cfg)
+        key = (stack.tobytes(), party)
+
+        def record(cost, it):
+            asked.append((key, cost))
+            yield from it
+        return record("cheap", cheap), record("costly", costly)
+
+    monkeypatch.setattr(search_module, "_candidates", candidates)
+    for e in (L.canned_example("domino9"), random_ensemble(3, 3, 3, seed=1),
+              random_ensemble(3, 4, 3, seed=2)):
+        asked.clear()
+        search_protocol(e)
+        assert asked
+        nodes = {}
+        for key, cost in asked:
+            nodes.setdefault(key[0], []).append((key[1], cost))
+        for order in nodes.values():
+            assert order == [(ALICE, "cheap"), (BOB, "cheap"), (ALICE, "costly"),
+                             (BOB, "costly")][:len(order)]
+        assert max(map(len, nodes.values())) == 4  # some node reaches every class
+
+
+def test_a_candidate_that_keeps_one_outcome_is_rejected_before_renormalising(six4x4,
+                                                                          monkeypatch):
+    # the root's second child holds psi4-psi6, which all sit in Alice's block
+    # {2, 3}: her support-block candidate keeps all three states in one
+    # outcome, so the reach of its outcomes rejects it, with no survivor
+    # renormalised and no overlap taken; Bob's computational basis is next
+    log = []
+    reach, renormalise, overlaps = (search_module._reach, search_module._renormalise,
+                                    search_module.overlaps)
+
+    def logged_reach(stack, party, projs, tol):
+        out = reach(stack, party, projs, tol)
+        log.append((party, stack.tobytes(), len(projs), out[2].sum(axis=-1).tolist()))
+        return out
+
+    monkeypatch.setattr(search_module, "_reach", logged_reach)
+    monkeypatch.setattr(search_module, "_renormalise",
+                        lambda *args: log.append("renormalise") or renormalise(*args))
+    monkeypatch.setattr(search_module, "overlaps",
+                        lambda flat: log.append("overlaps") or overlaps(flat))
+    out = search_protocol(six4x4)
+    assert (out.verdict, out.nodes_explored) == (YES, 7)
+    second = six4x4.amplitudes[3:].tobytes()
+    at = log.index((ALICE, second, 3, [0, 0, 3]))
+    assert log[at + 1][:3] == (BOB, second, 4)
+    assert log[at + 2:at + 4] == ["renormalise", "overlaps"]
+    # three candidates make progress (the root's, and one per child)
+    assert log.count("renormalise") == log.count("overlaps") == 3
 
 
 def test_search_builds_each_party_s_cross_operators_once_per_node(monkeypatch):
@@ -346,14 +432,14 @@ def test_search_tries_bob_s_schmidt_completion_first_when_alice_s_cross_operator
     e = make_ensemble([product_state(3, 3, kets[k], ub[:, k], name=f"p{k}") for k in range(2)])
     assert np.abs(cross_operators(e, ALICE)).max() <= 1e-12
     assert np.abs(cross_operators(e, BOB)).max() > 1e-12
-    projected = []
-    real = search_module._project
-    monkeypatch.setattr(search_module, "_project",
-                        lambda stack, party, *args: projected.append(party)
+    asked = []
+    real = search_module._candidates
+    monkeypatch.setattr(search_module, "_candidates",
+                        lambda stack, party, *args: asked.append(party)
                         or real(stack, party, *args))
     out = search_protocol(e)
     assert (out.verdict, out.nodes_explored) == (YES, 1)
-    assert projected == []
+    assert asked == []
     completion = search_module._schmidt_completion(e.amplitudes, BOB, L.DEFAULT_TOL)
     root = out.protocol.measurement
     assert root.party == BOB
