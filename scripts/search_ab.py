@@ -34,16 +34,20 @@ benchmark also scales its times by a calibration kernel.  Then the
 per-round throughput ratio new/old: its median, its quartiles, the rounds
 the new tree won, and the spread of the old tree's own per-round
 throughput (quartile distance over median).  For
-searches, two last lines give the number of operations whose protocol bytes
-differ between the trees (``search_fingerprint.protocol_digest``, the hash
-that script prints) and whose protocol shapes differ (``protocol_shape``:
-parties, outcome ranks and leaf labels), listed on stderr.
+searches, three last lines give the number of operations whose protocol
+bytes differ between the trees (``search_fingerprint.protocol_digest``, the
+hash that script prints), whose protocol shapes differ (``protocol_shape``:
+parties, outcome ranks and leaf labels) and whose verification reports
+differ, listed on stderr.  Each tree verifies its own protocol with its own
+``verify_protocol``, outside the timed call, and the reports must agree
+exactly: ``completeness_deviation``, ``state_totals`` and every leaf's
+probabilities.
 
 The script exits 1, listing the cause on stderr, when an outcome differs
 between the trees or between rounds, or when a check finds a problem.  An
 outcome is a search's verdict, nodes explored and depth limit, and every
-operation's failed and decided flags; differing bytes or shapes alone do
-not change the exit code.
+operation's failed and decided flags; differing bytes, shapes or reports
+alone do not change the exit code.
 
 Usage: python3 scripts/search_ab.py OLD_SRC NEW_SRC [--repeat N]
                                     [--cases sweep2x2|highdim|cli] [--seeds 1,2]
@@ -84,8 +88,9 @@ def load_tree(src: Path, tag: str, workloads, cases, seeds, workdir: Path):
     Returns ``(modules, ops, names, describe)``.  ``modules`` are the
     package's entries of ``sys.modules``, which must be put back before an
     operation of this tree, since a search imports a module when called;
-    ``describe(result)`` gives a result's outcome fields beyond failed and
-    decided, its protocol digest and its protocol shape."""
+    ``describe(i, result)`` gives the outcome fields of operation ``i``'s
+    result beyond failed and decided, and its protocol's digest, shape and
+    verification report (``report_key``)."""
     src = src.resolve()
     if not (src / "loccdist" / "__init__.py").is_file():
         sys.exit(f"{src} holds no loccdist package")
@@ -129,14 +134,27 @@ def load_tree(src: Path, tag: str, workloads, cases, seeds, workdir: Path):
                if n == "loccdist" or n.startswith("loccdist.")}
     names = [op.name if cases is None else f"{op.name}/{i}" for i, op in enumerate(ops)]
 
-    def describe(out):
+    def describe(i, out):
         if cases == "cli":
-            return (), None, None
-        shape = "-" if out.protocol is None else fingerprint.protocol_shape(out.protocol)
+            return (), None, None, None
+        if out.protocol is None:
+            shape = report = "-"
+        else:
+            shape = fingerprint.protocol_shape(out.protocol)
+            report = report_key(package.verify_protocol(out.protocol, ensembles[i]))
         return ((out.verdict, out.nodes_explored, out.max_depth),
-                fingerprint.protocol_digest(out.protocol), shape)
+                fingerprint.protocol_digest(out.protocol), shape, report)
 
     return modules, ops, names, describe
+
+
+def report_key(report) -> str:
+    """The numbers of a verification report, ``completeness_deviation``,
+    ``state_totals`` and each leaf's probabilities, as text that differs
+    whenever one of them differs by a bit (``repr`` of a float round-trips
+    it, and tells ``-0.0`` from ``0.0``)."""
+    return repr((report.completeness_deviation, report.state_totals,
+                 [probs for _, _, probs in report.leaves]))
 
 
 def group(name: str) -> str:
@@ -213,7 +231,7 @@ def main():
             sys.exit("the two trees build different operation lists")
         times = [[[] for _ in names] for _ in trees]
         outcomes = [[None] * len(names) for _ in trees]
-        protocols = [[(None, None)] * len(names) for _ in trees]
+        protocols = [[(None, None, None)] * len(names) for _ in trees]
         problems = []
         for r in range(args.repeat):
             for i, name in enumerate(names):
@@ -230,8 +248,8 @@ def main():
                     times[side][i].append(time.perf_counter() - start)
                     failed, decided, found, extra = True, False, [], ()
                     if result is not None:
-                        extra, digest, shape = describe(result)
-                        protocols[side][i] = (digest, shape)
+                        extra, digest, shape, report = describe(i, result)
+                        protocols[side][i] = (digest, shape, report)
                         try:
                             failed, decided, found = ops[i].check(result)
                         except Exception as exc:  # output the checks cannot read
@@ -279,11 +297,12 @@ def main():
           f"old spread {(old_q3 - old_q1) / old_median:.1%}")
 
     if args.cases != "cli":
-        for what, column in (("bytes", 0), ("shapes", 1)):
+        for what, column in (("protocol bytes", 0), ("protocol shapes", 1),
+                             ("verification reports", 2)):
             changed = [name for name, a, b in zip(names, *protocols) if a[column] != b[column]]
-            print(f"protocol {what} differ: {len(changed)} of {len(names)}")
+            print(f"{what} differ: {len(changed)} of {len(names)}")
             for name in changed:
-                print(f"protocol {what} differ: {name}", file=sys.stderr)
+                print(f"{what} differ: {name}", file=sys.stderr)
     differ = [(name, a, b) for name, a, b in zip(names, *outcomes) if a != b]
     for name, a, b in differ:
         print(f"differs: {name}: old {a}, new {b}", file=sys.stderr)

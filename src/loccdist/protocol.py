@@ -9,17 +9,18 @@ branch, the ordered product of the projectors each party applied; the
 positive operator built from that product is the branch's measurement
 element, and the elements of all branches resolve the identity.
 
-The layer works on stacks.  A measurement holds its outcome projectors as
-one read-only ``(k, d, d)`` array, built when it is constructed.  One walk
-of the tree multiplies each node's stack into the operator its party has
-accumulated, which gives ``(L, dim_a, dim_a)`` and ``(L, dim_b, dim_b)``
-branch stacks for the ``L`` leaves in depth-first order.  The arrival of
-every state at every leaf, and the completeness sum of the branch
-elements, come from batched products over those stacks, taken
-``_LEAF_CHUNK`` leaves at a time so that memory does not grow with the
-tree.  Every product is the one a leaf-by-leaf computation would make, and
-the completeness terms are added in leaf order, so the results agree with
-it bit for bit.
+The layer works on stacks.  A measurement holds one read-only copy of all
+its blocks' columns, each block a slice of it, and its outcome projectors
+as one read-only ``(k, d, d)`` array, built at construction (one batched
+product when every block is one column).  One walk of the tree multiplies
+each node's stack into the operator its party has accumulated, which
+gives ``(L, dim_a, dim_a)`` and ``(L, dim_b, dim_b)`` branch stacks for
+the ``L`` leaves in depth-first order.  The arrival of every state at
+every leaf, and the completeness sum of the branch elements, come from
+batched products over those stacks, taken ``_LEAF_CHUNK`` leaves at a
+time so that memory does not grow with the tree.  Every product is the
+one a leaf-by-leaf computation would make, and the completeness terms are
+added in leaf order, so the results agree with it bit for bit.
 """
 
 from __future__ import annotations
@@ -75,10 +76,13 @@ class ProjectiveMeasurement:
     subspaces must be mutually orthogonal and their column counts must sum to
     the local dimension, so the outcome projectors resolve the identity.
     ``projector_stack`` holds the outcome projectors ``Q Q^+`` as one
-    read-only ``(outcomes, d, d)`` array, built once at construction.  Each
-    block (a matrix, or a single vector as one column) is copied read-only;
-    one Gram product of all their columns validates them, and block ``k``'s
-    projector is the product of its columns with their adjoint rows.
+    read-only ``(outcomes, d, d)`` array, built once at construction.  The
+    columns of all blocks (a matrix, or a single vector as one column) are
+    copied once into one read-only array, whose slices are the blocks of
+    ``projectors``; one Gram product of them validates them all.  Block
+    ``k``'s projector is the product of its columns with their adjoint
+    rows: one batched product when every block is one column, else one
+    product per block, whose sums a batched product would round otherwise.
     """
 
     party: str
@@ -90,13 +94,14 @@ class ProjectiveMeasurement:
         _check_party(self.party)
         if not self.projectors:
             raise NotUnitary("a measurement needs at least one outcome")
-        blocks = tuple(_frozen(_as_columns(q)) for q in self.projectors)
+        blocks = [_as_columns(q) for q in self.projectors]
         dim = blocks[0].shape[0]
         # one Gram product of the columns of every block up to the first one
         # on another space checks them all; block maxima name the first fault
         fit = next((k for k, q in enumerate(blocks) if q.shape[0] != dim), len(blocks))
         offsets = list(accumulate((q.shape[1] for q in blocks[:fit]), initial=0))
-        columns = np.concatenate(blocks[:fit], axis=1)
+        columns = np.concatenate(blocks[:fit], axis=1)  # a copy, whatever the caller holds
+        columns.setflags(write=False)
         adjoint = columns.conj().T
         with np.errstate(over="ignore", invalid="ignore"):  # huge entries give deviation inf
             dev = np.abs(adjoint @ columns - _identity(columns.shape[1]))
@@ -117,10 +122,14 @@ class ProjectiveMeasurement:
         if columns.shape[1] != dim:
             raise NotUnitary(f"projector ranks sum to {columns.shape[1]}, "
                              f"expected the local dimension {dim}")
-        object.__setattr__(self, "projectors", blocks)
-        stack = np.empty((len(blocks), dim, dim), dtype=np.complex128)
-        for q, start, out in zip(blocks, offsets, stack):
-            np.matmul(q, adjoint[start:start + q.shape[1]], out=out)
+        object.__setattr__(self, "projectors", tuple(
+            columns[:, start:stop] for start, stop in zip(offsets, offsets[1:])))
+        if len(blocks) == dim:  # one column each
+            stack = np.matmul(columns.T[:, :, np.newaxis], adjoint[:, np.newaxis])
+        else:
+            stack = np.empty((len(blocks), dim, dim), dtype=np.complex128)
+            for q, start, out in zip(self.projectors, offsets, stack):
+                np.matmul(q, adjoint[start:start + q.shape[1]], out=out)
         stack.setflags(write=False)
         object.__setattr__(self, "projector_stack", stack)
 
@@ -301,20 +310,18 @@ def _ensemble_branches(tree: ProtocolTree, e: Ensemble):
         raise DimensionMismatch(str(exc)) from exc
 
 
-def _arrivals(ops_a: np.ndarray, ops_b: np.ndarray, e: Ensemble, tol: float):
-    """Per chunk of ``_LEAF_CHUNK`` leaves, in depth-first order: the
-    post-measurement stack ``(c, m, dim_a, dim_b)``, one product
-    ``(A_l @ C) @ B_l^T`` for every leaf and state, and the ``(c, m)``
-    probabilities from one batched norm; probabilities at or below ``tol``
-    are floored to exactly zero.  Chunks bound the memory whatever the leaf
-    count."""
-    stack = e.amplitudes
-    for i in range(0, len(ops_a), _LEAF_CHUNK):
-        mats = ((ops_a[i:i + _LEAF_CHUNK, None] @ stack)
-                @ ops_b[i:i + _LEAF_CHUNK, None].transpose(0, 1, 3, 2))
-        probs = np.float_power(frobenius_norms(mats), 2)  # pow, as norm ** 2 of one float
-        probs[probs <= tol] = 0.0
-        yield mats, probs
+def _arrivals(ops_a: np.ndarray, ops_b: np.ndarray, e: Ensemble, tol: float, i: int):
+    """For the ``c`` leaves of the chunk that starts at leaf ``i``: the
+    post-measurement stack ``(c, m, dim_a, dim_b)``, one product ``(A_l @ C)
+    @ B_l^T`` for every leaf and state, and the ``(c, m)`` probabilities from
+    one batched norm; probabilities at or below ``tol`` are floored to
+    exactly zero.  Chunks of ``_LEAF_CHUNK`` leaves bound the memory
+    whatever the leaf count."""
+    a, b = ops_a[i:i + _LEAF_CHUNK, None], ops_b[i:i + _LEAF_CHUNK, None]
+    mats = (a @ e.amplitudes) @ b.transpose(0, 1, 3, 2)
+    probs = np.float_power(frobenius_norms(mats), 2)  # pow, as norm ** 2 of one float
+    probs[probs <= tol] = 0.0
+    return mats, probs
 
 
 def run_protocol(tree: ProtocolTree, e: Ensemble, tol: float = DEFAULT_TOL):
@@ -332,8 +339,8 @@ def run_protocol(tree: ProtocolTree, e: Ensemble, tol: float = DEFAULT_TOL):
     return [OutcomeRecord(BranchOperator(*leaf), probs, tuple(
                 make_state(e.dim_a, e.dim_b, m, name=s.name) if p > 0.0 else None
                 for m, p, s in zip(leaf_mats, probs, e.states)))
-            for mats, chunk_probs in _arrivals(ops_a, ops_b, e, tol)
-            for leaf_mats, probs, leaf in zip(mats, chunk_probs, leaves)]
+            for i in range(0, len(ops_a), _LEAF_CHUNK)
+            for leaf_mats, probs, leaf in zip(*_arrivals(ops_a, ops_b, e, tol, i), leaves)]
 
 
 def format_path(path) -> str:
@@ -363,7 +370,8 @@ def verify_protocol(tree: ProtocolTree, e: Ensemble, tol: float = DEFAULT_TOL) -
     ``ValueError``); see ``VerificationReport`` for what must hold."""
     _check_tolerance(tol)
     ops_a, ops_b, leaf_labels, paths = _ensemble_branches(tree, e)
-    arrivals = [row for _, probs in _arrivals(ops_a, ops_b, e, tol) for row in probs.tolist()]
+    arrivals = [row for i in range(0, len(ops_a), _LEAF_CHUNK)
+                for row in _arrivals(ops_a, ops_b, e, tol, i)[1].tolist()]
     deviation = _completeness_deviation(ops_a, ops_b)
     failures = []
     if not deviation <= tol:  # also fails on NaN
@@ -374,7 +382,7 @@ def verify_protocol(tree: ProtocolTree, e: Ensemble, tol: float = DEFAULT_TOL) -
     rows = []
     for path, leaf_label, leaf_probs in zip(paths, leaf_labels, arrivals):
         probs = dict(zip(labels, leaf_probs))
-        reached = [lbl for lbl, p in probs.items() if p > tol]
+        reached = [lbl for lbl, p in zip(labels, leaf_probs) if p > tol]
         rows.append((path, leaf_label, probs))
         if leaf_label is None:
             problem = f"fail leaf reached by {reached}" if reached else None

@@ -125,6 +125,10 @@ class SearchConfig:
             object.__setattr__(self, name, int(bound))  # a numpy integer is not JSON
 
 
+#: the bounds of a search given no ``SearchConfig``
+_DEFAULT_CONFIG = SearchConfig()
+
+
 def _local_dim(e: Ensemble, party: str) -> int:
     return e.dim_a if party == ALICE else e.dim_b
 
@@ -379,8 +383,7 @@ def _children(states: np.ndarray, alive: np.ndarray, sizes: np.ndarray):
     return kids, packed, factors, ranks
 
 
-def _schmidt_closures(kids: np.ndarray, packed: np.ndarray, factors, count: np.ndarray,
-                      tol: float):
+def _schmidt_closures(kids, packed: np.ndarray, factors, count, tol: float):
     """Close every node of a batch at once where the one-round Schmidt
     closure ends it: Bob's when the node's Alice cross operators are all
     within ``tol``, else Alice's when its Bob cross operators are.  The other
@@ -389,23 +392,28 @@ def _schmidt_closures(kids: np.ndarray, packed: np.ndarray, factors, count: np.n
 
     Takes a zero-padded ``(nodes, s, dim_a, dim_b)`` stack, each node's
     states first and in order, as ``_children`` packs a candidate's children
-    (the root is a batch of one), with each node's key in ``kids``, the
-    stack's ``svd`` ``factors`` (None for a batch of one: its ``svd`` is
-    then taken only if it is offered the closure) and each node's state
-    count.  One gather of the pairs and one product per party give every
-    node's cross operators; the completions, and their projectors,
+    (the root is a batch of one), with each node's key in the sequence
+    ``kids``, the stack's ``svd`` ``factors`` (None for a batch of one: its
+    ``svd`` is then taken only if it is offered the closure) and each node's
+    state count in the sequence ``count``.  One gather of the pairs and one
+    product per party give every node's cross operators; Bob's are tested
+    only when some node's Alice operators do not vanish, as only such a node
+    is offered Alice's closure.  The completions, and their projectors,
     admissibility and reach (from the projected norms alone), come from one
-    call each.  Returns ``(closures, cross_ops)``: ``closures`` maps each
-    node that closes with no child node of its own to ``(party, blocks,
-    slots)``, the completion's columns as one-column blocks and, per
-    outcome, the node's slot of the one state it keeps or None;
-    ``cross_ops`` maps every other node to its cross operators per party, as
-    ``_cross`` builds them.
+    call each, read back as lists.  Returns ``(closures, cross_ops)``:
+    ``closures`` maps each node that closes with no child node of its own to
+    ``(party, blocks, slots)``, the completion's columns as one-column
+    blocks and, per outcome, the node's slot of the one state it keeps or
+    None; ``cross_ops`` maps every other node to its cross operators per
+    party, as ``_cross`` builds them.
     """
     cross = _cross(packed, ALICE, BOB)
-    quiet = {party: np.abs(ops).max(axis=(1, 2, 3)) <= tol for party, ops in cross.items()}
+    quiet = np.abs(cross[ALICE]).max(axis=(1, 2, 3)) <= tol
+    offers = [(BOB, quiet)]
+    if not quiet.all():
+        offers.append((ALICE, ~quiet & (np.abs(cross[BOB]).max(axis=(1, 2, 3)) <= tol)))
     closures = {}
-    for party, offered in ((BOB, quiet[ALICE]), (ALICE, ~quiet[ALICE] & quiet[BOB])):
+    for party, offered in offers:
         at = offered.nonzero()[0]
         if not len(at):
             continue
@@ -415,22 +423,21 @@ def _schmidt_closures(kids: np.ndarray, packed: np.ndarray, factors, count: np.n
             stacks, parts, sides = packed[at], tuple(f[at] for f in factors), cross[party][at]
         bases = _schmidt_completion(stacks, party, tol, parts)
         cols, projs = _outcomes(bases)
-        reach = _reach(stacks, party, projs, tol)[2]
-        kept = reach.sum(axis=-1)
-        # every outcome keeps at most one state and two or more keep one: no
-        # child node is left, and survivor orthogonality and the progress
-        # test hold exactly, as in ``dfs``
-        ok = (_admits(projs, sides, tol).all(axis=-1)
-              & (kept.max(axis=-1) <= 1) & (kept.sum(axis=-1) >= 2))
-        hit, first = kept.tolist(), reach.argmax(axis=-1).tolist()
-        for i in np.flatnonzero(ok).tolist():
-            closures[int(kids[at[i]])] = party, tuple(cols[i]), [
-                slot if n else None for n, slot in zip(hit[i], first[i])]
+        reach = _reach(stacks, party, projs, tol)[2].tolist()
+        admitted = _admits(projs, sides, tol).tolist()
+        for i, (node, rows, fits) in enumerate(zip(at.tolist(), reach, admitted)):
+            kept = [sum(row) for row in rows]
+            # every outcome keeps at most one state and two or more keep one:
+            # no child node is left, and survivor orthogonality and the
+            # progress test hold exactly, as in ``dfs``
+            if all(fits) and max(kept) <= 1 and sum(kept) >= 2:
+                closures[kids[node]] = party, tuple(cols[i]), [
+                    row.index(True) if n else None for n, row in zip(kept, rows)]
     width = packed.shape[1]
     later = _pairs(width)[1]  # a node's own pairs, in their order
     return closures, {kid: {party: ops[c] if n == width else ops[c][later < n]
                             for party, ops in cross.items()}
-                      for c, (kid, n) in enumerate(zip(kids.tolist(), count.tolist()))
+                      for c, (kid, n) in enumerate(zip(kids, count))
                       if kid not in closures}
 
 
@@ -518,7 +525,7 @@ def candidate_bases(e: Ensemble, party: str, cfg: SearchConfig | None = None):
     node's batch.  The search offers every node its one-round Schmidt
     closure, which is not on this list, before these.
     """
-    cfg = cfg or SearchConfig()
+    cfg = cfg or _DEFAULT_CONFIG
     return [ProjectiveMeasurement(party, blocks) for blocks, _, _
             in chain(*_candidates(e.amplitudes, party, cross_operators(e, party), cfg))]
 
@@ -608,7 +615,7 @@ def search_protocol(e: Ensemble, cfg: SearchConfig | None = None) -> SearchOutco
     survivor's support rank strictly shrinking.  Any returned protocol has
     passed ``verify_protocol``.
     """
-    cfg = cfg or SearchConfig()
+    cfg = cfg or _DEFAULT_CONFIG
     tol = cfg.tolerance
     report = schmidt_sum_check(e)
     if report.violates:
@@ -656,8 +663,8 @@ def search_protocol(e: Ensemble, cfg: SearchConfig | None = None) -> SearchOutco
                     if alive[sizes > 0].all() and not (child_ranks < ranks)[alive].any():
                         continue
                     if depth + 1 < depth_limit:  # children at the limit close nothing
-                        closures, child_cross = _schmidt_closures(kids, packed, factors,
-                                                                  sizes[kids], tol)
+                        closures, child_cross = _schmidt_closures(
+                            kids.tolist(), packed, factors, sizes[kids].tolist(), tol)
                 children = []
                 for k, row in enumerate(alive):
                     idx = np.flatnonzero(row)
@@ -680,8 +687,7 @@ def search_protocol(e: Ensemble, cfg: SearchConfig | None = None) -> SearchOutco
         tree = Node(ProjectiveMeasurement(ALICE, (_identity(e.dim_a),)), (Leaf(e.labels[0]),))
     else:  # the root is closed as a batch of one, or searched
         labels = np.array(e.labels, dtype=object)
-        closures, cross = _schmidt_closures(np.zeros(1, dtype=int), e.amplitudes[np.newaxis],
-                                            None, np.array([e.m]), tol)
+        closures, cross = _schmidt_closures((0,), e.amplitudes[np.newaxis], None, (e.m,), tol)
         tree = closed(closures[0], labels) if closures else dfs(
             e.amplitudes, labels, np.array(report.schmidt_numbers), 0, cross[0])
     if tree is None:

@@ -278,6 +278,23 @@ def test_measurement_of_one_shape_shares_one_read_only_copy():
     assert meas.projectors[0][0, 0] != 7.0
 
 
+def test_measurement_of_mixed_widths_keeps_read_only_copies():
+    u = haar_unitary(4, np.random.default_rng(6))
+    source = [u[:, :1].copy(), u[:, 1:3].copy(), u[:, 3].copy()]  # ranks 1, 2, 1
+    expected = _reference_measurement(source)
+    meas = ProjectiveMeasurement(ALICE, tuple(source))
+    assert [b.shape for b in meas.projectors] == [(4, 1), (4, 2), (4, 1)]
+    for block, original in zip(meas.projectors, source):
+        assert not block.flags.writeable
+        with pytest.raises(ValueError):
+            block[0, 0] = 7.0
+        assert block.tobytes() == original.reshape(4, -1).tobytes()
+    for original in source:  # the measurement holds a copy of every block
+        original[0] = 7.0
+    assert not any((block == 7.0).any() for block in meas.projectors)
+    assert meas.projector_stack.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("factor", [1 - 1e-3, 1 + 1e-3])
 def test_measurement_validation_at_the_tolerance(factor):
     tol = 1e-9

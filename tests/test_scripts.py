@@ -20,6 +20,28 @@ def search_protocol(e, cfg=None):
     return SearchOutcome("unknown", None, out.schmidt_report) if e.m == 2 else out
 """
 
+#: moves a tree's reported completeness deviation by one bit, and nothing else
+_NUDGED_DEVIATION = """
+
+_verify_protocol = verify_protocol
+
+
+def verify_protocol(tree, e, tol=DEFAULT_TOL):
+    report = _verify_protocol(tree, e, tol)
+    return VerificationReport(**{**report.__dict__, "completeness_deviation":
+                                 float(np.nextafter(report.completeness_deviation, 1.0))})
+"""
+
+
+def _copy_with(tmp_path, module, source):
+    """A copy of ``src/loccdist`` under ``tmp_path`` with ``source`` appended
+    to ``module``."""
+    shutil.copytree(ROOT / "src" / "loccdist", tmp_path / "loccdist",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "loccdist" / module, "a") as f:
+        f.write(source)
+    return tmp_path
+
 
 def _search_ab(old_src, new_src):
     return subprocess.run(
@@ -35,6 +57,7 @@ def test_search_ab_finds_no_difference_between_a_tree_and_itself():
     assert ["decided", "46", "46"] in lines
     assert ["failed", "0", "0"] in lines
     assert "protocol bytes differ: 0 of 104" in proc.stdout.splitlines()
+    assert "verification reports differ: 0 of 104" in proc.stdout.splitlines()
     # p90 falls inside six4x4's wide band (34 of the 104 searches) on either
     # tree; p50 falls among groups whose times interleave, so one round of
     # timing noise may name a neighbour of the same band on each side
@@ -45,13 +68,20 @@ def test_search_ab_finds_no_difference_between_a_tree_and_itself():
 
 
 def test_search_ab_names_the_operations_whose_verdict_moved(tmp_path):
-    shutil.copytree(ROOT / "src" / "loccdist", tmp_path / "loccdist",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    with open(tmp_path / "loccdist" / "search.py", "a") as f:
-        f.write(_UNKNOWN_ON_PAIRS)
-    proc = _search_ab(ROOT / "src", tmp_path)
+    proc = _search_ab(ROOT / "src", _copy_with(tmp_path, "search.py", _UNKNOWN_ON_PAIRS))
     assert proc.returncode == 1
     assert re.search(r"^differs: haarpair3/\d+: ", proc.stderr, re.M), proc.stderr
+
+
+def test_search_ab_counts_verification_reports_that_differ_by_a_bit(tmp_path):
+    proc = _search_ab(ROOT / "src", _copy_with(tmp_path, "protocol.py", _NUDGED_DEVIATION))
+    assert proc.returncode == 0, proc.stderr  # a difference alone keeps the exit code
+    lines = proc.stdout.splitlines()
+    assert "protocol bytes differ: 0 of 104" in lines
+    differ = re.search(r"^verification reports differ: (\d+) of 104$", proc.stdout, re.M)
+    listed = sum(1 for line in proc.stderr.splitlines()
+                 if line.startswith("verification reports differ: "))
+    assert differ and int(differ.group(1)) == listed > 0, proc.stdout
 
 
 def test_readme_names_every_script_and_no_other():

@@ -540,7 +540,8 @@ def _close_siblings_as_each_child_would(states, alive, cfg=SearchConfig()):
     tol = cfg.tolerance
     sizes = alive.sum(axis=1)
     kids, packed, factors, ranks = search_module._children(states, alive, sizes)
-    closures, cross_ops = search_module._schmidt_closures(kids, packed, factors, sizes[kids], tol)
+    closures, cross_ops = search_module._schmidt_closures(kids.tolist(), packed, factors,
+                                                          sizes[kids].tolist(), tol)
     closed = []
     for k in kids.tolist():
         idx = np.flatnonzero(alive[k])

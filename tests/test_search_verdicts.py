@@ -18,14 +18,17 @@ A change that moves a shape on purpose regenerates the file:
     PYTHONPATH=src python3 tests/test_search_verdicts.py > tests/data/search_shapes.txt
 """
 
+import dataclasses
 import importlib.util
 import re
 from functools import cache
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import loccdist as L
+from loccdist import search as search_module
 from loccdist import search_protocol
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -96,6 +99,24 @@ def test_verdicts_hold_under_local_unitaries_and_relabelling():
             flips.append(f"{name}: {out.verdict} -> {verdict}")
     assert copies == 410
     assert not flips, flips
+
+
+def test_no_config_means_the_one_shared_default():
+    digest = _fingerprint_module().protocol_digest
+
+    def bases(measurements):
+        return [(m.party, m.projector_stack.tobytes()) for m in measurements]
+
+    for e in (L.canned_example("bell2"), L.canned_example("six4x4"),
+              L.random_ensemble(3, 3, 9, seed=3, kind="product-basis")):
+        given, default = search_protocol(e, L.SearchConfig()), search_protocol(e)
+        assert (default.verdict, default.nodes_explored, digest(default.protocol)) == (
+            given.verdict, given.nodes_explored, digest(given.protocol))
+        for party in (L.ALICE, L.BOB):
+            assert bases(L.candidate_bases(e, party)) == bases(
+                L.candidate_bases(e, party, L.SearchConfig()))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        search_module._DEFAULT_CONFIG.beam_limit = 1
 
 
 if __name__ == "__main__":
