@@ -24,10 +24,15 @@ soundly).
 
 The script prints, per group (a family of instances, or a CLI command kind),
 the number of operations and each tree's sum of per-operation median times
-over the rounds, with the relative change.  Then each tree's end-to-end
-metrics as ``perfbench/run.py`` computes them from those medians, failed
-operations left out: ``throughput_per_s``, ``latency_ms.p50`` and
-``latency_ms.p90``; the group of the operation nearest each latency metric,
+over the rounds, with the relative change and the number of rounds in which
+the new tree's time for the group's operations was lower (``won``), so a
+group's change can be told from noise in the same run.  Like the
+throughput, ``won`` leaves each tree's failed operations out, so the total's
+``won`` is the throughput ratio's unless the trees fail different numbers of
+operations.  Then each tree's end-to-end metrics as ``perfbench/run.py``
+computes them from those medians, failed operations left out:
+``throughput_per_s``, ``latency_ms.p50`` and ``latency_ms.p90``; the group
+of the operation nearest each latency metric,
 which names the band a latency change moves; and the ``decided`` and
 ``failed`` counts of the first round.  These are plain wall times; the
 benchmark also scales its times by a calibration kernel.  Then the
@@ -262,16 +267,23 @@ def main():
                         problems.append(f"{SIDES[side]} {name}: outcome changed between rounds")
 
     ok = [[not outcome[0] for outcome in side] for side in outcomes]
-    rows = defaultdict(lambda: [0, 0.0, 0.0])
+    # per group: operations, each tree's summed medians and its time per round
+    # over the operations it did not fail, as its throughput counts them
+    rows = defaultdict(lambda: [0, 0.0, 0.0, [[0.0] * args.repeat for _ in SIDES]])
     for i, name in enumerate(names):
         for key in (group(name), "total"):
-            rows[key][0] += 1
+            row = rows[key]
+            row[0] += 1
             for side in (0, 1):
-                rows[key][1 + side] += 1000.0 * statistics.median(times[side][i])
+                row[1 + side] += 1000.0 * statistics.median(times[side][i])
+                if ok[side][i]:
+                    row[3][side] = [a + b for a, b in zip(row[3][side], times[side][i])]
     rows["total"] = rows.pop("total")
-    print(f"{'group':<30} {'n':>4} {'old_ms':>10} {'new_ms':>10} {'change':>8}")
-    for key, (count, old, new) in rows.items():
-        print(f"{key:<30} {count:>4} {old:>10.3f} {new:>10.3f} {(new - old) / old:>+8.1%}")
+    print(f"{'group':<30} {'n':>4} {'old_ms':>10} {'new_ms':>10} {'change':>8} {'won':>4}")
+    for key, (count, old, new, (old_rounds, new_rounds)) in rows.items():
+        won = sum(b < a for a, b in zip(old_rounds, new_rounds))
+        print(f"{key:<30} {count:>4} {old:>10.3f} {new:>10.3f} {(new - old) / old:>+8.1%} "
+              f"{won:>4}")
 
     typical = [{name: 1000.0 * statistics.median(t) for name, t, good in zip(names, side, mask)
                 if good} for side, mask in zip(times, ok)]

@@ -34,10 +34,10 @@ across both classes, and is checked before a tier is built, so no tier is
 built once it is spent.  Each tier is one stack of outcome projectors,
 which gives admissibility in one product ``vec(P) . vec(M^T)`` on the whole
 stack, against the acting party's cross operators alone.  The zero-diagonal
-tier is pruned part by part before it is built: each basis holds the vector
-its part retires first, and a basis holding an inadmissible vector is
-itself inadmissible, so one ``_admits`` call on those vectors decides which
-parts' bases are built, one matrix at a time.
+tier takes each distinct part once and is pruned part by part before it is
+built: each basis holds the vector its part retires first, and a basis
+holding an inadmissible vector is itself inadmissible, so one ``_admits``
+call on those vectors decides which parts' bases are built, one at a time.
 An admitted candidate is applied to the whole stack at once: one batched
 norm gives every survivor's mass, and a candidate that keeps states in
 fewer than two outcomes is rejected from those alone; otherwise the
@@ -259,20 +259,35 @@ def _rotate(lo, hi, v_lo: np.ndarray, v_hi: np.ndarray):
 def _hermitian_parts(sides: np.ndarray, tol: float) -> np.ndarray:
     """The Hermitian part ``(M + M^+) / 2`` and the anti-Hermitian part, as
     the Hermitian ``(M - M^+) / 2i``, of every cross operator of a ``(pairs,
-    d, d)`` stack, in pair order, less those with every entry within ``tol``."""
+    d, d)`` stack, in pair order, less those with every entry within ``tol``.
+    Where most operators are within ``tol`` (product bases) and the parts
+    outnumber ``d^2``, only the first of each group of parts whose entries'
+    real and imaginary parts round to the same multiples of ``tol / 2`` is
+    kept; a dropped part may differ from it in the last bits, and so may its
+    basis (``eigh`` picks a degenerate kernel's vectors).  Nothing is grouped
+    elsewhere, where it costs what it saves, nor once an entry reaches
+    ``1e300 tol``, where ``part / tol`` could overflow."""
     d = sides.shape[-1]
     # skip the operators within tol, whose parts are too: most, on product sets
     live = sides[np.abs(sides).max(axis=(1, 2)) > tol]
     adj = live.conj().transpose(0, 2, 1)
     parts = np.stack([(live + adj) / 2, (live - adj) / 2j], axis=1).reshape(-1, d, d)
-    return parts[np.abs(parts).max(axis=(1, 2)) > tol]
+    mags = np.abs(parts).max(axis=(1, 2))
+    parts = parts[mags > tol]
+    if len(parts) > d * d and 2 * len(live) < len(sides) and mags.max() < 1e300 * tol:
+        keys = (np.rint(parts.view(np.float64) / (tol / 2)) + 0.0).reshape(len(parts), -1)
+        first = {}  # each part's key (+0.0 for -0.0) as bytes, to its first part
+        for k, key in enumerate(keys.view(f"V{keys.shape[1] * 8}")[:, 0].tolist()):
+            first.setdefault(key, k)
+        parts = parts.take(list(first.values()), axis=0)
+    return parts
 
 
 def _zero_diagonal_tier(sides: np.ndarray, tol: float) -> list[np.ndarray]:
     """The zero-diagonal tier of a party of dimension 3 or more, from its
     ``(pairs, d, d)`` cross operators: one ``_zero_diagonal_basis`` per
     ``_hermitian_parts`` matrix, in part order (each has an eigenvalue above
-    ``tol`` in magnitude, as ``|H_ij| <= ||H||_2``).
+    ``tol`` in magnitude, as ``|H_ij| <= ||H||_2``), one per distinct part.
 
     A basis holding an inadmissible vector is itself inadmissible.  A part
     whose eigenvalues reach below ``-cut`` and above ``cut`` (``RANK_CUTOFF``

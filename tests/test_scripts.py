@@ -33,6 +33,21 @@ def verify_protocol(tree, e, tol=DEFAULT_TOL):
 """
 
 
+#: makes a tree's search of every two-state set 3 ms slower, and nothing else
+_SLOW_ON_PAIRS = """
+
+import time as _time
+
+_search_protocol = search_protocol
+
+
+def search_protocol(e, cfg=None):
+    if e.m == 2:
+        _time.sleep(0.003)
+    return _search_protocol(e, cfg)
+"""
+
+
 def _copy_with(tmp_path, module, source):
     """A copy of ``src/loccdist`` under ``tmp_path`` with ``source`` appended
     to ``module``."""
@@ -43,15 +58,23 @@ def _copy_with(tmp_path, module, source):
     return tmp_path
 
 
-def _search_ab(old_src, new_src):
+def _search_ab(old_src, new_src, repeat=1):
     return subprocess.run(
         [sys.executable, str(SCRIPTS / "search_ab.py"), str(old_src), str(new_src),
-         "--cases", "highdim", "--seeds", "1", "--repeat", "1"],
+         "--cases", "highdim", "--seeds", "1", "--repeat", str(repeat)],
         capture_output=True, text=True, timeout=300)
 
 
+def _group_rows(stdout):
+    """Each group line of ``search_ab.py``'s first table, ``total`` included:
+    name -> (operations, old_ms, new_ms, change, rounds won)."""
+    return {line[0]: (int(line[1]), float(line[2]), float(line[3]), line[4], int(line[5]))
+            for line in map(str.split, stdout.splitlines())
+            if len(line) == 6 and line[1].isdigit()}
+
+
 def test_search_ab_finds_no_difference_between_a_tree_and_itself():
-    proc = _search_ab(ROOT / "src", ROOT / "src")
+    proc = _search_ab(ROOT / "src", ROOT / "src", repeat=2)
     assert proc.returncode == 0, proc.stderr
     lines = [line.split() for line in proc.stdout.splitlines()]
     assert ["decided", "46", "46"] in lines
@@ -63,14 +86,35 @@ def test_search_ab_finds_no_difference_between_a_tree_and_itself():
     # timing noise may name a neighbour of the same band on each side
     bands = {line[0]: line[2:] for line in lines if line[1:2] == ["group"]}
     assert bands["latency_ms.p90"] == ["six4x4", "six4x4"]
-    groups = {line[0] for line in lines if len(line) == 5 and line[1].isdigit()}
-    assert len(bands["latency_ms.p50"]) == 2 and set(bands["latency_ms.p50"]) <= groups
+    rows = _group_rows(proc.stdout)
+    assert len(bands["latency_ms.p50"]) == 2 and set(bands["latency_ms.p50"]) <= set(rows)
+    # each group reads the rounds in which the new tree's time was lower; as
+    # neither tree fails an operation, the total's are the rounds whose
+    # throughput ratio the new tree won
+    assert sum(n for key, (n, *_) in rows.items() if key != "total") == rows["total"][0] == 104
+    assert all(0 <= won <= 2 for *_, won in rows.values())
+    won = re.search(r"new won (\d+) of 2,", proc.stdout)
+    assert won and rows["total"][4] == int(won.group(1)), proc.stdout
 
 
 def test_search_ab_names_the_operations_whose_verdict_moved(tmp_path):
     proc = _search_ab(ROOT / "src", _copy_with(tmp_path, "search.py", _UNKNOWN_ON_PAIRS))
     assert proc.returncode == 1
     assert re.search(r"^differs: haarpair3/\d+: ", proc.stderr, re.M), proc.stderr
+
+
+def test_search_ab_counts_the_rounds_each_group_won(tmp_path):
+    # a tree 3 ms slower on every two-state search loses every round of the
+    # two-state families, and no other family's time moves by that much
+    proc = _search_ab(ROOT / "src", _copy_with(tmp_path, "search.py", _SLOW_ON_PAIRS),
+                      repeat=2)
+    assert proc.returncode == 0, proc.stderr
+    rows = _group_rows(proc.stdout)
+    for key in ("haarpair3", "haarpair4", "haarpair5"):
+        count, old, new, _, won = rows[key]
+        assert won == 0 and new - old > 0.8 * 3.0 * count, rows[key]
+    count, old, new, _, _ = rows["six4x4"]
+    assert new - old < 1.0 * count, rows["six4x4"]
 
 
 def test_search_ab_counts_verification_reports_that_differ_by_a_bit(tmp_path):

@@ -1395,6 +1395,141 @@ def test_zero_diagonal_bases_match_the_one_matrix_reference(seed):
             assert np.array_equal(basis, ref)
 
 
+def _ungrouped_parts(sides, tol):
+    """Every Hermitian and anti-Hermitian part of a ``(pairs, d, d)`` stack
+    with an entry above ``tol``, in pair order, repeats kept."""
+    d = sides.shape[-1]
+    live = sides[np.abs(sides).max(axis=(1, 2)) > tol]
+    adj = live.conj().transpose(0, 2, 1)
+    parts = np.stack([(live + adj) / 2, (live - adj) / 2j], axis=1).reshape(-1, d, d)
+    return parts[np.abs(parts).max(axis=(1, 2)) > tol]
+
+
+def _ungrouped_tier(sides, tol):
+    """The zero-diagonal tier built eagerly from every part, repeats kept:
+    ``(parts, bases, built)``, with every part's ``_zero_diagonal_basis`` and
+    the indices of the parts the prune keeps, by the vector that ``_rotate``
+    retires first (a part with no rotation is kept)."""
+    parts = _ungrouped_parts(sides, tol)
+    evals, evecs = np.linalg.eigh(parts)
+    lo, hi = evals[:, 0], evals[:, -1]
+    cut = L.RANK_CUTOFF * np.abs(evals).max(axis=1)
+    rot = (lo < -cut) & (hi > cut)
+    first = search_module._rotate(np.where(rot, lo, -1.0), np.where(rot, hi, 1.0),
+                                  evecs[:, :, 0], evecs[:, :, -1])[0]
+    admitted = search_module._admits(first[:, :, np.newaxis] * first[:, np.newaxis].conj(),
+                                     sides, tol)
+    bases = [search_module._zero_diagonal_basis(w, v) for w, v in zip(evals, evecs)]
+    return parts, bases, [int(k) for k in np.flatnonzero(~rot | admitted)]
+
+
+def _computational_product_basis(dim_a, dim_b):
+    eye_a, eye_b = np.eye(dim_a), np.eye(dim_b)
+    return [product_state(dim_a, dim_b, eye_a[i], eye_b[j], name=f"s{i}{j}")
+            for i in range(dim_a) for j in range(dim_b)]
+
+
+def _product_sets_with_repeated_parts():
+    """Product sets from 3x3 to 5x5, full and partial, in the computational
+    basis and under a seeded ``U_A (x) U_B``, then ``domino9`` and three
+    rotations: sets whose pairs share local factors, so their cross
+    operators repeat."""
+    for seed, (dim_a, dim_b) in enumerate(((3, 3), (3, 4), (4, 4), (3, 5), (4, 5), (5, 5))):
+        basis = _computational_product_basis(dim_a, dim_b)
+        for m in (dim_a * dim_b, dim_a * dim_b - dim_b + 1):
+            yield make_ensemble(basis[:m])
+            yield random_ensemble(dim_a, dim_b, m, seed=seed, kind="product-basis")
+    domino = L.canned_example("domino9")
+    yield domino
+    for seed in range(3):
+        rng = np.random.default_rng(300 + seed)
+        ua, ub = haar_unitary(3, rng), haar_unitary(3, rng)
+        yield make_ensemble([L.apply_local_unitary(s, ua, ub) for s in domino.states])
+
+
+def test_grouped_zero_diagonal_tier_is_the_ungrouped_one_less_repeated_parts():
+    # the tier keeps the first part of each group of agreeing parts; its
+    # bases are the eager ungrouped tier's, bit for bit and in order, less
+    # the bases of dropped parts, and each dropped part is within tol of
+    # an earlier kept part in every entry.  A dropped part's own basis need
+    # not be its twin's: near-twins with a degenerate kernel may get other
+    # kernel vectors from eigh (about half the dropped parts of the rotated
+    # product sets do).  On these sets each such basis has its twin's
+    # admissibility, and the prune drops both, so every basis the ungrouped
+    # tier builds for a dropped part is its twin's, bit for bit
+    tol = 1e-9
+    stacks = [cross_operators(e, party) for e in _product_sets_with_repeated_parts()
+              for party in (ALICE, BOB)]
+    rng = np.random.default_rng(31)
+    for d in (3, 4):
+        # two operators, each repeated with one entry moved by up to 6 tol,
+        # so that parts agree to anywhere from 0 to 3 tol, among more pairs
+        # whose operators vanish, as on a product set
+        base = rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d))
+        base -= np.trace(base, axis1=1, axis2=2)[:, np.newaxis, np.newaxis] * np.eye(d) / d
+        stack = base[np.arange(2 * d * d) % 2]
+        stack[:, 0, 1] += rng.uniform(0.0, 6 * tol, size=len(stack))
+        stacks.append(np.concatenate((stack, np.zeros_like(stack), stack[:1] * 0)))
+    seen = {"dropped": 0, "dropped but built": 0, "built": 0, "close but kept": 0}
+    for sides in stacks:
+        parts, bases, built = _ungrouped_tier(sides, tol)
+        kept, start = [], 0
+        for part in search_module._hermitian_parts(sides, tol):
+            k = next(k for k in range(start, len(parts)) if np.array_equal(parts[k], part))
+            kept.append(k)
+            start = k + 1
+        admissible = _admissible(np.array(bases), sides, tol) if bases else []
+        for k in sorted(set(range(len(parts))) - set(kept)):
+            twin = min((j for j in kept if j < k), key=lambda j: np.abs(parts[k] - parts[j]).max())
+            assert np.abs(parts[k] - parts[twin]).max() < tol
+            assert admissible[k] == admissible[twin]
+            assert (k in built) == (twin in built)
+            if k in built:
+                assert np.array_equal(bases[k], bases[twin])
+                seen["dropped but built"] += 1
+            seen["dropped"] += 1
+        expected = [bases[k] for k in built if k in kept]
+        tier = search_module._zero_diagonal_tier(sides, tol)
+        assert len(tier) == len(expected)
+        for basis, ref_basis in zip(tier, expected):
+            assert np.array_equal(basis, ref_basis)
+        seen["built"] += len(tier)
+        seen["close but kept"] += any(0 < np.abs(parts[k] - parts[j]).max() < 3 * tol
+                                      for j in kept for k in kept if j < k)
+    assert all(seen.values()), seen
+
+
+def test_a_5x5_product_basis_hands_eigh_its_20_distinct_parts(monkeypatch):
+    e = random_ensemble(5, 5, 25, seed=4, kind="product-basis")
+    assert len(_ungrouped_parts(cross_operators(e, ALICE), 1e-9)) == 100
+    shapes, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
+    search_protocol(e)
+    assert shapes and set(shapes) == {(20, 5, 5)}, shapes
+
+
+@pytest.mark.parametrize("case", ["no parts", "no pairs", "overflow"])
+def test_zero_diagonal_tier_falls_back_to_the_ungrouped_parts(case):
+    # an empty part stack, and a tol so small that part / tol overflows,
+    # group nothing: the tier is the ungrouped one
+    e = make_ensemble(_computational_product_basis(4, 4))
+    tol, sides = 1e-9, cross_operators(e, ALICE)
+    assert len(search_module._hermitian_parts(sides, tol)) == 12  # grouped, 48 parts
+    if case == "no parts":
+        sides = np.full_like(sides, 1e-10)
+    elif case == "no pairs":
+        sides = sides[:0]
+    else:  # the operators that vanish at 1e-9 are exact zeros, so they still do
+        tol = 1e-320
+    parts, bases, built = _ungrouped_tier(sides, tol)
+    assert len(parts) == (48 if case == "overflow" else 0)
+    assert np.array_equal(search_module._hermitian_parts(sides, tol), parts)
+    tier = search_module._zero_diagonal_tier(sides, tol)
+    assert len(tier) == len(built)
+    for basis, k in zip(tier, built):
+        assert np.array_equal(basis, bases[k])
+
+
 def test_search_raises_when_its_protocol_fails_verification(monkeypatch, bell2):
     def failing(tree, e, tol=L.DEFAULT_TOL):
         return L.VerificationReport(False, 0.0, {}, (), ("injected failure",), tol)
