@@ -4,7 +4,7 @@ Decides, certifies, or refutes whether the members of an orthogonal ensemble
 can be identified reliably by local projective measurements and classical
 communication: Schmidt-structure tooling, a protocol-tree verifier, a
 Schmidt-rank-sum necessary condition, product-decomposition certificates, the
-complete two-qubit classification, and a bounded protocol search.
+two-qubit classification, and a bounded protocol search.
 
 ``import loccdist`` loads no submodule and no numpy.  The first access to a
 public name imports the submodule that defines it and binds the name in this

@@ -5,9 +5,9 @@ distinguishable ensemble sum to at most the joint dimension; defined in
 ``ensemble`` and bound here), certificate checking (each state written as a
 superposition of its own share of a locally distinguishable orthogonal
 product-vector set, built once as the ensemble the search decides), and
-the complete classification for two-qubit ensembles by the search's
-qubit-plane solver on Alice's cross operators, whose "yes" carries the
-search's protocol.  The decisions return the search's own
+the classification of two-qubit ensembles from Alice's cross operators,
+complete outside a margin, whose "yes" carries the search's verified
+protocol.  The decisions return the search's own
 ``SearchOutcome``.
 """
 
@@ -18,7 +18,15 @@ from numbers import Integral
 
 import numpy as np
 
-from .ensemble import PROVED_NO, YES, Ensemble, SearchOutcome, make_ensemble, schmidt_sum_check
+from .ensemble import (
+    PROVED_NO,
+    UNKNOWN,
+    YES,
+    Ensemble,
+    SearchOutcome,
+    make_ensemble,
+    schmidt_sum_check,
+)
 from .errors import (
     BadAssignment,
     NotOrthogonal,
@@ -31,7 +39,7 @@ from .errors import (
     ZeroState,
 )
 from .protocol import ALICE, Leaf, Node, ProtocolTree, VerificationReport, verify_protocol
-from .search import SearchConfig, _qubit_plane_bases, cross_operators, search_protocol
+from .search import SearchConfig, _pauli_rows, _qubit_plane_bases, cross_operators, search_protocol
 from .states import DEFAULT_TOL, RANK_CUTOFF, _check_tolerance, frobenius_norms, product_state
 
 
@@ -213,32 +221,38 @@ def _borderline_warnings(e: Ensemble) -> tuple[str, ...]:
 
 
 def classify_2x2(e: Ensemble, *, tol: float = DEFAULT_TOL) -> SearchOutcome:
-    """Complete classification of two-qubit ensembles (Walgate & Hardy, PRL 89,
-    147901 (2002)).
+    """Classification of two-qubit ensembles (Walgate & Hardy, PRL 89, 147901
+    (2002)), complete outside a margin.
 
-    The states are distinguishable ("yes") iff Alice has a qubit basis in
-    which every cross operator (``cross_operators``) has zero diagonal; the
-    Bloch-plane solver of the search finds all such bases at once.  Parts of
-    a cross operator of norm at most ``tol`` are ignored, since they move no
-    diagonal entry past it, so "proved-no" is a proof up to that tolerance;
-    its ``reason`` names the entangled states.  The rule decides without
-    searching; a "yes" then carries the verified protocol (None if none is
-    found) and the Schmidt report of ``search_protocol`` with the default
-    bounds and ``tol``.  ``warnings`` lists states whose smallest singular
-    value sits near the rank cutoff (a borderline product/entangled call).
-    ``tol`` must be finite and > 0 (``ValueError`` otherwise).
+    The states are distinguishable iff Alice has a qubit basis in which every
+    cross operator (``cross_operators``) has zero diagonal.  Writing ``M_p =
+    tr(M_p) / 2 I + m_p . sigma``, the outcomes of a basis with Bloch vectors
+    ``+-n`` read ``tr(M_p) / 2 +- m_p . n``, so both within ``tol`` need
+    ``|m_p . n| <= tol``: the rows ``(Re m_p, Im m_p)`` of the ``P`` pairs
+    then have a least singular value of at most ``tol sqrt(P)``.  So
+    "proved-no", whose ``reason`` names the entangled states, needs the
+    search's Bloch-plane solver to find no basis and that value to exceed
+    the margin ``2 sqrt(2) tol sqrt(P)``.  Otherwise ``search_protocol`` runs
+    with the default bounds and ``tol``: its "yes" carries a verified
+    protocol, and anything else is "unknown".  ``warnings`` lists states
+    whose smallest singular value sits near the rank cutoff (a borderline
+    product/entangled call).  ``tol`` must be finite and > 0 (``ValueError``
+    otherwise).
     """
     _check_tolerance(tol)
     if e.dims != (2, 2):
         raise WrongDimensions(f"classify_2x2 needs a 2x2 ensemble, got "
                               f"{e.dim_a}x{e.dim_b}")
     warnings = _borderline_warnings(e)
-    if _qubit_plane_bases(cross_operators(e, ALICE), tol):
-        found = search_protocol(e, SearchConfig(tolerance=tol))
-        return SearchOutcome(YES, found.protocol, found.schmidt_report, warnings=warnings)
-    report = schmidt_sum_check(e)
-    entangled = [s.name for s, n in zip(e.states, report.schmidt_numbers) if n > 1]
-    return SearchOutcome(PROVED_NO, None, report, warnings=warnings, reason=(
-        f"no basis of Alice's qubit keeps every pair of states orthogonal; "
-        f"entangled: {', '.join(entangled)}"))
-
+    sides = cross_operators(e, ALICE)
+    # the plane is never empty for one pair, so here there are three values
+    if not _qubit_plane_bases(sides, tol) and np.linalg.svd(
+            _pauli_rows(sides), compute_uv=False)[2] > 2 * np.sqrt(2 * len(sides)) * tol:
+        report = schmidt_sum_check(e)
+        entangled = [s.name for s, n in zip(e.states, report.schmidt_numbers) if n > 1]
+        return SearchOutcome(PROVED_NO, None, report, warnings=warnings, reason=(
+            f"no basis of Alice's qubit keeps every pair of states orthogonal; "
+            f"entangled: {', '.join(entangled)}"))
+    found = search_protocol(e, SearchConfig(tolerance=tol))
+    return SearchOutcome(YES if found.verdict == YES else UNKNOWN, found.protocol,
+                         found.schmidt_report, warnings=warnings)

@@ -13,6 +13,7 @@ from .errors import (
     DimensionMismatch,
     EmptyEnsemble,
     LoccdistError,
+    NonFinite,
     NotOrthogonal,
     TooManyStates,
     UnknownExample,
@@ -75,9 +76,10 @@ def make_ensemble(states, tol: float = DEFAULT_TOL) -> Ensemble:
     """Validate and build an ensemble from a list of states.
 
     States without a name get a positional one ("s0", "s1", ...).  Raises
-    ``EmptyEnsemble``, ``DimensionMismatch``, ``TooManyStates``, or
-    ``NotOrthogonal`` (with the offending pair and overlap attached), and
-    ``ValueError`` unless ``tol`` is a finite number > 0.
+    ``EmptyEnsemble``, ``DimensionMismatch``, ``TooManyStates``, ``NonFinite``
+    (a NaN or infinite amplitude), or ``NotOrthogonal`` (with the offending
+    pair and overlap attached), and ``ValueError`` unless ``tol`` is a finite
+    number > 0.
     """
     _check_tolerance(tol)
     states = list(states)
@@ -104,7 +106,11 @@ def make_ensemble(states, tol: float = DEFAULT_TOL) -> Ensemble:
                                normalization=s.normalization)
         named.append(s)
 
-    overlap = overlaps(np.array([s.amplitudes for s in named]).reshape(len(named), -1))
+    flat = np.array([s.amplitudes for s in named]).reshape(len(named), -1)
+    if not np.isfinite(flat).all():
+        bad = next(s for s in named if not np.isfinite(s.amplitudes).all())
+        raise NonFinite(f"state {bad.name!r} has non-finite amplitudes")
+    overlap = overlaps(flat)
     max_overlap = float(overlap.max())
     if max_overlap > tol:
         i, j = np.argwhere(np.triu(overlap > tol))[0]
@@ -164,10 +170,9 @@ class SearchOutcome:
     names the proof), or "unknown" (no candidate of the root, searched to at
     most ``max_depth`` rounds, led to a protocol; ``nodes_explored`` is 1
     when the root rejected them all; depth and ``nodes_explored`` stay 0
-    when no search ran).  A ``classify_2x2`` "yes" may carry
-    ``protocol=None``: the rule decides, and the protocol is the search's,
-    None when the search finds none.  ``warnings`` lists numerically
-    borderline states.
+    when no search ran).  Every "yes" carries a protocol that
+    ``verify_protocol`` accepts.  ``warnings`` lists numerically borderline
+    states.
     """
 
     verdict: str

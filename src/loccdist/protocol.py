@@ -53,6 +53,11 @@ def _check_party(party) -> None:
         raise MalformedTree(f"party must be one of {PARTIES}, got {party!r}")
 
 
+def _local_dim(dims, party: str) -> int:
+    """``party``'s local dimension in a space of ``(dim_a, dim_b)`` ``dims``."""
+    return dims[0] if party == ALICE else dims[1]
+
+
 @lru_cache(maxsize=16)
 def _identity(n: int) -> np.ndarray:
     """The read-only complex identity of dimension ``n``."""
@@ -214,7 +219,7 @@ class BranchOperator:
 
 
 def _check_node_dims(meas: ProjectiveMeasurement, dims) -> None:
-    expected = dims[0] if meas.party == ALICE else dims[1]
+    expected = _local_dim(dims, meas.party)
     if meas.local_dim != expected:
         raise MalformedTree(
             f"party {meas.party} measurement acts on dim {meas.local_dim}, "
@@ -418,45 +423,25 @@ def canned_protocol(name: str) -> ProtocolTree:
     can reach carry fail leaves.  "bell2-x" distinguishes the first two Bell
     states by X-basis measurements on both sides.
     """
+    s2 = 1.0 / np.sqrt(2.0)
     if name == "six4x4":
-        s2 = 1.0 / np.sqrt(2.0)
         eye = _identity(4)
-        plus01 = np.array([s2, s2, 0, 0])
-        minus01 = np.array([s2, -s2, 0, 0])
-        plus23 = np.array([0, 0, s2, s2])
-        minus23 = np.array([0, 0, s2, -s2])
 
-        bob_under_a0 = Node(
-            ProjectiveMeasurement(BOB, (eye[:, [0]], eye[:, [1]], eye[:, [2, 3]])),
-            (Leaf("psi1"), Leaf("psi3"), Leaf(None)),
-        )
-        bob_under_a1 = Node(
-            ProjectiveMeasurement(BOB, (plus01, minus01, eye[:, [2, 3]])),
-            (Leaf("psi2"), Leaf("psi3"), Leaf(None)),
-        )
-        first_block = Node(
-            ProjectiveMeasurement(ALICE, (eye[:, [0]], eye[:, [1]], eye[:, [2, 3]])),
-            (bob_under_a0, bob_under_a1, Leaf(None)),
-        )
-        alice_under_b2 = Node(
-            ProjectiveMeasurement(ALICE, (eye[:, [2]], eye[:, [3]], eye[:, [0, 1]])),
-            (Leaf("psi4"), Leaf("psi6"), Leaf(None)),
-        )
-        alice_under_b3 = Node(
-            ProjectiveMeasurement(ALICE, (plus23, minus23, eye[:, [0, 1]])),
-            (Leaf("psi5"), Leaf("psi6"), Leaf(None)),
-        )
-        second_block = Node(
-            ProjectiveMeasurement(BOB, (eye[:, [2]], eye[:, [3]], eye[:, [0, 1]])),
-            (alice_under_b2, alice_under_b3, Leaf(None)),
-        )
-        return Node(
-            ProjectiveMeasurement(ALICE, (eye[:, [0, 1]], eye[:, [2, 3]])),
-            (first_block, second_block),
-        )
+        def block(first, second, i, j, rest, labels):
+            l1, l2, l3 = labels
+            split = (eye[:, [i]], eye[:, [j]], eye[:, rest])
+            plus, minus = (eye[:, i] + eye[:, j]) * s2, (eye[:, i] - eye[:, j]) * s2
+            return Node(ProjectiveMeasurement(first, split), (
+                Node(ProjectiveMeasurement(second, split), (Leaf(l1), Leaf(l3), Leaf(None))),
+                Node(ProjectiveMeasurement(second, (plus, minus, eye[:, rest])),
+                     (Leaf(l2), Leaf(l3), Leaf(None))),
+                Leaf(None)))
+
+        return Node(ProjectiveMeasurement(ALICE, (eye[:, [0, 1]], eye[:, [2, 3]])), (
+            block(ALICE, BOB, 0, 1, [2, 3], ("psi1", "psi2", "psi3")),
+            block(BOB, ALICE, 2, 3, [0, 1], ("psi4", "psi5", "psi6"))))
 
     if name == "bell2-x":
-        s2 = 1.0 / np.sqrt(2.0)
         plus = np.array([s2, s2])
         minus = np.array([s2, -s2])
         bob_x = ProjectiveMeasurement(BOB, (plus, minus))

@@ -1,8 +1,8 @@
 """Bounded synthesis of projective discrimination protocols.
 
-Depth-first search in which every node tries the candidate measurements of
-one fixed generator per party (``candidate_bases``), cheap tiers first:
-Alice's cheap tiers, then Bob's, then Alice's costly tier, then Bob's.  A
+Depth-first search in which every node tries the candidate measurements
+that ``_candidates`` generates for each party, cheap tiers first: Alice's
+cheap tiers, then Bob's, then Alice's costly tier, then Bob's.  A
 number counts as zero when its magnitude is within the tolerance ``tol``
 (``SearchConfig.tolerance``); a rank counts the singular values, or
 eigenvalue magnitudes, above ``RANK_CUTOFF`` times the largest.  Every node
@@ -72,7 +72,7 @@ from .ensemble import (
     overlaps,
     schmidt_sum_check,
 )
-from .errors import DimensionMismatch, EmptyOutcome, NotUnitary
+from .errors import DimensionMismatch, EmptyOutcome
 from .protocol import (
     ALICE,
     BOB,
@@ -83,12 +83,14 @@ from .protocol import (
     _as_columns,
     _check_party,
     _identity,
+    _local_dim,
     verify_protocol,
 )
 from .states import (
     DEFAULT_TOL,
     RANK_CUTOFF,
     BipartiteState,
+    _check_orthonormal,
     _check_tolerance,
     frobenius_norms,
     rank_counts,
@@ -127,10 +129,6 @@ class SearchConfig:
 
 #: the bounds of a search given no ``SearchConfig``
 _DEFAULT_CONFIG = SearchConfig()
-
-
-def _local_dim(e: Ensemble, party: str) -> int:
-    return e.dim_a if party == ALICE else e.dim_b
 
 
 @cache
@@ -190,7 +188,7 @@ def valid_measurement(e: Ensemble, meas: ProjectiveMeasurement,
                       tol: float = DEFAULT_TOL) -> bool:
     """Whether every outcome preserves pairwise orthogonality of survivors."""
     _check_tolerance(tol)
-    expected = _local_dim(e, meas.party)
+    expected = _local_dim(e.dims, meas.party)
     if meas.local_dim != expected:
         raise DimensionMismatch(
             f"measurement on dim {meas.local_dim}, ensemble side has dim {expected}")
@@ -222,6 +220,13 @@ def _bloch_basis(n: np.ndarray) -> np.ndarray:
     return np.array([[c, -np.exp(-1j * phi) * s], [np.exp(1j * phi) * s, c]])
 
 
+def _pauli_rows(side_mats) -> np.ndarray:
+    """The Pauli vector of every matrix ``M_p = tr(M_p) / 2 I + m_p . sigma``
+    of a ``(P, 2, 2)`` stack, as rows ``Re m_p``, ``Im m_p`` of a ``(2P, 3)`` array."""
+    parts = (np.reshape(side_mats, (-1, 4)) @ _PAULI).view(np.float64).reshape(-1, 3, 2)
+    return parts.transpose(0, 2, 1).reshape(-1, 3)
+
+
 def _qubit_plane_bases(side_mats, tol) -> list[np.ndarray]:
     """Exact qubit bases with zero diagonal for every cross operator at once.
 
@@ -231,12 +236,12 @@ def _qubit_plane_bases(side_mats, tol) -> list[np.ndarray]:
     the stacked constraint matrix.  One basis per null direction.  A part of
     norm at most ``tol`` moves no diagonal entry past ``tol`` and constrains
     nothing; with no constraint left every basis works and the computational
-    one is returned, so ``[]`` means no basis exists.
+    one is returned.  ``[]`` means no null direction passes the relative rank
+    cutoff; that proves no ``tol``-admissible basis exists only past the
+    margin of ``classify_2x2``.
     """
-    # Pauli vectors of the flattened matrices, and the norm of every real and
-    # imaginary part as the product np.linalg.norm makes, bit for bit
-    parts = (np.reshape(side_mats, (-1, 4)) @ _PAULI).view(np.float64).reshape(-1, 3, 2)
-    parts = parts.transpose(0, 2, 1).reshape(-1, 3)
+    parts = _pauli_rows(side_mats)
+    # the norm of every row as the product np.linalg.norm makes, bit for bit
     norms = np.sqrt(parts[:, np.newaxis] @ parts[:, :, np.newaxis])[:, 0]
     keep = norms[:, 0] > tol
     a = parts[keep] / norms[keep]
@@ -382,7 +387,7 @@ def _outcomes(bases: np.ndarray):
 
 def _children(states: np.ndarray, alive: np.ndarray, sizes: np.ndarray):
     """The outcomes of a candidate that keep two or more states (its child
-    nodes), from its ``_project`` output and survivor counts.
+    nodes), from its ``_renormalise`` output and survivor counts.
 
     Returns ``(kids, packed, factors, ranks)``: the children's outcomes;
     their states as one zero-padded ``(children, s, dim_a, dim_b)`` stack,
@@ -477,7 +482,7 @@ def _candidates(stack: np.ndarray, party: str, sides: np.ndarray, cfg: SearchCon
     ``beam_limit``, counted across both classes, is checked first, so no
     tier is built once it is spent.  Each tier is one stack of outcome
     projectors, whose admissibility comes from one product."""
-    d = stack.shape[1] if party == ALICE else stack.shape[2]
+    d = _local_dim(stack.shape[1:], party)
     tol = cfg.tolerance
     left = cfg.beam_limit
 
@@ -546,7 +551,7 @@ def candidate_bases(e: Ensemble, party: str, cfg: SearchConfig | None = None):
 
 
 def _reach(stack: np.ndarray, party: str, projs: np.ndarray, tol: float):
-    """``(mats, norms, alive)`` of ``_project``: the projected matrices,
+    """``(mats, norms, alive)`` for ``_renormalise``: the projected matrices,
     their norms, and whether each keeps a squared norm above ``tol``."""
     projs, stack = projs[..., np.newaxis, :, :], stack[..., np.newaxis, :, :, :]
     if party == ALICE:
@@ -557,9 +562,9 @@ def _reach(stack: np.ndarray, party: str, projs: np.ndarray, tol: float):
     return mats, norms, np.float_power(norms, 2) > tol  # pow, as norm ** 2 of one float
 
 
-def _project(stack: np.ndarray, party: str, projs: np.ndarray, tol: float):
-    """Every outcome of a ``(k, d, d)`` projector stack applied to a whole
-    ``(m, dim_a, dim_b)`` amplitude stack at once.
+def _renormalise(mats: np.ndarray, norms: np.ndarray, alive: np.ndarray):
+    """Every outcome of a ``(k, d, d)`` projector stack on a whole ``(m,
+    dim_a, dim_b)`` amplitude stack, from ``_reach``'s ``(mats, norms, alive)``.
 
     Returns ``(alive, states, scale)``: ``alive[k, j]`` says whether state j
     keeps a squared norm above ``tol`` under projector k, ``states[k, j]`` is
@@ -569,12 +574,6 @@ def _project(stack: np.ndarray, party: str, projs: np.ndarray, tol: float):
     stacks pair up: ``(..., k, d, d)`` projectors on ``(..., m, dim_a,
     dim_b)`` states give ``(..., k, m)`` results.
     """
-    return _renormalise(*_reach(stack, party, projs, tol))
-
-
-def _renormalise(mats: np.ndarray, norms: np.ndarray, alive: np.ndarray):
-    """``_project``'s ``(alive, states, scale)`` from the ``(mats, norms,
-    alive)`` that ``_reach`` gives."""
     slack = unit_norm_slack(mats.shape[-2] * mats.shape[-1])
     scale = np.where(alive & (np.abs(norms - 1.0) > slack), norms, 1.0)
     states = mats / scale[..., np.newaxis, np.newaxis]
@@ -601,15 +600,12 @@ def surviving_states(e: Ensemble, party: str, projector,
     _check_party(party)
     _check_tolerance(tol)
     q = _as_columns(projector)
-    if q.shape[0] != _local_dim(e, party):
-        raise DimensionMismatch(
-            f"projector acts on dim {q.shape[0]}, party {party} has dim "
-            f"{_local_dim(e, party)}")
-    with np.errstate(over="ignore", invalid="ignore"):  # huge entries give deviation inf
-        dev = np.abs(q.conj().T @ q - _identity(q.shape[1])).max()
-    if not dev <= tol:  # "not <=" also fails on NaN
-        raise NotUnitary(f"projector columns not orthonormal (deviation {dev:.3g})")
-    alive, states, scale = _project(e.amplitudes, party, (q @ q.conj().T)[np.newaxis], tol)
+    d = _local_dim(e.dims, party)
+    if q.shape[0] != d:
+        raise DimensionMismatch(f"projector acts on dim {q.shape[0]}, party {party} has dim {d}")
+    _check_orthonormal(q, tol, "projector columns not orthonormal")
+    alive, states, scale = _renormalise(
+        *_reach(e.amplitudes, party, (q @ q.conj().T)[np.newaxis], tol))
     survivors = [BipartiteState(e.dim_a, e.dim_b, states[0, j], name=e.states[j].name,
                                 normalization=float(scale[0, j]))
                  for j in np.flatnonzero(alive[0])]

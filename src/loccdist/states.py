@@ -221,13 +221,19 @@ def frobenius_norms(mats) -> np.ndarray:
     return np.sqrt(re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2))[..., 0, 0]
 
 
+def _check_orthonormal(q: np.ndarray, tol: float, fault: str) -> None:
+    """Raise ``NotUnitary`` unless ``q``'s columns are orthonormal within ``tol``."""
+    with np.errstate(over="ignore", invalid="ignore"):  # huge entries give deviation inf
+        dev = np.abs(q.conj().T @ q - np.eye(q.shape[1])).max()
+    if not dev <= tol:  # "not <=" also fails on NaN
+        raise NotUnitary(f"{fault} (deviation {dev:.3g})")
+
+
 def assert_unitary(u: np.ndarray, dim: int, tol: float = DEFAULT_TOL, what="matrix") -> np.ndarray:
     u = np.asarray(u, dtype=np.complex128)
     if u.shape != (dim, dim):
         raise NotUnitary(f"{what} has shape {u.shape}, expected ({dim}, {dim})")
-    dev = np.abs(u.conj().T @ u - np.eye(dim)).max()
-    if dev > tol:
-        raise NotUnitary(f"{what} is not unitary (deviation {dev:.3g})")
+    _check_orthonormal(u, tol, f"{what} is not unitary")
     return u
 
 

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -5,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 import loccdist as L
 from loccdist import (
@@ -28,6 +30,7 @@ from loccdist import (
     schmidt_sum_check,
     verify_protocol,
 )
+from loccdist.cli import ensemble_to_dict, main, write_json
 from loccdist.ensemble import haar_unitary
 from loccdist.search import YES
 
@@ -505,6 +508,69 @@ def test_two_qubit_sweep_script_runs():
         env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("30 ensembles in ")
+
+
+def _near_walgate_hardy(seed):
+    """Three two-qubit states a hair off the Walgate-Hardy form, with the
+    protocol that form has: Alice measures ``U``, then Bob ``u`` under
+    outcome 0 (leaving s0 or s1) and ``v`` under outcome 1 (s0 or s2)."""
+    rng = np.random.default_rng([2, seed, 23])
+    u, v = haar_unitary(2, rng), haar_unitary(2, rng)
+    w, phi = rng.uniform(0.2, 0.8), rng.uniform(0, 2 * np.pi)
+    s0 = (np.sqrt(w) * np.outer([1, 0], u[:, 0])
+          + np.sqrt(1 - w) * np.exp(1j * phi) * np.outer([0, 1], v[:, 0]))
+    mats = np.array([s0, np.outer([1, 0], u[:, 1]), np.outer([0, 1], v[:, 1])])
+    U = haar_unitary(2, rng)
+    mats = U @ mats
+    scale = 10 ** rng.uniform(-11, -7)
+    mats = mats + scale * (rng.standard_normal(mats.shape) + 1j * rng.standard_normal(mats.shape))
+    mats = np.linalg.qr(mats.reshape(3, 4).T)[0].T.reshape(3, 2, 2)
+    e = make_ensemble([make_state(2, 2, m, name=f"s{k}") for k, m in enumerate(mats)])
+    bob = [L.Node(L.ProjectiveMeasurement(L.BOB, (b[:, 0], b[:, 1])),
+                  (L.Leaf("s0"), L.Leaf(f"s{k}"))) for k, b in ((1, u), (2, v))]
+    return e, U, L.Node(L.ProjectiveMeasurement(L.ALICE, (U[:, 0], U[:, 1])), tuple(bob))
+
+
+def test_classify_proves_no_only_past_the_margin():
+    # the margin's proof: an admissible basis keeps the least singular value
+    # of Alice's Pauli rows within tol sqrt(P), so "proved-no" needs more than
+    # 2 sqrt(2) tol sqrt(P), and no "proved-no" meets an admissible U
+    search_module = L.search
+    tally = {}
+    for seed in range(400):
+        e, U, _ = _near_walgate_hardy(seed)
+        cls = classify_2x2(e)
+        tally[cls.verdict] = tally.get(cls.verdict, 0) + 1
+        sides = search_module.cross_operators(e, L.ALICE)
+        projs = np.array([np.outer(U[:, k], U[:, k].conj()) for k in range(2)])
+        admissible = search_module._admits(projs, sides, 1e-9).all()
+        least = np.linalg.svd(search_module._pauli_rows(sides), compute_uv=False)[-1]
+        if admissible:
+            assert least <= 1e-9 * np.sqrt(len(sides)), seed
+        if cls.verdict == "proved-no":
+            assert not admissible, seed
+            assert least > 2 * np.sqrt(2 * len(sides)) * 1e-9, seed
+            assert cls.protocol is None and "entangled" in cls.reason
+        elif cls.verdict == YES:
+            assert verify_protocol(cls.protocol, e).ok, seed
+        else:
+            assert cls.protocol is None and cls.reason is None
+    # each answer occurs; the rule used to refute seeds 28, 34 and 41
+    assert set(tally) == {YES, "proved-no", "unknown"}, tally
+    for seed in (28, 34, 41):
+        e, U, tree = _near_walgate_hardy(seed)
+        report = verify_protocol(tree, e)
+        assert report.ok and report.completeness_deviation <= 1e-14
+        assert classify_2x2(e).verdict == "unknown"
+
+
+def test_check_classify2x2_exits_2_inside_the_margin(tmp_path):
+    path = tmp_path / "near.json"
+    write_json(path, ensemble_to_dict(_near_walgate_hardy(28)[0]))
+    result = CliRunner().invoke(main, ["check", str(path), "--mode", "classify2x2",
+                                       "--format", "json"])
+    assert result.exit_code == 2
+    assert json.loads(result.output)["verdict"] == "unknown"
 
 
 def test_classify_four_product_states():

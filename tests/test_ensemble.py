@@ -9,6 +9,8 @@ import loccdist as L
 from loccdist import (
     DimensionMismatch,
     EmptyEnsemble,
+    LoccdistError,
+    NonFinite,
     NotOrthogonal,
     TooManyStates,
     UnknownExample,
@@ -48,6 +50,20 @@ def test_make_ensemble_errors():
     extra = make_state(2, 2, [[1, 1], [1, 1]])
     with pytest.raises(TooManyStates):
         make_ensemble(basis + [extra])
+    with pytest.raises(LoccdistError, match="duplicate state label 'x'"):
+        make_ensemble([make_state(2, 2, [[1, 0], [0, 0]], name="x"),
+                       make_state(2, 2, [[0, 1], [0, 0]], name="x")])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_make_ensemble_rejects_a_non_finite_member(bad):
+    # a state built directly skips make_state's check; its overlaps are NaN,
+    # which no "> tol" test catches, and a single state has no overlap at all
+    ok = make_state(2, 2, [[1, 0], [0, 0]], name="ok")
+    broken = L.BipartiteState(2, 2, np.array([[0, 0], [0, bad]]), name="broken")
+    for states in ([ok, broken], [broken]):
+        with pytest.raises(NonFinite, match="state 'broken' has non-finite amplitudes"):
+            make_ensemble(states)
 
 
 def test_six4x4_all_pairwise_overlaps_vanish_by_direct_expansion(six4x4):
@@ -110,6 +126,11 @@ def test_random_ensemble_product_basis_has_rank_one_members():
 def test_random_ensemble_haar_is_orthonormal():
     e = random_ensemble(2, 2, 4, seed=5, kind="haar-orthogonal")
     assert np.allclose(gram_matrix(e), np.eye(4), atol=1e-10)
+
+
+def test_random_ensemble_unknown_kind():
+    with pytest.raises(LoccdistError, match="unknown random-ensemble kind 'bogus'"):
+        random_ensemble(2, 2, 2, seed=0, kind="bogus")
 
 
 def test_random_ensemble_too_many():

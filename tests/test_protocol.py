@@ -267,6 +267,11 @@ def test_measurement_blocks_must_be_nonempty_column_matrices(blocks):
         ProjectiveMeasurement(ALICE, blocks)
 
 
+def test_measurement_needs_an_outcome():
+    with pytest.raises(NotUnitary, match="a measurement needs at least one outcome"):
+        ProjectiveMeasurement(ALICE, ())
+
+
 def test_measurement_of_one_shape_shares_one_read_only_copy():
     q = haar_unitary(3, np.random.default_rng(5))
     source = [q[:, k:k + 1].copy() for k in range(3)]
@@ -323,6 +328,8 @@ def test_branch_operator_with_nan_is_not_a_projector():
 def test_node_child_count_must_match():
     with pytest.raises(MalformedTree):
         Node(z_basis(ALICE), (Leaf("a"),))
+    with pytest.raises(MalformedTree, match="child of unexpected type str"):
+        Node(z_basis(ALICE), (Leaf("a"), "b"))
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +387,8 @@ def test_completeness_detects_dropped_branch():
     branches = enumerate_branches(zz_tree([["a", "b"], ["c", "d"]]), (2, 2))
     deviation = completeness_check(branches[:-1])
     assert deviation > 0.9  # the dropped rank-one projector is missing entirely
+    with pytest.raises(MalformedTree, match="no branches to check"):
+        completeness_check([])
 
 
 def test_enumerate_branches_dim_mismatch():
@@ -448,6 +457,17 @@ def test_verify_zz_on_bell2_fails_with_ambiguous_leaf(bell2):
 
 def test_verify_xx_on_bell2_succeeds(bell2):
     assert verify_protocol(canned_protocol("bell2-x"), bell2).ok
+
+
+def test_verify_reports_elements_that_miss_the_identity(bell2):
+    # columns 1e-4 off orthogonal pass a measurement validated at tol 1e-3;
+    # at the default tolerance their elements miss the identity by 1e-4
+    skewed = ProjectiveMeasurement(ALICE, ([1, 0], [1e-4, 1]), tol=1e-3)
+    report = verify_protocol(Node(skewed, (Leaf("A1"), Leaf("A2"))), bell2)
+    assert not report.ok
+    assert report.completeness_deviation == pytest.approx(1e-4)
+    assert report.failures[0] == ("branch elements do not resolve the identity "
+                                  "(deviation 0.0001)")
 
 
 def test_verify_fail_leaf_with_arrivals(bell2):

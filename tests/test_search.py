@@ -8,6 +8,7 @@ import loccdist as L
 from loccdist import (
     ALICE,
     BOB,
+    DimensionMismatch,
     EmptyOutcome,
     NotUnitary,
     ProjectiveMeasurement,
@@ -553,7 +554,7 @@ def _close_siblings_as_each_child_would(states, alive, cfg=SearchConfig()):
         blocks = search_module._outcomes(completion[np.newaxis])[0][0]
         projs = np.array([q @ q.conj().T for q in blocks])
         admissible = search_module._admits(projs, cross[party], tol).all()
-        reach = search_module._project(stack, party, projs, tol)[0]
+        reach = search_module._renormalise(*search_module._reach(stack, party, projs, tol))[0]
         kept = reach.sum(axis=1)
         # the closure is offered when the other party's cross operators
         # are within tol of zero; it closes without a child node of its own
@@ -986,6 +987,11 @@ def test_surviving_states_needs_orthonormal_columns(six4x4, block):
         surviving_states(six4x4, ALICE, np.array(block))
 
 
+def test_surviving_states_refuses_a_projector_of_another_dimension(six4x4):
+    with pytest.raises(DimensionMismatch, match="projector acts on dim 2, party B has dim 4"):
+        surviving_states(six4x4, BOB, cols(2, 0))
+
+
 def test_surviving_states_empty_outcome(six4x4):
     block01 = surviving_states(six4x4, ALICE, cols(4, 0, 1))
     with pytest.raises(EmptyOutcome):
@@ -1212,7 +1218,8 @@ def test_batched_survivors_agree_with_surviving_states():
                                                                        for k in range(d))))
             for meas in measurements:
                 projs = np.array(meas.projector_matrices())
-                alive, states, _ = search_module._project(e.amplitudes, party, projs, 1e-9)
+                alive, states, _ = search_module._renormalise(
+                    *search_module._reach(e.amplitudes, party, projs, 1e-9))
                 gram = L.ensemble.overlaps(states.reshape(*alive.shape, -1))
                 for k, q in enumerate(meas.projectors):
                     ref = _outcome(lambda: _reference_survivors(e, party, q))

@@ -194,8 +194,14 @@ def test_hadamard_pair_fixes_first_bell_state():
 
 
 def test_apply_local_unitary_rejects_nonunitary():
+    s = L.bell_states()[0]
     with pytest.raises(NotUnitary):
-        apply_local_unitary(L.bell_states()[0], np.array([[1, 1], [0, 1]]), np.eye(2))
+        apply_local_unitary(s, np.array([[1, 1], [0, 1]]), np.eye(2))
+    # a NaN deviation is not within the tolerance, so it must not pass
+    with pytest.raises(NotUnitary, match=r"u_a is not unitary \(deviation nan\)"):
+        apply_local_unitary(s, [[np.nan, 0], [0, 1]], np.eye(2))
+    with pytest.raises(NotUnitary, match=r"u_b has shape \(3, 3\), expected \(2, 2\)"):
+        apply_local_unitary(s, np.eye(2), np.eye(3))
 
 
 @given(st.integers(min_value=0, max_value=10_000))
