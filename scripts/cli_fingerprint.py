@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Print the exit code and report of a fixed list of CLI calls, to compare two versions.
 
-Every call runs in process through click's ``CliRunner``, on ensemble and
-protocol files that the script first writes into a fresh temporary
-directory; every output path lies in that directory too.  For each call the
-script prints the argument list, the exit code, the name of any exception
-that escaped the CLI, the report (``timing_ms`` and the temporary directory
-masked), and the sha256 of every file the call wrote.  Running it on two checkouts and diffing the outputs shows every
-report, exit code and written file that changed.
+Every call runs in process through ``run_cli`` of ``tests/conftest.py``, on
+ensemble and protocol files that the script first writes into a fresh
+temporary directory; every output path lies in that directory too.  For each
+call the script prints the argument list, the exit code, the name of any
+exception that escaped the CLI, the report and any notice or usage error,
+interleaved as written (``timing_ms`` and the temporary directory masked),
+and the sha256 of every file the call wrote.  Running it on two checkouts and
+diffing the outputs shows every report, exit code and written file that
+changed.
 
 The calls cover:
 
@@ -41,12 +43,12 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from click.testing import CliRunner
 
 import loccdist as L
-from loccdist.cli import ensemble_to_dict, main, protocol_to_dict, write_json
+from loccdist.cli import ensemble_to_dict, protocol_to_dict, write_json
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from conftest import run_cli  # noqa: E402
 from treegen import random_tree  # noqa: E402
 
 CANNED = ("bell4", "bell3", "bell2", "six4x4", "domino9")
@@ -154,7 +156,6 @@ def digests(root: Path) -> dict:
 
 
 def fingerprint() -> None:
-    runner = CliRunner()
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp).resolve()
         (root / "ex").mkdir()
@@ -164,10 +165,10 @@ def fingerprint() -> None:
             if "--format" not in args:
                 args = args + ["--format", "json"]
             before = digests(root)
-            result = runner.invoke(main, args)
+            result = run_cli(args)
             print("$", " ".join(args).replace(str(root), "<tmp>"))
             print("exit", result.exit_code)
-            if result.exception is not None and not isinstance(result.exception, SystemExit):
+            if result.exception is not None:
                 print("exception", type(result.exception).__name__)
             print(mask.sub(r"\1<t>", result.output).replace(str(root), "<tmp>"), end="")
             for name, digest in digests(root).items():

@@ -11,24 +11,24 @@ plain floats, so round-trips are bit-exact):
 * report:    schema "v1", see REPORT_SCHEMA.
 
 Exit codes: 0 distinguishable / success, 1 indistinguishable (proved) or
-verification failure, 2 unknown, 3 input error (a bad or unwritable file, or a
-usage error such as a missing argument or an out-of-range option).
+verification failure, 2 unknown, 3 input error (a bad or unwritable file, a
+closed stdout, or a usage error such as a missing or out-of-range argument).
 
-At module level only the standard library, click and ``errors`` are
-imported; numpy and the computational modules are imported by the functions
-that use them, so ``--help`` and a usage error load no numpy, and each
-command loads only the modules it runs.
+At module level only the standard library and ``errors`` are imported;
+numpy and the computational modules are imported by the functions that use
+them, so ``--help`` and a usage error load no numpy, and each command loads
+only the modules it runs.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
-
-import click
 
 from .errors import DEFAULT_TOL, LoccdistError, ParseError
 
@@ -215,7 +215,7 @@ def write_json(path, payload) -> None:
 def load_ensemble(path, tol: float = DEFAULT_TOL):
     ens, notices = ensemble_from_dict(read_json(path), tol=tol)
     for note in notices:
-        click.echo(f"notice: {note}", err=True)
+        print(f"notice: {note}", file=sys.stderr)
     return ens
 
 
@@ -237,67 +237,18 @@ def _run(command, config, fmt, body):
         diagnostics = {"error": str(exc), "kind": type(exc).__name__}
     timing_ms = (time.perf_counter() - started) * 1000.0
     if fmt == "json":
-        click.echo(json.dumps({"schema_version": SCHEMA_VERSION, "command": command,
-                               "verdict": verdict, "exit_code": code, "config": config,
-                               "diagnostics": diagnostics, "timing_ms": timing_ms},
-                              indent=1))
+        print(json.dumps({"schema_version": SCHEMA_VERSION, "command": command,
+                          "verdict": verdict, "exit_code": code, "config": config,
+                          "diagnostics": diagnostics, "timing_ms": timing_ms}, indent=1))
     else:
-        click.echo(f"command: {command}")
-        click.echo(f"verdict: {verdict}")
+        print(f"command: {command}")
+        print(f"verdict: {verdict}")
         for key, value in diagnostics.items():
-            click.echo(f"{key}: {json.dumps(value) if isinstance(value, (dict, list)) else value}")
-        click.echo(f"timing_ms: {timing_ms:.3f}")
+            print(f"{key}: {json.dumps(value) if isinstance(value, (dict, list)) else value}")
+        print(f"timing_ms: {timing_ms:.3f}")
     sys.exit(code)
 
 
-def _positive_finite(ctx, param, value):
-    if not (math.isfinite(value) and value > 0):
-        raise click.BadParameter(f"{value} is not a finite number > 0.")
-    return value
-
-
-_format_option = click.option("--format", "fmt", type=click.Choice(["text", "json"]),
-                              default="text", show_default=True,
-                              help="Report format.")
-_tolerance_option = click.option("--tolerance", type=float, default=DEFAULT_TOL,
-                                 show_default=True, callback=_positive_finite,
-                                 help="Numerical tolerance for every check in this run.")
-_max_depth_option = click.option("--max-depth", type=click.IntRange(min=1), default=6,
-                                 show_default=True,
-                                 help="Rounds of measurement per search branch.")
-_beam_option = click.option("--beam", type=click.IntRange(min=1), default=64,
-                            show_default=True,
-                            help="Candidate measurements per party and search node.")
-
-
-def _usage_error_exits_3(call, *args, **kwargs):
-    try:
-        return call(*args, **kwargs)
-    except click.UsageError as exc:
-        exc.exit_code = EXIT_INPUT_ERROR
-        raise
-
-
-class _Group(click.Group):
-    """Command group whose click usage errors exit 3, the input-error code."""
-
-    def make_context(self, *args, **kwargs):
-        return _usage_error_exits_3(super().make_context, *args, **kwargs)
-
-    def invoke(self, ctx):
-        return _usage_error_exits_3(super().invoke, ctx)
-
-
-@click.group(cls=_Group)
-def main():
-    """Decide, certify, or refute local distinguishability of finite
-    ensembles of orthogonal bipartite pure states."""
-
-
-@main.command("schmidt")
-@click.argument("ensemble_path", type=click.Path())
-@_format_option
-@_tolerance_option
 def cmd_schmidt(ensemble_path, fmt, tolerance):
     """Per-state Schmidt ranks and weights of an ensemble file."""
     config = {"ensemble": str(ensemble_path), "tolerance": tolerance}
@@ -357,14 +308,6 @@ def _decide(config, mode):
     return (*verdicts[out.verdict], diagnostics, out.protocol)
 
 
-@main.command("check")
-@click.argument("ensemble_path", type=click.Path())
-@click.option("--mode", type=click.Choice(["necessary", "classify2x2", "full"]),
-              default="full", show_default=True)
-@_max_depth_option
-@_beam_option
-@_format_option
-@_tolerance_option
 def cmd_check(ensemble_path, mode, max_depth, beam, fmt, tolerance):
     """Decide distinguishability of an ensemble file."""
     config = {"ensemble": str(ensemble_path), "mode": mode,
@@ -381,11 +324,6 @@ def cmd_check(ensemble_path, mode, max_depth, beam, fmt, tolerance):
     _run("check", config, fmt, body)
 
 
-@main.command("verify")
-@click.argument("ensemble_path", type=click.Path())
-@click.argument("protocol_path", type=click.Path())
-@_format_option
-@_tolerance_option
 def cmd_verify(ensemble_path, protocol_path, fmt, tolerance):
     """Check a protocol file against an ensemble file."""
     config = {"ensemble": str(ensemble_path), "protocol": str(protocol_path),
@@ -409,16 +347,7 @@ def cmd_verify(ensemble_path, protocol_path, fmt, tolerance):
     _run("verify", config, fmt, body)
 
 
-@main.command("search")
-@click.argument("ensemble_path", type=click.Path())
-@_max_depth_option
-@_beam_option
-@click.option("--output", type=click.Path(), default=None,
-              help="Protocol file to write on success "
-                   "[default: <ensemble>.protocol.json].")
-@_format_option
-@_tolerance_option
-def cmd_search(ensemble_path, max_depth, beam, output, fmt, tolerance):
+def cmd_search(ensemble_path, max_depth, beam, fmt, tolerance, output=None):
     """Search for a discrimination protocol; write it on success."""
     config = {"ensemble": str(ensemble_path), "max_depth": max_depth,
               "beam": beam, "tolerance": tolerance}
@@ -427,8 +356,7 @@ def cmd_search(ensemble_path, max_depth, beam, output, fmt, tolerance):
         verdict, code, diagnostics, protocol = _decide(config, "full")
         del diagnostics["schmidt_numbers"]
         if protocol is not None:
-            out_path = Path(output) if output else Path(str(ensemble_path)).with_suffix(
-                ".protocol.json")
+            out_path = Path(output) if output else Path(ensemble_path).with_suffix(".protocol.json")
             write_json(out_path, protocol_to_dict(protocol))
             diagnostics["protocol_path"] = str(out_path)
         return verdict, code, diagnostics
@@ -436,19 +364,7 @@ def cmd_search(ensemble_path, max_depth, beam, output, fmt, tolerance):
     _run("search", config, fmt, body)
 
 
-@main.command("example")
-@click.argument("name")
-@click.option("--output", type=click.Path(), default=None,
-              help="Ensemble file to write [default: <name>.json].")
-@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True,
-              help="Seed for the random-* generators.")
-@click.option("--dims", default="2x2", show_default=True,
-              help="Local dimensions for the random-* generators, e.g. 3x2.")
-@click.option("--count", type=click.IntRange(min=1), default=4, show_default=True,
-              help="Number of states for the random-* generators.")
-@_format_option
-@_tolerance_option
-def cmd_example(name, output, seed, dims, count, fmt, tolerance):
+def cmd_example(name, seed, dims, count, fmt, tolerance, output=None):
     """Write a canned ensemble (bell4, bell3, bell2, six4x4, domino9) or a
     generated one (random-product, random-haar); canned protocols are written
     alongside where available."""
@@ -488,6 +404,90 @@ def cmd_example(name, output, seed, dims, count, fmt, tolerance):
         return "written", 0, diagnostics
 
     _run("example", config, fmt, body)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit 3, the input-error code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
+def _bounded(convert, accept, wanted: str):
+    """An argparse ``type``: ``convert(text)`` where ``accept`` holds of it;
+    any other text is a usage error saying that it is not ``wanted``."""
+    def parse(text):
+        try:
+            value = convert(text)
+            if accept(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {wanted}")
+    return parse
+
+
+def _parser(prog: str) -> _Parser:
+    """One subparser per command; a parsed namespace holds the command
+    function as ``run`` and its keyword arguments."""
+    parser = _Parser(prog=prog, allow_abbrev=False, description=(
+        "Decide, certify, or refute local distinguishability of finite "
+        "ensembles of orthogonal bipartite pure states."))
+    subparsers = parser.add_subparsers(required=True)
+    subs = {}
+    for run, *positionals in ((cmd_schmidt, "ensemble_path"), (cmd_check, "ensemble_path"),
+                              (cmd_verify, "ensemble_path", "protocol_path"),
+                              (cmd_search, "ensemble_path"), (cmd_example, "name")):
+        name = run.__name__.removeprefix("cmd_")
+        subs[name] = sub = subparsers.add_parser(
+            name, help=run.__doc__, description=run.__doc__, allow_abbrev=False,
+            formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        sub.set_defaults(run=run)
+        for positional in positionals:
+            sub.add_argument(positional)
+    at_least_1 = _bounded(int, lambda v: v >= 1, "an integer >= 1")
+    subs["check"].add_argument("--mode", choices=("necessary", "classify2x2", "full"),
+                               default="full", help="Decision to make.")
+    for name in ("check", "search"):
+        subs[name].add_argument("--max-depth", type=at_least_1, default=6,
+                                help="Rounds of measurement per search branch.")
+        subs[name].add_argument("--beam", type=at_least_1, default=64,
+                                help="Candidate measurements per party and search node.")
+    subs["search"].add_argument("--output", default=argparse.SUPPRESS, help=(
+        "Protocol file to write on success (default: <ensemble>.protocol.json)."))
+    example = subs["example"]
+    example.add_argument("--output", default=argparse.SUPPRESS,
+                         help="Ensemble file to write (default: <name>.json).")
+    example.add_argument("--seed", type=_bounded(int, lambda v: v >= 0, "an integer >= 0"),
+                         default=0, help="Seed for the random-* generators.")
+    example.add_argument("--dims", default="2x2",
+                         help="Local dimensions for the random-* generators, e.g. 3x2.")
+    example.add_argument("--count", type=at_least_1, default=4,
+                         help="Number of states for the random-* generators.")
+    tolerance = _bounded(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
+    for sub in subs.values():
+        sub.add_argument("--format", dest="fmt", choices=("text", "json"), default="text",
+                         help="Report format.")
+        sub.add_argument("--tolerance", type=tolerance, default=DEFAULT_TOL,
+                         help="Numerical tolerance for every check in this run.")
+    return parser
+
+
+def main(args=None, prog_name: str = "loccdist"):
+    """Run the command line on ``args`` (default ``sys.argv[1:]``) and exit with
+    its code; ``prog_name`` names the program in help and usage texts."""
+    try:
+        try:
+            options = vars(_parser(prog_name).parse_args(args))
+            options.pop("run")(**options)
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so the flush at exit
+        # stays quiet, and exit as for any unwritable output
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(EXIT_INPUT_ERROR)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -302,8 +302,13 @@ def _zero_diagonal_tier(sides: np.ndarray, tol: float) -> list[np.ndarray]:
     gives every such vector and one ``_admits`` call tests them all, each by
     its projector ``v v^+``; only the parts whose vector keeps every
     ``tr(P M)`` within ``tol``, or that start with no rotation, are built.
+    No basis is built when ``_no_traceless_room`` proves that none is
+    admissible.
     """
-    evals, evecs = np.linalg.eigh(_hermitian_parts(sides, tol))
+    parts = _hermitian_parts(sides, tol)
+    if _no_traceless_room(parts, tol):
+        return []
+    evals, evecs = np.linalg.eigh(parts)
     lo, hi, cut = evals[:, 0], evals[:, -1], RANK_CUTOFF * np.abs(evals).max(axis=1)
     rot = (lo < -cut) & (hi > cut)
     # a part with no rotation gets a stand-in one, whose vector is not used
@@ -311,6 +316,46 @@ def _zero_diagonal_tier(sides: np.ndarray, tol: float) -> list[np.ndarray]:
                     evecs[:, :, 0], evecs[:, :, -1])[0]
     admitted = _admits(first[:, :, np.newaxis] * first[:, np.newaxis].conj(), sides, tol)
     return [_zero_diagonal_basis(evals[k], evecs[k]) for k in np.flatnonzero(~rot | admitted)]
+
+
+@cache
+def _traceless_frame(d: int) -> np.ndarray:
+    """``(d^2, d^2 - 1)``, read-only: ``vec(H) @`` it gives the real
+    coordinates of a Hermitian ``H``'s traceless part in an orthonormal basis
+    of the traceless Hermitian matrices (the Helmert diagonals, then
+    ``(E_ij + E_ji) / sqrt 2`` and ``i (E_ji - E_ij) / sqrt 2`` for i < j);
+    column k is the conjugate of the k-th basis matrix, flattened."""
+    basis = [np.diag([1.0] * k + [-k] + [0.0] * (d - 1 - k)) / math.sqrt(k * (k + 1))
+             for k in range(1, d)]
+    for i, j in zip(*np.triu_indices(d, 1)):
+        for entry in (1.0, -1j):  # entry (i, j); entry (j, i) is its conjugate
+            off = np.zeros((d, d), dtype=np.complex128)
+            off[i, j], off[j, i] = entry, np.conj(entry)
+            basis.append(off / math.sqrt(2))
+    frame = np.array(basis, dtype=np.complex128).reshape(-1, d * d).conj().T
+    frame.setflags(write=False)
+    return frame
+
+
+def _no_traceless_room(parts: np.ndarray, tol: float) -> bool:
+    """Whether a ``(n, d, d)`` stack of ``_hermitian_parts`` proves that no
+    projector ``P`` of rank 1 to ``d - 1`` keeps every ``|tr(P M)|`` within
+    ``tol``, so that no measurement of two or more outcomes is admissible.
+
+    ``E = P - (r / d) I`` is traceless with ``||E||_F^2 = r (1 - r / d) >=
+    (d - 1) / d``, and ``|tr(E H)| <= |tr(P M)| + (r / d) |tr M| <= 2 tol``
+    for each part ``H`` of a cross operator ``M``, whose trace is an overlap,
+    within ``tol`` at every node.  So with ``R`` the parts' coordinates in
+    ``_traceless_frame``, ``sigma_min(R) sqrt((d - 1) / d) <= ||R e|| <= 2
+    tol sqrt(n)``: a least singular value above ``2 tol sqrt(n d / (d - 1))``
+    rules every such ``P`` out.  Parts dropped by grouping or by ``tol``
+    only drop rows, which keeps the bound.  Tested only when the parts can
+    span the ``d^2 - 1`` coordinates, ``n >= d^2 - 1``; else no proof."""
+    n, d = len(parts), parts.shape[-1]
+    if n < d * d - 1:
+        return False
+    coords = (parts.reshape(n, d * d) @ _traceless_frame(d)).real
+    return bool(np.linalg.svd(coords, compute_uv=False)[-1] > 2 * tol * math.sqrt(n * d / (d - 1)))
 
 
 def _zero_diagonal_basis(evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:

@@ -11,18 +11,13 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
-from conftest import ACCEPTANCE_RESULTS
+from conftest import ACCEPTANCE_RESULTS, run_cli
 from treegen import random_tree
 
 import loccdist as L
-from loccdist.cli import ensemble_to_dict, main, protocol_to_dict, write_json
+from loccdist.cli import ensemble_to_dict, protocol_to_dict, write_json
 from loccdist.search import YES
 from test_criteria import bell2_certificate, six4x4_certificate
-
-
-def run_cli(args):
-    return CliRunner().invoke(main, [str(a) for a in args])
 
 
 def report_of(result):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
-from click.testing import CliRunner
+from conftest import run_cli
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -17,17 +18,12 @@ from loccdist.cli import (
     REPORT_SCHEMA,
     ensemble_from_dict,
     ensemble_to_dict,
-    main,
     protocol_from_dict,
     protocol_to_dict,
     read_json,
     write_json,
 )
 from loccdist.errors import ParseError
-
-
-def run_cli(args):
-    return CliRunner().invoke(main, [str(a) for a in args])
 
 
 def report_of(result):
@@ -101,7 +97,7 @@ def test_huge_declared_dims_fail_at_the_first_row(tmp_path):
     path.write_text(HUGE_DIMS)
     result = run_cli(["check", path, "--format", "json"])
     assert result.exit_code == 3
-    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.exception is None
     assert "Traceback" not in result.output
     assert report_of(result)["diagnostics"]["kind"] == "ParseError"
 
@@ -169,7 +165,7 @@ def test_malformed_files_exit_3_naming_the_location(tmp_path, bell2_file, case):
     args = ["check", path] if kind == "ensemble" else ["verify", bell2_file, path]
     result = run_cli(args + ["--format", "json"])
     assert result.exit_code == 3
-    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.exception is None
     rep = report_of(result)
     assert rep["diagnostics"]["kind"] == "ParseError"
     assert rep["diagnostics"]["error"].startswith(location.format(path=path) + ": ")
@@ -344,7 +340,7 @@ def test_cmd_verify_empty_projector_column_exits_3(bell2_file, tmp_path):
         {"projector_columns": [[]], "child": {"fail": True}}]})
     result = run_cli(["verify", bell2_file, ppath, "--format", "json"])
     assert result.exit_code == 3
-    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.exception is None
     assert "Traceback" not in result.output
     assert report_of(result)["diagnostics"] == {
         "error": "each projector must be a nonempty matrix of columns", "kind": "NotUnitary"}
@@ -380,6 +376,39 @@ def test_cmd_verify_overflowing_projector_warns_nothing(bell2_file, tmp_path):
         "outcome 0: projector columns not orthonormal (deviation inf)")
 
 
+def test_a_closed_stdout_exits_3(six4x4_pair):
+    # the reader closes its end before the report is written: an unwritable
+    # output, not "indistinguishable" (1) and not a BrokenPipeError traceback
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "loccdist.cli", "check", str(six4x4_pair[0]), "--format", "json"],
+        env={**os.environ, "PYTHONPATH": str(src)}, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=120) == 3
+    assert stderr == ""
+
+
+@pytest.mark.parametrize("command,defaults", [
+    ("schmidt", {}),
+    ("check", {"--mode": "full", "--max-depth": "6", "--beam": "64"}),
+    ("verify", {}),
+    ("search", {"--max-depth": "6", "--beam": "64", "--output": "<ensemble>.protocol.json"}),
+    ("example", {"--output": "<name>.json", "--seed": "0", "--dims": "2x2", "--count": "4"}),
+])
+def test_help_shows_every_option_with_its_default(command, defaults):
+    result = run_cli([command, "--help"])
+    assert result.exit_code == 0 and result.stderr == ""
+    options = {**defaults, "--format": "text", "--tolerance": "1e-09"}
+    # each option's entry after --help's: the option, its metavar, its help
+    text = " ".join(result.stdout.split()).partition("show this help message and exit ")[2]
+    entries = dict(re.findall(r"(--[a-z-]+) \S+ (.*?)(?= --[a-z-]+ \S+ |$)", text))
+    assert entries.keys() == options.keys()
+    for flag, default in options.items():
+        assert f"(default: {default})" in entries[flag], entries[flag]
+
+
 def _write_non_finite(root):
     """bell2 ensemble files with one NaN or Infinity amplitude, and the bell2-x
     protocol with NaN in every projector entry (json reads and writes both)."""
@@ -408,7 +437,7 @@ def test_non_finite_numbers_in_files_exit_3(tmp_path, args):
     write_json(tmp_path / "bell2.json", ensemble_to_dict(L.canned_example("bell2")))
     result = run_cli([a.format(root=tmp_path) for a in args] + ["--format", "json"])
     assert result.exit_code == 3
-    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.exception is None
     rep = report_of(result)
     assert rep["diagnostics"]["kind"] == "ParseError"
     assert "finite" in rep["diagnostics"]["error"]
@@ -482,7 +511,7 @@ def test_cmd_example_dims_not_n_by_m_exits_3(tmp_path):
     result = run_cli(["example", "random-haar", "--dims", "abc", "--output", out,
                       "--format", "json"])
     assert result.exit_code == 3
-    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.exception is None
     rep = report_of(result)
     assert rep["diagnostics"] == {"error": "--dims: expected NxM, e.g. 2x2",
                                   "kind": "ParseError"}
@@ -499,7 +528,7 @@ def test_cmd_example_rejects_dims_out_of_range_before_generating(tmp_path, monke
     for dims in ("100000x100000", "33x32", "1x1025", "-2x-3", "0x4"):
         result = run_cli(["example", "random-haar", f"--dims={dims}", "--output", out])
         assert result.exit_code == 3, dims
-        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.exception is None
         assert "Traceback" not in result.output
         assert "--dims" in result.output and str(MAX_EXAMPLE_DIM) in result.output
         assert not out.exists()
@@ -512,7 +541,7 @@ def test_cmd_example_negative_seed_is_a_usage_error(tmp_path):
     out = tmp_path / "x.json"
     result = run_cli(["example", "random-haar", "--seed", "-1", "--output", out])
     assert result.exit_code == 3
-    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.exception is None
     assert "Traceback" not in result.output
     assert "--seed" in result.output
     assert not out.exists()
@@ -523,7 +552,7 @@ def test_cmd_example_count_below_one_is_a_usage_error(tmp_path, count):
     out = tmp_path / "x.json"
     result = run_cli(["example", "random-product", "--count", count, "--output", out])
     assert result.exit_code == 3
-    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.exception is None
     assert "Traceback" not in result.output
     assert "--count" in result.output
     assert not out.exists()
@@ -563,7 +592,7 @@ def test_unwritable_output_exits_3(bell2_file, tmp_path):
                  ["example", "bell2", "--output", missing / "x.json"]):
         result = run_cli(args + ["--format", "json"])
         assert result.exit_code == 3, args
-        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.exception is None
         assert "Traceback" not in result.output
         rep = report_of(result)
         assert rep["verdict"] == "error"
@@ -647,7 +676,7 @@ def cli_calls(draw, root):
 def test_cli_exit_contract(contract_dir, data):
     args, bad = data.draw(cli_calls(contract_dir))
     result = run_cli(args)
-    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.exception is None
     assert "Traceback" not in result.output
     assert result.exit_code in (0, 1, 2, 3)
     assert (result.exit_code == 3) == bad

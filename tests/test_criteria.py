@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
+from conftest import run_cli
 
 import loccdist as L
 from loccdist import (
@@ -30,7 +30,7 @@ from loccdist import (
     schmidt_sum_check,
     verify_protocol,
 )
-from loccdist.cli import ensemble_to_dict, main, write_json
+from loccdist.cli import ensemble_to_dict, write_json
 from loccdist.ensemble import haar_unitary
 from loccdist.search import YES
 
@@ -567,8 +567,7 @@ def test_classify_proves_no_only_past_the_margin():
 def test_check_classify2x2_exits_2_inside_the_margin(tmp_path):
     path = tmp_path / "near.json"
     write_json(path, ensemble_to_dict(_near_walgate_hardy(28)[0]))
-    result = CliRunner().invoke(main, ["check", str(path), "--mode", "classify2x2",
-                                       "--format", "json"])
+    result = run_cli(["check", path, "--mode", "classify2x2", "--format", "json"])
     assert result.exit_code == 2
     assert json.loads(result.output)["verdict"] == "unknown"
 

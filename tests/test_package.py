@@ -76,7 +76,7 @@ try:
         import loccdist
     else:
         from loccdist.cli import main
-        main(args=args, prog_name="loccdist")
+        main(args=args)
 finally:
     loaded = sorted(m for m in sys.modules if m == "numpy" or m.startswith("loccdist."))
     print("loaded:", json.dumps(loaded), file=sys.stderr)
@@ -84,15 +84,16 @@ finally:
 
 
 def _loaded(args, cwd):
-    """Exit code and the loccdist submodules (and numpy) loaded by one fresh
-    interpreter that imports the package (``args`` None) or runs the CLI."""
+    """Exit code, the loccdist submodules (and numpy) loaded and the stderr of
+    one fresh interpreter that imports the package (``args`` None) or runs
+    the CLI."""
     proc = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(args)], cwd=cwd,
                           env={**os.environ, "PYTHONPATH": str(SRC)},
                           capture_output=True, text=True, timeout=120)
     last = proc.stderr.strip().splitlines()[-1]
     assert last.startswith("loaded: "), proc.stderr
     assert "Traceback" not in proc.stderr, proc.stderr
-    return proc.returncode, set(json.loads(last[len("loaded: "):]))
+    return proc.returncode, set(json.loads(last[len("loaded: "):])), proc.stderr
 
 
 @pytest.fixture
@@ -103,19 +104,32 @@ def files(tmp_path):
 
 
 def test_importing_the_package_loads_no_submodule(files):
-    assert _loaded(None, files) == (0, set())
+    assert _loaded(None, files)[:2] == (0, set())
 
 
-@pytest.mark.parametrize("args,code", [
-    (["--help"], 0),
-    (["check", "bell2.json", "--mode", "full", "--max-depth=0"], 3),
-    (["check", "bell2.json", "--mode", "full", "--beam=0"], 3),
-    (["check", "bell2.json", "--mode", "full", "--tolerance=nan"], 3),
-], ids=["help", "max-depth", "beam", "tolerance"])
-def test_help_and_usage_errors_load_no_numpy(files, args, code):
-    exit_code, loaded = _loaded(args, files)
+@pytest.mark.parametrize("args,code,named", [
+    (["--help"], 0, None),
+    ([], 3, "required"),
+    (["bogus"], 3, "'bogus'"),
+    (["check"], 3, "ensemble_path"),
+    (["check", "bell2.json", "--form", "json"], 3, "--form"),
+    (["check", "bell2.json", "--mode", "bogus"], 3, "--mode"),
+    (["check", "bell2.json", "--mode", "full", "--max-depth=0"], 3, "--max-depth"),
+    (["check", "bell2.json", "--mode", "full", "--beam=0"], 3, "--beam"),
+    (["check", "bell2.json", "--mode", "full", "--tolerance=nan"], 3, "--tolerance"),
+    (["check", "bell2.json", "--tolerance=0"], 3, "--tolerance"),
+    (["example", "random-haar", "--seed", "-1"], 3, "--seed"),
+    (["example", "random-haar", "--count", "0"], 3, "--count"),
+    (["check", "bell2.json", "extra.json"], 3, "extra.json"),
+], ids=["help", "no-arguments", "unknown-command", "missing-path", "abbreviation", "mode",
+        "max-depth", "beam", "tolerance", "tolerance-0", "seed", "count", "extra-argument"])
+def test_help_and_usage_errors_load_no_numpy(files, args, code, named):
+    exit_code, loaded, stderr = _loaded(args, files)
     assert exit_code == code
     assert "numpy" not in loaded and loaded <= {"loccdist.cli", "loccdist.errors"}
+    if named:  # a usage error names what it refuses, on stderr
+        error = stderr.splitlines()[-2]
+        assert "error: " in error and named in error, stderr
 
 
 @pytest.mark.parametrize("args,code,absent", [
@@ -125,7 +139,7 @@ def test_help_and_usage_errors_load_no_numpy(files, args, code):
     (["search", "bell2.json"], 0, {"criteria"}),
 ], ids=["verify", "check-necessary", "check-full", "search"])
 def test_a_command_loads_only_the_modules_it_runs(files, args, code, absent):
-    exit_code, loaded = _loaded(args, files)
+    exit_code, loaded, _ = _loaded(args, files)
     assert exit_code == code
     assert "numpy" in loaded
     assert not loaded & {f"loccdist.{name}" for name in absent}

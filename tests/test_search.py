@@ -1544,3 +1544,52 @@ def test_search_raises_when_its_protocol_fails_verification(monkeypatch, bell2):
     monkeypatch.setattr(search_module, "verify_protocol", failing)
     with pytest.raises(RuntimeError, match="fails verification: injected failure"):
         search_protocol(bell2)
+
+
+def _tilted(e, rng, eps):
+    """The states of ``e``, each moved by a random ``eps``-sized matrix and
+    renormalised: pairwise orthogonal only to about ``eps``."""
+    mats = [s.amplitudes + eps * (rng.standard_normal(s.amplitudes.shape)
+                                  + 1j * rng.standard_normal(s.amplitudes.shape))
+            for s in e.states]
+    return make_ensemble([L.make_state(*e.dims, m / np.linalg.norm(m), name=s.name)
+                          for m, s in zip(mats, e.states)])
+
+
+def _measured_by(u, rng, dim_b):
+    """``dim_b`` states of 3 x ``dim_b`` that Alice's basis ``u`` keeps
+    orthogonal: state k is ``sum_i u_i (x) U_i e_k / sqrt 3``, with a Haar
+    ``U_i`` per outcome i."""
+    bobs = [haar_unitary(dim_b, rng) for _ in range(3)]
+    return make_ensemble([L.make_state(3, dim_b, sum(
+        np.outer(u[:, i], bobs[i][:, k]) for i in range(3)) / np.sqrt(3), name=f"s{k}")
+        for k in range(dim_b)])
+
+
+def test_the_zero_diagonal_tier_stops_early_only_when_no_basis_is_admissible(domino9):
+    # where the parts leave no room for a traceless projector direction, the
+    # tier returns before its eigh: then no part's basis passes _admits, and
+    # no local basis at all, so a set that Alice's basis u keeps orthogonal,
+    # whose parts outnumber d^2 - 1 = 8, never stops early
+    tol, rng = 1e-9, np.random.default_rng(77)
+    rotated = [make_ensemble([L.make_state(3, 3, ua @ s.amplitudes @ ub.T, name=s.name)
+                              for s in domino9.states])
+               for ua, ub in ((haar_unitary(3, rng), haar_unitary(3, rng)) for _ in range(5))]
+    bases = [haar_unitary(3, rng) for _ in range(6)]
+    measured = [_measured_by(u, rng, 5) for u in bases]
+    # each set again with its states orthogonal only to about 1e-10
+    stops = [domino9, *rotated, *(_tilted(e, rng, 1e-10) for e in [domino9, *rotated])]
+    for e in stops:
+        for party in (ALICE, BOB):
+            sides = cross_operators(e, party)
+            parts = search_module._hermitian_parts(sides, tol)
+            assert search_module._no_traceless_room(parts, tol)
+            assert search_module._zero_diagonal_tier(sides, tol) == []
+            full = _full_tier(sides, tol)
+            assert not _admissible(np.array([b for *_, b in full]), sides, tol).any()
+    for u, e in [*zip(bases, measured), *zip(bases, (_tilted(e, rng, 1e-10) for e in measured))]:
+        sides = cross_operators(e, ALICE)
+        parts = search_module._hermitian_parts(sides, tol)
+        assert len(parts) >= 8
+        assert _admissible(u[np.newaxis], sides, tol).all()
+        assert not search_module._no_traceless_room(parts, tol)
