@@ -31,7 +31,11 @@ The calls cover:
   computational basis and for that basis turned by 0.3 rad.  Alice's cross
   operator (~5e-8) is within that tolerance, so Bob's Schmidt closure ends
   the root; in the turned basis its protocol differs from what a search of
-  the candidates finds.
+  the candidates finds;
+- then ``check --mode classify2x2`` of two three-state sets a hair off the
+  Walgate-Hardy form (``_near_walgate_hardy`` of ``tests/test_criteria.py``):
+  seed 28, inside the margin of ``no`` (exit 2), and seed 0, which the
+  margin proves (exit 1).
 
 Usage: PYTHONPATH=src python3 scripts/cli_fingerprint.py > cli_fingerprint.txt
 """
@@ -49,6 +53,7 @@ from loccdist.cli import ensemble_to_dict, protocol_to_dict, write_json
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from conftest import run_cli  # noqa: E402
+from test_criteria import _near_walgate_hardy  # noqa: E402
 from treegen import random_tree  # noqa: E402
 
 CANNED = ("bell4", "bell3", "bell2", "six4x4", "domino9")
@@ -57,6 +62,8 @@ PROTOCOLS = {"bell2": "bell2-x", "six4x4": "six4x4"}
 #: ensemble file and seed of each random protocol tree
 RANDOM_TREES = (("q0", 8000), ("q1", 8001), ("q2", 8002), ("q5", 8003),
                 ("six4x4", 8004), ("h33", 8005), ("h33", 8006))
+#: seeds of the near-Walgate-Hardy sets: inside the margin, then past it
+NEAR_SEEDS = (28, 0)
 
 
 def write_inputs(root: Path) -> None:
@@ -100,6 +107,8 @@ def write_inputs(root: Path) -> None:
         write_json(root / f"{name}.json", ensemble_to_dict(L.make_ensemble(
             [L.product_state(2, 2, plus, b0, name="x"),
              L.product_state(2, 2, plus, 1e-7 * b0 + b1, name="y")], tol=1e-6)))
+    for seed in NEAR_SEEDS:
+        write_json(root / f"near{seed}.json", ensemble_to_dict(_near_walgate_hardy(seed)[0]))
 
 
 def calls(root: Path):
@@ -148,6 +157,8 @@ def calls(root: Path):
     for name in ("close-pair", "close-pair-turned"):
         yield ["search", str(root / f"{name}.json"), "--tolerance", "1e-6",
                "--output", str(root / f"{name}.found.json")]
+    for seed in NEAR_SEEDS:
+        yield ["check", str(root / f"near{seed}.json"), "--mode", "classify2x2"]
 
 
 def digests(root: Path) -> dict:

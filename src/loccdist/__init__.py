@@ -24,10 +24,9 @@ _EXPORTS = {
                "ReconstructionFailure", "ShapeMismatch", "TooManyStates", "UnknownExample",
                "UnknownProtocol", "VectorsNotOrthogonal", "WrongDimensions", "ZeroState"),
     "states": ("RANK_CUTOFF", "BipartiteState", "SchmidtDecomposition", "apply_local_unitary",
-               "inner_product", "make_state", "product_state", "schmidt_decompose",
-               "schmidt_number"),
+               "make_state", "product_state", "schmidt_decompose", "schmidt_number"),
     "ensemble": ("CANNED_EXAMPLES", "Ensemble", "SchmidtSumReport", "SearchOutcome",
-                 "bell_states", "canned_example", "gram_matrix", "haar_unitary",
+                 "bell_states", "canned_example", "haar_unitary",
                  "make_ensemble", "random_ensemble", "random_state", "schmidt_sum_check"),
     "protocol": ("ALICE", "BOB", "BranchOperator", "Leaf", "Node", "OutcomeRecord",
                  "ProjectiveMeasurement", "ProtocolTree", "VerificationReport",

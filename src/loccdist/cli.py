@@ -226,15 +226,16 @@ def _run(command, config, fmt, body):
     """Run one subcommand: time ``body()``, emit its report, exit with its code.
 
     ``body()`` returns the report verdict, the exit code and the diagnostics.
-    A ``LoccdistError`` or ``OSError`` it raises (a bad input file, an
-    unwritable output path) becomes the "error" report, which exits 3.
+    A ``LoccdistError``, ``OSError`` or ``MemoryError`` it raises (a bad
+    input file, an unwritable output path, an input too large to decide)
+    becomes the "error" report, which exits 3.
     """
     started = time.perf_counter()
     try:
         verdict, code, diagnostics = body()
-    except (LoccdistError, OSError) as exc:
+    except (LoccdistError, OSError, MemoryError) as exc:
         verdict, code = "error", EXIT_INPUT_ERROR
-        diagnostics = {"error": str(exc), "kind": type(exc).__name__}
+        diagnostics = {"error": str(exc) or "out of memory", "kind": type(exc).__name__}
     timing_ms = (time.perf_counter() - started) * 1000.0
     if fmt == "json":
         print(json.dumps({"schema_version": SCHEMA_VERSION, "command": command,

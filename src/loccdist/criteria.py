@@ -39,7 +39,14 @@ from .errors import (
     ZeroState,
 )
 from .protocol import ALICE, Leaf, Node, ProtocolTree, VerificationReport, verify_protocol
-from .search import SearchConfig, _pauli_rows, _qubit_plane_bases, cross_operators, search_protocol
+from .search import (
+    SearchConfig,
+    _hermitian_parts,
+    _no_traceless_room,
+    _qubit_plane_bases,
+    cross_operators,
+    search_protocol,
+)
 from .states import DEFAULT_TOL, RANK_CUTOFF, _check_tolerance, frobenius_norms, product_state
 
 
@@ -225,19 +232,15 @@ def classify_2x2(e: Ensemble, *, tol: float = DEFAULT_TOL) -> SearchOutcome:
     (2002)), complete outside a margin.
 
     The states are distinguishable iff Alice has a qubit basis in which every
-    cross operator (``cross_operators``) has zero diagonal.  Writing ``M_p =
-    tr(M_p) / 2 I + m_p . sigma``, the outcomes of a basis with Bloch vectors
-    ``+-n`` read ``tr(M_p) / 2 +- m_p . n``, so both within ``tol`` need
-    ``|m_p . n| <= tol``: the rows ``(Re m_p, Im m_p)`` of the ``P`` pairs
-    then have a least singular value of at most ``tol sqrt(P)``.  So
-    "proved-no", whose ``reason`` names the entangled states, needs the
-    search's Bloch-plane solver to find no basis and that value to exceed
-    the margin ``2 sqrt(2) tol sqrt(P)``.  Otherwise ``search_protocol`` runs
-    with the default bounds and ``tol``: its "yes" carries a verified
-    protocol, and anything else is "unknown".  ``warnings`` lists states
-    whose smallest singular value sits near the rank cutoff (a borderline
-    product/entangled call).  ``tol`` must be finite and > 0 (``ValueError``
-    otherwise).
+    cross operator (``cross_operators``) has zero diagonal.  "proved-no",
+    whose ``reason`` names the entangled states, needs the search's
+    Bloch-plane solver to find no basis and ``_no_traceless_room`` to prove
+    that none keeps every ``tr(P M)`` within ``tol``.  Otherwise
+    ``search_protocol`` runs with the default bounds and ``tol``: its "yes"
+    carries a verified protocol, and anything else is "unknown".
+    ``warnings`` lists states whose smallest singular value sits near the
+    rank cutoff (a borderline product/entangled call).  ``tol`` must be
+    finite and > 0 (``ValueError`` otherwise).
     """
     _check_tolerance(tol)
     if e.dims != (2, 2):
@@ -245,9 +248,7 @@ def classify_2x2(e: Ensemble, *, tol: float = DEFAULT_TOL) -> SearchOutcome:
                               f"{e.dim_a}x{e.dim_b}")
     warnings = _borderline_warnings(e)
     sides = cross_operators(e, ALICE)
-    # the plane is never empty for one pair, so here there are three values
-    if not _qubit_plane_bases(sides, tol) and np.linalg.svd(
-            _pauli_rows(sides), compute_uv=False)[2] > 2 * np.sqrt(2 * len(sides)) * tol:
+    if not _qubit_plane_bases(sides, tol) and _no_traceless_room(_hermitian_parts(sides, tol), tol):
         report = schmidt_sum_check(e)
         entangled = [s.name for s, n in zip(e.states, report.schmidt_numbers) if n > 1]
         return SearchOutcome(PROVED_NO, None, report, warnings=warnings, reason=(

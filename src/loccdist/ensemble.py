@@ -190,12 +190,6 @@ def schmidt_sum_check(e: Ensemble) -> SchmidtSumReport:
     return SchmidtSumReport(numbers, sum(numbers), e.dim_a * e.dim_b)
 
 
-def gram_matrix(e: Ensemble) -> np.ndarray:
-    """Matrix of all pairwise inner products (identity for a valid ensemble)."""
-    flat = e.amplitudes.reshape(e.m, -1)
-    return flat.conj() @ flat.T
-
-
 def _mat(dim_a, dim_b, entries):
     out = np.zeros((dim_a, dim_b), dtype=np.complex128)
     for (x, y), v in entries.items():

@@ -220,13 +220,6 @@ def _bloch_basis(n: np.ndarray) -> np.ndarray:
     return np.array([[c, -np.exp(-1j * phi) * s], [np.exp(1j * phi) * s, c]])
 
 
-def _pauli_rows(side_mats) -> np.ndarray:
-    """The Pauli vector of every matrix ``M_p = tr(M_p) / 2 I + m_p . sigma``
-    of a ``(P, 2, 2)`` stack, as rows ``Re m_p``, ``Im m_p`` of a ``(2P, 3)`` array."""
-    parts = (np.reshape(side_mats, (-1, 4)) @ _PAULI).view(np.float64).reshape(-1, 3, 2)
-    return parts.transpose(0, 2, 1).reshape(-1, 3)
-
-
 def _qubit_plane_bases(side_mats, tol) -> list[np.ndarray]:
     """Exact qubit bases with zero diagonal for every cross operator at once.
 
@@ -237,10 +230,12 @@ def _qubit_plane_bases(side_mats, tol) -> list[np.ndarray]:
     norm at most ``tol`` moves no diagonal entry past ``tol`` and constrains
     nothing; with no constraint left every basis works and the computational
     one is returned.  ``[]`` means no null direction passes the relative rank
-    cutoff; that proves no ``tol``-admissible basis exists only past the
-    margin of ``classify_2x2``.
+    cutoff; that proves no ``tol``-admissible basis exists only when
+    ``_no_traceless_room`` says so.
     """
-    parts = _pauli_rows(side_mats)
+    # the Pauli vector of every M_p = tr(M_p) / 2 I + m_p . sigma, as rows Re m_p, Im m_p
+    parts = (np.reshape(side_mats, (-1, 4)) @ _PAULI).view(np.float64).reshape(-1, 3, 2)
+    parts = parts.transpose(0, 2, 1).reshape(-1, 3)
     # the norm of every row as the product np.linalg.norm makes, bit for bit
     norms = np.sqrt(parts[:, np.newaxis] @ parts[:, :, np.newaxis])[:, 0]
     keep = norms[:, 0] > tol
@@ -345,12 +340,17 @@ def _no_traceless_room(parts: np.ndarray, tol: float) -> bool:
     ``E = P - (r / d) I`` is traceless with ``||E||_F^2 = r (1 - r / d) >=
     (d - 1) / d``, and ``|tr(E H)| <= |tr(P M)| + (r / d) |tr M| <= 2 tol``
     for each part ``H`` of a cross operator ``M``, whose trace is an overlap,
-    within ``tol`` at every node.  So with ``R`` the parts' coordinates in
-    ``_traceless_frame``, ``sigma_min(R) sqrt((d - 1) / d) <= ||R e|| <= 2
-    tol sqrt(n)``: a least singular value above ``2 tol sqrt(n d / (d - 1))``
-    rules every such ``P`` out.  Parts dropped by grouping or by ``tol``
-    only drop rows, which keeps the bound.  Tested only when the parts can
-    span the ``d^2 - 1`` coordinates, ``n >= d^2 - 1``; else no proof."""
+    within ``tol`` at every node.  For a qubit, ``E = (P - (I - P)) / 2``
+    with both outcomes within ``tol``, so ``|tr(E H)| <= tol`` whatever
+    ``tr M`` is: the bound also holds at a ``tol`` below the one the
+    ensemble was validated at, as ``classify_2x2`` may use.  So with ``R``
+    the parts' coordinates in ``_traceless_frame``, ``sigma_min(R) sqrt((d
+    - 1) / d) <= ||R e|| <= 2 tol sqrt(n)``: a least singular value above
+    ``2 tol sqrt(n d / (d - 1))`` rules every such ``P`` out; for a qubit
+    with ``P`` pairs, all live, that is ``4 tol sqrt(P)``.  Parts dropped by
+    grouping or by ``tol`` only drop rows, which keeps the bound.  Tested
+    only when the parts can span the ``d^2 - 1`` coordinates, ``n >= d^2 -
+    1``; else no proof."""
     n, d = len(parts), parts.shape[-1]
     if n < d * d - 1:
         return False

@@ -146,13 +146,6 @@ def product_state(dim_a, dim_b, alice_vector, bob_vector, name=None) -> Bipartit
     return make_state(dim_a, dim_b, np.outer(a, b), name=name)
 
 
-def inner_product(s: BipartiteState, t: BipartiteState) -> complex:
-    """Hermitian inner product ``<s|t>`` (conjugates the first argument)."""
-    if s.dims != t.dims:
-        raise ShapeMismatch(f"dimension mismatch: {s.dims} vs {t.dims}")
-    return complex(np.vdot(s.amplitudes, t.amplitudes))
-
-
 @dataclass(frozen=True, eq=False)
 class SchmidtDecomposition:
     """Schmidt form of a bipartite pure state.

@@ -599,6 +599,26 @@ def test_unwritable_output_exits_3(bell2_file, tmp_path):
         assert rep["diagnostics"]["kind"] == "FileNotFoundError"
 
 
+@pytest.mark.parametrize("command, target", [
+    ("check", "loccdist.search.search_protocol"),
+    ("verify", "loccdist.protocol.verify_protocol"),
+])
+def test_memory_error_exits_3_with_an_error_report(six4x4_pair, monkeypatch, command, target):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(target, exhausted)
+    epath, ppath = six4x4_pair
+    args = ["check", epath, "--mode", "full"] if command == "check" else ["verify", epath, ppath]
+    result = run_cli(args + ["--format", "json"])
+    assert result.exit_code == 3
+    assert result.exception is None
+    assert "Traceback" not in result.output
+    rep = report_of(result)
+    assert rep["verdict"] == "error" and rep["exit_code"] == 3
+    assert rep["diagnostics"] == {"error": "out of memory", "kind": "MemoryError"}
+
+
 def test_reports_validate_against_published_schema(bell2_file):
     for args in (["schmidt", bell2_file], ["check", bell2_file, "--mode", "full"],
                  ["search", bell2_file, "--output", str(bell2_file) + ".p.json"]):

@@ -22,10 +22,9 @@ PUBLIC = {
                "ReconstructionFailure", "ShapeMismatch", "TooManyStates", "UnknownExample",
                "UnknownProtocol", "VectorsNotOrthogonal", "WrongDimensions", "ZeroState"),
     "states": ("RANK_CUTOFF", "BipartiteState", "SchmidtDecomposition", "apply_local_unitary",
-               "inner_product", "make_state", "product_state", "schmidt_decompose",
-               "schmidt_number"),
+               "make_state", "product_state", "schmidt_decompose", "schmidt_number"),
     "ensemble": ("CANNED_EXAMPLES", "Ensemble", "SchmidtSumReport", "SearchOutcome",
-                 "bell_states", "canned_example", "gram_matrix", "haar_unitary",
+                 "bell_states", "canned_example", "haar_unitary",
                  "make_ensemble", "random_ensemble", "random_state", "schmidt_sum_check"),
     "protocol": ("ALICE", "BOB", "BranchOperator", "Leaf", "Node", "OutcomeRecord",
                  "ProjectiveMeasurement", "ProtocolTree", "VerificationReport",
@@ -40,8 +39,8 @@ NAMES = [name for names in PUBLIC.values() for name in names]
 HOMES = [(module, name) for module, names in PUBLIC.items() for name in names]
 
 
-def test_the_package_exports_its_68_names():
-    assert len(NAMES) == len(set(NAMES)) == 68
+def test_the_package_exports_its_66_names():
+    assert len(NAMES) == len(set(NAMES)) == 66
     assert sorted(L.__all__) == sorted(NAMES)
 
 

@@ -12,7 +12,6 @@ from loccdist import (
     ShapeMismatch,
     ZeroState,
     apply_local_unitary,
-    inner_product,
     make_state,
     schmidt_decompose,
     schmidt_number,
@@ -87,33 +86,6 @@ def test_state_is_immutable():
     s = make_state(2, 2, [[1, 0], [0, 1]])
     with pytest.raises(ValueError):
         s.amplitudes[0, 0] = 5.0
-
-
-def test_inner_product_bell_states():
-    a1, a2, a3, a4 = L.bell_states()
-    assert inner_product(a1, a2) == pytest.approx(0.0)
-    assert inner_product(a1, a1) == pytest.approx(1.0)
-    assert inner_product(a3, a4) == pytest.approx(0.0)
-    s00 = make_state(2, 2, [[1, 0], [0, 0]])
-    assert inner_product(s00, s00) == pytest.approx(1.0)
-
-
-def test_inner_product_six4x4_pair_by_direct_expansion():
-    # <psi2|psi3> expands to <1,0|1,0> - <1,1|1,1> = 0
-    e = L.canned_example("six4x4")
-    psi2, psi3 = e.state("psi2"), e.state("psi3")
-    brute = 0.0 + 0.0j
-    for x in range(4):
-        for y in range(4):
-            brute += np.conj(psi2.amplitudes[x, y]) * psi3.amplitudes[x, y]
-    assert abs(brute) < 1e-15
-    assert inner_product(psi2, psi3) == pytest.approx(brute)
-
-
-def test_inner_product_shape_mismatch():
-    with pytest.raises(ShapeMismatch):
-        inner_product(make_state(2, 2, [[1, 0], [0, 0]]),
-                      make_state(2, 3, [[1, 0, 0], [0, 0, 0]]))
 
 
 def test_schmidt_bell_state():
@@ -202,14 +174,6 @@ def test_apply_local_unitary_rejects_nonunitary():
         apply_local_unitary(s, [[np.nan, 0], [0, 1]], np.eye(2))
     with pytest.raises(NotUnitary, match=r"u_b has shape \(3, 3\), expected \(2, 2\)"):
         apply_local_unitary(s, np.eye(2), np.eye(3))
-
-
-@given(st.integers(min_value=0, max_value=10_000))
-def test_inner_product_conjugate_symmetric(seed):
-    rng = np.random.default_rng(seed)
-    s = random_state(2, 3, rng)
-    t = random_state(2, 3, rng)
-    assert abs(inner_product(s, t) - np.conj(inner_product(t, s))) <= 1e-12
 
 
 @given(st.integers(min_value=0, max_value=10_000),
