@@ -32,10 +32,11 @@ The calls cover:
   operator (~5e-8) is within that tolerance, so Bob's Schmidt closure ends
   the root; in the turned basis its protocol differs from what a search of
   the candidates finds;
-- then ``check --mode classify2x2`` of two three-state sets a hair off the
+- then ``check --mode classify2x2`` of three three-state sets a hair off the
   Walgate-Hardy form (``_near_walgate_hardy`` of ``tests/test_criteria.py``):
-  seed 28, inside the margin of ``no`` (exit 2), and seed 0, which the
-  margin proves (exit 1).
+  seed 28, whose qubit plane holds an admissible basis (exit 0), seed 0,
+  which the margin proves (exit 1), and seed 31, in the gap between the
+  plane's cutoff and the margin (exit 2).
 
 Usage: PYTHONPATH=src python3 scripts/cli_fingerprint.py > cli_fingerprint.txt
 """
@@ -62,8 +63,8 @@ PROTOCOLS = {"bell2": "bell2-x", "six4x4": "six4x4"}
 #: ensemble file and seed of each random protocol tree
 RANDOM_TREES = (("q0", 8000), ("q1", 8001), ("q2", 8002), ("q5", 8003),
                 ("six4x4", 8004), ("h33", 8005), ("h33", 8006))
-#: seeds of the near-Walgate-Hardy sets: inside the margin, then past it
-NEAR_SEEDS = (28, 0)
+#: seeds of the near-Walgate-Hardy sets: solved, past the margin, in the gap
+NEAR_SEEDS = (28, 0, 31)
 
 
 def write_inputs(root: Path) -> None:

@@ -43,7 +43,6 @@ from .search import (
     SearchConfig,
     _hermitian_parts,
     _no_traceless_room,
-    _qubit_plane_bases,
     cross_operators,
     search_protocol,
 )
@@ -233,9 +232,8 @@ def classify_2x2(e: Ensemble, *, tol: float = DEFAULT_TOL) -> SearchOutcome:
 
     The states are distinguishable iff Alice has a qubit basis in which every
     cross operator (``cross_operators``) has zero diagonal.  "proved-no",
-    whose ``reason`` names the entangled states, needs the search's
-    Bloch-plane solver to find no basis and ``_no_traceless_room`` to prove
-    that none keeps every ``tr(P M)`` within ``tol``.  Otherwise
+    whose ``reason`` names the entangled states, needs ``_no_traceless_room``
+    to prove that none keeps every ``tr(P M)`` within ``tol``.  Otherwise
     ``search_protocol`` runs with the default bounds and ``tol``: its "yes"
     carries a verified protocol, and anything else is "unknown".
     ``warnings`` lists states whose smallest singular value sits near the
@@ -248,7 +246,7 @@ def classify_2x2(e: Ensemble, *, tol: float = DEFAULT_TOL) -> SearchOutcome:
                               f"{e.dim_a}x{e.dim_b}")
     warnings = _borderline_warnings(e)
     sides = cross_operators(e, ALICE)
-    if not _qubit_plane_bases(sides, tol) and _no_traceless_room(_hermitian_parts(sides, tol), tol):
+    if _no_traceless_room(_hermitian_parts(sides, tol), tol):
         report = schmidt_sum_check(e)
         entangled = [s.name for s, n in zip(e.states, report.schmidt_numbers) if n > 1]
         return SearchOutcome(PROVED_NO, None, report, warnings=warnings, reason=(

@@ -29,9 +29,12 @@ leaf.  A node the closure does not end is searched with its cross
 operators from that pass.  Candidates are generated tier by tier, only as
 far as the search asks, and tried in build order.  A qubit's one tier, its
 qubit-plane bases, is cheap; a larger party's standard tier is cheap and its
-zero-diagonal tier costly.  The beam counts a party's candidates at a node
-across both classes, and is checked before a tier is built, so no tier is
-built once it is spent.  Each tier is one stack of outcome projectors,
+zero-diagonal tier costly.  On the ``2P`` frame rows of a qubit's ``P``
+cross operators, the plane keeps the directions within ``tol sqrt(2P)``
+and ``_no_traceless_room`` proves ``no`` past ``4 tol sqrt(P)``; nothing is
+proved between.  The beam counts a party's candidates at a node across both
+classes, and is checked before a tier is built, so no tier is built once
+it is spent.  Each tier is one stack of outcome projectors,
 which gives admissibility in one product ``vec(P) . vec(M^T)`` on the whole
 stack, against the acting party's cross operators alone.  The zero-diagonal
 tier takes each distinct part once and is pruned part by part before it is
@@ -98,8 +101,6 @@ from .states import (
 )
 
 _PRODUCT_ENTRIES = 1 << 14
-#: coefficients of a flattened 2x2 matrix on (sigma_x, sigma_y, sigma_z)
-_PAULI = np.array([[0, 0, 0.5], [0.5, 0.5j, 0], [0.5, -0.5j, 0], [0, 0, -0.5]])
 #: the order of ``dfs``'s ``_candidates`` classes: cheap (0), then costly (1)
 _SCHEDULE = ((ALICE, 0), (BOB, 0), (ALICE, 1), (BOB, 1))
 
@@ -221,29 +222,25 @@ def _bloch_basis(n: np.ndarray) -> np.ndarray:
 
 
 def _qubit_plane_bases(side_mats, tol) -> list[np.ndarray]:
-    """Exact qubit bases with zero diagonal for every cross operator at once.
-
-    A basis vector with Bloch vector n has <w|M|w> = m . n for a traceless M
-    with (complex) Pauli vector m, so the admissible n are the real unit
-    vectors orthogonal to Re(m) and Im(m) of every pair: the null space of
-    the stacked constraint matrix.  One basis per null direction.  A part of
-    norm at most ``tol`` moves no diagonal entry past ``tol`` and constrains
-    nothing; with no constraint left every basis works and the computational
-    one is returned.  ``[]`` means no null direction passes the relative rank
-    cutoff; that proves no ``tol``-admissible basis exists only when
-    ``_no_traceless_room`` says so.
+    """One qubit basis per right singular direction of ``R`` with singular
+    value at most ``tol sqrt(2P)``, or the computational basis when every one
+    is (or no operator is given).  ``R`` holds the ``2P`` rows ``sqrt 2 (m_z,
+    m_x, m_y)``, the ``_traceless_frame`` coordinates of the Hermitian and
+    anti-Hermitian parts of the ``P`` cross operators ``M_p = tr(M_p) / 2 I +
+    m_p . sigma``.  An admissible basis ``P0, P1`` keeps ``|tr(E M_p)| <=
+    tol`` for ``E = (P0 - P1) / 2`` of Bloch vector n, so ``||R n||^2 = sum 2
+    |tr(E M_p)|^2 <= 2P tol^2``.  ``[]`` proves nothing; ``no`` is proved by
+    ``_no_traceless_room``, past ``sigma_min > 4 tol sqrt(P)`` on these rows.
     """
-    # the Pauli vector of every M_p = tr(M_p) / 2 I + m_p . sigma, as rows Re m_p, Im m_p
-    parts = (np.reshape(side_mats, (-1, 4)) @ _PAULI).view(np.float64).reshape(-1, 3, 2)
-    parts = parts.transpose(0, 2, 1).reshape(-1, 3)
-    # the norm of every row as the product np.linalg.norm makes, bit for bit
-    norms = np.sqrt(parts[:, np.newaxis] @ parts[:, :, np.newaxis])[:, 0]
-    keep = norms[:, 0] > tol
-    a = parts[keep] / norms[keep]
-    if not len(a):
-        return [np.eye(2, dtype=np.complex128)]
-    _, sig, vt = np.linalg.svd(a)
-    return [_bloch_basis(vt[k]) for k in range(int(rank_counts(sig)), 3)]
+    # summed term by term: a BLAS product's fused multiply-adds vary with P
+    coords = (np.reshape(side_mats, (-1, 4, 1)) * _traceless_frame(2)).sum(axis=1)
+    rows = np.stack((coords.real, coords.imag), axis=1).reshape(-1, 3)
+    if len(rows):
+        _, sig, vt = np.linalg.svd(rows)
+        rank = np.count_nonzero(sig > tol * math.sqrt(len(rows)))
+        if rank:
+            return [_bloch_basis(vt[k, [1, 2, 0]]) for k in range(rank, 3)]
+    return [np.eye(2, dtype=np.complex128)]
 
 
 def _rotate(lo, hi, v_lo: np.ndarray, v_hi: np.ndarray):
@@ -571,11 +568,11 @@ def candidate_bases(e: Ensemble, party: str, cfg: SearchConfig | None = None):
     """Deterministic candidate measurements for one party.
 
     The party's local dimension picks the tiers.  A qubit's one tier is its
-    qubit-plane bases, one per Bloch direction in which every cross operator
-    (``cross_operators``) has vanishing diagonal (the computational basis
-    when none constrains it); in 2 x n any such basis, then the other
-    party's measurement, identifies the states (Walgate & Hardy, PRL 89,
-    147901 (2002)).  A party of dimension 3 or more has the standard tier
+    qubit-plane bases, one per Bloch direction within the bound every
+    admissible basis obeys (``tol sqrt(2P)`` on the frame rows of its ``P``
+    ``cross_operators``), or the computational basis when none constrains
+    it; in 2 x n any admissible basis, then the other party's measurement,
+    identifies the states (Walgate & Hardy, PRL 89, 147901 (2002)).  A party of dimension 3 or more has the standard tier
     (the computational basis and, when the states' local supports split the
     basis indices into 2 to d - 1 components, the block-coarsened
     measurement onto them), then the zero-diagonal tier (one basis per

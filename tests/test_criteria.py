@@ -470,15 +470,12 @@ def test_classify_ignores_cross_operators_below_tolerance(t):
             base = [apply_local_unitary(x, ua, ub) for x in base]
 
 
-def test_classify_keeps_verdict_when_survivors_overlap(monkeypatch):
+def test_classify_keeps_verdict_when_survivors_overlap():
     # |00> and |10> are orthogonal only on Alice's side: a Hadamard-basis
-    # outcome leaves two copies of one state, which is no ensemble, so the
-    # rule's basis is no protocol; the protocol is the search's
+    # outcome would leave two copies of one state, so the "yes" must carry
+    # the search's verified protocol, not a basis alone
     e = make_ensemble([product_state(2, 2, [1, 0], [1, 0], name="a"),
                        product_state(2, 2, [0, 1], [1, 0], name="b")])
-    hadamard = np.column_stack([PLUS, MINUS]).astype(complex)
-    monkeypatch.setattr("loccdist.criteria._qubit_plane_bases",
-                        lambda sides, tol: [hadamard])
     cls = classify_2x2(e)
     assert cls.verdict == YES
     assert verify_protocol(cls.protocol, e).ok
@@ -559,21 +556,25 @@ def test_classify_proves_no_only_past_the_margin():
             assert verify_protocol(cls.protocol, e).ok, seed
         else:
             assert cls.protocol is None and cls.reason is None
-    # the tally at 1e-9; the rule used to refute seeds 28, 34 and 41
-    assert tally == {YES: 128, "proved-no": 153, "unknown": 119}, tally
+    # the tally at 1e-9; seeds 28, 34 and 41 near the plane's cutoff read yes
+    assert tally == {YES: 162, "proved-no": 153, "unknown": 85}, tally
     for seed in (28, 34, 41):
         e, U, tree = _near_walgate_hardy(seed)
         report = verify_protocol(tree, e)
         assert report.ok and report.completeness_deviation <= 1e-14
-        assert classify_2x2(e).verdict == "unknown"
+        cls = classify_2x2(e)
+        assert cls.verdict == YES and verify_protocol(cls.protocol, e).ok
 
 
 def test_check_classify2x2_exits_2_inside_the_margin(tmp_path):
-    path = tmp_path / "near.json"
-    write_json(path, ensemble_to_dict(_near_walgate_hardy(28)[0]))
-    result = run_cli(["check", path, "--mode", "classify2x2", "--format", "json"])
-    assert result.exit_code == 2
-    assert json.loads(result.output)["verdict"] == "unknown"
+    # seed 31 lies between the plane's cutoff and the margin, and the search
+    # finds no protocol; seed 28's plane holds an admissible basis
+    for seed, code, verdict in ((31, 2, "unknown"), (28, 0, "distinguishable")):
+        path = tmp_path / f"near{seed}.json"
+        write_json(path, ensemble_to_dict(_near_walgate_hardy(seed)[0]))
+        result = run_cli(["check", path, "--mode", "classify2x2", "--format", "json"])
+        assert result.exit_code == code, seed
+        assert json.loads(result.output)["verdict"] == verdict, seed
 
 
 def test_classify_four_product_states():

@@ -773,21 +773,19 @@ def test_unknown_party_is_rejected(bell2):
 
 
 def _reference_qubit_plane_bases(side_mats, tol):
-    """The solver with one Pauli vector and one norm per real and imaginary
-    part, operator after operator."""
+    """The solver with the ``_traceless_frame(2)`` coordinates of each
+    operator's Hermitian and anti-Hermitian part, operator after operator."""
+    frame = search_module._traceless_frame(2)
     rows = []
     for m in side_mats:
-        pv = np.array([(m[0, 1] + m[1, 0]) / 2, 1j * (m[0, 1] - m[1, 0]) / 2,
-                       (m[0, 0] - m[1, 1]) / 2])
-        for part in (pv.real, pv.imag):
-            norm = np.linalg.norm(part)
-            if norm > tol:
-                rows.append(part / norm)
-    if not rows:
-        return [np.eye(2, dtype=complex)]
-    _, sig, vt = np.linalg.svd(np.array(rows))
-    rank = int(np.count_nonzero(sig > L.RANK_CUTOFF * sig[0]))
-    return [search_module._bloch_basis(vt[k]) for k in range(rank, 3)]
+        coords = np.array([np.sum(m.reshape(4) * frame[:, k]) for k in range(3)])
+        rows += [coords.real, coords.imag]
+    if rows:
+        _, sig, vt = np.linalg.svd(np.array(rows))
+        rank = np.count_nonzero(sig > tol * np.sqrt(2 * len(side_mats)))
+        if rank:
+            return [search_module._bloch_basis(vt[k, [1, 2, 0]]) for k in range(rank, 3)]
+    return [np.eye(2, dtype=complex)]
 
 
 def _reference_bloch_basis(n):
@@ -822,9 +820,11 @@ PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 def _cross_operator_stacks():
     """Seeded stacks of 0 to 12 traceless 2x2 operators, with the tolerance
     to solve them at: generic, Hermitian and anti-Hermitian ones (purely real
-    and purely imaginary Pauli parts), all-zero ones, and parts whose norm
-    lies exactly at, just below and just above the tolerance."""
+    and purely imaginary Pauli parts), all-zero ones, and a singular value
+    of the ``2P`` frame rows at, just below and just above the cutoff ``tol
+    sqrt(2P)``."""
     rng = np.random.default_rng(2002)
+    frame = search_module._traceless_frame(2)
     for p in range(13):
         for kind in ("complex", "real", "imaginary", "zeros", "small"):
             x = rng.normal(size=(p, 3)) + 1j * rng.normal(size=(p, 3))
@@ -839,8 +839,10 @@ def _cross_operator_stacks():
             mats = np.einsum("pk,kij->pij", x, PAULIS)
             yield mats, L.DEFAULT_TOL
             if p:
-                part = rng.choice([x[0].real, x[0].imag])
-                at = np.linalg.norm(part)
+                coords = np.einsum("pk,kj->pj", mats.reshape(p, 4), frame)
+                sig = np.linalg.svd(np.concatenate([coords.real, coords.imag]),
+                                    compute_uv=False)
+                at = rng.choice(sig) / np.sqrt(2 * p)
                 if at > 0:
                     for tol in (at, np.nextafter(at, np.inf), np.nextafter(at, 0)):
                         yield mats, tol
@@ -944,6 +946,52 @@ def test_walgate_hardy_sets_are_distinguished():
         assert verify_protocol(out.protocol, e).ok
         count += 1
     assert count == 60
+
+
+def _near_walgate_hardy_set(n, seed):
+    """A 2xn set a hair off the Walgate-Hardy form (nx2 for odd seeds), with
+    the qubit party and the qubit basis ``U`` that form has: ``m`` states
+    ``sqrt(w)|0>|u_k> + sqrt(1 - w) e^{i phi}|1>|v_k>`` for Haar ``u``, ``v``,
+    in a Haar qubit frame ``U``, plus noise of scale ``10^U(-11, -7)``, made
+    orthonormal again by ``qr``."""
+    rng = np.random.default_rng([n, seed, 23])
+    m = 2 if n == 2 else int(rng.integers(3, n + 1))
+    u, v = haar_unitary(n, rng), haar_unitary(n, rng)
+    w, phi = rng.uniform(0.05, 0.95, m), rng.uniform(0, 2 * np.pi, m)
+    mats = np.array([[np.sqrt(w[k]) * u[:, k], np.sqrt(1 - w[k]) * np.exp(1j * phi[k]) * v[:, k]]
+                     for k in range(m)])
+    U = haar_unitary(2, rng)
+    mats = U @ mats
+    scale = 10 ** rng.uniform(-11, -7)
+    mats = mats + scale * (rng.standard_normal(mats.shape) + 1j * rng.standard_normal(mats.shape))
+    mats = np.linalg.qr(mats.reshape(m, 2 * n).T)[0].T.reshape(m, 2, n)
+    party = ALICE
+    if seed % 2:
+        mats, party = mats.transpose(0, 2, 1), BOB
+    return make_ensemble([L.make_state(*x.shape, x, name=f"s{k}") for k, x in enumerate(mats)]), U, party
+
+
+def test_near_walgate_hardy_sets_get_a_plane_wherever_their_basis_is_admissible():
+    # the plane keeps every direction an admissible basis can have, and the
+    # margin's "no" never meets a search "yes"
+    tol = L.DEFAULT_TOL
+    tally, admitted, margin = {}, 0, 0
+    for n in range(2, 6):
+        for seed in range(100):
+            e, U, party = _near_walgate_hardy_set(n, seed)
+            sides = cross_operators(e, party)
+            out = search_protocol(e)
+            tally[out.verdict] = tally.get(out.verdict, 0) + 1
+            projs = np.array([np.outer(U[:, k], U[:, k].conj()) for k in range(2)])
+            if search_module._admits(projs, sides, tol).all():
+                admitted += 1
+                assert search_module._qubit_plane_bases(sides, tol), (n, seed)
+            if search_module._no_traceless_room(search_module._hermitian_parts(sides, tol), tol):
+                margin += 1
+                assert out.verdict != YES, (n, seed)
+            if out.verdict == YES:
+                assert verify_protocol(out.protocol, e).ok, (n, seed)
+    assert (tally, admitted, margin) == ({YES: 213, UNKNOWN: 187}, 188, 97)
 
 
 # ---------------------------------------------------------------------------
