@@ -36,7 +36,10 @@ The calls cover:
   Walgate-Hardy form (``_near_walgate_hardy`` of ``tests/test_criteria.py``):
   seed 28, whose qubit plane holds an admissible basis (exit 0), seed 0,
   which the margin proves (exit 1), and seed 31, in the gap between the
-  plane's cutoff and the margin (exit 2).
+  plane's cutoff and the margin (exit 2);
+- then ``check --mode necessary`` and ``check --mode full`` of seed 0: its
+  Schmidt ranks, counting only weights above the tolerance, stay within the
+  capacity, so neither proves ``no`` (exit 2 for both).
 
 Usage: PYTHONPATH=src python3 scripts/cli_fingerprint.py > cli_fingerprint.txt
 """
@@ -160,6 +163,8 @@ def calls(root: Path):
                "--output", str(root / f"{name}.found.json")]
     for seed in NEAR_SEEDS:
         yield ["check", str(root / f"near{seed}.json"), "--mode", "classify2x2"]
+    for mode in ("necessary", "full"):
+        yield ["check", str(root / "near0.json"), "--mode", mode]
 
 
 def digests(root: Path) -> dict:

@@ -23,7 +23,7 @@ _EXPORTS = {
                "NotOrthogonal", "NotUnitary", "ParseError", "ProductSetNotDistinguishable",
                "ReconstructionFailure", "ShapeMismatch", "TooManyStates", "UnknownExample",
                "UnknownProtocol", "VectorsNotOrthogonal", "WrongDimensions", "ZeroState"),
-    "states": ("RANK_CUTOFF", "BipartiteState", "SchmidtDecomposition", "apply_local_unitary",
+    "states": ("BipartiteState", "SchmidtDecomposition", "apply_local_unitary",
                "make_state", "product_state", "schmidt_decompose", "schmidt_number"),
     "ensemble": ("CANNED_EXAMPLES", "Ensemble", "SchmidtSumReport", "SearchOutcome",
                  "bell_states", "canned_example", "haar_unitary",

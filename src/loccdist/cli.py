@@ -260,7 +260,7 @@ def cmd_schmidt(ensemble_path, fmt, tolerance):
         ens = load_ensemble(ensemble_path, tol=tolerance)
         rows = []
         for s in ens.states:
-            dec = schmidt_decompose(s)
+            dec = schmidt_decompose(s, tolerance)
             rows.append({"name": s.name, "schmidt_number": dec.schmidt_number,
                          "weights": [float(w) for w in dec.weights]})
         return "ok", 0, {"dims": [ens.dim_a, ens.dim_b], "states": rows}
@@ -282,7 +282,7 @@ def _decide(config, mode):
     tol = config["tolerance"]
     ens = load_ensemble(config["ensemble"], tol=tol)
     if mode == "necessary":
-        rep = schmidt_sum_check(ens)
+        rep = schmidt_sum_check(ens, tol)
         out = SearchOutcome(PROVED_NO if rep.violates else UNKNOWN, None, rep, reason=rep.reason)
     elif mode == "classify2x2":
         from .criteria import classify_2x2
@@ -450,11 +450,11 @@ def _parser(prog: str) -> _Parser:
     at_least_1 = _bounded(int, lambda v: v >= 1, "an integer >= 1")
     subs["check"].add_argument("--mode", choices=("necessary", "classify2x2", "full"),
                                default="full", help="Decision to make.")
-    for name in ("check", "search"):
+    for name, scope in (("check", " (--mode full only)"), ("search", "")):
         subs[name].add_argument("--max-depth", type=at_least_1, default=6,
-                                help="Rounds of measurement per search branch.")
+                                help=f"Rounds of measurement per search branch{scope}.")
         subs[name].add_argument("--beam", type=at_least_1, default=64,
-                                help="Candidate measurements per party and search node.")
+                                help=f"Candidate measurements per party and search node{scope}.")
     subs["search"].add_argument("--output", default=argparse.SUPPRESS, help=(
         "Protocol file to write on success (default: <ensemble>.protocol.json)."))
     example = subs["example"]

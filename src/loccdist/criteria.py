@@ -6,27 +6,18 @@ distinguishable ensemble sum to at most the joint dimension; defined in
 superposition of its own share of a locally distinguishable orthogonal
 product-vector set, built once as the ensemble the search decides), and
 the classification of two-qubit ensembles from Alice's cross operators,
-complete outside a margin, whose "yes" carries the search's verified
-protocol.  The decisions return the search's own
-``SearchOutcome``.
+complete outside a margin, which otherwise answers with the search's own
+outcome.  The decisions return the search's ``SearchOutcome``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from numbers import Integral
 
 import numpy as np
 
-from .ensemble import (
-    PROVED_NO,
-    UNKNOWN,
-    YES,
-    Ensemble,
-    SearchOutcome,
-    make_ensemble,
-    schmidt_sum_check,
-)
+from .ensemble import PROVED_NO, YES, Ensemble, SearchOutcome, make_ensemble, schmidt_sum_check
 from .errors import (
     BadAssignment,
     NotOrthogonal,
@@ -46,7 +37,7 @@ from .search import (
     cross_operators,
     search_protocol,
 )
-from .states import DEFAULT_TOL, RANK_CUTOFF, _check_tolerance, frobenius_norms, product_state
+from .states import DEFAULT_TOL, _check_tolerance, frobenius_norms, product_state
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,15 +206,14 @@ def certificate_check(e: Ensemble, cert: Certificate,
     )
 
 
-def _borderline_warnings(e: Ensemble) -> tuple[str, ...]:
-    out = []
-    for s, sig in zip(e.states, np.linalg.svd(e.amplitudes, compute_uv=False)):
-        cut = RANK_CUTOFF * sig[0]
-        smallest = sig[-1]
-        if cut / 10 < smallest <= 10 * cut:
-            out.append(f"state {s.name!r}: smallest singular value {smallest:.3g} "
-                       f"is within 10x of the rank cutoff {cut:.3g}")
-    return tuple(out)
+def _borderline_warnings(e: Ensemble, tol: float) -> tuple[str, ...]:
+    """One warning per state whose smallest Schmidt weight lies in ``(tol /
+    10, 10 tol]``, where ``rank_counts`` decides product against entangled."""
+    weights = np.linalg.svd(e.amplitudes, compute_uv=False) ** 2
+    smallest = (weights[:, -1] / weights.sum(axis=1)).tolist()
+    return tuple(f"state {s.name!r}: smallest Schmidt weight {w:.3g} is within 10x "
+                 f"of the tolerance {tol:.3g}"
+                 for s, w in zip(e.states, smallest) if tol / 10 < w <= 10 * tol)
 
 
 def classify_2x2(e: Ensemble, *, tol: float = DEFAULT_TOL) -> SearchOutcome:
@@ -231,27 +221,24 @@ def classify_2x2(e: Ensemble, *, tol: float = DEFAULT_TOL) -> SearchOutcome:
     (2002)), complete outside a margin.
 
     The states are distinguishable iff Alice has a qubit basis in which every
-    cross operator (``cross_operators``) has zero diagonal.  "proved-no",
-    whose ``reason`` names the entangled states, needs ``_no_traceless_room``
-    to prove that none keeps every ``tr(P M)`` within ``tol``.  Otherwise
-    ``search_protocol`` runs with the default bounds and ``tol``: its "yes"
-    carries a verified protocol, and anything else is "unknown".
-    ``warnings`` lists states whose smallest singular value sits near the
-    rank cutoff (a borderline product/entangled call).  ``tol`` must be
-    finite and > 0 (``ValueError`` otherwise).
+    cross operator (``cross_operators``) has zero diagonal.  The margin
+    comes first: when ``_no_traceless_room`` proves that no basis keeps every
+    ``tr(P M)`` within ``tol``, the answer is "proved-no", whose ``reason``
+    names the entangled states.  Otherwise ``search_protocol`` runs with the
+    default bounds and ``tol``, and its outcome is the answer, verdict and
+    ``reason`` kept: a "yes" carries a verified protocol, a "proved-no" the
+    Schmidt-sum proof.  ``warnings`` lists states whose smallest Schmidt
+    weight lies within 10x of ``tol`` (a borderline product/entangled call).
+    ``tol`` must be finite and > 0 (``ValueError`` otherwise).
     """
     _check_tolerance(tol)
     if e.dims != (2, 2):
-        raise WrongDimensions(f"classify_2x2 needs a 2x2 ensemble, got "
-                              f"{e.dim_a}x{e.dim_b}")
-    warnings = _borderline_warnings(e)
-    sides = cross_operators(e, ALICE)
-    if _no_traceless_room(_hermitian_parts(sides, tol), tol):
-        report = schmidt_sum_check(e)
+        raise WrongDimensions(f"classify_2x2 needs a 2x2 ensemble, got {e.dim_a}x{e.dim_b}")
+    warnings = _borderline_warnings(e, tol)
+    if _no_traceless_room(_hermitian_parts(cross_operators(e, ALICE), tol), tol):
+        report = schmidt_sum_check(e, tol)
         entangled = [s.name for s, n in zip(e.states, report.schmidt_numbers) if n > 1]
         return SearchOutcome(PROVED_NO, None, report, warnings=warnings, reason=(
             f"no basis of Alice's qubit keeps every pair of states orthogonal; "
             f"entangled: {', '.join(entangled)}"))
-    found = search_protocol(e, SearchConfig(tolerance=tol))
-    return SearchOutcome(YES if found.verdict == YES else UNKNOWN, found.protocol,
-                         found.schmidt_report, warnings=warnings)
+    return replace(search_protocol(e, SearchConfig(tolerance=tol)), warnings=warnings)

@@ -136,10 +136,15 @@ def overlaps(flat: np.ndarray) -> np.ndarray:
 class SchmidtSumReport:
     """Schmidt ranks of the ensemble members against the joint capacity.
 
+    A rank counts the Schmidt weights above ``tol`` (``rank_counts``).
     ``violates`` (the total exceeds the capacity) proves the ensemble cannot
     be reliably distinguished by local measurements and classical
-    communication; the converse does not hold.  ``reason`` states that
-    proof, and is None when there is none.
+    communication; the converse does not hold.  A protocol that
+    ``verify_protocol`` accepts leaves each state at most ``tol`` of weight
+    outside its own product leaves, of total dimension ``D_i`` (the ``D_i``
+    sum to at most the capacity), so by Eckart-Young its rank counts at
+    most ``D_i``.  ``reason`` states that proof, and is None when there is
+    none.
     """
 
     schmidt_numbers: tuple[int, ...]
@@ -184,9 +189,10 @@ class SearchOutcome:
     warnings: tuple[str, ...] = ()
 
 
-def schmidt_sum_check(e: Ensemble) -> SchmidtSumReport:
-    """Necessary condition: sum of Schmidt ranks must not exceed dim_a*dim_b."""
-    numbers = tuple(schmidt_ranks(e.amplitudes).tolist())
+def schmidt_sum_check(e: Ensemble, tol: float = DEFAULT_TOL) -> SchmidtSumReport:
+    """Necessary condition: the Schmidt ranks, counting weights above
+    ``tol``, must not sum past dim_a*dim_b."""
+    numbers = tuple(schmidt_ranks(e.amplitudes, tol).tolist())
     return SchmidtSumReport(numbers, sum(numbers), e.dim_a * e.dim_b)
 
 

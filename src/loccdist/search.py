@@ -2,19 +2,20 @@
 
 Depth-first search in which every node tries the candidate measurements
 that ``_candidates`` generates for each party, cheap tiers first: Alice's
-cheap tiers, then Bob's, then Alice's costly tier, then Bob's.  A
-number counts as zero when its magnitude is within the tolerance ``tol``
-(``SearchConfig.tolerance``); a rank counts the singular values, or
-eigenvalue magnitudes, above ``RANK_CUTOFF`` times the largest.  Every node
-is first offered the one-round Schmidt closure: when one party's cross
-operators are all within ``tol``, the other party's local supports are
-pairwise orthogonal, and the completion of its Schmidt vectors identifies
-every state in one round (Bob's is offered when Alice's are, else Alice's
-when Bob's are).  A candidate is admitted only if every outcome keeps the
-surviving states pairwise orthogonal (every cross operator's per-outcome
-diagonal within ``tol``), as reliable discrimination requires.  The search
-is sound -- every returned protocol is re-verified -- but incomplete: an
-exhausted search yields Unknown.
+cheap tiers, then Bob's, then Alice's costly tier, then Bob's.  One rule
+decides what is zero: a number whose magnitude is within the tolerance
+``tol`` (``SearchConfig.tolerance``).  So a Schmidt rank counts the
+weights ``sigma_k^2 / sum sigma^2`` above ``tol`` (``rank_counts``), and
+a zero-diagonal part's zero eigenvalues are those within ``tol``.  Every
+node is first offered the one-round Schmidt closure: when one party's
+cross operators are all within ``tol``, the other party's local supports
+are pairwise orthogonal, and the completion of its Schmidt vectors
+identifies every state in one round (Bob's is offered when Alice's are,
+else Alice's when Bob's are).  A candidate is admitted only if every
+outcome keeps the surviving states pairwise orthogonal (every cross
+operator's per-outcome diagonal within ``tol``), as reliable
+discrimination requires.  The search is sound -- every returned protocol
+is re-verified -- but incomplete: an exhausted search yields Unknown.
 
 Every node works array-at-a-time.  It holds its states as one
 ``(m, dim_a, dim_b)`` amplitude stack with their labels and Schmidt ranks,
@@ -91,7 +92,6 @@ from .protocol import (
 )
 from .states import (
     DEFAULT_TOL,
-    RANK_CUTOFF,
     BipartiteState,
     _check_orthonormal,
     _check_tolerance,
@@ -287,13 +287,13 @@ def _zero_diagonal_tier(sides: np.ndarray, tol: float) -> list[np.ndarray]:
     ``tol`` in magnitude, as ``|H_ij| <= ||H||_2``), one per distinct part.
 
     A basis holding an inadmissible vector is itself inadmissible.  A part
-    whose eigenvalues reach below ``-cut`` and above ``cut`` (``RANK_CUTOFF``
-    times its largest magnitude) starts with a rotation of eigenvectors 0
-    and ``d - 1`` (``eigh`` sorts its values in ascending order), and its
-    basis holds the vector retired there, bit for bit.  One ``_rotate`` call
-    gives every such vector and one ``_admits`` call tests them all, each by
-    its projector ``v v^+``; only the parts whose vector keeps every
-    ``tr(P M)`` within ``tol``, or that start with no rotation, are built.
+    whose eigenvalues reach below ``-tol`` and above ``tol`` starts with a
+    rotation of eigenvectors 0 and ``d - 1`` (``eigh`` sorts its values in
+    ascending order), and its basis holds the vector retired there, bit for
+    bit.  One ``_rotate`` call gives every such vector and one ``_admits``
+    call tests them all, each by its projector ``v v^+``; only the parts
+    whose vector keeps every ``tr(P M)`` within ``tol``, or that start with
+    no rotation, are built.
     No basis is built when ``_no_traceless_room`` proves that none is
     admissible.
     """
@@ -301,13 +301,13 @@ def _zero_diagonal_tier(sides: np.ndarray, tol: float) -> list[np.ndarray]:
     if _no_traceless_room(parts, tol):
         return []
     evals, evecs = np.linalg.eigh(parts)
-    lo, hi, cut = evals[:, 0], evals[:, -1], RANK_CUTOFF * np.abs(evals).max(axis=1)
-    rot = (lo < -cut) & (hi > cut)
+    lo, hi = evals[:, 0], evals[:, -1]
+    rot = (lo < -tol) & (hi > tol)
     # a part with no rotation gets a stand-in one, whose vector is not used
     first = _rotate(np.where(rot, lo, -1.0), np.where(rot, hi, 1.0),
                     evecs[:, :, 0], evecs[:, :, -1])[0]
     admitted = _admits(first[:, :, np.newaxis] * first[:, np.newaxis].conj(), sides, tol)
-    return [_zero_diagonal_basis(evals[k], evecs[k]) for k in np.flatnonzero(~rot | admitted)]
+    return [_zero_diagonal_basis(evals[k], evecs[k], tol) for k in np.flatnonzero(~rot | admitted)]
 
 
 @cache
@@ -355,29 +355,29 @@ def _no_traceless_room(parts: np.ndarray, tol: float) -> bool:
     return bool(np.linalg.svd(coords, compute_uv=False)[-1] > 2 * tol * math.sqrt(n * d / (d - 1)))
 
 
-def _zero_diagonal_basis(evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:
+def _zero_diagonal_basis(evals: np.ndarray, evecs: np.ndarray, tol: float) -> np.ndarray:
     """A basis with vanishing diagonal for a traceless Hermitian matrix, given
     its eigendecomposition ``(evals, evecs)`` from ``eigh``, its columns in
     the order they retire.
 
-    Eigenvectors of zero eigenvalue (at most ``RANK_CUTOFF`` times the
-    largest magnitude) retire first, as they are.  Then, repeatedly, the
-    most negative and the most positive active values (a stable sort of the
-    active list, a rotation's residual appended at its end) are rotated by
-    the angle that zeroes the diagonal of one vector, which retires, while
-    the other stays active with the sum of the two values.  Cross terms
+    Eigenvectors of zero eigenvalue (at most ``tol`` in magnitude, the
+    diagonal value ``<v|H|v>`` that admissibility bounds by ``tol``) retire
+    first, as they are.  Then, repeatedly, the most negative and the most
+    positive active values (a stable sort of the active list, a rotation's
+    residual appended at its end) are rotated by the angle that zeroes the
+    diagonal of one vector, which retires, while the other stays active
+    with the sum of the two values.  Cross terms
     between active vectors stay zero throughout, so each rotation retires
     one vector.  When one active vector is left, or all active values share
-    a sign up to the cutoff, the active vectors retire in value order.
+    a sign up to ``tol``, the active vectors retire in value order.
     """
-    cut = RANK_CUTOFF * np.abs(evals).max()
     active = [(w, evecs[:, k]) for k, w in enumerate(evals)]
-    done = [v for w, v in active if abs(w) <= cut]
-    active = [a for a in active if abs(a[0]) > cut]
+    done = [v for w, v in active if abs(w) <= tol]
+    active = [a for a in active if abs(a[0]) > tol]
     while len(active) > 1:
         active.sort(key=lambda a: a[0])
         (lo, v_lo), (hi, v_hi) = active[0], active[-1]
-        if hi <= cut or lo >= -cut:
+        if hi <= tol or lo >= -tol:
             break
         retired, residual = _rotate(lo, hi, v_lo, v_hi)
         done.append(retired)
@@ -409,7 +409,8 @@ def _schmidt_completion(stack: np.ndarray, party: str, tol: float,
     clash = (np.abs(kets.conj() @ kets.swapaxes(-1, -2)) > tol).tolist()
     eye = kets.size // d  # rows of the identity follow every stack's vectors
     picks = []
-    for b, (ranks, pair_clash) in enumerate(zip(rank_counts(sig).reshape(-1, m).tolist(), clash)):
+    for b, (ranks, pair_clash) in enumerate(zip(rank_counts(sig, tol).reshape(-1, m).tolist(),
+                                                clash)):
         chosen = []
         for i in range(m * d):
             if i % d < ranks[i // d] and not any(pair_clash[j][i] for j in chosen):
@@ -427,7 +428,7 @@ def _outcomes(bases: np.ndarray):
     return cols, cols @ cols.conj().swapaxes(-1, -2)
 
 
-def _children(states: np.ndarray, alive: np.ndarray, sizes: np.ndarray):
+def _children(states: np.ndarray, alive: np.ndarray, sizes: np.ndarray, tol: float):
     """The outcomes of a candidate that keep two or more states (its child
     nodes), from its ``_renormalise`` output and survivor counts.
 
@@ -441,7 +442,7 @@ def _children(states: np.ndarray, alive: np.ndarray, sizes: np.ndarray):
     packed = states[kids[:, np.newaxis], slots]  # dead states are zero
     factors = np.linalg.svd(packed)
     ranks = np.zeros(alive.shape, dtype=int)
-    ranks[kids[:, np.newaxis], slots] = rank_counts(factors[1])
+    ranks[kids[:, np.newaxis], slots] = rank_counts(factors[1], tol)
     return kids, packed, factors, ranks
 
 
@@ -670,7 +671,7 @@ def search_protocol(e: Ensemble, cfg: SearchConfig | None = None) -> SearchOutco
     """
     cfg = cfg or _DEFAULT_CONFIG
     tol = cfg.tolerance
-    report = schmidt_sum_check(e)
+    report = schmidt_sum_check(e, tol)
     if report.violates:
         return SearchOutcome(PROVED_NO, None, report, reason=report.reason)
 
@@ -712,7 +713,7 @@ def search_protocol(e: Ensemble, cfg: SearchConfig | None = None) -> SearchOutco
                 # then a child); one-state outcomes alone always make progress
                 closures, child_cross = {}, {}
                 if sizes.max() > 1:
-                    kids, packed, factors, child_ranks = _children(states, alive, sizes)
+                    kids, packed, factors, child_ranks = _children(states, alive, sizes, tol)
                     if alive[sizes > 0].all() and not (child_ranks < ranks)[alive].any():
                         continue
                     if depth + 1 < depth_limit:  # children at the limit close nothing

@@ -1,5 +1,8 @@
 """Bipartite pure states and their Schmidt structure.
 
+A Schmidt rank counts the weights ``sigma_k^2 / sum sigma^2`` above the
+tolerance ``tol``: the package's one rule, a number within ``tol`` is zero.
+
 Convention: a pure state of an ``Na x Nb`` system is stored as the complex
 matrix ``C`` of shape ``(Na, Nb)`` whose entry ``(x, y)`` multiplies
 ``|x>_A |y>_B``.  Local maps then act by matrix multiplication: ``(U (x) V)``
@@ -28,10 +31,6 @@ from .errors import (
 def _check_tolerance(tol: float) -> None:
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be a finite number > 0, got {tol}")
-
-#: a singular value counts toward the Schmidt rank iff it exceeds
-#: ``RANK_CUTOFF`` times the largest singular value
-RANK_CUTOFF = 1e-9
 
 
 def _complex_matrix(amplitudes) -> np.ndarray:
@@ -150,10 +149,12 @@ def product_state(dim_a, dim_b, alice_vector, bob_vector, name=None) -> Bipartit
 class SchmidtDecomposition:
     """Schmidt form of a bipartite pure state.
 
-    ``weights`` are the squared retained singular values in descending order
-    and sum to 1.  ``alice_vectors`` / ``bob_vectors`` hold the corresponding
-    orthonormal local vectors as rows, so the amplitude matrix equals
-    ``sum_i sqrt(w_i) * outer(alice_vectors[i], bob_vectors[i])``.
+    ``weights`` are the squared retained singular values in descending order;
+    they sum to 1 within ``(d - 1) tol``, ``d`` the smaller dimension, as
+    each dropped weight is at most ``tol``.  ``alice_vectors`` /
+    ``bob_vectors`` hold the corresponding orthonormal local vectors as rows,
+    so the amplitude matrix equals ``sum_i sqrt(w_i) * outer(alice_vectors[i],
+    bob_vectors[i])`` up to the dropped components.
     """
 
     weights: tuple[float, ...]
@@ -174,34 +175,38 @@ class SchmidtDecomposition:
         return np.einsum("i,ia,ib->ab", coeff, self.alice_vectors, self.bob_vectors)
 
 
-def schmidt_decompose(s: BipartiteState) -> SchmidtDecomposition:
-    """SVD-based Schmidt decomposition; keeps singular values above the rank cutoff."""
+def schmidt_decompose(s: BipartiteState, tol: float = DEFAULT_TOL) -> SchmidtDecomposition:
+    """SVD-based Schmidt decomposition; keeps the components whose weight
+    exceeds ``tol`` (``rank_counts``)."""
     try:
         u, sig, vh = np.linalg.svd(s.amplitudes)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
         raise DecompositionFailure(str(exc)) from exc
-    rank = int(rank_counts(sig))
+    rank = int(rank_counts(sig, tol))
     weights = tuple(float(x) for x in sig[:rank] ** 2)
     return SchmidtDecomposition(weights, u[:, :rank].T, vh[:rank, :])
 
 
-def rank_counts(sig: np.ndarray) -> np.ndarray:
-    """Schmidt rank of every matrix whose singular values, largest first,
-    are the last axis of ``sig``: the count ``schmidt_decompose`` keeps.  A
-    zero matrix has rank 0."""
-    return (sig > RANK_CUTOFF * sig[..., :1]).sum(axis=-1)
+def rank_counts(sig: np.ndarray, tol: float) -> np.ndarray:
+    """Schmidt rank of every matrix whose singular values are the last axis
+    of ``sig``: the count of weights ``sigma_k^2 > tol * sum sigma^2``, the
+    count ``schmidt_decompose`` keeps.  Scale-free; a zero matrix has rank
+    0."""
+    weights = sig * sig
+    return (weights > tol * weights.sum(axis=-1, keepdims=True)).sum(axis=-1)
 
 
-def schmidt_ranks(mats) -> np.ndarray:
+def schmidt_ranks(mats, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Schmidt rank of every amplitude matrix of a ``(..., dim_a, dim_b)``
     stack, from one ``svd`` without local vectors (``rank_counts``).  Need
     not be normalized."""
-    return rank_counts(np.linalg.svd(mats, compute_uv=False))
+    return rank_counts(np.linalg.svd(mats, compute_uv=False), tol)
 
 
-def schmidt_number(s: BipartiteState) -> int:
-    """Schmidt rank of the state (1 = product state)."""
-    return int(schmidt_ranks(s.amplitudes))
+def schmidt_number(s: BipartiteState, tol: float = DEFAULT_TOL) -> int:
+    """Schmidt rank of the state (1 = product state), counting the
+    components of weight above ``tol``."""
+    return int(schmidt_ranks(s.amplitudes, tol))
 
 
 def frobenius_norms(mats) -> np.ndarray:

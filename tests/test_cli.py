@@ -266,8 +266,8 @@ def test_cmd_check_classify2x2_ignores_search_bounds(bell2_file, tmp_path):
 
 
 def test_cmd_check_classify2x2_reports_borderline_states(tmp_path):
-    # a smallest singular value of 1e-9 sits within 10x of the rank cutoff
-    states = [L.make_state(2, 2, [[1, 0], [0, 1e-9]], name="near"),
+    # a smallest Schmidt weight of about 9e-10 sits within 10x of the tolerance
+    states = [L.make_state(2, 2, [[1, 0], [0, 3e-5]], name="near"),
               L.make_state(2, 2, [[0, 1], [0, 0]], name="p")]
     path = tmp_path / "near.json"
     write_json(path, ensemble_to_dict(L.make_ensemble(states)))
@@ -278,7 +278,26 @@ def test_cmd_check_classify2x2_reports_borderline_states(tmp_path):
     assert list(rep["diagnostics"])[:4] == ["schmidt_numbers", "schmidt_sum", "capacity",
                                             "warnings"]
     warnings = rep["diagnostics"]["warnings"]
-    assert len(warnings) == 1 and warnings[0].startswith("state 'near': smallest singular")
+    assert len(warnings) == 1 and warnings[0].startswith("state 'near': smallest Schmidt weight")
+
+
+def test_tolerance_reaches_schmidt_ranks(tmp_path):
+    # a Schmidt weight of 1e-8 counts at the default tolerance, not at 1e-7
+    w = 1e-8
+    a, b = np.sqrt(1 - w), np.sqrt(w)
+    states = [L.make_state(2, 2, [[a, 0], [0, b]], name="s0"),
+              L.make_state(2, 2, [[b, 0], [0, -a]], name="s1"),
+              L.make_state(2, 2, [[0, 1], [0, 0]], name="p")]
+    path = tmp_path / "near-product.json"
+    write_json(path, ensemble_to_dict(L.make_ensemble(states)))
+    for tolerance, number, code in (([], 2, 1), (["--tolerance", "1e-7"], 1, 2)):
+        result = run_cli(["schmidt", path, "--format", "json", *tolerance])
+        assert result.exit_code == 0
+        rows = report_of(result)["diagnostics"]["states"]
+        assert [row["schmidt_number"] for row in rows] == [number, number, 1]
+        result = run_cli(["check", path, "--mode", "necessary", "--format", "json", *tolerance])
+        assert result.exit_code == code, tolerance
+        assert report_of(result)["diagnostics"]["schmidt_sum"] == 2 * number + 1
 
 
 def test_cmd_check_classify2x2_wrong_dims_exits_3(six4x4_pair):

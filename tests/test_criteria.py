@@ -483,18 +483,24 @@ def test_classify_keeps_verdict_when_survivors_overlap():
 
 @pytest.mark.parametrize("t", [1e-11, 1e-10, 3e-10, 1e-9, 1e-8])
 def test_classify_warns_of_states_near_the_rank_cutoff(t):
-    # the warnings come from one batched svd; each must read as the state's own
-    e = make_ensemble([make_state(2, 2, [[1, 0], [0, t]], name="a"),
+    # state "a" has smallest Schmidt weight 3t / (1 + 3t), just below 3t, and
+    # is warned of when that lies in (tol / 10, 10 tol]; the warnings come
+    # from one batched svd, and each must read as the state's own
+    tol = L.DEFAULT_TOL
+    e = make_ensemble([make_state(2, 2, [[1, 0], [0, np.sqrt(3 * t)]], name="a"),
                        make_state(2, 2, [[0, 1], [0, 0]], name="b")])
     want = []
     for s in e.states:
-        sig = np.linalg.svd(s.amplitudes, compute_uv=False)
-        cut = L.RANK_CUTOFF * sig[0]
-        if cut / 10 < sig[-1] <= 10 * cut:
-            want.append(f"state {s.name!r}: smallest singular value {sig[-1]:.3g} "
-                        f"is within 10x of the rank cutoff {cut:.3g}")
+        weights = np.linalg.svd(s.amplitudes, compute_uv=False) ** 2
+        w = weights[-1] / weights.sum()
+        if tol / 10 < w <= 10 * tol:
+            want.append(f"state {s.name!r}: smallest Schmidt weight {w:.3g} is within 10x "
+                        f"of the tolerance {tol:.3g}")
     assert classify_2x2(e).warnings == tuple(want)
-    assert bool(want) == (t >= 3e-10)
+    assert bool(want) == (1e-10 <= t <= 1e-9)
+    # the band moves with the tolerance
+    assert classify_2x2(e, tol=t).warnings[0].startswith("state 'a': smallest Schmidt weight")
+    assert classify_2x2(e, tol=1e-3).warnings == ()
 
 
 def test_two_qubit_sweep_script_runs():
@@ -531,13 +537,22 @@ def _near_walgate_hardy(seed):
 def test_classify_proves_no_only_past_the_margin():
     # the margin's proof: an admissible basis keeps the least singular value
     # of the traceless coordinates of Alice's 2P Hermitian parts within
-    # sqrt(2) tol sqrt(P), so "proved-no" needs more than 4 tol sqrt(P), and
-    # no "proved-no" meets an admissible U
+    # sqrt(2) tol sqrt(P), so the margin's "proved-no" needs more than
+    # 4 tol sqrt(P), and no such "proved-no" meets an admissible U.  The
+    # search's Schmidt-sum "proved-no" counts weights above tol, and meets
+    # no set whose hand-built protocol verifies; classify_2x2 passes it on
     search_module = L.search
     frame = search_module._traceless_frame(2)
-    tally = {}
+    tally, searched = {}, {}
     for seed in range(400):
-        e, U, _ = _near_walgate_hardy(seed)
+        e, U, tree = _near_walgate_hardy(seed)
+        built = verify_protocol(tree, e).ok
+        found = L.search_protocol(e)
+        searched[found.verdict] = searched.get(found.verdict, 0) + 1
+        if found.verdict == "proved-no":
+            assert not built, seed
+        elif found.verdict == YES:
+            assert verify_protocol(found.protocol, e).ok, seed
         cls = classify_2x2(e)
         tally[cls.verdict] = tally.get(cls.verdict, 0) + 1
         sides = search_module.cross_operators(e, L.ALICE)
@@ -549,15 +564,19 @@ def test_classify_proves_no_only_past_the_margin():
         if admissible:
             assert least <= np.sqrt(2 * len(sides)) * 1e-9, seed
         if cls.verdict == "proved-no":
-            assert not admissible, seed
-            assert least > 4 * np.sqrt(len(sides)) * 1e-9, seed
-            assert cls.protocol is None and "entangled" in cls.reason
+            assert cls.protocol is None
+            if "entangled" in cls.reason:  # the margin's proof
+                assert not admissible, seed
+                assert least > 4 * np.sqrt(len(sides)) * 1e-9, seed
+            else:
+                assert cls.reason == found.reason and "Schmidt ranks sum" in cls.reason, seed
         elif cls.verdict == YES:
             assert verify_protocol(cls.protocol, e).ok, seed
         else:
             assert cls.protocol is None and cls.reason is None
-    # the tally at 1e-9; seeds 28, 34 and 41 near the plane's cutoff read yes
-    assert tally == {YES: 162, "proved-no": 153, "unknown": 85}, tally
+    # the tallies at 1e-9; seeds 28, 34 and 41 near the plane's cutoff read yes
+    assert tally == {YES: 163, "proved-no": 153, "unknown": 84}, tally
+    assert searched == {YES: 163, "unknown": 237}, searched
     for seed in (28, 34, 41):
         e, U, tree = _near_walgate_hardy(seed)
         report = verify_protocol(tree, e)

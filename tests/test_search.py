@@ -502,7 +502,7 @@ def _root_children(e):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search_module, "_children", lambda *args: batches.append(args) or real(*args))
         search_protocol(e)
-    states, alive, _ = batches[0]
+    states, alive, *_ = batches[0]
     return states, alive
 
 
@@ -540,14 +540,14 @@ def _close_siblings_as_each_child_would(states, alive, cfg=SearchConfig()):
     Returns whether each child closed."""
     tol = cfg.tolerance
     sizes = alive.sum(axis=1)
-    kids, packed, factors, ranks = search_module._children(states, alive, sizes)
+    kids, packed, factors, ranks = search_module._children(states, alive, sizes, tol)
     closures, cross_ops = search_module._schmidt_closures(kids.tolist(), packed, factors,
                                                           sizes[kids].tolist(), tol)
     closed = []
     for k in kids.tolist():
         idx = np.flatnonzero(alive[k])
         stack = states[k, idx]
-        assert np.array_equal(ranks[k, idx], L.states.schmidt_ranks(stack))
+        assert np.array_equal(ranks[k, idx], L.states.schmidt_ranks(stack, tol))
         cross = search_module._cross(stack, ALICE, BOB)
         party, other = (BOB, ALICE) if np.abs(cross[ALICE]).max() <= tol else (ALICE, BOB)
         completion = search_module._schmidt_completion(stack, party, tol)
@@ -593,14 +593,14 @@ def _reference_schmidt_completion(stack, party, tol, factors=None):
     kets = u.swapaxes(-1, -2) if party == ALICE else vh
     *lead, m, d, _ = kets.shape
     mats = []
-    ranks = L.states.rank_counts(sig).reshape(-1, m).tolist()
+    ranks = L.states.rank_counts(sig, tol).reshape(-1, m).tolist()
     for stack_kets, stack_ranks in zip(kets.reshape(-1, m, d, d), ranks):
         chosen = []
         for vecs, rank in zip(stack_kets, stack_ranks):
             for v in vecs[:rank]:
                 if all(abs(np.vdot(w, v)) <= tol for w in chosen):
                     chosen.append(v)
-        mats.append(np.column_stack(chosen + [np.eye(d)]))
+        mats.append(np.column_stack(chosen + [np.eye(d, dtype=complex)]))
     if len({a.shape[1] for a in mats}) == 1:
         q = np.linalg.qr(np.array(mats))[0]
     else:
@@ -638,7 +638,8 @@ def test_schmidt_completion_matches_the_per_vector_greedy(seed):
     for states, alive in (_mixed_product_batch(seed),
                           _root_children(random_ensemble(2, 2, 2, seed=seed)),
                           _root_children(L.canned_example("six4x4"))):
-        _, packed, factors, _ = search_module._children(states, alive, alive.sum(axis=1))
+        _, packed, factors, _ = search_module._children(states, alive, alive.sum(axis=1),
+                                                        L.DEFAULT_TOL)
         _assert_completion_as_reference(packed, factors=factors)
         _assert_completion_as_reference(packed)
     # zero-padded random stacks from 2x2 to 5x5, also with tolerances that
@@ -1121,8 +1122,8 @@ def _record_children(monkeypatch):
     batches = []
     real = search_module._children
     monkeypatch.setattr(search_module, "_children",
-                        lambda states, alive, sizes: batches.append(alive.copy())
-                        or real(states, alive, sizes))
+                        lambda states, alive, sizes, tol: batches.append(alive.copy())
+                        or real(states, alive, sizes, tol))
     return batches
 
 
@@ -1308,7 +1309,7 @@ def test_zero_diagonal_bases_are_unitary_with_vanishing_diagonal(seed):
         h = _traceless_hermitian(rng, d, spectrum, scale)
         scale *= np.abs(spectrum).max()
         w, v = np.linalg.eigh(h)
-        basis = search_module._zero_diagonal_basis(w, v)
+        basis = search_module._zero_diagonal_basis(w, v, 1e-9 * np.abs(w).max())
         assert np.abs(basis.conj().T @ basis - np.eye(d)).max() <= 1e-12
         assert np.abs(np.diag(basis.conj().T @ h @ basis)).max() <= 1e-10 * scale
         # eigenvectors of zero eigenvalue come first, as they are
@@ -1316,14 +1317,13 @@ def test_zero_diagonal_bases_are_unitary_with_vanishing_diagonal(seed):
         assert np.abs(h @ basis[:, :zeros]).max(initial=0.0) <= 1e-10 * scale
 
 
-def _first_rotated(basis, evals):
-    """The column of a ``_zero_diagonal_basis`` that its first rotation
-    retires, right after the eigenvectors of zero eigenvalue, as a one-column
-    basis; None when it starts with no rotation."""
-    cut = L.RANK_CUTOFF * np.abs(evals).max()
-    if not (evals[0] < -cut and evals[-1] > cut):
+def _first_rotated(basis, evals, tol):
+    """The column of a ``_zero_diagonal_basis`` built at ``tol`` that its
+    first rotation retires, right after the eigenvectors of zero eigenvalue,
+    as a one-column basis; None when it starts with no rotation."""
+    if not (evals[0] < -tol and evals[-1] > tol):
         return None
-    k = np.count_nonzero(np.abs(evals) <= cut)
+    k = np.count_nonzero(np.abs(evals) <= tol)
     return basis[np.newaxis, :, k:k + 1]
 
 
@@ -1380,7 +1380,7 @@ def _full_tier(sides, tol):
     per Hermitian or anti-Hermitian part of largest eigenvalue magnitude
     above ``tol``."""
     evals, evecs = np.linalg.eigh(search_module._hermitian_parts(sides, tol))
-    return [(w, v, search_module._zero_diagonal_basis(w, v))
+    return [(w, v, search_module._zero_diagonal_basis(w, v, tol))
             for w, v in zip(evals, evecs) if np.abs(w).max() > tol]
 
 
@@ -1406,12 +1406,12 @@ def test_zero_diagonal_tier_drops_only_bases_holding_an_inadmissible_vector():
                     nxt = next(built, None)
                     continue
                 assert not ok
-                first = _first_rotated(basis, w)
+                first = _first_rotated(basis, w, tol)
                 assert first is not None and not _admissible(first, sides, tol).any()
                 dropped += 1
             assert nxt is None  # the tier is the full list, less the dropped bases
             if kind == "no-rotation":
-                assert _first_rotated(full[-1][2], full[-1][0]) is None
+                assert _first_rotated(full[-1][2], full[-1][0], tol) is None
                 assert np.array_equal(tier[-1], full[-1][2])
                 seen[kind] += 1
             if kind == "below-tol":  # a part with every entry within tol gives no basis
@@ -1435,7 +1435,7 @@ def test_zero_diagonal_bases_match_the_one_matrix_reference(seed):
     tol = 1e-9
     for _, sides in _part_test_stacks(rng, d):
         full = _full_tier(sides, tol)
-        firsts = [_first_rotated(basis, w) for w, _, basis in full]
+        firsts = [_first_rotated(basis, w, tol) for w, _, basis in full]
         # one batched rotation gives the column each basis retires first, bit for bit
         turns = [(w, v, first) for (w, v, _), first in zip(full, firsts) if first is not None]
         if turns:
@@ -1468,13 +1468,12 @@ def _ungrouped_tier(sides, tol):
     parts = _ungrouped_parts(sides, tol)
     evals, evecs = np.linalg.eigh(parts)
     lo, hi = evals[:, 0], evals[:, -1]
-    cut = L.RANK_CUTOFF * np.abs(evals).max(axis=1)
-    rot = (lo < -cut) & (hi > cut)
+    rot = (lo < -tol) & (hi > tol)
     first = search_module._rotate(np.where(rot, lo, -1.0), np.where(rot, hi, 1.0),
                                   evecs[:, :, 0], evecs[:, :, -1])[0]
     admitted = search_module._admits(first[:, :, np.newaxis] * first[:, np.newaxis].conj(),
                                      sides, tol)
-    bases = [search_module._zero_diagonal_basis(w, v) for w, v in zip(evals, evecs)]
+    bases = [search_module._zero_diagonal_basis(w, v, tol) for w, v in zip(evals, evecs)]
     return parts, bases, [int(k) for k in np.flatnonzero(~rot | admitted)]
 
 
