@@ -12,7 +12,8 @@ plain floats, so round-trips are bit-exact):
 
 Exit codes: 0 distinguishable / success, 1 indistinguishable (proved) or
 verification failure, 2 unknown, 3 input error (a bad or unwritable file, a
-closed stdout, or a usage error such as a missing or out-of-range argument).
+closed stdout, or a usage error such as a missing or out-of-range argument)
+or internal error (any other exception, reported with its kind).
 
 At module level only the standard library and ``errors`` are imported;
 numpy and the computational modules are imported by the functions that use
@@ -226,16 +227,18 @@ def _run(command, config, fmt, body):
     """Run one subcommand: time ``body()``, emit its report, exit with its code.
 
     ``body()`` returns the report verdict, the exit code and the diagnostics.
-    A ``LoccdistError``, ``OSError`` or ``MemoryError`` it raises (a bad
-    input file, an unwritable output path, an input too large to decide)
-    becomes the "error" report, which exits 3.
+    Any ``Exception`` it raises (a bad input file, an unwritable output path,
+    an input too large to decide, an internal error such as the search's
+    soundness guard) becomes the "error" report with its ``kind``, which
+    exits 3: never a traceback, and never exit 1.
     """
     started = time.perf_counter()
     try:
         verdict, code, diagnostics = body()
-    except (LoccdistError, OSError, MemoryError) as exc:
+    except Exception as exc:
         verdict, code = "error", EXIT_INPUT_ERROR
-        diagnostics = {"error": str(exc) or "out of memory", "kind": type(exc).__name__}
+        empty = "out of memory" if isinstance(exc, MemoryError) else "internal error"
+        diagnostics = {"error": str(exc) or empty, "kind": type(exc).__name__}
     timing_ms = (time.perf_counter() - started) * 1000.0
     if fmt == "json":
         print(json.dumps({"schema_version": SCHEMA_VERSION, "command": command,

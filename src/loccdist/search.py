@@ -1,59 +1,51 @@
 """Bounded synthesis of projective discrimination protocols.
 
-Depth-first search in which every node tries the candidate measurements
-that ``_candidates`` generates for each party, cheap tiers first: Alice's
-cheap tiers, then Bob's, then Alice's costly tier, then Bob's.  One rule
-decides what is zero: a number whose magnitude is within the tolerance
-``tol`` (``SearchConfig.tolerance``).  So a Schmidt rank counts the
-weights ``sigma_k^2 / sum sigma^2`` above ``tol`` (``rank_counts``), and
-a zero-diagonal part's zero eigenvalues are those within ``tol``.  Every
-node is first offered the one-round Schmidt closure: when one party's
-cross operators are all within ``tol``, the other party's local supports
-are pairwise orthogonal, and the completion of its Schmidt vectors
-identifies every state in one round (Bob's is offered when Alice's are,
-else Alice's when Bob's are).  A candidate is admitted only if every
-outcome keeps the surviving states pairwise orthogonal (every cross
-operator's per-outcome diagonal within ``tol``), as reliable
-discrimination requires.  The search is sound -- every returned protocol
-is re-verified -- but incomplete: an exhausted search yields Unknown.
+Depth-first search in which every node is first offered the one-round
+Schmidt closure (when one party's cross operators all vanish within
+``tol``, the other party's local supports are pairwise orthogonal, and the
+completion of its Schmidt vectors identifies every state), then tries the
+candidate measurements that ``_candidates`` generates: Alice's cheap tiers,
+Bob's, Alice's costly tier, Bob's.  The search is sound -- every returned
+protocol is re-verified -- but incomplete: an exhausted search yields
+Unknown.
 
-Every node works array-at-a-time.  It holds its states as one
-``(m, dim_a, dim_b)`` amplitude stack with their labels and Schmidt ranks,
-and each party's cross operators, for all pairs.  Nodes are closed in
-batches, the root as a batch of one and the children of an admitted
-candidate together, in one pass: one gather of the batch's state pairs and
-one product per party give every node's cross operators, and for the nodes
-offered the closure, one Gram product of their Schmidt vectors picks every
-completion's vectors and one ``qr`` completes them all, the projected norms
-alone give each outcome's reach, and one ``argmax`` names the state at every
-leaf.  A node the closure does not end is searched with its cross
-operators from that pass.  Candidates are generated tier by tier, only as
-far as the search asks, and tried in build order.  A qubit's one tier, its
-qubit-plane bases, is cheap; a larger party's standard tier is cheap and its
-zero-diagonal tier costly.  On the ``2P`` frame rows of a qubit's ``P``
+One outcome pass judges every candidate.  A candidate is a zero-padded
+stack ``Q`` of its outcomes' orthonormal columns, ``(k, d, r)``.  One
+product gives the state outcome k reaches from state j, ``Q_k^+ C_j`` for
+Alice or ``C_j conj(Q_k)`` for Bob, and one more each outcome's Gram matrix
+``G_k`` of them: ``G_k[j, l] = <(P_k (x) I) psi_j|(P_k (x) I) psi_l> =
+tr(P_k M_jl)``.  The candidate is admissible when every off-diagonal
+``|G_k[j, l]|`` is within ``tol``; state j reaches outcome k when its
+reached squared norm ``s_j^2`` exceeds ``tol``; the survivors stay
+orthogonal when every ``|G_k[j, l]| / (s_j s_l)`` is within ``tol``; and
+the children are ``Q_k (Q_k^+ C_j) / s_j``.  A candidate that keeps states
+in fewer than two outcomes is rejected from its reach alone.
+
+One rule decides what is zero: a number within ``tol``
+(``SearchConfig.tolerance``), read on two scales.  On a probability: reach
+and Schmidt weights ``sigma_k^2 / sum sigma^2`` (``rank_counts``), as
+``verify_protocol`` reads leaf arrivals.  On an amplitude: admissibility,
+the survivors' overlaps, the closure's vanishing cross operators, the
+completion's ``|<w|v>|``, the support graph's couplings, the zero-diagonal
+tier's part entries, zero eigenvalues and first-vector prune ``|v^+ M_p
+v|``, the qubit plane and the margin.
+
+Every node works array-at-a-time on one ``(m, dim_a, dim_b)`` stack of its
+states.  Nodes are closed in batches, the root alone and the children of an
+admitted candidate together, packed into one zero-padded stack whose one
+``svd`` gives their Schmidt ranks and vectors: one product per party gives
+every node's cross operators, and for the nodes offered the closure one
+Gram product of Schmidt vectors, one ``qr`` and one outcome pass close
+them.  Tiers are built only as far as the search asks, each as one column
+stack and one outcome pass, and tried in build order; the beam counts a
+party's candidates at a node across both classes.  A qubit's one tier, its
+qubit-plane bases, is cheap; a larger party's standard tier is cheap and
+its zero-diagonal tier costly.  On the ``2P`` frame rows of a qubit's ``P``
 cross operators, the plane keeps the directions within ``tol sqrt(2P)``
 and ``_no_traceless_room`` proves ``no`` past ``4 tol sqrt(P)``; nothing is
-proved between.  The beam counts a party's candidates at a node across both
-classes, and is checked before a tier is built, so no tier is built once
-it is spent.  Each tier is one stack of outcome projectors,
-which gives admissibility in one product ``vec(P) . vec(M^T)`` on the whole
-stack, against the acting party's cross operators alone.  The zero-diagonal
-tier takes each distinct part once and is pruned part by part before it is
-built: each basis holds the vector its part retires first, and a basis
-holding an inadmissible vector is itself inadmissible, so one ``_admits``
-call on those vectors decides which parts' bases are built, one at a time.
-An admitted candidate is applied to the whole stack at once: one batched
-norm gives every survivor's mass, and a candidate that keeps states in
-fewer than two outcomes is rejected from those alone; otherwise the
-survivors are renormalised and one batched Gram product checks that each
-outcome's survivors stay orthogonal.  Its children (the outcomes that keep
-two or more states) are packed into one stack, whose one ``svd`` gives
-their Schmidt ranks and Schmidt vectors, and are closed as one batch; the
-root's ``svd`` is taken only when it is offered the closure.  Only the
-candidate that enters the tree becomes a ``ProjectiveMeasurement``; no
-node builds states or ensembles.  A measurement is fixed by its projectors
-``|c><c|``, which do not depend on a column's phase, so every basis enters
-the tree with its columns as they were built.
+proved between.  Only the candidate that enters the tree becomes a
+``ProjectiveMeasurement``, with its columns as built: a measurement is fixed
+by its projectors ``|c><c|``, whatever a column's phase.
 """
 
 from __future__ import annotations
@@ -73,7 +65,6 @@ from .ensemble import (
     Ensemble,
     SearchOutcome,
     make_ensemble,
-    overlaps,
     schmidt_sum_check,
 )
 from .errors import DimensionMismatch, EmptyOutcome
@@ -100,7 +91,6 @@ from .states import (
     unit_norm_slack,
 )
 
-_PRODUCT_ENTRIES = 1 << 14
 #: the order of ``dfs``'s ``_candidates`` classes: cheap (0), then costly (1)
 _SCHEDULE = ((ALICE, 0), (BOB, 0), (ALICE, 1), (BOB, 1))
 
@@ -169,20 +159,43 @@ def cross_operators(e: Ensemble, party: str) -> np.ndarray:
     return _cross(e.amplitudes, party)[party]
 
 
-def _admits(projs: np.ndarray, sides: np.ndarray, tol: float) -> np.ndarray:
-    """Per projector of a ``(..., n, d, d)`` stack: whether ``tr(P M)``
-    vanishes within ``tol`` for every cross operator ``M`` of the matching
-    ``(..., pairs, d, d)`` stack, from products ``vec(P) . vec(M^T)`` taken
-    ``_PRODUCT_ENTRIES`` at a time, which bounds their memory however many
-    pairs there are."""
-    d = projs.shape[-1]
-    flat = sides.swapaxes(-1, -2).reshape(*sides.shape[:-3], -1, d * d).swapaxes(-1, -2)
-    rows = projs.reshape(*projs.shape[:-3], -1, d * d)
-    step = max(1, _PRODUCT_ENTRIES // max(1, flat.size // (d * d)))
-    if step >= rows.shape[-2]:
-        return (np.abs(rows @ flat) <= tol).all(axis=-1)
-    return np.concatenate([(np.abs(rows[..., i:i + step, :] @ flat) <= tol).all(axis=-1)
-                           for i in range(0, rows.shape[-2], step)], axis=-1)
+def _reached(stack: np.ndarray, party: str, cols: np.ndarray):
+    """The outcome pass of a zero-padded ``(..., k, d, r)`` column stack ``Q``
+    on a ``(..., m, dim_a, dim_b)`` amplitude stack, leading axes paired:
+    ``(reached, gram)``, the state outcome k reaches from state j, ``Q_k^+
+    C_j`` for Alice or ``C_j conj(Q_k)`` for Bob, at ``[..., k, j]``, and
+    each outcome's Gram matrix of them, ``(..., k, m, m)``, whose entry ``[j,
+    l]`` is ``tr(Q_k Q_k^+ M)`` for the pair's ``cross_operators`` entry
+    ``M``.  Zero padding adds nothing to either."""
+    cols, stack = cols[..., np.newaxis, :, :], stack[..., np.newaxis, :, :, :]
+    if party == ALICE:
+        reached = cols.conj().swapaxes(-1, -2) @ stack
+    else:
+        reached = stack @ cols.conj()
+    flat = reached.reshape(*reached.shape[:-2], -1)
+    return reached, flat.conj() @ flat.swapaxes(-1, -2)
+
+
+def _largest_overlap(gram: np.ndarray, scale: np.ndarray | None = None) -> np.ndarray:
+    """Per outcome of a ``(..., k, m, m)`` Gram stack, its largest
+    ``|gram[j, l]|`` over the pairs j < l (admissibility's), or with
+    ``_renormalise``'s ``(..., k, m)`` ``scale`` its largest ``|gram[j, l]|
+    / (scale_j scale_l)``, the survivors' overlap (an infinite scale leaves
+    a state out); 0 for one state."""
+    j, l = _pairs(gram.shape[-1])
+    g = np.abs(gram[..., j, l])
+    if scale is not None:
+        g /= scale[..., j] * scale[..., l]
+    return g.max(axis=-1, initial=0.0)
+
+
+def _column_stack(blocks, d: int) -> np.ndarray:
+    """Blocks of orthonormal columns of dimension ``d``, zero-padded into one
+    ``(k, d, r)`` stack, ``r`` the widest block's column count."""
+    cols = np.zeros((len(blocks), d, max(q.shape[1] for q in blocks)), dtype=np.complex128)
+    for out, q in zip(cols, blocks):
+        out[:, :q.shape[1]] = q
+    return cols
 
 
 def valid_measurement(e: Ensemble, meas: ProjectiveMeasurement,
@@ -193,7 +206,8 @@ def valid_measurement(e: Ensemble, meas: ProjectiveMeasurement,
     if meas.local_dim != expected:
         raise DimensionMismatch(
             f"measurement on dim {meas.local_dim}, ensemble side has dim {expected}")
-    return bool(_admits(meas.projector_stack, cross_operators(e, meas.party), tol).all())
+    gram = _reached(e.amplitudes, meas.party, _column_stack(meas.projectors, expected))[1]
+    return bool((_largest_overlap(gram) <= tol).all())
 
 
 def _support_labels(stack: np.ndarray, party: str, tol: float) -> np.ndarray:
@@ -290,12 +304,10 @@ def _zero_diagonal_tier(sides: np.ndarray, tol: float) -> list[np.ndarray]:
     whose eigenvalues reach below ``-tol`` and above ``tol`` starts with a
     rotation of eigenvectors 0 and ``d - 1`` (``eigh`` sorts its values in
     ascending order), and its basis holds the vector retired there, bit for
-    bit.  One ``_rotate`` call gives every such vector and one ``_admits``
-    call tests them all, each by its projector ``v v^+``; only the parts
-    whose vector keeps every ``tr(P M)`` within ``tol``, or that start with
-    no rotation, are built.
-    No basis is built when ``_no_traceless_room`` proves that none is
-    admissible.
+    bit.  One ``_rotate`` call gives every such vector ``v``; only the parts
+    whose ``v`` keeps every ``|v^+ M v|`` within ``tol``, or that start with
+    no rotation, are built.  No basis is built when ``_no_traceless_room``
+    proves that none is admissible.
     """
     parts = _hermitian_parts(sides, tol)
     if _no_traceless_room(parts, tol):
@@ -306,7 +318,11 @@ def _zero_diagonal_tier(sides: np.ndarray, tol: float) -> list[np.ndarray]:
     # a part with no rotation gets a stand-in one, whose vector is not used
     first = _rotate(np.where(rot, lo, -1.0), np.where(rot, hi, 1.0),
                     evecs[:, :, 0], evecs[:, :, -1])[0]
-    admitted = _admits(first[:, :, np.newaxis] * first[:, np.newaxis].conj(), sides, tol)
+    # v^+ M_p v = sum_ab conj(v_a) M_p[a, b] v_b for every first vector v
+    # (rows) and cross operator M_p (columns), in one product
+    d = sides.shape[-1]
+    outer = (first.conj()[:, :, np.newaxis] * first[:, np.newaxis]).reshape(-1, d * d)
+    admitted = (np.abs(outer @ sides.reshape(-1, d * d).T) <= tol).all(axis=1)
     return [_zero_diagonal_basis(evals[k], evecs[k], tol) for k in np.flatnonzero(~rot | admitted)]
 
 
@@ -420,12 +436,11 @@ def _schmidt_completion(stack: np.ndarray, party: str, tol: float,
     return np.linalg.qr(rows.swapaxes(-1, -2))[0].reshape(*lead, d, d)
 
 
-def _outcomes(bases: np.ndarray):
+def _outcomes(bases: np.ndarray) -> np.ndarray:
     """The columns of every basis of a ``(n, d, k)`` stack of ``k``
     orthonormal columns as one-column blocks, ``(n, k, d, 1)`` with column j
-    of basis i at ``[i, j]``, and their outcome projectors, ``(n, k, d, d)``."""
-    cols = np.ascontiguousarray(bases.transpose(0, 2, 1))[..., np.newaxis]
-    return cols, cols @ cols.conj().swapaxes(-1, -2)
+    of basis i at ``[i, j]``."""
+    return np.ascontiguousarray(bases.transpose(0, 2, 1))[..., np.newaxis]
 
 
 def _children(states: np.ndarray, alive: np.ndarray, sizes: np.ndarray, tol: float):
@@ -458,17 +473,14 @@ def _schmidt_closures(kids, packed: np.ndarray, factors, count, tol: float):
     (the root is a batch of one), with each node's key in the sequence
     ``kids``, the stack's ``svd`` ``factors`` (None for a batch of one: its
     ``svd`` is then taken only if it is offered the closure) and each node's
-    state count in the sequence ``count``.  One gather of the pairs and one
-    product per party give every node's cross operators; Bob's are tested
-    only when some node's Alice operators do not vanish, as only such a node
-    is offered Alice's closure.  The completions, and their projectors,
-    admissibility and reach (from the projected norms alone), come from one
-    call each, read back as lists.  Returns ``(closures, cross_ops)``:
-    ``closures`` maps each node that closes with no child node of its own to
-    ``(party, blocks, slots)``, the completion's columns as one-column
-    blocks and, per outcome, the node's slot of the one state it keeps or
-    None; ``cross_ops`` maps every other node to its cross operators per
-    party, as ``_cross`` builds them.
+    state count in the sequence ``count``.  Bob's cross operators are tested
+    only when some node's Alice operators do not vanish.  The completions
+    come from one call and are judged by one outcome pass.  Returns
+    ``(closures, cross_ops)``: ``closures`` maps each node that closes with
+    no child node of its own to ``(party, blocks, slots)``, the completion's
+    columns as one-column blocks and, per outcome, the node's slot of the
+    one state it keeps or None; ``cross_ops`` maps every other node to its
+    cross operators per party, as ``_cross`` builds them.
     """
     cross = _cross(packed, ALICE, BOB)
     quiet = np.abs(cross[ALICE]).max(axis=(1, 2, 3)) <= tol
@@ -481,13 +493,13 @@ def _schmidt_closures(kids, packed: np.ndarray, factors, count, tol: float):
         if not len(at):
             continue
         if len(at) == len(offered):  # every node is offered: nothing to slice
-            stacks, parts, sides = packed, factors, cross[party]
+            stacks, parts = packed, factors
         else:
-            stacks, parts, sides = packed[at], tuple(f[at] for f in factors), cross[party][at]
-        bases = _schmidt_completion(stacks, party, tol, parts)
-        cols, projs = _outcomes(bases)
-        reach = _reach(stacks, party, projs, tol)[2].tolist()
-        admitted = _admits(projs, sides, tol).tolist()
+            stacks, parts = packed[at], tuple(f[at] for f in factors)
+        cols = _outcomes(_schmidt_completion(stacks, party, tol, parts))
+        reached, gram = _reached(stacks, party, cols)
+        reach = _kept(reached, tol)[1].tolist()
+        admitted = (_largest_overlap(gram) <= tol).tolist()
         for i, (node, rows, fits) in enumerate(zip(at.tolist(), reach, admitted)):
             kept = [sum(row) for row in rows]
             # every outcome keeps at most one state and two or more keep one:
@@ -506,25 +518,22 @@ def _schmidt_closures(kids, packed: np.ndarray, factors, count, tol: float):
 
 @cache
 def _computational(d: int):
-    """The identity of dimension ``d``, its columns as one-column blocks, and
-    their projector stack ``(d, d, d)``, all read-only."""
-    eye, rows = np.eye(d, dtype=np.complex128), np.eye(d, dtype=bool)
-    blocks = tuple(eye[:, row] for row in rows)
-    projs = rows[:, np.newaxis, :] * eye
-    for a in (eye, projs, *blocks):
-        a.setflags(write=False)
-    return eye, blocks, projs
+    """The computational basis of dimension ``d`` as one-column blocks, and
+    those blocks as one ``(d, d, 1)`` column stack, all read-only."""
+    cols = np.eye(d, dtype=np.complex128)[:, :, np.newaxis]  # row k of I is column k
+    cols.setflags(write=False)
+    return tuple(cols), cols
 
 
 def _candidates(stack: np.ndarray, party: str, sides: np.ndarray, cfg: SearchConfig):
     """``candidate_bases`` of an amplitude stack as two iterators ``(cheap,
-    costly)`` of ``(blocks, projectors, admissible)`` triples, given
+    costly)`` of ``(blocks, cols, reached, gram, admissible)``, given
     ``sides``, the party's ``(pairs, d, d)`` cross operators: a qubit's
     qubit-plane bases and nothing, else the standard and the zero-diagonal
     tier.  A tier is built only when its iterator is asked for it, and
     ``beam_limit``, counted across both classes, is checked first, so no
-    tier is built once it is spent.  Each tier is one stack of outcome
-    projectors, whose admissibility comes from one product."""
+    tier is built once it is spent.  Each tier is one column stack, whose
+    one ``_reached`` pass gives each candidate's slices and admissibility."""
     d = _local_dim(stack.shape[1:], party)
     tol = cfg.tolerance
     left = cfg.beam_limit
@@ -532,33 +541,32 @@ def _candidates(stack: np.ndarray, party: str, sides: np.ndarray, cfg: SearchCon
     def columns(bases):
         if not bases:
             return [], None
-        cols, projs = _outcomes(np.array(bases).reshape(-1, d, d))
-        return list(cols), projs.reshape(-1, d, d)
+        cols = _outcomes(np.array(bases).reshape(-1, d, d))
+        return [tuple(c) for c in cols], cols.reshape(-1, d, 1)
 
     def standard():
-        eye, basis, projs = _computational(d)
+        basis, cols = _computational(d)
         labels = _support_labels(stack, party, tol)
         roots = np.flatnonzero(labels == np.arange(d))
         if not 2 <= len(roots) < d:
-            return [basis], projs
-        # one boolean row per support block: the basis indices it projects onto
-        groups = labels == roots[:, np.newaxis]
-        return ([basis, tuple(eye[:, row] for row in groups)],
-                np.concatenate((projs, groups[:, np.newaxis, :] * eye)))
+            return [basis], cols
+        blocks = tuple(_identity(d)[:, labels == r] for r in roots)
+        return [basis, blocks], _column_stack(basis + blocks, d)
 
     def tier(build):
         nonlocal left
         if left < 1:
             return
-        cands, projs = build()
+        cands, cols = build()
         if not cands:
             return
         starts = list(accumulate(map(len, cands), initial=0))
-        admitted = _admits(projs, sides, tol).tolist()
+        reached, gram = _reached(stack, party, cols)
+        admitted = (_largest_overlap(gram) <= tol).tolist()
         for i, blocks in enumerate(cands[:left]):
             left -= 1
-            yield (tuple(blocks), projs[starts[i]:starts[i + 1]],
-                   all(admitted[starts[i]:starts[i + 1]]))
+            at = slice(starts[i], starts[i + 1])
+            yield blocks, cols[at], reached[at], gram[at], all(admitted[at])
 
     if d == 2:
         return tier(lambda: columns(_qubit_plane_bases(sides, tol))), ()
@@ -573,55 +581,42 @@ def candidate_bases(e: Ensemble, party: str, cfg: SearchConfig | None = None):
     admissible basis obeys (``tol sqrt(2P)`` on the frame rows of its ``P``
     ``cross_operators``), or the computational basis when none constrains
     it; in 2 x n any admissible basis, then the other party's measurement,
-    identifies the states (Walgate & Hardy, PRL 89, 147901 (2002)).  A party of dimension 3 or more has the standard tier
-    (the computational basis and, when the states' local supports split the
-    basis indices into 2 to d - 1 components, the block-coarsened
-    measurement onto them), then the zero-diagonal tier (one basis per
-    Hermitian or anti-Hermitian part of each cross operator, in which that
-    part has vanishing diagonal, save those ``_zero_diagonal_tier`` prunes).
-    The list is each tier in build order, cut at ``beam_limit``, repeats
-    kept (each of ``six4x4``'s zero-diagonal bases for Alice is her
-    computational basis, permuted).  The search runs it lazily, in the same
-    order, but tries both parties' cheap tiers before either costly
-    (zero-diagonal) tier, with one beam per party across both.  Here the
-    party's cross operators come from the ensemble, in the search from each
-    node's batch.  The search offers every node its one-round Schmidt
-    closure, which is not on this list, before these.
+    identifies the states (Walgate & Hardy, PRL 89, 147901 (2002)).  A party
+    of dimension 3 or more has the standard tier (the computational basis
+    and, when the states' local supports split the basis indices into 2 to
+    d - 1 components, the block-coarsened measurement onto them), then the
+    zero-diagonal tier (one basis per Hermitian or anti-Hermitian part of
+    each cross operator, in which that part has vanishing diagonal, save
+    those ``_zero_diagonal_tier`` prunes).  The list is each tier in build
+    order, cut at ``beam_limit``, repeats kept (each of ``six4x4``'s
+    zero-diagonal bases for Alice is her computational basis, permuted).
+    The search runs it lazily, but tries both parties' cheap tiers before
+    either costly tier, after the node's one-round Schmidt closure.
     """
     cfg = cfg or _DEFAULT_CONFIG
-    return [ProjectiveMeasurement(party, blocks) for blocks, _, _
+    return [ProjectiveMeasurement(party, blocks) for blocks, *_
             in chain(*_candidates(e.amplitudes, party, cross_operators(e, party), cfg))]
 
 
-def _reach(stack: np.ndarray, party: str, projs: np.ndarray, tol: float):
-    """``(mats, norms, alive)`` for ``_renormalise``: the projected matrices,
-    their norms, and whether each keeps a squared norm above ``tol``."""
-    projs, stack = projs[..., np.newaxis, :, :], stack[..., np.newaxis, :, :, :]
-    if party == ALICE:
-        mats = projs @ stack
-    else:
-        mats = stack @ projs.swapaxes(-1, -2)
-    norms = frobenius_norms(mats)
-    return mats, norms, np.float_power(norms, 2) > tol  # pow, as norm ** 2 of one float
+def _kept(reached: np.ndarray, tol: float):
+    """``(norms, alive)``: the Frobenius norm of every state of a ``_reached``
+    stack, and whether its squared norm is above ``tol``."""
+    norms = frobenius_norms(reached)
+    return norms, np.float_power(norms, 2) > tol  # pow, as norm ** 2 of one float
 
 
-def _renormalise(mats: np.ndarray, norms: np.ndarray, alive: np.ndarray):
-    """Every outcome of a ``(k, d, d)`` projector stack on a whole ``(m,
-    dim_a, dim_b)`` amplitude stack, from ``_reach``'s ``(mats, norms, alive)``.
-
-    Returns ``(alive, states, scale)``: ``alive[k, j]`` says whether state j
-    keeps a squared norm above ``tol`` under projector k, ``states[k, j]`` is
-    its post-measurement matrix renormalized as ``make_state`` would (left
-    undivided within ``unit_norm_slack`` of unit norm) and zero where not
-    alive, and ``scale[k, j]`` is the divisor applied.  Leading axes of both
-    stacks pair up: ``(..., k, d, d)`` projectors on ``(..., m, dim_a,
-    dim_b)`` states give ``(..., k, m)`` results.
-    """
+def _renormalise(party: str, cols: np.ndarray, reached: np.ndarray, norms: np.ndarray,
+                 alive: np.ndarray):
+    """``(states, scale)`` from a ``_reached`` pass and ``_kept``'s ``(norms,
+    alive)``: the state outcome k leaves of state j, ``Q_k (Q_k^+ C_j)`` for
+    Alice or ``(C_j conj(Q_k)) Q_k^T`` for Bob, divided by ``scale[..., k,
+    j]``, its norm as ``make_state`` renormalises (1 within
+    ``unit_norm_slack(dim_a dim_b)`` of 1) where it survives, else infinite."""
+    cols = cols[..., np.newaxis, :, :]
+    mats = cols @ reached if party == ALICE else reached @ cols.swapaxes(-1, -2)
     slack = unit_norm_slack(mats.shape[-2] * mats.shape[-1])
-    scale = np.where(alive & (np.abs(norms - 1.0) > slack), norms, 1.0)
-    states = mats / scale[..., np.newaxis, np.newaxis]
-    states[~alive] = 0.0
-    return alive, states, scale
+    scale = np.where(alive, np.where(np.abs(norms - 1.0) > slack, norms, 1.0), np.inf)
+    return mats / scale[..., np.newaxis, np.newaxis], scale
 
 
 def surviving_states(e: Ensemble, party: str, projector,
@@ -647,8 +642,9 @@ def surviving_states(e: Ensemble, party: str, projector,
     if q.shape[0] != d:
         raise DimensionMismatch(f"projector acts on dim {q.shape[0]}, party {party} has dim {d}")
     _check_orthonormal(q, tol, "projector columns not orthonormal")
-    alive, states, scale = _renormalise(
-        *_reach(e.amplitudes, party, (q @ q.conj().T)[np.newaxis], tol))
+    reached = _reached(e.amplitudes, party, q[np.newaxis])[0]
+    norms, alive = _kept(reached, tol)
+    states, scale = _renormalise(party, q[np.newaxis], reached, norms, alive)
     survivors = [BipartiteState(e.dim_a, e.dim_b, states[0, j], name=e.states[j].name,
                                 normalization=float(scale[0, j]))
                  for j in np.flatnonzero(alive[0])]
@@ -698,15 +694,15 @@ def search_protocol(e: Ensemble, cfg: SearchConfig | None = None) -> SearchOutco
         for party, costly in _SCHEDULE:
             if party not in tiers:
                 tiers[party] = _candidates(stack, party, cross_ops[party], cfg)
-            for blocks, projs, admissible in tiers[party][costly]:
+            for blocks, cols, reached, gram, admissible in tiers[party][costly]:
                 if not admissible:
                     continue
-                reach = _reach(stack, party, projs, tol)
-                sizes = reach[2].sum(axis=1)
+                norms, alive = _kept(reached, tol)
+                sizes = alive.sum(axis=1)
                 if np.count_nonzero(sizes) < 2:  # no progress, whatever the survivors
                     continue
-                alive, states, _ = _renormalise(*reach)
-                if overlaps(states.reshape(*alive.shape, -1)).max() > tol:
+                states, scale = _renormalise(party, cols, reached, norms, alive)
+                if _largest_overlap(gram, scale).max() > tol:
                     continue
                 # ranks are needed only for a child node, and for the progress
                 # test when every outcome keeps every state (each outcome is

@@ -638,6 +638,52 @@ def test_memory_error_exits_3_with_an_error_report(six4x4_pair, monkeypatch, com
     assert rep["diagnostics"] == {"error": "out of memory", "kind": "MemoryError"}
 
 
+def _guard_tripping_input(name):
+    """Two exact inputs whose search returns a protocol that
+    ``verify_protocol`` rejects, so the search's soundness guard raises at
+    the default tolerance.  "drops" is three states in 3x2, ``sqrt(1 - 2w)
+    |0>|0> + sqrt(w) |1>|1> + sqrt(w) |2>|1>``, ``|1>|0>`` and ``|2>|0>``
+    with ``w = 6e-10``: Alice's computational basis drops the first state
+    from two outcomes, each drop within tol, 1.2e-9 in all.  "rounding" is
+    ``|00> + sqrt(1e-9) |11>`` and ``|01>``: one drop at tol, which the
+    verifier's total exceeds by rounding."""
+    if name == "drops":
+        w = 6e-10
+        first = np.zeros((3, 2))
+        first[0, 0], first[1, 1], first[2, 1] = np.sqrt(1 - 2 * w), np.sqrt(w), np.sqrt(w)
+        states = [L.make_state(3, 2, first, name="s0"),
+                  L.product_state(3, 2, [0, 1, 0], [1, 0], name="s1"),
+                  L.product_state(3, 2, [0, 0, 1], [1, 0], name="s2")]
+    else:
+        states = [L.make_state(2, 2, [[1, 0], [0, np.sqrt(1e-9)]], name="a"),
+                  L.product_state(2, 2, [1, 0], [0, 1], name="b")]
+    return L.make_ensemble(states)
+
+
+@pytest.mark.parametrize("name, args", [
+    ("drops", ["check", "--mode", "full"]),
+    ("drops", ["search"]),
+    ("rounding", ["check", "--mode", "full"]),
+    ("rounding", ["check", "--mode", "classify2x2"]),
+    ("rounding", ["search"]),
+])
+def test_an_internal_error_exits_3_with_an_error_report(tmp_path, name, args):
+    # an exception outside the input errors, here the search's soundness
+    # guard, is reported, never printed as a traceback with exit 1 (which
+    # would read "indistinguishable")
+    path = tmp_path / f"{name}.json"
+    write_json(path, ensemble_to_dict(_guard_tripping_input(name)))
+    result = run_cli([args[0], path, *args[1:], "--format", "json"])
+    assert result.exit_code == 3
+    assert result.exception is None
+    assert "Traceback" not in result.output
+    rep = report_of(result)
+    assert rep["verdict"] == "error" and rep["exit_code"] == 3
+    assert rep["diagnostics"]["kind"] == "RuntimeError"
+    assert "fails verification" in rep["diagnostics"]["error"]
+    jsonschema.validate(rep, REPORT_SCHEMA)
+
+
 def test_reports_validate_against_published_schema(bell2_file):
     for args in (["schmidt", bell2_file], ["check", bell2_file, "--mode", "full"],
                  ["search", bell2_file, "--output", str(bell2_file) + ".p.json"]):

@@ -556,8 +556,7 @@ def test_classify_proves_no_only_past_the_margin():
         cls = classify_2x2(e)
         tally[cls.verdict] = tally.get(cls.verdict, 0) + 1
         sides = search_module.cross_operators(e, L.ALICE)
-        projs = np.array([np.outer(U[:, k], U[:, k].conj()) for k in range(2)])
-        admissible = search_module._admits(projs, sides, 1e-9).all()
+        admissible = L.valid_measurement(e, L.ProjectiveMeasurement(L.ALICE, (U[:, 0], U[:, 1])))
         adj = sides.conj().transpose(0, 2, 1)
         parts = np.concatenate([(sides + adj) / 2, (sides - adj) / 2j])
         least = np.linalg.svd((parts.reshape(-1, 4) @ frame).real, compute_uv=False)[-1]

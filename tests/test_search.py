@@ -45,6 +45,18 @@ def cols(dim, *idx):
     return out
 
 
+def _projectors(blocks):
+    """The outcome projectors ``Q Q^+`` of a ``(..., d, r)`` stack of blocks."""
+    return blocks @ blocks.conj().swapaxes(-1, -2)
+
+
+def _trace_admissible(projs, sides, tol):
+    """Per projector of a ``(..., n, d, d)`` stack, whether ``|tr(P M)|`` is
+    within ``tol`` for every cross operator ``M`` of a ``(pairs, d, d)``
+    stack: admissibility as defined, from the cross operators."""
+    return (np.abs(np.einsum("...nij,pji->...np", projs, sides)) <= tol).all(axis=-1)
+
+
 # ---------------------------------------------------------------------------
 # cross operators and the orthogonality-preservation filter
 
@@ -81,6 +93,36 @@ def test_cross_operators_stack_every_pair_in_order(dims):
             joint_b = np.vdot(vj, np.kron(np.eye(dim_a), pb) @ vl)
             assert joint_a == pytest.approx(np.trace(pa @ alice[p]), abs=1e-12)
             assert joint_b == pytest.approx(np.trace(pb @ bob[p]), abs=1e-12)
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 3), (3, 4)])
+def test_the_outcome_pass_gram_is_each_projector_s_trace_with_each_cross_operator(dims):
+    # tr(P M_jl) = <(P (x) I) psi_j|(P (x) I) psi_l> for P = Q Q^+: the pass's
+    # Gram entries, read from Q's columns alone, are the traces that define
+    # admissibility, from the cross operators and the projector stack
+    rng = np.random.default_rng(sum(dims))
+    checked = set()
+    for seed in range(4):
+        e = random_ensemble(*dims, 4, seed=seed)
+        for party in (ALICE, BOB):
+            d, sides = e.dims[party == BOB], cross_operators(e, party)
+            j, l = np.array(list(itertools.combinations(range(e.m), 2))).T
+            u = haar_unitary(d, rng)
+            for widths in ((1,) * d, (2,) + (1,) * (d - 2), (d,)):
+                blocks = np.split(u, np.cumsum(widths)[:-1], axis=1)
+                meas = ProjectiveMeasurement(party, tuple(blocks))
+                q = search_module._column_stack(meas.projectors, d)
+                gram = search_module._reached(e.amplitudes, party, q)[1]
+                traces = np.einsum("kab,pba->kp", meas.projector_stack, sides)
+                assert np.abs(gram[:, j, l] - traces).max() <= 1e-14
+                # tolerances just below and above the largest trace, unless it
+                # is rounding (the one-block measurement's traces are overlaps)
+                peak = np.abs(traces).max()
+                for tol in (1e-9, *((0.99 * peak, 1.01 * peak) if peak > 1e-12 else ())):
+                    expected = bool((np.abs(traces) <= tol).all())
+                    assert valid_measurement(e, meas, tol) == expected
+                    checked.add((max(widths), expected))
+    assert {(1, True), (1, False), (2, True), (2, False)} <= checked
 
 
 def test_cross_operators_single_state_is_empty_stack():
@@ -245,7 +287,7 @@ def _eager_candidate_bases(e, party, beam_limit, tol=1e-9):
     eye = np.eye(d, dtype=complex)
 
     def outcomes(bases):
-        return [list(c) for c in search_module._outcomes(np.array(bases).reshape(-1, d, d))[0]]
+        return [list(c) for c in search_module._outcomes(np.array(bases).reshape(-1, d, d))]
 
     if d == 2:
         cands = outcomes(search_module._qubit_plane_bases(sides, tol))
@@ -303,7 +345,7 @@ def test_candidate_bases_list_every_tier_in_build_order(six4x4):
     assert np.array_equal(cands[0].projector_stack, eye[:, np.newaxis, :] * eye)
     tier = search_module._zero_diagonal_tier(cross_operators(six4x4, ALICE), 1e-9)
     assert len(tier) == 6
-    for meas, projs in zip(cands[2:], search_module._outcomes(np.array(tier))[1]):
+    for meas, projs in zip(cands[2:], _projectors(search_module._outcomes(np.array(tier)))):
         assert np.array_equal(meas.projector_stack, projs)
         mags = np.abs(projs)
         assert np.allclose(mags, mags.round(), atol=1e-12)
@@ -380,29 +422,45 @@ def test_a_candidate_that_keeps_one_outcome_is_rejected_before_renormalising(six
     # the root's second child holds psi4-psi6, which all sit in Alice's block
     # {2, 3}: her support-block candidate keeps all three states in one
     # outcome, so the reach of its outcomes rejects it, with no survivor
-    # renormalised and no overlap taken; Bob's computational basis is next
+    # renormalised and no survivor overlap read; Bob's computational basis is
+    # next.  Each tier is one outcome pass; a node's candidates read their
+    # reach from it (a sibling batch's closure pass, one axis more, is not
+    # logged)
     log = []
-    reach, renormalise, overlaps = (search_module._reach, search_module._renormalise,
-                                    search_module.overlaps)
+    reached, kept, renormalise, largest_overlap = (
+        search_module._reached, search_module._kept, search_module._renormalise,
+        search_module._largest_overlap)
 
-    def logged_reach(stack, party, projs, tol):
-        out = reach(stack, party, projs, tol)
-        log.append((party, stack.tobytes(), len(projs), out[2].sum(axis=-1).tolist()))
+    def logged_reached(stack, party, cols):
+        log.append(("pass", party, stack.tobytes()))
+        return reached(stack, party, cols)
+
+    def logged_kept(states, tol):
+        out = kept(states, tol)
+        if states.ndim == 4:
+            log.append(("reach", len(states), out[1].sum(axis=-1).tolist()))
         return out
 
-    monkeypatch.setattr(search_module, "_reach", logged_reach)
+    def logged_overlap(gram, scale=None):
+        if scale is not None:
+            log.append("survivors")
+        return largest_overlap(gram, scale)
+
+    monkeypatch.setattr(search_module, "_reached", logged_reached)
+    monkeypatch.setattr(search_module, "_kept", logged_kept)
     monkeypatch.setattr(search_module, "_renormalise",
                         lambda *args: log.append("renormalise") or renormalise(*args))
-    monkeypatch.setattr(search_module, "overlaps",
-                        lambda flat: log.append("overlaps") or overlaps(flat))
+    monkeypatch.setattr(search_module, "_largest_overlap", logged_overlap)
     out = search_protocol(six4x4)
     assert (out.verdict, out.nodes_explored) == (YES, 7)
     second = six4x4.amplitudes[3:].tobytes()
-    at = log.index((ALICE, second, 3, [0, 0, 3]))
-    assert log[at + 1][:3] == (BOB, second, 4)
-    assert log[at + 2:at + 4] == ["renormalise", "overlaps"]
+    at = log.index(("pass", ALICE, second))
+    assert log[at + 1] == ("reach", 3, [0, 0, 3])
+    assert log[at + 2] == ("pass", BOB, second)
+    assert log[at + 3][:2] == ("reach", 4)
+    assert log[at + 4:at + 6] == ["renormalise", "survivors"]
     # three candidates make progress (the root's, and one per child)
-    assert log.count("renormalise") == log.count("overlaps") == 3
+    assert log.count("renormalise") == log.count("survivors") == 3
 
 
 def test_search_builds_each_party_s_cross_operators_once_per_node(monkeypatch):
@@ -445,7 +503,7 @@ def test_search_tries_bob_s_schmidt_completion_first_when_alice_s_cross_operator
     root = out.protocol.measurement
     assert root.party == BOB
     assert all(np.array_equal(q, c) for q, c in
-               zip(root.projectors, search_module._outcomes(completion[np.newaxis])[0][0]))
+               zip(root.projectors, search_module._outcomes(completion[np.newaxis])[0]))
 
 
 def _orthogonal_product_pair(dim_a, dim_b, seed):
@@ -480,7 +538,7 @@ def test_a_root_closed_by_its_schmidt_closure_asks_for_no_candidate(seed, monkey
         completion = search_module._schmidt_completion(e.amplitudes, party, L.DEFAULT_TOL)
         assert root.party == party
         assert [q.tobytes() for q in root.projectors] == [
-            q.tobytes() for q in search_module._outcomes(completion[np.newaxis])[0][0]]
+            q.tobytes() for q in search_module._outcomes(completion[np.newaxis])[0]]
         assert verify_protocol(out.protocol, e).ok
 
 
@@ -551,10 +609,14 @@ def _close_siblings_as_each_child_would(states, alive, cfg=SearchConfig()):
         cross = search_module._cross(stack, ALICE, BOB)
         party, other = (BOB, ALICE) if np.abs(cross[ALICE]).max() <= tol else (ALICE, BOB)
         completion = search_module._schmidt_completion(stack, party, tol)
-        blocks = search_module._outcomes(completion[np.newaxis])[0][0]
-        projs = np.array([q @ q.conj().T for q in blocks])
-        admissible = search_module._admits(projs, cross[party], tol).all()
-        reach = search_module._renormalise(*search_module._reach(stack, party, projs, tol))[0]
+        blocks = search_module._outcomes(completion[np.newaxis])[0]
+        projs = _projectors(blocks)
+        admissible = _trace_admissible(projs, cross[party], tol).all()
+        # each outcome's projected states, by the projector itself
+        outcomes = projs[:, np.newaxis]
+        projected = (outcomes @ stack if party == ALICE
+                     else stack @ outcomes.swapaxes(-1, -2))
+        reach = np.linalg.norm(projected, axis=(-2, -1)) ** 2 > tol
         kept = reach.sum(axis=1)
         # the closure is offered when the other party's cross operators
         # are within tol of zero; it closes without a child node of its own
@@ -894,7 +956,7 @@ def _walgate_hardy_sets():
 
 def _qubit_plane_projectors(e, party, tol=L.DEFAULT_TOL):
     bases = search_module._qubit_plane_bases(cross_operators(e, party), tol)
-    return list(search_module._outcomes(np.array(bases).reshape(-1, 2, 2))[1])
+    return list(_projectors(search_module._outcomes(np.array(bases).reshape(-1, 2, 2))))
 
 
 def _qubit_party_cases():
@@ -984,7 +1046,7 @@ def test_near_walgate_hardy_sets_get_a_plane_wherever_their_basis_is_admissible(
             out = search_protocol(e)
             tally[out.verdict] = tally.get(out.verdict, 0) + 1
             projs = np.array([np.outer(U[:, k], U[:, k].conj()) for k in range(2)])
-            if search_module._admits(projs, sides, tol).all():
+            if _trace_admissible(projs, sides, tol).all():
                 admitted += 1
                 assert search_module._qubit_plane_bases(sides, tol), (n, seed)
             if search_module._no_traceless_room(search_module._hermitian_parts(sides, tol), tol):
@@ -1097,14 +1159,15 @@ def test_an_admissible_candidate_whose_survivors_overlap_is_rejected(monkeypatch
                        L.make_state(3, 3, [[-eps * beta, 1, 0], [beta, eps, 0], [0, 0, 0]],
                                     name="y")])
     peaks = []
-    real = search_module.overlaps
+    real = search_module._largest_overlap
 
-    def overlaps(flat):
-        out = real(flat)
-        peaks.append(float(out.max()))
+    def largest_overlap(gram, scale=None):
+        out = real(gram, scale)
+        if scale is not None:  # the survivors' overlaps, not admissibility
+            peaks.append(float(out.max()))
         return out
 
-    monkeypatch.setattr(search_module, "overlaps", overlaps)
+    monkeypatch.setattr(search_module, "_largest_overlap", largest_overlap)
     out = search_protocol(e)
     assert (out.verdict, out.nodes_explored) == (YES, 1)
     assert peaks[0] > 1e-7
@@ -1266,10 +1329,11 @@ def test_batched_survivors_agree_with_surviving_states():
                 measurements.append(ProjectiveMeasurement(party, tuple(basis[:, [k]]
                                                                        for k in range(d))))
             for meas in measurements:
-                projs = np.array(meas.projector_matrices())
-                alive, states, _ = search_module._renormalise(
-                    *search_module._reach(e.amplitudes, party, projs, 1e-9))
-                gram = L.ensemble.overlaps(states.reshape(*alive.shape, -1))
+                q = search_module._column_stack(meas.projectors, d)
+                reached, gram = search_module._reached(e.amplitudes, party, q)
+                norms, alive = search_module._kept(reached, 1e-9)
+                states, scale = search_module._renormalise(party, q, reached, norms, alive)
+                overlap = search_module._largest_overlap(gram, scale)
                 for k, q in enumerate(meas.projectors):
                     ref = _outcome(lambda: _reference_survivors(e, party, q))
                     got = _outcome(lambda: surviving_states(e, party, q))
@@ -1279,10 +1343,10 @@ def test_batched_survivors_agree_with_surviving_states():
                         if ref is EmptyOutcome:
                             assert not alive[k].any()
                         else:
-                            assert gram[k].max() > 1e-9
+                            assert overlap[k] > 1e-9
                         continue
                     kinds.add("ok")
-                    assert gram[k].max() <= 1e-9
+                    assert overlap[k] <= 1e-9
                     assert got.labels == ref.labels == tuple(labels[alive[k]])
                     for a, b, c in zip(got.states, ref.states, states[k][alive[k]]):
                         assert np.allclose(a.amplitudes, b.amplitudes, rtol=0, atol=1e-13)
@@ -1328,10 +1392,7 @@ def _first_rotated(basis, evals, tol):
 
 
 def _admissible(bases, sides, tol):
-    d = sides.shape[-1]
-    projs = search_module._outcomes(bases)[1]
-    return search_module._admits(projs.reshape(-1, d, d), sides, tol).reshape(
-        projs.shape[:2]).all(axis=1)
+    return _trace_admissible(_projectors(search_module._outcomes(bases)), sides, tol).all(axis=1)
 
 
 def _part_test_stacks(rng, d):
@@ -1471,8 +1532,8 @@ def _ungrouped_tier(sides, tol):
     rot = (lo < -tol) & (hi > tol)
     first = search_module._rotate(np.where(rot, lo, -1.0), np.where(rot, hi, 1.0),
                                   evecs[:, :, 0], evecs[:, :, -1])[0]
-    admitted = search_module._admits(first[:, :, np.newaxis] * first[:, np.newaxis].conj(),
-                                     sides, tol)
+    admitted = _trace_admissible(first[:, :, np.newaxis] * first[:, np.newaxis].conj(),
+                                 sides, tol)
     bases = [search_module._zero_diagonal_basis(w, v, tol) for w, v in zip(evals, evecs)]
     return parts, bases, [int(k) for k in np.flatnonzero(~rot | admitted)]
 
