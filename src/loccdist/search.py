@@ -24,11 +24,14 @@ in fewer than two outcomes is rejected from its reach alone.
 One rule decides what is zero: a number within ``tol``
 (``SearchConfig.tolerance``), read on two scales.  On a probability: reach
 and Schmidt weights ``sigma_k^2 / sum sigma^2`` (``rank_counts``), as
-``verify_protocol`` reads leaf arrivals.  On an amplitude: admissibility,
-the survivors' overlaps, the closure's vanishing cross operators, the
-completion's ``|<w|v>|``, the support graph's couplings, the zero-diagonal
-tier's part entries, zero eigenvalues and first-vector prune ``|v^+ M_p
-v|``, the qubit plane and the margin.
+``verify_protocol`` reads leaf arrivals.  At the root, reach and the
+verifier's arrival are one squared norm, ``||Q^+ C_j||^2`` here and
+``||(P C_j) I^T||^2`` with ``P = Q Q^+`` there, which may round apart for a
+weight within a few ulps of ``tol``.  On an amplitude: admissibility, the survivors' overlaps,
+the closure's vanishing cross operators, the completion's ``|<w|v>|``, the
+support graph's couplings, the zero-diagonal tier's part entries, zero
+eigenvalues and first-vector prune ``|v^+ M_p v|``, the qubit plane and the
+margin.
 
 Every node works array-at-a-time on one ``(m, dim_a, dim_b)`` stack of its
 states.  Nodes are closed in batches, the root alone and the children of an
@@ -37,15 +40,17 @@ admitted candidate together, packed into one zero-padded stack whose one
 every node's cross operators, and for the nodes offered the closure one
 Gram product of Schmidt vectors, one ``qr`` and one outcome pass close
 them.  Tiers are built only as far as the search asks, each as one column
-stack and one outcome pass, and tried in build order; the beam counts a
-party's candidates at a node across both classes.  A qubit's one tier, its
-qubit-plane bases, is cheap; a larger party's standard tier is cheap and
-its zero-diagonal tier costly.  On the ``2P`` frame rows of a qubit's ``P``
-cross operators, the plane keeps the directions within ``tol sqrt(2P)``
-and ``_no_traceless_room`` proves ``no`` past ``4 tol sqrt(P)``; nothing is
+stack cut at the beam, and tried in build order; a tier's outcome pass runs
+as its candidates are asked for, a chunk of them at a time, so its memory
+is bounded whatever the tier's size.  The beam counts a party's candidates
+at a node across both classes.  A qubit's one tier, its qubit-plane bases,
+is cheap; a larger party's standard tier is cheap and its zero-diagonal
+tier costly.  On the ``2P`` frame rows of a qubit's ``P`` cross operators,
+the plane keeps the directions within ``tol sqrt(2P)`` and
+``_no_traceless_room`` proves ``no`` past ``4 tol sqrt(P)``; nothing is
 proved between.  Only the candidate that enters the tree becomes a
-``ProjectiveMeasurement``, with its columns as built: a measurement is fixed
-by its projectors ``|c><c|``, whatever a column's phase.
+``ProjectiveMeasurement``, with its columns as built: a measurement is
+fixed by its projectors ``|c><c|``, whatever a column's phase.
 """
 
 from __future__ import annotations
@@ -90,6 +95,10 @@ from .states import (
     rank_counts,
     unit_norm_slack,
 )
+
+#: complex entries a chunk of a tier's outcome pass (at least one candidate),
+#: or of the zero-diagonal prune's product, may hold: memory stays bounded
+_PASS_ENTRIES = 1 << 16
 
 #: the order of ``dfs``'s ``_candidates`` classes: cheap (0), then costly (1)
 _SCHEDULE = ((ALICE, 0), (BOB, 0), (ALICE, 1), (BOB, 1))
@@ -319,10 +328,13 @@ def _zero_diagonal_tier(sides: np.ndarray, tol: float) -> list[np.ndarray]:
     first = _rotate(np.where(rot, lo, -1.0), np.where(rot, hi, 1.0),
                     evecs[:, :, 0], evecs[:, :, -1])[0]
     # v^+ M_p v = sum_ab conj(v_a) M_p[a, b] v_b for every first vector v
-    # (rows) and cross operator M_p (columns), in one product
+    # (rows) and cross operator M_p (columns), one product per chunk of rows
     d = sides.shape[-1]
     outer = (first.conj()[:, :, np.newaxis] * first[:, np.newaxis]).reshape(-1, d * d)
-    admitted = (np.abs(outer @ sides.reshape(-1, d * d).T) <= tol).all(axis=1)
+    flat, step = sides.reshape(-1, d * d).T, max(1, _PASS_ENTRIES // max(1, len(sides)))
+    admitted = np.ones(len(outer), dtype=bool)
+    for i in range(0, len(outer), step):
+        admitted[i:i + step] = (np.abs(outer[i:i + step] @ flat) <= tol).all(axis=1)
     return [_zero_diagonal_basis(evals[k], evecs[k], tol) for k in np.flatnonzero(~rot | admitted)]
 
 
@@ -532,8 +544,10 @@ def _candidates(stack: np.ndarray, party: str, sides: np.ndarray, cfg: SearchCon
     qubit-plane bases and nothing, else the standard and the zero-diagonal
     tier.  A tier is built only when its iterator is asked for it, and
     ``beam_limit``, counted across both classes, is checked first, so no
-    tier is built once it is spent.  Each tier is one column stack, whose
-    one ``_reached`` pass gives each candidate's slices and admissibility."""
+    tier is built once it is spent.  Each tier is one column stack, cut at
+    the beam, whose ``_reached`` pass gives each candidate's slices and
+    admissibility; the pass runs as the candidates are asked for, a chunk of
+    them at a time within ``_PASS_ENTRIES``."""
     d = _local_dim(stack.shape[1:], party)
     tol = cfg.tolerance
     left = cfg.beam_limit
@@ -560,13 +574,20 @@ def _candidates(stack: np.ndarray, party: str, sides: np.ndarray, cfg: SearchCon
         cands, cols = build()
         if not cands:
             return
+        cands = cands[:left]
         starts = list(accumulate(map(len, cands), initial=0))
-        reached, gram = _reached(stack, party, cols)
-        admitted = (_largest_overlap(gram) <= tol).tolist()
-        for i, blocks in enumerate(cands[:left]):
+        # candidates per chunk: each outcome holds an m x m Gram and m x r x
+        # d_other reached entries, and a candidate at most d outcomes
+        m = len(stack)
+        step = max(1, _PASS_ENTRIES // (d * (m * m + cols.shape[-1] * stack.size // d)))
+        for i, blocks in enumerate(cands):
+            if i % step == 0:
+                first, last = starts[i], starts[min(i + step, len(cands))]
+                reached, gram = _reached(stack, party, cols[first:last])
+                admitted = (_largest_overlap(gram) <= tol).tolist()
             left -= 1
-            at = slice(starts[i], starts[i + 1])
-            yield blocks, cols[at], reached[at], gram[at], all(admitted[at])
+            at = slice(starts[i] - first, starts[i + 1] - first)
+            yield blocks, cols[starts[i]:starts[i + 1]], reached[at], gram[at], all(admitted[at])
 
     if d == 2:
         return tier(lambda: columns(_qubit_plane_bases(sides, tol))), ()
