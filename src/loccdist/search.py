@@ -27,11 +27,11 @@ and Schmidt weights ``sigma_k^2 / sum sigma^2`` (``rank_counts``), as
 ``verify_protocol`` reads leaf arrivals.  At the root, reach and the
 verifier's arrival are one squared norm, ``||Q^+ C_j||^2`` here and
 ``||(P C_j) I^T||^2`` with ``P = Q Q^+`` there, which may round apart for a
-weight within a few ulps of ``tol``.  On an amplitude: admissibility, the survivors' overlaps,
-the closure's vanishing cross operators, the completion's ``|<w|v>|``, the
-support graph's couplings, the zero-diagonal tier's part entries, zero
-eigenvalues and first-vector prune ``|v^+ M_p v|``, the qubit plane and the
-margin.
+weight within a few ulps of ``tol``.  On an amplitude: admissibility, the
+survivors' overlaps, the closure's vanishing cross operators, the
+completion's ``|<w|v>|``, the support graph's couplings, the zero-diagonal
+tier's part entries, zero eigenvalues and first-vector prune ``|v^+ M_p
+v|``, the qubit plane and the margin.
 
 Every node works array-at-a-time on one ``(m, dim_a, dim_b)`` stack of its
 states.  Nodes are closed in batches, the root alone and the children of an
